@@ -72,8 +72,8 @@ int main() {
   auto shards = cluster.daemon(1).table().lookup("Cache", "2");
   std::printf("\npartition 2 replicas:");
   for (const auto* entry : shards) {
-    std::printf(" node %u (shard %s MB)", entry->data.node,
-                entry->data.values.at("shard_mb").c_str());
+    std::printf(" node %u (shard %s MB)", entry->data().node,
+                entry->data().values.at("shard_mb").c_str());
   }
   std::printf("\n");
 

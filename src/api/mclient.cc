@@ -14,14 +14,14 @@ bool MClient::attached() const {
 }
 
 Machine machine_from_entry(const membership::MembershipEntry& entry) {
+  const membership::EntryData& data = entry.data();
   Machine machine;
-  machine.emplace_back("node", std::to_string(entry.data.node));
-  machine.emplace_back("incarnation", std::to_string(entry.data.incarnation));
-  machine.emplace_back("cpus", std::to_string(entry.data.machine.cpus));
-  machine.emplace_back("memory_mb",
-                       std::to_string(entry.data.machine.memory_mb));
-  machine.emplace_back("os", entry.data.machine.os);
-  for (const auto& service : entry.data.services) {
+  machine.emplace_back("node", std::to_string(data.node));
+  machine.emplace_back("incarnation", std::to_string(data.incarnation));
+  machine.emplace_back("cpus", std::to_string(data.machine.cpus));
+  machine.emplace_back("memory_mb", std::to_string(data.machine.memory_mb));
+  machine.emplace_back("os", data.machine.os);
+  for (const auto& service : data.services) {
     std::ostringstream partitions;
     for (size_t i = 0; i < service.partitions.size(); ++i) {
       if (i > 0) partitions << ',';
@@ -32,7 +32,7 @@ Machine machine_from_entry(const membership::MembershipEntry& entry) {
       machine.emplace_back("service." + service.name + "." + key, value);
     }
   }
-  for (const auto& [key, value] : entry.data.values) {
+  for (const auto& [key, value] : data.values) {
     machine.emplace_back(key, value);
   }
   return machine;

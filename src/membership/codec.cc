@@ -1,5 +1,7 @@
 #include "membership/codec.h"
 
+#include <algorithm>
+
 #include "util/strings.h"
 
 namespace tamp::membership {
@@ -43,6 +45,37 @@ std::optional<EntryData> decode_entry(WireReader& r) {
   entry.values = read_string_map(r);
   if (!r.ok()) return std::nullopt;
   return entry;
+}
+
+void skip_entry(WireReader& r) {
+  r.u32();
+  r.u64();
+  r.u16();
+  r.u32();
+  r.skip_str();
+  uint64_t service_count = r.varint();
+  for (uint64_t i = 0; i < service_count && r.ok(); ++i) {
+    r.skip_str();
+    uint64_t partition_count = r.varint();
+    for (uint64_t p = 0; p < partition_count && r.ok(); ++p) r.varint();
+    skip_string_map(r);
+  }
+  skip_string_map(r);
+}
+
+uint64_t row_hash_of_encoding(const uint8_t* bytes, size_t size) {
+  constexpr size_t kHeadBytes = 12;  // u32 node + u64 incarnation
+  uint64_t hash = 0xcbf29ce484222325ULL;  // FNV-1a, 64-bit
+  auto mix = [&hash](const uint8_t* p, size_t n) {
+    for (size_t i = 0; i < n; ++i) {
+      hash ^= p[i];
+      hash *= 0x100000001b3ULL;
+    }
+  };
+  mix(bytes, std::min(size, kHeadBytes));
+  mix(bytes, size);
+  // A zero hash would make a row invisible to the XOR bucket combine.
+  return hash == 0 ? 0x9e3779b97f4a7c15ULL : hash;
 }
 
 size_t encoded_entry_size(const EntryData& entry) {

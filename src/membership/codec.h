@@ -10,6 +10,14 @@ namespace tamp::membership {
 
 void encode_entry(WireWriter& w, const EntryData& entry);
 std::optional<EntryData> decode_entry(WireReader& r);
+// Advances past one encoded entry without building it. Accepts exactly the
+// inputs decode_entry accepts (the reader fails on the same ones).
+void skip_entry(WireReader& r);
+
+// A row's anti-entropy digest hash, from the entry's encoding (`size` >=
+// 12): FNV-1a over the node id and incarnation, then the whole encoding,
+// which starts with those same 12 bytes. Never zero.
+uint64_t row_hash_of_encoding(const uint8_t* bytes, size_t size);
 
 // Encoded size of an entry (used by the analysis module for the paper's
 // parameter `m`, the per-node information size).

@@ -9,17 +9,17 @@
 namespace tamp::membership {
 namespace {
 
-void encode_entries(WireWriter& w, const std::vector<EntryData>& entries) {
+void encode_entries(WireWriter& w, const std::vector<RowRef>& entries) {
   w.varint(entries.size());
-  for (const auto& entry : entries) encode_entry(w, entry);
+  for (const auto& entry : entries) encode_row(w, *entry);
 }
 
-bool decode_entries(WireReader& r, std::vector<EntryData>& out) {
+bool decode_entries(WireReader& r, RowPool& pool, std::vector<RowRef>& out) {
   uint64_t n = r.varint();
   for (uint64_t i = 0; i < n && r.ok(); ++i) {
-    auto entry = decode_entry(r);
+    RowRef entry = pool.decode(r);
     if (!entry) return false;
-    out.push_back(std::move(*entry));
+    out.push_back(std::move(entry));
   }
   return r.ok();
 }
@@ -57,7 +57,7 @@ struct Encoder {
 
   void operator()(const HeartbeatMsg& m) {
     w.u8(static_cast<uint8_t>(MessageType::kHeartbeat));
-    encode_entry(w, m.entry);
+    encode_row(w, *m.entry);
     w.u8(m.level);
     w.u8(m.is_leader ? 1 : 0);
     w.u8(m.leaving ? 1 : 0);
@@ -78,8 +78,8 @@ struct Encoder {
       w.u32(record.subject);
       w.u64(record.incarnation);
       w.varint(record.epoch);
-      w.u8(record.entry.has_value() ? 1 : 0);
-      if (record.entry) encode_entry(w, *record.entry);
+      w.u8(record.entry ? 1 : 0);
+      if (record.entry) encode_row(w, *record.entry);
     }
   }
   void operator()(const BootstrapRequestMsg& m) {
@@ -138,7 +138,7 @@ struct Encoder {
     w.u32(m.sender);
     w.varint(m.records.size());
     for (const auto& record : m.records) {
-      encode_entry(w, record.entry);
+      encode_row(w, *record.entry);
       w.u64(record.heartbeat_counter);
     }
   }
@@ -221,7 +221,8 @@ net::Payload encode_message(const Message& message, size_t pad_to) {
   return net::make_pooled_payload(w.take());
 }
 
-std::optional<Message> decode_message(const uint8_t* data, size_t size) {
+std::optional<Message> decode_message(const uint8_t* data, size_t size,
+                                      RowPool& pool) {
   if (data == nullptr || size == 0) return std::nullopt;
   WireReader r(data, size);
   // Version gate: v1 frames began with a bare MessageType byte (1..12),
@@ -232,9 +233,8 @@ std::optional<Message> decode_message(const uint8_t* data, size_t size) {
   switch (type) {
     case MessageType::kHeartbeat: {
       HeartbeatMsg m;
-      auto entry = decode_entry(r);
-      if (!entry) return std::nullopt;
-      m.entry = std::move(*entry);
+      m.entry = pool.decode(r);
+      if (!m.entry) return std::nullopt;
       m.level = r.u8();
       m.is_leader = r.u8() != 0;
       m.leaving = r.u8() != 0;
@@ -263,9 +263,8 @@ std::optional<Message> decode_message(const uint8_t* data, size_t size) {
         record.incarnation = r.u64();
         record.epoch = r.varint();
         if (r.u8() != 0) {
-          auto entry = decode_entry(r);
-          if (!entry) return std::nullopt;
-          record.entry = std::move(*entry);
+          record.entry = pool.decode(r);
+          if (!record.entry) return std::nullopt;
         }
         m.records.push_back(std::move(record));
       }
@@ -277,7 +276,7 @@ std::optional<Message> decode_message(const uint8_t* data, size_t size) {
       m.requester = r.u32();
       m.level = r.u8();
       m.epoch = r.varint();
-      if (!decode_entries(r, m.known)) return std::nullopt;
+      if (!decode_entries(r, pool, m.known)) return std::nullopt;
       return m;
     }
     case MessageType::kBootstrapResponse: {
@@ -286,7 +285,7 @@ std::optional<Message> decode_message(const uint8_t* data, size_t size) {
       m.responder_incarnation = r.u64();
       m.level = r.u8();
       m.epoch = r.varint();
-      if (!decode_entries(r, m.entries)) return std::nullopt;
+      if (!decode_entries(r, pool, m.entries)) return std::nullopt;
       return m;
     }
     case MessageType::kSyncRequest: {
@@ -305,7 +304,7 @@ std::optional<Message> decode_message(const uint8_t* data, size_t size) {
       m.level = r.u8();
       m.stream_seq = r.u64();
       m.epoch = r.varint();
-      if (!decode_entries(r, m.entries)) return std::nullopt;
+      if (!decode_entries(r, pool, m.entries)) return std::nullopt;
       return m;
     }
     case MessageType::kElection: {
@@ -340,9 +339,8 @@ std::optional<Message> decode_message(const uint8_t* data, size_t size) {
       uint64_t n = r.varint();
       for (uint64_t i = 0; i < n && r.ok(); ++i) {
         GossipRecord record;
-        auto entry = decode_entry(r);
-        if (!entry) return std::nullopt;
-        record.entry = std::move(*entry);
+        record.entry = pool.decode(r);
+        if (!record.entry) return std::nullopt;
         record.heartbeat_counter = r.u64();
         m.records.push_back(std::move(record));
       }
@@ -448,7 +446,7 @@ std::optional<Message> decode_message(const uint8_t* data, size_t size) {
       uint8_t truncated = r.u8();
       if (truncated > 1) return std::nullopt;
       m.truncated = truncated != 0;
-      if (!decode_entries(r, m.entries)) return std::nullopt;
+      if (!decode_entries(r, pool, m.entries)) return std::nullopt;
       uint64_t confirmed = r.varint();
       for (uint64_t i = 0; i < confirmed && r.ok(); ++i) {
         m.confirmed.push_back(r.u32());
@@ -458,22 +456,6 @@ std::optional<Message> decode_message(const uint8_t* data, size_t size) {
     }
   }
   return std::nullopt;
-}
-
-uint64_t digest_row_hash(const EntryData& entry) {
-  WireWriter w;
-  w.u32(entry.node);
-  w.u64(entry.incarnation);
-  encode_entry(w, entry);
-  const auto bytes = w.take();
-  // FNV-1a, 64-bit.
-  uint64_t hash = 0xcbf29ce484222325ULL;
-  for (uint8_t byte : bytes) {
-    hash ^= byte;
-    hash *= 0x100000001b3ULL;
-  }
-  // A zero hash would make a row invisible to the XOR bucket combine.
-  return hash == 0 ? 0x9e3779b97f4a7c15ULL : hash;
 }
 
 size_t digest_bucket_of(NodeId node, size_t bucket_count) {

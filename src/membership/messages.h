@@ -12,6 +12,7 @@
 #include <variant>
 #include <vector>
 
+#include "membership/row.h"
 #include "membership/types.h"
 #include "membership/wire.h"
 #include "net/packet.h"
@@ -55,7 +56,7 @@ inline constexpr uint8_t kWireVersionByte = kWireVersionTag | kWireVersion;
 // on the channel the packet was multicast on, its backup designation, and
 // the per-sender heartbeat sequence.
 struct HeartbeatMsg {
-  EntryData entry;
+  RowRef entry;
   uint8_t level = 0;        // tree level of the channel this was sent on
   bool is_leader = false;   // paper: "special flag in its heartbeat packets"
   bool leaving = false;     // goodbye: sender is leaving this channel (alive)
@@ -84,7 +85,7 @@ struct UpdateRecord {
   // stamped into the origin's stream. A piggybacked leave stamped under a
   // superseded epoch is stale replay and must not purge anyone.
   Epoch epoch = 0;
-  std::optional<EntryData> entry;  // present for joins
+  RowRef entry;  // present for joins, null for leaves
 };
 
 // Update message: the origin's newest records, newest first. The tail
@@ -116,14 +117,14 @@ struct BootstrapRequestMsg {
   NodeId requester = kInvalidNode;
   uint8_t level = 0;   // channel the requester is bootstrapping on
   Epoch epoch = 0;     // requester's known leadership epoch for that level
-  std::vector<EntryData> known;
+  std::vector<RowRef> known;
 };
 
 struct BootstrapResponseMsg {
   NodeId responder = kInvalidNode;
   uint8_t level = 0;   // echoed from the request
   Epoch epoch = 0;     // responder's leadership epoch for that level
-  std::vector<EntryData> entries;
+  std::vector<RowRef> entries;
   // Scopes the requester's stale-image fence to the responder's life: an
   // image from a restarted responder is fresh even if its old life's
   // leadership was superseded.
@@ -149,7 +150,7 @@ struct SyncResponseMsg {
   // Responder's leadership epoch for `level`: a full image from a node with
   // superseded leadership knowledge must not drive reconciliation removals.
   Epoch epoch = 0;
-  std::vector<EntryData> entries;
+  std::vector<RowRef> entries;
 };
 
 // Admission-control pushback: the responder's full-image serve budget for
@@ -198,7 +199,7 @@ struct CoordinatorMsg {
 // what makes gossip traffic O(n * m) per message — the paper's stated reason
 // it scales poorly inside a datacenter.
 struct GossipRecord {
-  EntryData entry;
+  RowRef entry;
   uint64_t heartbeat_counter = 0;
 };
 struct GossipMsg {
@@ -226,11 +227,10 @@ inline constexpr size_t kMaxDigestBuckets = 1024;
 // enough to bound a forged length's allocation.
 inline constexpr size_t kMaxDigestSubjects = size_t{1} << 20;
 
-// Content hash of one row's replicated state (subject, incarnation, encoded
-// EntryData), FNV-1a over the wire encoding. Local soft state (liveness,
+// A row's digest hash is Row::hash() (row_hash_of_encoding, codec.h):
+// FNV-1a over its replicated state only. Local soft state (liveness,
 // last_heard) is deliberately excluded — digests compare what refresh would
 // have shipped, not local bookkeeping.
-uint64_t digest_row_hash(const EntryData& entry);
 // Bucket assignment: mixes the subject id so consecutive node ids spread
 // across buckets instead of striping.
 size_t digest_bucket_of(NodeId node, size_t bucket_count);
@@ -287,7 +287,7 @@ struct RefreshDeltaMsg {
   uint8_t level = 0;
   Epoch epoch = 0;
   bool truncated = false;
-  std::vector<EntryData> entries;
+  std::vector<RowRef> entries;
   std::vector<NodeId> confirmed;
 };
 
@@ -329,10 +329,13 @@ using Message =
 // as in the paper's measurements (228-byte average).
 net::Payload encode_message(const Message& message, size_t pad_to = 0);
 
-// Decode; nullopt on any malformed input.
-std::optional<Message> decode_message(const uint8_t* data, size_t size);
-inline std::optional<Message> decode_message(const net::Packet& packet) {
-  return decode_message(packet.data(), packet.size());
+// Decode; nullopt on any malformed input. Rows come from `pool`: a row it
+// already holds is looked up rather than parsed.
+std::optional<Message> decode_message(const uint8_t* data, size_t size,
+                                      RowPool& pool);
+inline std::optional<Message> decode_message(const net::Packet& packet,
+                                             RowPool& pool) {
+  return decode_message(packet.data(), packet.size(), pool);
 }
 
 // --- wire-kind classification (per-kind transport accounting) -----------

@@ -9,8 +9,8 @@ namespace tamp::membership {
 
 namespace {
 
-bool row_before(const MembershipTable::Row& row, NodeId node) {
-  return row.first < node;
+bool row_before(const MembershipTable::Slot& slot, NodeId node) {
+  return slot.first < node;
 }
 
 // lower_bound over a sorted row vector; returns end() if absent.
@@ -31,7 +31,7 @@ void MembershipTable::flush() const {
   std::inplace_merge(
       entries_.begin(), entries_.begin() + static_cast<ptrdiff_t>(mid),
       entries_.end(),
-      [](const Row& a, const Row& b) { return a.first < b.first; });
+      [](const Slot& a, const Slot& b) { return a.first < b.first; });
   overlay_.clear();
 }
 
@@ -50,66 +50,62 @@ bool MembershipTable::tombstoned(NodeId node, Incarnation incarnation,
          incarnation <= it->second.incarnation;
 }
 
-ApplyResult MembershipTable::apply(const EntryData& data, Liveness liveness,
+ApplyResult MembershipTable::apply(const RowRef& row, Liveness liveness,
                                    NodeId relayed_by, sim::Time now,
                                    bool override_tombstone) {
+  const NodeId node = row->node();
+  const Incarnation incarnation = row->incarnation();
   if (liveness == Liveness::kDirect || override_tombstone) {
     // Hearing the node itself (or a solicited full exchange) is
     // authoritative: clear any tombstone.
-    tombstones_.erase(data.node);
-  } else if (tombstoned(data.node, data.incarnation, now)) {
+    tombstones_.erase(node);
+  } else if (tombstoned(node, incarnation, now)) {
     return ApplyResult::kStale;
   }
 
-  MembershipEntry* existing = find_mutable(data.node);
+  MembershipEntry* existing = find_mutable(node);
   if (existing == nullptr) {
     MembershipEntry entry;
-    entry.data = data;
+    entry.row = row;
     entry.liveness = liveness;
     entry.relayed_by = relayed_by;
     entry.last_heard = now;
     entry.first_seen = now;
-    auto pos = std::lower_bound(overlay_.begin(), overlay_.end(), data.node,
-                                row_before);
-    overlay_.emplace(pos, data.node, std::move(entry));
+    auto pos =
+        std::lower_bound(overlay_.begin(), overlay_.end(), node, row_before);
+    overlay_.emplace(pos, node, std::move(entry));
     return ApplyResult::kAdded;
   }
 
   MembershipEntry& entry = *existing;
-  if (data.incarnation < entry.data.incarnation) return ApplyResult::kStale;
+  if (incarnation < entry.row->incarnation()) return ApplyResult::kStale;
+  const bool same = same_row(*entry.row, *row);
 
   // A direct observation always wins over a relayed one; a relayed record of
   // the same incarnation must not downgrade a direct entry's liveness.
   bool upgrade = liveness == Liveness::kDirect;
   if (!upgrade && entry.liveness == Liveness::kDirect &&
-      data.incarnation == entry.data.incarnation) {
+      incarnation == entry.row->incarnation()) {
     // Still refresh content if it differs (e.g. a value update relayed
     // before the next direct heartbeat), but keep direct liveness.
-    if (entry.data == data) {
-      entry.last_heard = now;
-      return ApplyResult::kRefreshed;
-    }
-    entry.data = data;
     entry.last_heard = now;
+    if (same) return ApplyResult::kRefreshed;
+    entry.row = row;
     return ApplyResult::kUpdated;
   }
 
-  ApplyResult result = ApplyResult::kRefreshed;
-  if (data.incarnation > entry.data.incarnation || !(entry.data == data)) {
-    result = ApplyResult::kUpdated;
-  }
-  entry.data = data;
+  if (!same) entry.row = row;
   entry.liveness = liveness;
   entry.relayed_by = relayed_by;
   entry.last_heard = now;
-  return result;
+  return same ? ApplyResult::kRefreshed : ApplyResult::kUpdated;
 }
 
 bool MembershipTable::remove(NodeId node, Incarnation incarnation,
                              sim::Time now) {
   flush();
   auto it = locate(entries_, node);
-  if (it != entries_.end() && it->second.data.incarnation > incarnation) {
+  if (it != entries_.end() && it->second.row->incarnation() > incarnation) {
     return false;  // we know a newer life of this node
   }
   Tombstone& tomb = tombstones_[node];
@@ -183,7 +179,7 @@ std::vector<const MembershipEntry*> MembershipTable::lookup(
   auto wanted = util::expand_partition_spec(partition_spec);
 
   for (const auto& [id, entry] : entries_) {
-    for (const auto& service : entry.data.services) {
+    for (const auto& service : entry.data().services) {
       if (!std::regex_match(service.name, pattern)) continue;
       bool partition_ok = !wanted.has_value();  // "*": any partition set
       if (wanted) {

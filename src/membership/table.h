@@ -37,18 +37,18 @@ class MembershipTable {
   // for. Fresh inserts buffer in a small sorted overlay and merge into the
   // main vector in one O(n + k) pass on the next read, so absorbing a batch
   // of k new rows does not shift the main vector k times.
-  using Row = std::pair<NodeId, MembershipEntry>;
+  using Slot = std::pair<NodeId, MembershipEntry>;
 
   explicit MembershipTable(sim::Duration tombstone_ttl = 30 * sim::kSecond)
       : tombstone_ttl_(tombstone_ttl) {}
-  // Merge `data` into the directory. `liveness`/`relayed_by` describe how
+  // Merge `row` into the directory. `liveness`/`relayed_by` describe how
   // this node learned it (paper: the SHM "local part" vs "external part").
   // A direct observation upgrades a relayed entry; a relayed record never
   // downgrades a direct one of the same incarnation. Direct observations
   // always clear a tombstone; a relayed record does so only when
   // `override_tombstone` is set (used for solicited bootstrap exchanges,
   // which are authoritative in a way replayed piggybacked joins are not).
-  ApplyResult apply(const EntryData& data, Liveness liveness,
+  ApplyResult apply(const RowRef& row, Liveness liveness,
                     NodeId relayed_by, sim::Time now,
                     bool override_tombstone = false);
 
@@ -80,7 +80,7 @@ class MembershipTable {
   std::vector<NodeId> node_ids() const;
 
   // All entries (sorted by node id, deterministic iteration).
-  const std::vector<Row>& entries() const {
+  const std::vector<Slot>& entries() const {
     flush();
     return entries_;
   }
@@ -122,8 +122,8 @@ class MembershipTable {
   MembershipEntry* find_mutable(NodeId node);
 
   sim::Duration tombstone_ttl_;
-  mutable std::vector<Row> entries_;  // sorted by node id
-  mutable std::vector<Row> overlay_;  // sorted, keys disjoint from entries_
+  mutable std::vector<Slot> entries_;  // sorted by node id
+  mutable std::vector<Slot> overlay_;  // sorted, keys disjoint from entries_
   std::map<NodeId, Tombstone> tombstones_;
 };
 

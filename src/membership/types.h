@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -63,19 +64,57 @@ struct EntryData {
   bool operator==(const EntryData&) const = default;
 };
 
+// One replicated directory row: an EntryData together with its canonical
+// wire bytes (what encode_entry writes) and its anti-entropy digest hash
+// (row_hash_of_encoding over those bytes). Rows are immutable and shared:
+// every table, message and image in a simulation that holds the same
+// content holds the same Row, interned by the simulation's RowPool
+// (membership/row.h). Only make_row() builds one, so bytes and hash always
+// match the data.
+class Row;
+using RowRef = std::shared_ptr<const Row>;
+RowRef make_row(EntryData data);  // membership/row.cc
+
+class Row {
+ public:
+  const EntryData& data() const { return data_; }
+  NodeId node() const { return data_.node; }
+  Incarnation incarnation() const { return data_.incarnation; }
+  const std::vector<uint8_t>& bytes() const { return bytes_; }
+  uint64_t hash() const { return hash_; }
+
+ private:
+  friend RowRef make_row(EntryData data);
+  Row(EntryData data, std::vector<uint8_t> bytes, uint64_t hash)
+      : data_(std::move(data)), bytes_(std::move(bytes)), hash_(hash) {}
+
+  EntryData data_;
+  std::vector<uint8_t> bytes_;
+  uint64_t hash_ = 0;
+};
+
+// Content equality. Rows of one pool are equal exactly when they are the
+// same object; rows of different pools (or unpooled ones) fall back to the
+// hash and then the canonical bytes.
+inline bool same_row(const Row& a, const Row& b) {
+  return &a == &b || (a.hash() == b.hash() && a.bytes() == b.bytes());
+}
+
 // Why the local directory believes in an entry.
 enum class Liveness : uint8_t {
   kDirect,   // we hear this node's own heartbeats on a shared channel
   kRelayed,  // learned via a group leader; its lifetime is tied to that leader
 };
 
-// A directory entry: the shared data plus local soft-state bookkeeping.
+// A directory entry: the shared row plus local soft-state bookkeeping.
 struct MembershipEntry {
-  EntryData data;
+  RowRef row;
   Liveness liveness = Liveness::kDirect;
   NodeId relayed_by = kInvalidNode;  // leader this entry depends on
   sim::Time last_heard = 0;          // local clock of last refresh
   sim::Time first_seen = 0;
+
+  const EntryData& data() const { return row->data(); }
 };
 
 }  // namespace tamp::membership

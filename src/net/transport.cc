@@ -83,6 +83,7 @@ void Network::join_group(HostId host, ChannelId channel) {
   TAMP_CHECK(host < hosts_.size());
   if (hosts_[host].groups.insert(channel).second) {
     channel_members_[channel].push_back(host);
+    receiver_sets_.erase(channel);
   }
 }
 
@@ -91,6 +92,7 @@ void Network::leave_group(HostId host, ChannelId channel) {
   if (hosts_[host].groups.erase(channel) > 0) {
     auto& members = channel_members_[channel];
     members.erase(std::find(members.begin(), members.end(), host));
+    receiver_sets_.erase(channel);
   }
 }
 
@@ -244,8 +246,6 @@ bool Network::send_multicast(HostId from, ChannelId channel, uint8_t ttl,
   tx_bytes_kind_[kind]->add(wire);
 
   const size_t fragments = fragments_for(payload ? payload->size() : 0);
-  auto members = channel_members_.find(channel);
-  if (members == channel_members_.end()) return true;
 
   // Fan-out batching: receivers on identical paths (the common case — a
   // whole rack behind one switch) land at the same delivery time, so their
@@ -257,12 +257,7 @@ bool Network::send_multicast(HostId from, ChannelId channel, uint8_t ttl,
     std::vector<Packet> packets;
   };
   std::vector<DeliveryGroup> groups;  // first-seen delay order
-  for (HostId receiver : members->second) {
-    if (receiver == from) continue;
-    PathInfo path = topology_.path(from, receiver);
-    if (!path.reachable || path.router_hops + 1 > static_cast<int>(ttl)) {
-      continue;  // out of TTL scope: routers discarded the packet
-    }
+  for (const auto& [receiver, path] : receivers_in_scope(from, channel, ttl)) {
     Packet packet;
     packet.from = Address{from, 0};
     packet.to = Address{receiver, port};
@@ -320,6 +315,29 @@ bool Network::send_multicast(HostId from, ChannelId channel, uint8_t ttl,
     });
   }
   return true;
+}
+
+const std::vector<Network::ScopedReceiver>& Network::receivers_in_scope(
+    HostId from, ChannelId channel, uint8_t ttl) {
+  if (receiver_sets_epoch_ != topology_.epoch()) {
+    receiver_sets_.clear();
+    receiver_sets_epoch_ = topology_.epoch();
+  }
+  const uint64_t key = uint64_t{ttl} << 32 | from;
+  ReceiverSets& sets = receiver_sets_[channel];
+  auto [it, inserted] = sets.try_emplace(key);
+  if (!inserted) return it->second;
+  auto members = channel_members_.find(channel);
+  if (members == channel_members_.end()) return it->second;
+  for (HostId receiver : members->second) {
+    if (receiver == from) continue;
+    PathInfo path = topology_.path(from, receiver);
+    if (!path.reachable || path.router_hops + 1 > static_cast<int>(ttl)) {
+      continue;  // out of TTL scope: routers discarded the packet
+    }
+    it->second.push_back(ScopedReceiver{receiver, path});
+  }
+  return it->second;
 }
 
 VirtualIpId Network::allocate_virtual_ip() {

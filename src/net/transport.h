@@ -14,6 +14,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -23,6 +24,10 @@
 #include "net/topology.h"
 #include "obs/obs.h"
 #include "sim/simulation.h"
+
+namespace tamp::membership {
+class RowPool;  // membership/row.h; net/ only holds it
+}
 
 namespace tamp::net {
 
@@ -127,6 +132,11 @@ class Network {
   obs::Observability& obs() { return obs_; }
   const obs::Observability& obs() const { return obs_; }
 
+  // The simulation's directory row pool, kept here for the same reason as
+  // obs(). net/ never looks inside it: membership::row_pool(net) creates it
+  // on first use.
+  std::shared_ptr<membership::RowPool>& row_pool() { return row_pool_; }
+
   // Install the payload classifier used for per-kind tx / egress-drop
   // attribution. Idempotent; replacing an installed classifier with one
   // that produces the same kinds is a no-op in effect.
@@ -161,6 +171,24 @@ class Network {
   // hierarchical channel only ~20 members).
   std::unordered_map<ChannelId, std::vector<HostId>> channel_members_;
 
+  // Multicast receiver sets: the members of a channel within `ttl` of a
+  // sender, with their paths, in channel-member order — what a fan-out
+  // would otherwise recompute from every member's Topology::path on every
+  // send. Keyed by channel, then by (ttl, sender); a channel's sets are
+  // dropped on any join or leave, and all of them when the topology epoch
+  // moves.
+  struct ScopedReceiver {
+    HostId host = kInvalidHost;
+    PathInfo path;
+  };
+  using ReceiverSets =
+      std::unordered_map<uint64_t, std::vector<ScopedReceiver>>;
+  std::unordered_map<ChannelId, ReceiverSets> receiver_sets_;
+  uint64_t receiver_sets_epoch_ = 0;
+  const std::vector<ScopedReceiver>& receivers_in_scope(HostId from,
+                                                        ChannelId channel,
+                                                        uint8_t ttl);
+
   size_t wire_bytes_for(size_t payload_size) const;
   size_t fragments_for(size_t payload_size) const;
   TrafficCounters resolve_counters(obs::NodeId node);
@@ -184,6 +212,7 @@ class Network {
   Topology& topology_;
   NetworkConfig config_;
   obs::Observability obs_;
+  std::shared_ptr<membership::RowPool> row_pool_;
   std::vector<HostState> hosts_;
   std::vector<HostId> virtual_ips_;
   FaultInjector* injector_ = nullptr;

@@ -56,7 +56,7 @@ void AllToAllDaemon::scan() {
   const sim::Duration timeout =
       static_cast<sim::Duration>(config_.max_losses) * config_.period;
   auto expired = table_.expire(sim_.now(), [&](const auto& entry) {
-    return entry.data.node == self_ ? sim::Duration{-1} : timeout;
+    return entry.row->node() == self_ ? sim::Duration{-1} : timeout;
   });
   for (auto node : expired) {
     TAMP_LOG(Info) << "a2a node " << self_ << " declares " << node << " dead";
@@ -67,13 +67,13 @@ void AllToAllDaemon::scan() {
 }
 
 void AllToAllDaemon::on_packet(const net::Packet& packet) {
-  auto message = decode_message(packet);
+  auto message = decode_message(packet, row_pool_);
   if (!message) return;
   auto* heartbeat = std::get_if<HeartbeatMsg>(&*message);
   if (heartbeat == nullptr) return;
   ApplyResult result = table_.apply(heartbeat->entry, Liveness::kDirect,
                                     membership::kInvalidNode, sim_.now());
-  if (result == ApplyResult::kAdded) notify(heartbeat->entry.node, true);
+  if (result == ApplyResult::kAdded) notify(heartbeat->entry->node(), true);
 }
 
 }  // namespace tamp::protocols

@@ -7,8 +7,9 @@ namespace tamp::protocols {
 MembershipDaemon::MembershipDaemon(sim::Simulation& sim, net::Network& net,
                                    membership::NodeId self,
                                    membership::EntryData own)
-    : sim_(sim), net_(net), self_(self), own_(std::move(own)) {
-  own_.node = self_;
+    : sim_(sim), net_(net), self_(self), row_pool_(membership::row_pool(net)) {
+  own.node = self_;
+  own_ = row_pool_.intern(std::move(own));
 }
 
 void MembershipDaemon::base_start() {
@@ -32,31 +33,29 @@ void MembershipDaemon::own_entry_changed() {
 void MembershipDaemon::register_service(const std::string& name,
                                         const std::vector<int>& partitions,
                                         std::map<std::string, std::string> params) {
-  for (auto& service : own_.services) {
-    if (service.name == name) {
-      service.partitions = partitions;
-      service.params = std::move(params);
-      own_entry_changed();
-      return;
+  edit_own([&](membership::EntryData& own) {
+    for (auto& service : own.services) {
+      if (service.name == name) {
+        service.partitions = partitions;
+        service.params = std::move(params);
+        return;
+      }
     }
-  }
-  membership::ServiceRegistration registration;
-  registration.name = name;
-  registration.partitions = partitions;
-  registration.params = std::move(params);
-  own_.services.push_back(std::move(registration));
-  own_entry_changed();
+    membership::ServiceRegistration registration;
+    registration.name = name;
+    registration.partitions = partitions;
+    registration.params = std::move(params);
+    own.services.push_back(std::move(registration));
+  });
 }
 
 void MembershipDaemon::update_value(const std::string& key,
                                     const std::string& value) {
-  own_.values[key] = value;
-  own_entry_changed();
+  edit_own([&](membership::EntryData& own) { own.values[key] = value; });
 }
 
 void MembershipDaemon::delete_value(const std::string& key) {
-  own_.values.erase(key);
-  own_entry_changed();
+  edit_own([&](membership::EntryData& own) { own.values.erase(key); });
 }
 
 }  // namespace tamp::protocols

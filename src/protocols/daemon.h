@@ -2,7 +2,7 @@
 // hierarchical).
 //
 // A daemon is the per-node actor that maintains the local yellow-page
-// directory. It owns the node's own EntryData (what gets announced), the
+// directory. It holds the node's own row (what gets announced), the
 // MembershipTable (what is known about everyone), and exposes a change
 // listener so tests and the evaluation harness can record exactly when a
 // node learned of a join or a failure.
@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "membership/messages.h"
+#include "membership/row.h"
 #include "membership/table.h"
 #include "membership/types.h"
 #include "net/transport.h"
@@ -43,12 +44,12 @@ class MembershipDaemon {
   membership::MembershipTable& table() { return table_; }
 
   // --- what this node announces ------------------------------------------
-  const membership::EntryData& own_entry() const { return own_; }
+  const membership::EntryData& own_entry() const { return own_->data(); }
   // Set before start(); a restarted node announces a higher incarnation so
   // peers can tell the new life from the old one.
   void set_incarnation(membership::Incarnation incarnation) {
-    own_.incarnation = incarnation;
-    own_entry_changed();
+    edit_own(
+        [&](membership::EntryData& own) { own.incarnation = incarnation; });
   }
   void register_service(const std::string& name,
                         const std::vector<int>& partitions,
@@ -75,13 +76,23 @@ class MembershipDaemon {
   void base_stop();
 
   void notify(membership::NodeId subject, bool alive);
+  // Apply `edit` to a copy of the own entry, re-intern it, and re-apply it
+  // to the table.
+  template <typename Edit>
+  void edit_own(Edit edit) {
+    membership::EntryData own = own_->data();
+    edit(own);
+    own_ = row_pool_.intern(std::move(own));
+    own_entry_changed();
+  }
   // Re-apply own entry to the table after a local mutation.
   void own_entry_changed();
 
   sim::Simulation& sim_;
   net::Network& net_;
   membership::NodeId self_;
-  membership::EntryData own_;
+  membership::RowPool& row_pool_;  // the simulation's (row_pool(net))
+  membership::RowRef own_;
   membership::MembershipTable table_;
   bool running_ = false;
 

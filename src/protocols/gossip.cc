@@ -43,12 +43,13 @@ void GossipDaemon::stop() {
   base_stop();
 }
 
-void GossipDaemon::add_seed(const membership::EntryData& entry) {
+void GossipDaemon::add_seed(membership::EntryData entry) {
   if (entry.node == self_) return;
-  if (table_.apply(entry, Liveness::kDirect, membership::kInvalidNode,
+  const membership::RowRef row = row_pool_.intern(std::move(entry));
+  if (table_.apply(row, Liveness::kDirect, membership::kInvalidNode,
                    sim_.now()) == ApplyResult::kAdded) {
-    peers_[entry.node] = PeerState{0, entry.incarnation, sim_.now()};
-    notify(entry.node, true);
+    peers_[row->node()] = PeerState{0, row->incarnation(), sim_.now()};
+    notify(row->node(), true);
   }
 }
 
@@ -65,7 +66,7 @@ membership::GossipMsg GossipDaemon::build_view() {
   view.sender = self_;
   for (const auto& [node, entry] : table_.entries()) {
     GossipRecord record;
-    record.entry = entry.data;
+    record.entry = entry.row;
     record.heartbeat_counter = node == self_ ? own_counter_ : peers_[node].counter;
     view.records.push_back(std::move(record));
   }
@@ -116,7 +117,7 @@ void GossipDaemon::scan() {
   for (auto node : failed) {
     const auto* entry = table_.find(node);
     uint64_t counter = peers_[node].counter;
-    uint64_t incarnation = entry ? entry->data.incarnation : 0;
+    uint64_t incarnation = entry ? entry->row->incarnation() : 0;
     table_.remove(node, incarnation, now);
     dead_[node] = DeadState{counter, incarnation, now + 2 * tfail};
     peers_.erase(node);
@@ -138,14 +139,14 @@ void GossipDaemon::scan() {
 }
 
 void GossipDaemon::on_packet(const net::Packet& packet) {
-  auto message = decode_message(packet);
+  auto message = decode_message(packet, row_pool_);
   if (!message) return;
   auto* gossip = std::get_if<GossipMsg>(&*message);
   if (gossip == nullptr) return;
 
   const sim::Time now = sim_.now();
   for (const auto& record : gossip->records) {
-    const auto node = record.entry.node;
+    const auto node = record.entry->node();
     if (node == self_) continue;
 
     auto dead = dead_.find(node);
@@ -154,7 +155,7 @@ void GossipDaemon::on_packet(const net::Packet& packet) {
       // if this is a fresh incarnation (a restarted process begins counting
       // from zero, so the counter test alone would quarantine it).
       if (record.heartbeat_counter <= dead->second.counter &&
-          record.entry.incarnation <= dead->second.incarnation) {
+          record.entry->incarnation() <= dead->second.incarnation) {
         continue;
       }
       dead_.erase(dead);
@@ -166,18 +167,18 @@ void GossipDaemon::on_packet(const net::Packet& packet) {
                                         membership::kInvalidNode, now);
       if (result != ApplyResult::kStale) {
         peers_[node] = PeerState{record.heartbeat_counter,
-                                 record.entry.incarnation, now};
+                                 record.entry->incarnation(), now};
         notify(node, true);
       }
       continue;
     }
-    if (record.entry.incarnation > peer->second.incarnation) {
+    if (record.entry->incarnation() > peer->second.incarnation) {
       // New life: restart the counter cursor in the new counter-space.
       peer->second = PeerState{record.heartbeat_counter,
-                               record.entry.incarnation, now};
+                               record.entry->incarnation(), now};
       table_.apply(record.entry, Liveness::kDirect, membership::kInvalidNode,
                    now);
-    } else if (record.entry.incarnation == peer->second.incarnation &&
+    } else if (record.entry->incarnation() == peer->second.incarnation &&
                record.heartbeat_counter > peer->second.counter) {
       peer->second.counter = record.heartbeat_counter;
       peer->second.last_increase = now;

@@ -53,7 +53,7 @@ class GossipDaemon : public MembershipDaemon {
 
   // Pre-load knowledge of another node (bootstrap seed). Must be called
   // before or after start; seeds count as heard-now.
-  void add_seed(const membership::EntryData& entry);
+  void add_seed(membership::EntryData entry);
 
   // Effective failure timeout at the current view size.
   sim::Duration effective_tfail() const;

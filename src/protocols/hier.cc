@@ -20,7 +20,6 @@ using membership::CoordinatorMsg;
 using membership::DigestRowSummary;
 using membership::ElectionAnswerMsg;
 using membership::ElectionMsg;
-using membership::EntryData;
 using membership::HeartbeatMsg;
 using membership::Incarnation;
 using membership::Liveness;
@@ -29,6 +28,7 @@ using membership::NodeId;
 using membership::RefreshDeltaMsg;
 using membership::RefreshDigestMsg;
 using membership::RefreshPullMsg;
+using membership::RowRef;
 using membership::SyncRequestMsg;
 using membership::SyncResponseMsg;
 using membership::UpdateKind;
@@ -54,7 +54,7 @@ size_t configured_digest_buckets(const HierConfig& config) {
 }  // namespace
 
 HierDaemon::HierDaemon(sim::Simulation& sim, net::Network& net, NodeId self,
-                       EntryData own, HierConfig config)
+                       membership::EntryData own, HierConfig config)
     : MembershipDaemon(sim, net, self, std::move(own)),
       config_(config),
       heartbeat_timer_(sim, config.period, [this] { heartbeat_tick(); }),
@@ -344,7 +344,7 @@ void HierDaemon::heartbeat_tick() {
         orphan_timeout, 2 * refresh + level_timeout(config_.max_ttl - 1));
   }
   auto expired = table_.expire(now, [&](const membership::MembershipEntry& e) {
-    if (e.data.node == self_ || e.liveness != Liveness::kRelayed) {
+    if (e.row->node() == self_ || e.liveness != Liveness::kRelayed) {
       return sim::Duration{-1};
     }
     return orphan_timeout;
@@ -456,7 +456,7 @@ void HierDaemon::on_member_dead(int level, NodeId member) {
   // succession fence must name the life that was lost, not a later restart.
   const auto* lost_entry = table_.find(member);
   const Incarnation lost_incarnation =
-      lost_entry ? lost_entry->data.incarnation : 0;
+      lost_entry ? lost_entry->row->incarnation() : 0;
   ls.members.erase(it);
   prune_pending(ls, member);
 
@@ -514,7 +514,7 @@ void HierDaemon::purge_dependents(NodeId dead, int arrival_level,
       // refresh beat our purge): they have a live chain and will either be
       // re-tagged to it or expire as orphans.
       if (sim_.now() - entry.last_heard <= fresh_horizon) continue;
-      victims.emplace_back(id, entry.data.incarnation);
+      victims.emplace_back(id, entry.row->incarnation());
     }
     for (const auto& [id, incarnation] : victims) {
       if (table_.remove(id, incarnation, sim_.now())) {
@@ -532,7 +532,7 @@ void HierDaemon::purge_dependents(NodeId dead, int arrival_level,
 void HierDaemon::on_data_packet(const net::Packet& packet) {
   int level = level_of_channel(packet.channel);
   if (level < 0 || !levels_[level]->joined) return;
-  auto message = decode_message(packet);
+  auto message = decode_message(packet, row_pool_);
   if (!message) return;
   // Resurfacing check: a deafness gap exceeding this level's own failure
   // timeout means every peer has, by the same clock, timed us out and moved
@@ -566,7 +566,7 @@ void HierDaemon::on_data_packet(const net::Packet& packet) {
 }
 
 void HierDaemon::on_control_packet(const net::Packet& packet) {
-  auto message = decode_message(packet);
+  auto message = decode_message(packet, row_pool_);
   if (!message) return;
   std::visit(
       [&](auto&& msg) {
@@ -586,7 +586,7 @@ void HierDaemon::on_control_packet(const net::Packet& packet) {
           metrics_.bootstraps_served->add();
           BootstrapResponseMsg response;
           response.responder = self_;
-          response.responder_incarnation = own_.incarnation;
+          response.responder_incarnation = own_->incarnation();
           response.level = static_cast<uint8_t>(req_level);
           response.epoch = levels_[req_level]->epoch;
           response.entries = full_view();
@@ -620,7 +620,7 @@ void HierDaemon::on_control_packet(const net::Packet& packet) {
           metrics_.syncs_served->add();
           SyncResponseMsg response;
           response.responder = self_;
-          response.responder_incarnation = own_.incarnation;
+          response.responder_incarnation = own_->incarnation();
           response.level = msg.level;
           if (msg.level < config_.max_ttl) {
             const int req_level = static_cast<int>(msg.level);
@@ -685,7 +685,7 @@ void HierDaemon::on_control_packet(const net::Packet& packet) {
 
 void HierDaemon::on_heartbeat(int level, const HeartbeatMsg& msg) {
   LevelState& ls = level_state(level);
-  const NodeId sender = msg.entry.node;
+  const NodeId sender = msg.entry->node();
   if (sender == self_) return;
   const sim::Time now = sim_.now();
 
@@ -716,7 +716,7 @@ void HierDaemon::on_heartbeat(int level, const HeartbeatMsg& msg) {
   // (leader flag / COORDINATOR), never second-hand member gossip.
   const bool stale_claim =
       msg.is_leader &&
-      fenced_stale(ls, sender, msg.epoch, msg.entry.incarnation);
+      fenced_stale(ls, sender, msg.epoch, msg.entry->incarnation());
   if (msg.is_leader && !stale_claim) {
     if (msg.epoch > ls.epoch) adopt_epoch(level, msg.epoch, sender);
   } else if (!msg.is_leader && !ls.i_am_leader && msg.epoch > ls.epoch) {
@@ -740,12 +740,12 @@ void HierDaemon::on_heartbeat(int level, const HeartbeatMsg& msg) {
   // gap — poll for a fresh image (paper Message Loss Detection).
   auto cursor = ls.in_seq.find(sender);
   if (cursor == ls.in_seq.end() ||
-      cursor->second.incarnation < msg.entry.incarnation) {
+      cursor->second.incarnation < msg.entry->incarnation()) {
     // First contact (or a restarted sender with a fresh stream): anchor;
     // the bootstrap exchange supplies the content.
     ls.in_seq[sender] =
-        LevelState::InCursor{msg.entry.incarnation, msg.seq};
-  } else if (cursor->second.incarnation == msg.entry.incarnation &&
+        LevelState::InCursor{msg.entry->incarnation(), msg.seq};
+  } else if (cursor->second.incarnation == msg.entry->incarnation() &&
              msg.seq > cursor->second.seq) {
     // Cursor only advances when the recovery actually lands (update or
     // sync response): a lost poll is retried by the exchange's own timer.
@@ -759,7 +759,7 @@ void HierDaemon::on_heartbeat(int level, const HeartbeatMsg& msg) {
     // so it abdicates and recovers without operator action.
     metrics_.stale_epoch_rejects->add();
     if (ls.i_am_leader) {
-      repel_stale_claim(level, sender, msg.epoch, msg.entry.incarnation);
+      repel_stale_claim(level, sender, msg.epoch, msg.entry->incarnation());
     }
     if (ls.leader == sender) ls.leader = membership::kInvalidNode;
   } else if (msg.is_leader) {
@@ -1053,7 +1053,7 @@ void HierDaemon::send_coordinator(int level) {
   // every receiver — including ones that will never hear us directly —
   // learns to fence the predecessor's replayed claims.
   msg.prev = ls.i_am_leader ? ls.prev_leader : membership::kInvalidNode;
-  msg.leader_incarnation = own_.incarnation;
+  msg.leader_incarnation = own_->incarnation();
   msg.prev_incarnation = ls.i_am_leader ? ls.prev_leader_incarnation : 0;
   net_.send_multicast(self_, channel_of(level), ttl_of(level),
                       config_.data_port, encode_message(msg));
@@ -1173,11 +1173,11 @@ void HierDaemon::handle_leader_loss(int level, NodeId old_leader,
 
 // --- update propagation ------------------------------------------------------
 
-UpdateRecord HierDaemon::make_join_record(const EntryData& entry) {
+UpdateRecord HierDaemon::make_join_record(const RowRef& entry) {
   UpdateRecord record;
   record.kind = UpdateKind::kJoin;
-  record.subject = entry.node;
-  record.incarnation = entry.incarnation;
+  record.subject = entry->node();
+  record.incarnation = entry->incarnation();
   record.entry = entry;
   return record;
 }
@@ -1199,7 +1199,7 @@ bool HierDaemon::process_record(const UpdateRecord& record, NodeId relayed_by,
 
   if (record.kind == UpdateKind::kJoin) {
     if (!record.entry) return false;
-    ApplyResult result = table_.apply(*record.entry, Liveness::kRelayed,
+    ApplyResult result = table_.apply(record.entry, Liveness::kRelayed,
                                       provenance_tag(record.subject, relayed_by),
                                       now);
     const bool fresh =
@@ -1270,7 +1270,7 @@ void HierDaemon::emit_batch(int level,
 
   UpdateMsg msg;
   msg.origin = self_;
-  msg.origin_incarnation = own_.incarnation;
+  msg.origin_incarnation = own_->incarnation();
   msg.epoch = ls.epoch;
   // Piggyback the previous records (newest first) after the new batch.
   const size_t prior =
@@ -1349,7 +1349,7 @@ std::vector<const MembershipEntry*> HierDaemon::refresh_scope(
 void HierDaemon::send_state_refresh(int level, bool subtree_only) {
   std::vector<UpdateRecord> batch;
   for (const MembershipEntry* row : refresh_scope(level, subtree_only)) {
-    batch.push_back(make_join_record(row->data));
+    batch.push_back(make_join_record(row->row));
   }
   emit_batch(level, batch);
 }
@@ -1367,7 +1367,7 @@ void HierDaemon::send_refresh_digest(int level, bool subtree) {
   const size_t bucket_count = configured_digest_buckets(config_);
   RefreshDigestMsg msg;
   msg.origin = self_;
-  msg.origin_incarnation = own_.incarnation;
+  msg.origin_incarnation = own_->incarnation();
   msg.level = static_cast<uint8_t>(level);
   msg.epoch = ls.epoch;
   msg.subtree = subtree;
@@ -1375,13 +1375,13 @@ void HierDaemon::send_refresh_digest(int level, bool subtree) {
   msg.buckets.assign(bucket_count, 0);
   if (subtree) msg.subjects.reserve(rows.size());
   for (const MembershipEntry* row : rows) {
-    const uint64_t hash = membership::digest_row_hash(row->data);
+    const uint64_t hash = row->row->hash();
     msg.view_hash ^= hash;
-    msg.buckets[membership::digest_bucket_of(row->data.node, bucket_count)] ^=
-        hash;
+    msg.buckets[membership::digest_bucket_of(row->row->node(),
+                                             bucket_count)] ^= hash;
     // Table iteration is id-ascending, which is exactly the order the
     // delta-varint scope coding wants.
-    if (subtree) msg.subjects.push_back(row->data.node);
+    if (subtree) msg.subjects.push_back(row->row->node());
   }
   net_.send_multicast(self_, channel_of(level), ttl_of(level),
                       config_.data_port, encode_message(msg));
@@ -1428,8 +1428,8 @@ void HierDaemon::on_refresh_digest(int level, const RefreshDigestMsg& msg) {
   const auto rows = digest_receiver_scope(msg);
   std::vector<uint64_t> buckets(bucket_count, 0);
   for (const MembershipEntry* row : rows) {
-    buckets[membership::digest_bucket_of(row->data.node, bucket_count)] ^=
-        membership::digest_row_hash(row->data);
+    buckets[membership::digest_bucket_of(row->row->node(), bucket_count)] ^=
+        row->row->hash();
   }
   std::vector<bool> mismatched(bucket_count, false);
   bool any_mismatch = false;
@@ -1448,7 +1448,7 @@ void HierDaemon::on_refresh_digest(int level, const RefreshDigestMsg& msg) {
   // expiry, or a lost LEAVE would never be repaired.
   const sim::Time now = sim_.now();
   for (const MembershipEntry* row : rows) {
-    const NodeId id = row->data.node;
+    const NodeId id = row->row->node();
     if (id == self_ || row->liveness != Liveness::kRelayed) continue;
     if (mismatched[membership::digest_bucket_of(id, bucket_count)]) continue;
     table_.reconfirm_relay(id, msg.origin, now);
@@ -1464,13 +1464,12 @@ void HierDaemon::on_refresh_digest(int level, const RefreshDigestMsg& msg) {
     if (mismatched[b]) pull.bucket_indices.push_back(static_cast<uint16_t>(b));
   }
   for (const MembershipEntry* row : rows) {
-    if (!mismatched[membership::digest_bucket_of(row->data.node,
+    if (!mismatched[membership::digest_bucket_of(row->row->node(),
                                                  bucket_count)]) {
       continue;
     }
     pull.rows.push_back(DigestRowSummary{
-        row->data.node, row->data.incarnation,
-        membership::digest_row_hash(row->data)});
+        row->row->node(), row->row->incarnation(), row->row->hash()});
   }
   net_.send_unicast(self_, net::Address{msg.origin, config_.control_port},
                     encode_message(pull));
@@ -1498,20 +1497,20 @@ void HierDaemon::on_refresh_pull(const RefreshPullMsg& msg) {
 
   RefreshDeltaMsg delta;
   delta.responder = self_;
-  delta.responder_incarnation = own_.incarnation;
+  delta.responder_incarnation = own_->incarnation();
   delta.level = msg.level;
   delta.epoch = ls.epoch;
   const size_t cap = config_.digest_max_rows_per_delta > 0
                          ? static_cast<size_t>(config_.digest_max_rows_per_delta)
                          : table_.size();
   for (const MembershipEntry* row : refresh_scope(level, msg.subtree)) {
-    if (!wanted[membership::digest_bucket_of(row->data.node, bucket_count)]) {
+    if (!wanted[membership::digest_bucket_of(row->row->node(),
+                                             bucket_count)]) {
       continue;
     }
-    auto it = theirs.find(row->data.node);
-    if (it != theirs.end() &&
-        it->second->row_hash == membership::digest_row_hash(row->data)) {
-      delta.confirmed.push_back(row->data.node);
+    auto it = theirs.find(row->row->node());
+    if (it != theirs.end() && it->second->row_hash == row->row->hash()) {
+      delta.confirmed.push_back(row->row->node());
       continue;
     }
     if (delta.entries.size() >= cap) {
@@ -1520,7 +1519,7 @@ void HierDaemon::on_refresh_pull(const RefreshPullMsg& msg) {
       delta.truncated = true;
       break;
     }
-    delta.entries.push_back(row->data);
+    delta.entries.push_back(row->row);
   }
   // Rows the requester listed that we do not hold in scope are deliberately
   // neither shipped nor confirmed: unrefreshed, they age into orphan expiry
@@ -1750,10 +1749,10 @@ void HierDaemon::on_busy(const BusyMsg& msg) {
                           jitter);
 }
 
-std::vector<EntryData> HierDaemon::full_view() const {
-  std::vector<EntryData> entries;
+std::vector<RowRef> HierDaemon::full_view() const {
+  std::vector<RowRef> entries;
   entries.reserve(table_.size());
-  for (const auto& [id, entry] : table_.entries()) entries.push_back(entry.data);
+  for (const auto& [id, entry] : table_.entries()) entries.push_back(entry.row);
   return entries;
 }
 
@@ -1777,10 +1776,10 @@ NodeId HierDaemon::provenance_tag(NodeId subject, NodeId proposed) const {
 // the responder — removing what it no longer lists (a lost LEAVE shows up
 // as an absence in the relay's image).
 void HierDaemon::reconcile_with_image(NodeId responder,
-                                      const std::vector<EntryData>& entries,
+                                      const std::vector<RowRef>& entries,
                                       int arrival_level) {
   std::set<NodeId> present;
-  for (const auto& entry : entries) present.insert(entry.node);
+  for (const auto& entry : entries) present.insert(entry->node());
   const sim::Time now = sim_.now();
   const sim::Duration fresh_horizon = level_timeout(arrival_level);
   std::vector<std::pair<NodeId, Incarnation>> stale;
@@ -1794,7 +1793,7 @@ void HierDaemon::reconcile_with_image(NodeId responder,
     // a recently-applied entry may simply be younger than the image
     // (formation-time races), so leave it to the normal lifecycle.
     if (now - entry.last_heard <= fresh_horizon) continue;
-    stale.push_back({id, entry.data.incarnation});
+    stale.push_back({id, entry.row->incarnation()});
   }
   for (const auto& [id, incarnation] : stale) {
     if (table_.remove(id, incarnation, now)) {
@@ -1806,11 +1805,11 @@ void HierDaemon::reconcile_with_image(NodeId responder,
   }
 }
 
-void HierDaemon::absorb_entries(const std::vector<EntryData>& entries,
+void HierDaemon::absorb_entries(const std::vector<RowRef>& entries,
                                 NodeId relayed_by, int arrival_level) {
   const sim::Time now = sim_.now();
   for (const auto& entry : entries) {
-    if (entry.node == self_) continue;
+    if (entry->node() == self_) continue;
     // Tombstones are respected even in solicited exchanges: during a
     // failover race the responder may still list a node we just declared
     // dead, and overriding would flap the view. A healed partition's
@@ -1818,9 +1817,9 @@ void HierDaemon::absorb_entries(const std::vector<EntryData>& entries,
     // anti-entropy refresh re-merges the sides.
     ApplyResult result =
         table_.apply(entry, Liveness::kRelayed,
-                     provenance_tag(entry.node, relayed_by), now,
+                     provenance_tag(entry->node(), relayed_by), now,
                      /*override_tombstone=*/false);
-    if (result == ApplyResult::kAdded) notify(entry.node, true);
+    if (result == ApplyResult::kAdded) notify(entry->node(), true);
     if (result == ApplyResult::kAdded || result == ApplyResult::kUpdated) {
       relay_record(make_join_record(entry), arrival_level);
     }

@@ -365,7 +365,7 @@ class HierDaemon : public MembershipDaemon {
   void on_refresh_digest(int level, const membership::RefreshDigestMsg& msg);
   void on_refresh_pull(const membership::RefreshPullMsg& msg);
   void on_refresh_delta(const membership::RefreshDeltaMsg& msg);
-  membership::UpdateRecord make_join_record(const membership::EntryData& entry);
+  membership::UpdateRecord make_join_record(const membership::RowRef& entry);
   membership::UpdateRecord make_leave_record(membership::NodeId subject,
                                              membership::Incarnation inc);
 
@@ -398,13 +398,13 @@ class HierDaemon : public MembershipDaemon {
   // Drop the out-log and advance the trim watermark so receivers behind
   // out_seq are forced onto the full-image path.
   void clear_out_log(LevelState& ls);
-  std::vector<membership::EntryData> full_view() const;
+  std::vector<membership::RowRef> full_view() const;
   membership::NodeId provenance_tag(membership::NodeId subject,
                                     membership::NodeId proposed) const;
-  void absorb_entries(const std::vector<membership::EntryData>& entries,
+  void absorb_entries(const std::vector<membership::RowRef>& entries,
                       membership::NodeId relayed_by, int arrival_level);
   void reconcile_with_image(membership::NodeId responder,
-                            const std::vector<membership::EntryData>& entries,
+                            const std::vector<membership::RowRef>& entries,
                             int arrival_level);
   void refresh_tick();
 

@@ -89,7 +89,7 @@ void ProxyDaemon::evaluate_leadership() {
   auto proxies = membership_.table().lookup(kProxyServiceName, "*");
   membership::NodeId lowest = membership::kInvalidNode;
   for (const auto* entry : proxies) {
-    lowest = std::min(lowest, entry->data.node);
+    lowest = std::min(lowest, entry->data().node);
   }
   const bool should_lead = lowest == self();
   if (should_lead && !is_leader_) {
@@ -116,7 +116,7 @@ void ProxyDaemon::evaluate_leadership() {
 ServiceSummary ProxyDaemon::build_summary() const {
   ServiceSummary summary;
   for (const auto& [id, entry] : membership_.table().entries()) {
-    for (const auto& service : entry.data.services) {
+    for (const auto& service : entry.data().services) {
       if (service.name == kProxyServiceName) continue;
       auto& slot = summary.availability[service.name];
       for (int partition : service.partitions) {
@@ -157,7 +157,7 @@ void ProxyDaemon::send_wan(const Message& message, bool is_update) {
 }
 
 void ProxyDaemon::on_wan_packet(const net::Packet& packet) {
-  auto message = decode_message(packet);
+  auto message = decode_message(packet, membership::row_pool(net_));
   if (!message) return;
   metrics_.wan_messages_received->add();
   if (auto* heartbeat = std::get_if<ProxyHeartbeatMsg>(&*message)) {
@@ -168,7 +168,7 @@ void ProxyDaemon::on_wan_packet(const net::Packet& packet) {
 }
 
 void ProxyDaemon::on_proxy_channel_packet(const net::Packet& packet) {
-  auto message = decode_message(packet);
+  auto message = decode_message(packet, membership::row_pool(net_));
   if (!message) return;
   // Remote state relayed by the local proxy leader: absorb without
   // re-relaying (only the leader relays).

@@ -180,7 +180,7 @@ std::vector<net::HostId> ServiceConsumer::live_candidates(
   auto matches = membership_.table().lookup(
       pending.service, std::to_string(pending.partition));
   for (const auto* entry : matches) {
-    net::HostId host = entry->data.node;
+    net::HostId host = entry->data().node;
     if (host == self()) continue;  // self-dispatch is not modeled
     if (std::find(pending.tried.begin(), pending.tried.end(), host) !=
         pending.tried.end()) {
@@ -317,7 +317,7 @@ void ServiceConsumer::attempt_proxy(Pending& pending) {
   auto proxies = membership_.table().lookup(proxy::kProxyServiceName, "*");
   std::vector<net::HostId> hosts;
   for (const auto* entry : proxies) {
-    if (entry->data.node != self()) hosts.push_back(entry->data.node);
+    if (entry->data().node != self()) hosts.push_back(entry->data().node);
   }
   if (hosts.empty()) {
     InvokeResult result;

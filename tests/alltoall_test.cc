@@ -85,7 +85,7 @@ TEST_F(AllToAllFixture, RestartedNodeHasNewIncarnation) {
 
   const auto* entry = cluster.daemon(0).table().find(layout.hosts[2]);
   ASSERT_NE(entry, nullptr);
-  EXPECT_EQ(entry->data.incarnation, 2u);
+  EXPECT_EQ(entry->data().incarnation, 2u);
 }
 
 TEST_F(AllToAllFixture, TrafficGrowsQuadratically) {

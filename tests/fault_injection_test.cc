@@ -149,7 +149,7 @@ TEST(FaultInjection, PartitionHealRemergesWithSameIncarnations) {
       << cluster.converged_count() << "/" << cluster.size();
   const auto* entry = cluster.daemon_for(mainlander)->table().find(islander);
   ASSERT_NE(entry, nullptr);
-  EXPECT_EQ(entry->data.incarnation, 1u) << "re-merge must not need a new life";
+  EXPECT_EQ(entry->data().incarnation, 1u) << "re-merge must not need a new life";
 }
 
 // DESIGN.md hardening item 8, second half: a tombstone never outlasts the
@@ -222,7 +222,7 @@ TEST(FaultInjection, CrashRestartNewIncarnationAcceptedUnderLoss) {
   for (size_t i = 0; i < cluster.size(); ++i) {
     const auto* entry = cluster.daemon(i).table().find(victim);
     ASSERT_NE(entry, nullptr) << "view " << i;
-    EXPECT_EQ(entry->data.incarnation, 2u) << "view " << i;
+    EXPECT_EQ(entry->data().incarnation, 2u) << "view " << i;
   }
 
   // The fresh incarnation's update stream must work end to end: a value
@@ -233,8 +233,8 @@ TEST(FaultInjection, CrashRestartNewIncarnationAcceptedUnderLoss) {
   for (size_t i = 0; i < cluster.size(); ++i) {
     const auto* entry = cluster.daemon(i).table().find(victim);
     ASSERT_NE(entry, nullptr) << "view " << i;
-    auto it = entry->data.values.find("epoch");
-    ASSERT_NE(it, entry->data.values.end())
+    auto it = entry->data().values.find("epoch");
+    ASSERT_NE(it, entry->data().values.end())
         << "view " << i << " never accepted the new stream's update";
     EXPECT_EQ(it->second, "second-life");
   }

@@ -142,7 +142,7 @@ TEST_F(GossipFixture, RestartWithHigherIncarnationRejoins) {
   EXPECT_TRUE(cluster.converged());
   const auto* entry = cluster.daemon(0).table().find(layout.hosts[3]);
   ASSERT_NE(entry, nullptr);
-  EXPECT_EQ(entry->data.incarnation, 2u);
+  EXPECT_EQ(entry->data().incarnation, 2u);
 }
 
 }  // namespace

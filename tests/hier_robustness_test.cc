@@ -260,7 +260,7 @@ TEST_F(RobustnessFixture, RestartedLeaderStreamsAreAccepted) {
   const auto* entry =
       cluster->daemon_for(layout.racks[1][2])->table().find(old_leader);
   ASSERT_NE(entry, nullptr);
-  EXPECT_EQ(entry->data.incarnation, 2u);
+  EXPECT_EQ(entry->data().incarnation, 2u);
 }
 
 // With anti-entropy refresh disabled, a membership change whose update
@@ -441,7 +441,7 @@ TEST(FullVsDigest, ConvergeToIdenticalTablesPerSeed) {
       std::map<membership::NodeId, membership::EntryData> view;
       if (d != nullptr && d->running()) {
         for (const auto& [id, entry] : d->table().entries()) {
-          view[id] = entry.data;
+          view[id] = entry.data();
         }
       }
       tables.push_back(std::move(view));

@@ -167,7 +167,7 @@ TEST_F(HierFixture, JoinPropagatesClusterWide) {
   // Cross-rack observers see the restarted incarnation.
   const auto* seen = cluster.daemon(0).table().find(layout.hosts[11]);
   ASSERT_NE(seen, nullptr);
-  EXPECT_EQ(seen->data.incarnation, 2u);
+  EXPECT_EQ(seen->data().incarnation, 2u);
 }
 
 TEST_F(HierFixture, Level0LeaderDeathBackupTakesOver) {
@@ -402,8 +402,8 @@ TEST_F(HierFixture, ValueUpdatePropagatesAcrossGroups) {
   const auto* entry =
       cluster.daemon_for(layout.racks[1][0])->table().find(layout.hosts[1]);
   ASSERT_NE(entry, nullptr);
-  auto it = entry->data.values.find("load");
-  ASSERT_NE(it, entry->data.values.end());
+  auto it = entry->data().values.find("load");
+  ASSERT_NE(it, entry->data().values.end());
   EXPECT_EQ(it->second, "0.75");
 }
 
@@ -423,8 +423,8 @@ TEST_F(HierFixture, RegisterServiceVisibleClusterWide) {
   auto matches =
       cluster.daemon_for(layout.racks[1][2])->table().lookup("http", "*");
   ASSERT_EQ(matches.size(), 1u);
-  EXPECT_EQ(matches[0]->data.node, layout.hosts[0]);
-  EXPECT_EQ(matches[0]->data.services.back().params.at("Port"), "8080");
+  EXPECT_EQ(matches[0]->data().node, layout.hosts[0]);
+  EXPECT_EQ(matches[0]->data().services.back().params.at("Port"), "8080");
 }
 
 TEST_F(HierFixture, StatsCountersMove) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "membership/codec.h"
+#include "membership/row.h"
 #include "membership/table.h"
 
 namespace tamp::membership {
@@ -9,6 +10,11 @@ namespace {
 EntryData entry(NodeId node, Incarnation inc = 1) {
   EntryData e = make_representative_entry(node, inc);
   return e;
+}
+
+// Unpooled, so two calls give two distinct rows of equal content.
+RowRef row(NodeId node, Incarnation inc = 1) {
+  return make_row(entry(node, inc));
 }
 
 TEST(Codec, EntryRoundTrip) {
@@ -62,9 +68,9 @@ TEST(Wire, PadTo) {
 
 TEST(Table, ApplyAddsAndRefreshes) {
   MembershipTable table;
-  EXPECT_EQ(table.apply(entry(1), Liveness::kDirect, kInvalidNode, 100),
+  EXPECT_EQ(table.apply(row(1), Liveness::kDirect, kInvalidNode, 100),
             ApplyResult::kAdded);
-  EXPECT_EQ(table.apply(entry(1), Liveness::kDirect, kInvalidNode, 200),
+  EXPECT_EQ(table.apply(row(1), Liveness::kDirect, kInvalidNode, 200),
             ApplyResult::kRefreshed);
   EXPECT_EQ(table.find(1)->last_heard, 200);
   EXPECT_EQ(table.size(), 1u);
@@ -72,45 +78,45 @@ TEST(Table, ApplyAddsAndRefreshes) {
 
 TEST(Table, NewerIncarnationUpdates) {
   MembershipTable table;
-  table.apply(entry(1, 1), Liveness::kDirect, kInvalidNode, 0);
-  EXPECT_EQ(table.apply(entry(1, 2), Liveness::kDirect, kInvalidNode, 1),
+  table.apply(row(1, 1), Liveness::kDirect, kInvalidNode, 0);
+  EXPECT_EQ(table.apply(row(1, 2), Liveness::kDirect, kInvalidNode, 1),
             ApplyResult::kUpdated);
-  EXPECT_EQ(table.find(1)->data.incarnation, 2u);
+  EXPECT_EQ(table.find(1)->data().incarnation, 2u);
 }
 
 TEST(Table, OlderIncarnationIsStale) {
   MembershipTable table;
-  table.apply(entry(1, 5), Liveness::kDirect, kInvalidNode, 0);
-  EXPECT_EQ(table.apply(entry(1, 4), Liveness::kDirect, kInvalidNode, 1),
+  table.apply(row(1, 5), Liveness::kDirect, kInvalidNode, 0);
+  EXPECT_EQ(table.apply(row(1, 4), Liveness::kDirect, kInvalidNode, 1),
             ApplyResult::kStale);
-  EXPECT_EQ(table.find(1)->data.incarnation, 5u);
+  EXPECT_EQ(table.find(1)->data().incarnation, 5u);
 }
 
 TEST(Table, RelayedDoesNotDowngradeDirect) {
   MembershipTable table;
-  table.apply(entry(1), Liveness::kDirect, kInvalidNode, 0);
-  table.apply(entry(1), Liveness::kRelayed, 9, 1);
+  table.apply(row(1), Liveness::kDirect, kInvalidNode, 0);
+  table.apply(row(1), Liveness::kRelayed, 9, 1);
   EXPECT_EQ(table.find(1)->liveness, Liveness::kDirect);
   // But a relayed record with *new content* still refreshes the data.
   EntryData updated = entry(1);
   updated.values["hostname"] = "renamed";
-  EXPECT_EQ(table.apply(updated, Liveness::kRelayed, 9, 2),
+  EXPECT_EQ(table.apply(make_row(updated), Liveness::kRelayed, 9, 2),
             ApplyResult::kUpdated);
-  EXPECT_EQ(table.find(1)->data.values.at("hostname"), "renamed");
+  EXPECT_EQ(table.find(1)->data().values.at("hostname"), "renamed");
   EXPECT_EQ(table.find(1)->liveness, Liveness::kDirect);
 }
 
 TEST(Table, DirectUpgradesRelayed) {
   MembershipTable table;
-  table.apply(entry(1), Liveness::kRelayed, 9, 0);
+  table.apply(row(1), Liveness::kRelayed, 9, 0);
   EXPECT_EQ(table.find(1)->liveness, Liveness::kRelayed);
-  table.apply(entry(1), Liveness::kDirect, kInvalidNode, 1);
+  table.apply(row(1), Liveness::kDirect, kInvalidNode, 1);
   EXPECT_EQ(table.find(1)->liveness, Liveness::kDirect);
 }
 
 TEST(Table, RemoveHonorsIncarnation) {
   MembershipTable table;
-  table.apply(entry(1, 3), Liveness::kDirect, kInvalidNode, 0);
+  table.apply(row(1, 3), Liveness::kDirect, kInvalidNode, 0);
   EXPECT_FALSE(table.remove(1, 2, 10));  // stale leave
   EXPECT_TRUE(table.contains(1));
   EXPECT_TRUE(table.remove(1, 3, 10));
@@ -119,39 +125,39 @@ TEST(Table, RemoveHonorsIncarnation) {
 
 TEST(Table, TombstoneBlocksRelayedRejoin) {
   MembershipTable table;
-  table.apply(entry(1, 3), Liveness::kDirect, kInvalidNode, 0);
+  table.apply(row(1, 3), Liveness::kDirect, kInvalidNode, 0);
   table.remove(1, 3, 10);
-  EXPECT_EQ(table.apply(entry(1, 3), Liveness::kRelayed, 9, 11),
+  EXPECT_EQ(table.apply(row(1, 3), Liveness::kRelayed, 9, 11),
             ApplyResult::kStale);
   // Higher incarnation passes.
-  EXPECT_EQ(table.apply(entry(1, 4), Liveness::kRelayed, 9, 12),
+  EXPECT_EQ(table.apply(row(1, 4), Liveness::kRelayed, 9, 12),
             ApplyResult::kAdded);
 }
 
 TEST(Table, DirectObservationOverridesTombstone) {
   MembershipTable table;
-  table.apply(entry(1, 3), Liveness::kDirect, kInvalidNode, 0);
+  table.apply(row(1, 3), Liveness::kDirect, kInvalidNode, 0);
   table.remove(1, 3, 10);
-  EXPECT_EQ(table.apply(entry(1, 3), Liveness::kDirect, kInvalidNode, 11),
+  EXPECT_EQ(table.apply(row(1, 3), Liveness::kDirect, kInvalidNode, 11),
             ApplyResult::kAdded);
 }
 
 TEST(Table, TombstoneExpires) {
   MembershipTable table(/*tombstone_ttl=*/100);
-  table.apply(entry(1, 3), Liveness::kDirect, kInvalidNode, 0);
+  table.apply(row(1, 3), Liveness::kDirect, kInvalidNode, 0);
   table.remove(1, 3, 10);
-  EXPECT_EQ(table.apply(entry(1, 3), Liveness::kRelayed, 9, 50),
+  EXPECT_EQ(table.apply(row(1, 3), Liveness::kRelayed, 9, 50),
             ApplyResult::kStale);
-  EXPECT_EQ(table.apply(entry(1, 3), Liveness::kRelayed, 9, 111),
+  EXPECT_EQ(table.apply(row(1, 3), Liveness::kRelayed, 9, 111),
             ApplyResult::kAdded);
 }
 
 TEST(Table, ExpirePolicy) {
   MembershipTable table;
-  table.apply(entry(1), Liveness::kDirect, kInvalidNode, 0);
-  table.apply(entry(2), Liveness::kDirect, kInvalidNode, 50);
+  table.apply(row(1), Liveness::kDirect, kInvalidNode, 0);
+  table.apply(row(2), Liveness::kDirect, kInvalidNode, 50);
   auto expired = table.expire(101, [](const MembershipEntry& e) {
-    return e.data.node == 1 ? sim::Duration{100} : sim::Duration{-1};
+    return e.data().node == 1 ? sim::Duration{100} : sim::Duration{-1};
   });
   EXPECT_EQ(expired, (std::vector<NodeId>{1}));
   EXPECT_FALSE(table.contains(1));
@@ -160,10 +166,10 @@ TEST(Table, ExpirePolicy) {
 
 TEST(Table, PurgeRelayedBy) {
   MembershipTable table;
-  table.apply(entry(1), Liveness::kRelayed, 9, 0);
-  table.apply(entry(2), Liveness::kRelayed, 9, 0);
-  table.apply(entry(3), Liveness::kRelayed, 8, 0);
-  table.apply(entry(4), Liveness::kDirect, kInvalidNode, 0);
+  table.apply(row(1), Liveness::kRelayed, 9, 0);
+  table.apply(row(2), Liveness::kRelayed, 9, 0);
+  table.apply(row(3), Liveness::kRelayed, 8, 0);
+  table.apply(row(4), Liveness::kDirect, kInvalidNode, 0);
   auto purged = table.purge_relayed_by(9);
   EXPECT_EQ(purged, (std::vector<NodeId>{1, 2}));
   EXPECT_EQ(table.size(), 2u);
@@ -184,7 +190,7 @@ TEST(Table, LookupByServiceAndPartition) {
   c.incarnation = 1;
   c.services.push_back({"doc", {0}, {}});
   for (const auto& e : {a, b, c}) {
-    table.apply(e, Liveness::kDirect, kInvalidNode, 0);
+    table.apply(make_row(e), Liveness::kDirect, kInvalidNode, 0);
   }
 
   EXPECT_EQ(table.lookup("index", "*").size(), 2u);
@@ -197,14 +203,14 @@ TEST(Table, LookupByServiceAndPartition) {
 
 TEST(Table, LookupMalformedRegexMatchesNothing) {
   MembershipTable table;
-  table.apply(entry(1), Liveness::kDirect, kInvalidNode, 0);
+  table.apply(row(1), Liveness::kDirect, kInvalidNode, 0);
   EXPECT_TRUE(table.lookup("(unclosed", "*").empty());
 }
 
 TEST(Table, NodeIdsSorted) {
   MembershipTable table;
   for (NodeId n : {5u, 1u, 3u}) {
-    table.apply(entry(n), Liveness::kDirect, kInvalidNode, 0);
+    table.apply(row(n), Liveness::kDirect, kInvalidNode, 0);
   }
   EXPECT_EQ(table.node_ids(), (std::vector<NodeId>{1, 3, 5}));
 }

@@ -2,14 +2,25 @@
 
 #include "membership/codec.h"
 #include "membership/messages.h"
+#include "membership/row.h"
 
 namespace tamp::membership {
 namespace {
 
+// Decodes as a receiver holding no rows yet would: against a fresh pool.
+std::optional<Message> decode(const uint8_t* data, size_t size) {
+  RowPool pool;
+  return decode_message(data, size, pool);
+}
+
+RowRef representative_row(NodeId node, Incarnation incarnation = 1) {
+  return make_row(make_representative_entry(node, incarnation));
+}
+
 template <typename T>
 T round_trip(const T& msg, size_t pad = 0) {
   auto payload = encode_message(Message{msg}, pad);
-  auto decoded = decode_message(payload->data(), payload->size());
+  auto decoded = decode(payload->data(), payload->size());
   EXPECT_TRUE(decoded.has_value());
   auto* typed = std::get_if<T>(&*decoded);
   EXPECT_NE(typed, nullptr);
@@ -18,14 +29,14 @@ T round_trip(const T& msg, size_t pad = 0) {
 
 TEST(Messages, HeartbeatRoundTrip) {
   HeartbeatMsg msg;
-  msg.entry = make_representative_entry(12, 4);
+  msg.entry = representative_row(12, 4);
   msg.level = 2;
   msg.is_leader = true;
   msg.backup = 99;
   msg.seq = 12345;
   msg.epoch = 7;
   auto out = round_trip(msg);
-  EXPECT_EQ(out.entry, msg.entry);
+  EXPECT_EQ(out.entry->data(), msg.entry->data());
   EXPECT_EQ(out.level, 2);
   EXPECT_TRUE(out.is_leader);
   EXPECT_EQ(out.backup, 99u);
@@ -35,10 +46,10 @@ TEST(Messages, HeartbeatRoundTrip) {
 
 TEST(Messages, HeartbeatPadding) {
   HeartbeatMsg msg;
-  msg.entry = make_representative_entry(1);
+  msg.entry = representative_row(1);
   auto payload = encode_message(Message{msg}, 512);
   EXPECT_EQ(payload->size(), 512u);
-  auto decoded = decode_message(payload->data(), payload->size());
+  auto decoded = decode(payload->data(), payload->size());
   ASSERT_TRUE(decoded.has_value());  // trailing zeros are ignored
   EXPECT_TRUE(std::holds_alternative<HeartbeatMsg>(*decoded));
 }
@@ -53,7 +64,7 @@ TEST(Messages, UpdateRoundTrip) {
   join.kind = UpdateKind::kJoin;
   join.subject = 7;
   join.incarnation = 2;
-  join.entry = make_representative_entry(7, 2);
+  join.entry = representative_row(7, 2);
   UpdateRecord leave;
   leave.seq = 11;
   leave.kind = UpdateKind::kLeave;
@@ -68,10 +79,10 @@ TEST(Messages, UpdateRoundTrip) {
   EXPECT_EQ(out.epoch, 5u);
   EXPECT_EQ(out.window_base, 9u);
   EXPECT_EQ(out.records[0].kind, UpdateKind::kJoin);
-  ASSERT_TRUE(out.records[0].entry.has_value());
-  EXPECT_EQ(*out.records[0].entry, *join.entry);
+  ASSERT_NE(out.records[0].entry, nullptr);
+  EXPECT_EQ(out.records[0].entry->data(), join.entry->data());
   EXPECT_EQ(out.records[1].kind, UpdateKind::kLeave);
-  EXPECT_FALSE(out.records[1].entry.has_value());
+  EXPECT_EQ(out.records[1].entry, nullptr);
   EXPECT_EQ(out.records[1].seq, 11u);
   EXPECT_EQ(out.records[1].epoch, 4u);
 }
@@ -80,7 +91,7 @@ TEST(Messages, BootstrapRoundTrip) {
   BootstrapRequestMsg request;
   request.requester = 5;
   request.epoch = 3;
-  request.known = {make_representative_entry(5), make_representative_entry(6)};
+  request.known = {representative_row(5), representative_row(6)};
   auto req_out = round_trip(request);
   EXPECT_EQ(req_out.requester, 5u);
   EXPECT_EQ(req_out.epoch, 3u);
@@ -91,12 +102,12 @@ TEST(Messages, BootstrapRoundTrip) {
   response.responder_incarnation = 4;
   response.epoch = 9;
   for (NodeId n = 0; n < 20; ++n) {
-    response.entries.push_back(make_representative_entry(n));
+    response.entries.push_back(representative_row(n));
   }
   auto resp_out = round_trip(response);
   EXPECT_EQ(resp_out.responder_incarnation, 4u);
   EXPECT_EQ(resp_out.entries.size(), 20u);
-  EXPECT_EQ(resp_out.entries[19], response.entries[19]);
+  EXPECT_EQ(resp_out.entries[19]->data(), response.entries[19]->data());
   EXPECT_EQ(resp_out.epoch, 9u);
 }
 
@@ -113,7 +124,7 @@ TEST(Messages, SyncRoundTrip) {
   response.level = 2;
   response.stream_seq = 1010;
   response.epoch = 8;
-  response.entries = {make_representative_entry(3)};
+  response.entries = {representative_row(3)};
   auto resp_out = round_trip(response);
   EXPECT_EQ(resp_out.stream_seq, 1010u);
   EXPECT_EQ(resp_out.epoch, 8u);
@@ -163,16 +174,16 @@ TEST(Messages, BusyRoundTrip) {
 
   // An out-of-range deferral kind is rejected, not misparsed.
   auto payload = encode_message(Message{msg});
-  auto decoded = decode_message(payload->data(), payload->size());
+  auto decoded = decode(payload->data(), payload->size());
   ASSERT_TRUE(decoded.has_value());
   std::vector<uint8_t> bad(*payload);
   bad[2 + 4 + 1] = 99;  // version, type, responder u32, level u8 -> kind
-  EXPECT_FALSE(decode_message(bad.data(), bad.size()).has_value());
+  EXPECT_FALSE(decode(bad.data(), bad.size()).has_value());
 }
 
 TEST(Messages, VersionByteGatesDecoding) {
   HeartbeatMsg msg;
-  msg.entry = make_representative_entry(1);
+  msg.entry = representative_row(1);
   auto payload = encode_message(Message{msg});
   ASSERT_FALSE(payload->empty());
   // Every frame leads with the tagged version byte.
@@ -183,7 +194,7 @@ TEST(Messages, VersionByteGatesDecoding) {
     if ((kWireVersionTag | version) == kWireVersionByte) continue;
     std::vector<uint8_t> other(*payload);
     other[0] = static_cast<uint8_t>(kWireVersionTag | version);
-    EXPECT_FALSE(decode_message(other.data(), other.size()).has_value());
+    EXPECT_FALSE(decode(other.data(), other.size()).has_value());
   }
 }
 
@@ -192,24 +203,24 @@ TEST(Messages, EpochlessV1FramesRejectedNeverMisparsed) {
   // 0xA0 is disjoint from that range, so every old frame fails the gate
   // cleanly instead of decoding with garbage epochs.
   HeartbeatMsg msg;
-  msg.entry = make_representative_entry(1);
+  msg.entry = representative_row(1);
   auto payload = encode_message(Message{msg});
   for (uint8_t type = 0; type <= 12; ++type) {
     std::vector<uint8_t> v1(payload->begin() + 1, payload->end());
     v1.insert(v1.begin(), type);  // what a v1 sender would have led with
-    EXPECT_FALSE(decode_message(v1.data(), v1.size()).has_value());
+    EXPECT_FALSE(decode(v1.data(), v1.size()).has_value());
   }
 }
 
 TEST(Messages, GossipRoundTripAndSizeScalesWithView) {
   GossipMsg small;
   small.sender = 1;
-  small.records.push_back({make_representative_entry(1), 10});
+  small.records.push_back({representative_row(1), 10});
   auto small_payload = encode_message(Message{small});
 
   GossipMsg big = small;
   for (NodeId n = 2; n <= 50; ++n) {
-    big.records.push_back({make_representative_entry(n), 5});
+    big.records.push_back({representative_row(n), 5});
   }
   auto big_payload = encode_message(Message{big});
 
@@ -254,7 +265,7 @@ TEST(Messages, ProxySummaryMuchSmallerThanFullEntries) {
   BootstrapResponseMsg full;
   full.responder = 0;
   for (NodeId n = 0; n < 100; ++n) {
-    full.entries.push_back(make_representative_entry(n));
+    full.entries.push_back(representative_row(n));
   }
   auto full_payload = encode_message(Message{full});
   EXPECT_LT(summary_payload->size() * 50, full_payload->size());
@@ -307,19 +318,19 @@ TEST(Messages, RefreshDigestScopeListValidated) {
   RefreshDigestMsg down = msg;
   down.subtree = false;
   auto payload = encode_message(Message{down});
-  EXPECT_FALSE(decode_message(payload->data(), payload->size()).has_value());
+  EXPECT_FALSE(decode(payload->data(), payload->size()).has_value());
 
   // row_count must match the scope list length on subtree digests.
   RefreshDigestMsg short_count = msg;
   short_count.row_count = 1;
   payload = encode_message(Message{short_count});
-  EXPECT_FALSE(decode_message(payload->data(), payload->size()).has_value());
+  EXPECT_FALSE(decode(payload->data(), payload->size()).has_value());
 
   // Non-ascending ids produce a zero delta on the wire — rejected.
   RefreshDigestMsg dup = msg;
   dup.subjects = {4, 4};
   payload = encode_message(Message{dup});
-  EXPECT_FALSE(decode_message(payload->data(), payload->size()).has_value());
+  EXPECT_FALSE(decode(payload->data(), payload->size()).has_value());
 }
 
 TEST(Messages, RefreshPullRoundTrip) {
@@ -350,8 +361,8 @@ TEST(Messages, RefreshDeltaRoundTrip) {
   msg.level = 1;
   msg.epoch = 11;
   msg.truncated = true;
-  msg.entries = {make_representative_entry(30, 1),
-                 make_representative_entry(31, 2)};
+  msg.entries = {representative_row(30, 1),
+                 representative_row(31, 2)};
   msg.confirmed = {24, 25, 39};
   auto out = round_trip(msg);
   EXPECT_EQ(out.responder, 23u);
@@ -359,8 +370,8 @@ TEST(Messages, RefreshDeltaRoundTrip) {
   EXPECT_EQ(out.epoch, 11u);
   EXPECT_TRUE(out.truncated);
   ASSERT_EQ(out.entries.size(), 2u);
-  EXPECT_EQ(out.entries[0], msg.entries[0]);
-  EXPECT_EQ(out.entries[1], msg.entries[1]);
+  EXPECT_EQ(out.entries[0]->data(), msg.entries[0]->data());
+  EXPECT_EQ(out.entries[1]->data(), msg.entries[1]->data());
   EXPECT_EQ(out.confirmed, msg.confirmed);
 }
 
@@ -368,24 +379,25 @@ TEST(Messages, DigestRowHashIgnoresLocalSoftState) {
   // The hash covers replicated content only — two holders with different
   // soft state (liveness, provenance, timestamps live outside EntryData)
   // must agree, or steady-state digests would never match.
+  auto hash = [](const EntryData& entry) { return make_row(entry)->hash(); };
   EntryData a = make_representative_entry(9, 3);
   EntryData b = a;
-  EXPECT_EQ(digest_row_hash(a), digest_row_hash(b));
+  EXPECT_EQ(hash(a), hash(b));
   b.incarnation++;
-  EXPECT_NE(digest_row_hash(a), digest_row_hash(b));
+  EXPECT_NE(hash(a), hash(b));
   b = a;
   b.values["load"] = "0.7";
-  EXPECT_NE(digest_row_hash(a), digest_row_hash(b));
-  EXPECT_NE(digest_row_hash(a), 0u);  // zero is reserved (XOR-invisible)
+  EXPECT_NE(hash(a), hash(b));
+  EXPECT_NE(hash(a), 0u);  // zero is reserved (XOR-invisible)
 }
 
 TEST(Messages, MalformedInputsRejected) {
-  EXPECT_FALSE(decode_message(nullptr, 0).has_value());
+  EXPECT_FALSE(decode(nullptr, 0).has_value());
   uint8_t unknown_version[] = {0xee, 1, 2, 3};
   EXPECT_FALSE(
-      decode_message(unknown_version, sizeof(unknown_version)).has_value());
+      decode(unknown_version, sizeof(unknown_version)).has_value());
   uint8_t unknown_type[] = {kWireVersionByte, 0xee, 1, 2, 3};
-  EXPECT_FALSE(decode_message(unknown_type, sizeof(unknown_type)).has_value());
+  EXPECT_FALSE(decode(unknown_type, sizeof(unknown_type)).has_value());
   uint8_t bad_kind[] = {kWireVersionByte,
                         2 /*kUpdate*/,
                         1, 0, 0, 0 /*origin*/,
@@ -395,15 +407,15 @@ TEST(Messages, MalformedInputsRejected) {
                         1 /*count varint*/,
                         0, 0, 0, 0, 0, 0, 0, 0 /*seq*/,
                         99 /*bad kind*/};
-  EXPECT_FALSE(decode_message(bad_kind, sizeof(bad_kind)).has_value());
+  EXPECT_FALSE(decode(bad_kind, sizeof(bad_kind)).has_value());
 }
 
 TEST(Messages, TruncationNeverCrashes) {
   HeartbeatMsg msg;
-  msg.entry = make_representative_entry(1);
+  msg.entry = representative_row(1);
   auto payload = encode_message(Message{msg});
   for (size_t cut = 1; cut < payload->size(); ++cut) {
-    (void)decode_message(payload->data(), cut);  // must not crash
+    (void)decode(payload->data(), cut);  // must not crash
   }
   SUCCEED();
 }

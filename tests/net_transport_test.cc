@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -225,6 +226,47 @@ TEST_F(TransportFixture, LeaveGroupStopsDelivery) {
   net.send_multicast(layout.hosts[0], 3, 1, 7, bytes({1}));
   sim.run();
   EXPECT_EQ(rx, 1);
+}
+
+// Multicast fan-out reuses each (channel, ttl, sender) receiver set; a
+// join, a leave or a topology change must still show on the next send.
+TEST_F(TransportFixture, ReceiverSetsFollowJoinsAndTopologyChanges) {
+  RackedClusterParams params;
+  params.racks = 2;
+  params.hosts_per_rack = 2;
+  auto layout = build_racked_cluster(topo, params);
+  Network net(sim, topo);
+  std::vector<HostId> receivers;
+  for (HostId h : layout.hosts) {
+    net.bind(h, 7, [&receivers, h](const Packet&) { receivers.push_back(h); });
+  }
+  const HostId sender = layout.racks[0][0];
+  const HostId late = layout.racks[1][1];
+  for (HostId h : layout.hosts) {
+    if (h != late) net.join_group(h, 5);
+  }
+  auto send = [&] {
+    receivers.clear();
+    net.send_multicast(sender, 5, 2, 7, bytes({1}));
+    sim.run();
+    std::sort(receivers.begin(), receivers.end());
+    return receivers;
+  };
+  const std::vector<HostId> before = send();
+  EXPECT_EQ(before,
+            (std::vector<HostId>{layout.racks[0][1], layout.racks[1][0]}));
+
+  net.join_group(late, 5);
+  EXPECT_EQ(send().size(), 3u);
+
+  const LinkId uplink = topo.uplink_of(layout.racks[1][0]);
+  topo.set_link_up(uplink, false);
+  EXPECT_EQ(send(), (std::vector<HostId>{layout.racks[0][1], late}));
+  topo.set_link_up(uplink, true);
+  EXPECT_EQ(send().size(), 3u);
+
+  net.leave_group(late, 5);
+  EXPECT_EQ(send(), before);
 }
 
 }  // namespace

@@ -81,7 +81,8 @@ TEST_F(OracleTest, DetectsPlantedPhantom) {
   membership::EntryData phantom;
   phantom.node = 9999;  // no such host
   phantom.incarnation = 1;
-  cluster_->daemon(2).table().apply(phantom, membership::Liveness::kDirect,
+  cluster_->daemon(2).table().apply(membership::make_row(phantom),
+                                    membership::Liveness::kDirect,
                                     membership::kInvalidNode, sim_->now());
   sim::Time planted_at = sim_->now();
   sim_->run_until(planted_at + 2 * sim::kSecond);
@@ -110,7 +111,7 @@ TEST_F(OracleTest, DetectsPlantedFalseRemoval) {
   size_t observer = index_of(layout_.racks[1][1]);  // lives in rack 1
   const auto* entry = cluster_->daemon(observer).table().find(victim);
   ASSERT_NE(entry, nullptr);
-  cluster_->daemon(observer).table().remove(victim, entry->data.incarnation,
+  cluster_->daemon(observer).table().remove(victim, entry->data().incarnation,
                                             sim_->now());
   sim::Time planted_at = sim_->now();
   sim_->run_until(planted_at + 3 * sim::kSecond);

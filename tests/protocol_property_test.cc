@@ -130,7 +130,7 @@ TEST_P(MembershipProperty, ChurnRoundTrip) {
   const auto* entry =
       cluster_->daemon(1).table().find(layout_.hosts[0]);
   ASSERT_NE(entry, nullptr);
-  EXPECT_EQ(entry->data.incarnation, 2u);
+  EXPECT_EQ(entry->data().incarnation, 2u);
 }
 
 // Property: under sustained moderate packet loss, no false failure

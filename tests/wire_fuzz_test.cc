@@ -8,11 +8,23 @@
 
 #include "membership/codec.h"
 #include "membership/messages.h"
+#include "membership/row.h"
 #include "service/messages.h"
 #include "util/rng.h"
 
 namespace tamp {
 namespace {
+
+// Decodes as a receiver holding no rows yet would: against a fresh pool.
+std::optional<membership::Message> decode(const uint8_t* data, size_t size) {
+  membership::RowPool pool;
+  return membership::decode_message(data, size, pool);
+}
+
+membership::RowRef representative_row(membership::NodeId node,
+                                      membership::Incarnation inc = 1) {
+  return membership::make_row(membership::make_representative_entry(node, inc));
+}
 
 std::vector<uint8_t> random_bytes(util::Rng& rng, size_t max_size) {
   std::vector<uint8_t> bytes(rng.uniform_u64(max_size) + 1);
@@ -24,7 +36,7 @@ TEST(WireFuzz, RandomBytesNeverCrashMembershipDecoder) {
   util::Rng rng(1);
   for (int i = 0; i < 20000; ++i) {
     auto bytes = random_bytes(rng, 512);
-    (void)membership::decode_message(bytes.data(), bytes.size());
+    (void)decode(bytes.data(), bytes.size());
   }
   SUCCEED();
 }
@@ -41,7 +53,7 @@ TEST(WireFuzz, RandomBytesNeverCrashServiceDecoder) {
 TEST(WireFuzz, MutatedValidMessagesNeverCrash) {
   util::Rng rng(3);
   membership::HeartbeatMsg heartbeat;
-  heartbeat.entry = membership::make_representative_entry(5);
+  heartbeat.entry = representative_row(5);
   auto payload = membership::encode_message(membership::Message{heartbeat});
   for (int i = 0; i < 20000; ++i) {
     std::vector<uint8_t> mutated(*payload);
@@ -50,7 +62,7 @@ TEST(WireFuzz, MutatedValidMessagesNeverCrash) {
       size_t pos = rng.uniform_u64(mutated.size());
       mutated[pos] ^= static_cast<uint8_t>(1u << rng.uniform_u64(8));
     }
-    (void)membership::decode_message(mutated.data(), mutated.size());
+    (void)decode(mutated.data(), mutated.size());
   }
   SUCCEED();
 }
@@ -67,7 +79,7 @@ TEST(WireFuzz, WrongVersionByteAlwaysRejected) {
   record.seq = 1;
   record.kind = membership::UpdateKind::kJoin;
   record.subject = 7;
-  record.entry = membership::make_representative_entry(7);
+  record.entry = representative_row(7);
   update.records.push_back(std::move(record));
   auto payload = membership::encode_message(membership::Message{update});
   ASSERT_EQ((*payload)[0], membership::kWireVersionByte);
@@ -76,7 +88,7 @@ TEST(WireFuzz, WrongVersionByteAlwaysRejected) {
     std::vector<uint8_t> mutated(*payload);
     uint8_t first = static_cast<uint8_t>(rng.next_u64());
     mutated[0] = first;
-    auto decoded = membership::decode_message(mutated.data(), mutated.size());
+    auto decoded = decode(mutated.data(), mutated.size());
     if (first == membership::kWireVersionByte) {
       EXPECT_TRUE(decoded.has_value());
     } else {
@@ -148,15 +160,14 @@ TEST(WireFuzz, RandomUpdateMessagesRoundTrip) {
       record.incarnation = rng.next_u64();
       if (rng.bernoulli(0.5)) {
         record.kind = membership::UpdateKind::kJoin;
-        record.entry =
-            membership::make_representative_entry(record.subject, 1);
+        record.entry = representative_row(record.subject);
       } else {
         record.kind = membership::UpdateKind::kLeave;
       }
       msg.records.push_back(std::move(record));
     }
     auto payload = membership::encode_message(membership::Message{msg});
-    auto decoded = membership::decode_message(payload->data(), payload->size());
+    auto decoded = decode(payload->data(), payload->size());
     ASSERT_TRUE(decoded.has_value());
     auto* out = std::get_if<membership::UpdateMsg>(&*decoded);
     ASSERT_NE(out, nullptr);
@@ -166,7 +177,11 @@ TEST(WireFuzz, RandomUpdateMessagesRoundTrip) {
     for (size_t r = 0; r < records; ++r) {
       EXPECT_EQ(out->records[r].seq, msg.records[r].seq);
       EXPECT_EQ(out->records[r].kind, msg.records[r].kind);
-      EXPECT_EQ(out->records[r].entry, msg.records[r].entry);
+      ASSERT_EQ(out->records[r].entry == nullptr,
+                msg.records[r].entry == nullptr);
+      if (msg.records[r].entry) {
+        EXPECT_EQ(out->records[r].entry->data(), msg.records[r].entry->data());
+      }
     }
   }
 }
@@ -223,7 +238,7 @@ TEST(WireFuzz, RandomProxyMessagesRoundTrip) {
       message = msg;
     }
     auto payload = membership::encode_message(message);
-    auto decoded = membership::decode_message(payload->data(), payload->size());
+    auto decoded = decode(payload->data(), payload->size());
     ASSERT_TRUE(decoded.has_value());
     if (const auto* heartbeat =
             std::get_if<membership::ProxyHeartbeatMsg>(&*decoded)) {
@@ -257,7 +272,7 @@ TEST(WireFuzz, MutatedProxyMessagesNeverCrash) {
       size_t pos = rng.uniform_u64(mutated.size());
       mutated[pos] ^= static_cast<uint8_t>(1u << rng.uniform_u64(8));
     }
-    (void)membership::decode_message(mutated.data(), mutated.size());
+    (void)decode(mutated.data(), mutated.size());
   }
   SUCCEED();
 }
@@ -417,7 +432,7 @@ TEST(WireFuzz, RandomDigestMessagesRoundTrip) {
                         : static_cast<uint32_t>(rng.uniform_u64(20000));
 
     auto payload = membership::encode_message(membership::Message{msg});
-    auto decoded = membership::decode_message(payload->data(), payload->size());
+    auto decoded = decode(payload->data(), payload->size());
     ASSERT_TRUE(decoded.has_value());
     auto* out = std::get_if<membership::RefreshDigestMsg>(&*decoded);
     ASSERT_NE(out, nullptr);
@@ -452,7 +467,7 @@ TEST(WireFuzz, MutatedDigestMessagesNeverCrash) {
   membership::RefreshDeltaMsg delta;
   delta.responder = 40;
   delta.truncated = true;
-  delta.entries = {membership::make_representative_entry(21, 2)};
+  delta.entries = {representative_row(21, 2)};
   delta.confirmed = {22, 23, 24};
 
   const membership::Message corpus[] = {membership::Message{digest},
@@ -467,11 +482,11 @@ TEST(WireFuzz, MutatedDigestMessagesNeverCrash) {
         size_t pos = rng.uniform_u64(mutated.size());
         mutated[pos] ^= static_cast<uint8_t>(1u << rng.uniform_u64(8));
       }
-      (void)membership::decode_message(mutated.data(), mutated.size());
+      (void)decode(mutated.data(), mutated.size());
     }
     // Every truncated prefix as well: length fields lie, decoders may not.
     for (size_t len = 0; len < payload->size(); ++len) {
-      (void)membership::decode_message(payload->data(), len);
+      (void)decode(payload->data(), len);
     }
   }
   SUCCEED();
@@ -485,24 +500,24 @@ TEST(WireFuzz, OversizedDigestVectorsRejected) {
   msg.buckets.assign(membership::kMaxDigestBuckets + 1, 7);
   auto payload = membership::encode_message(membership::Message{msg});
   EXPECT_FALSE(
-      membership::decode_message(payload->data(), payload->size()).has_value());
+      decode(payload->data(), payload->size()).has_value());
 
   membership::RefreshPullMsg pull;
   pull.requester = 2;
   pull.bucket_indices.assign(membership::kMaxDigestBuckets + 1, 3);
   payload = membership::encode_message(membership::Message{pull});
   EXPECT_FALSE(
-      membership::decode_message(payload->data(), payload->size()).has_value());
+      decode(payload->data(), payload->size()).has_value());
 }
 
 // Truncation fuzz: every prefix of a valid encoding must decode to nullopt
 // or a well-formed message, never crash or over-read.
 TEST(WireFuzz, TruncatedMessagesNeverCrash) {
   membership::HeartbeatMsg heartbeat;
-  heartbeat.entry = membership::make_representative_entry(5);
+  heartbeat.entry = representative_row(5);
   auto mpayload = membership::encode_message(membership::Message{heartbeat});
   for (size_t len = 0; len < mpayload->size(); ++len) {
-    (void)membership::decode_message(mpayload->data(), len);
+    (void)decode(mpayload->data(), len);
   }
   service::RequestMsg request;
   request.service = "search";
@@ -512,6 +527,70 @@ TEST(WireFuzz, TruncatedMessagesNeverCrash) {
     (void)service::decode_service_message(spayload->data(), len);
   }
   SUCCEED();
+}
+
+
+// Rows decode on two paths: a span the pool already holds is looked up
+// without being parsed (pool hit), anything else is parsed (pool miss).
+// Truncated and forged frames must be rejected on both, and a forged span
+// must never come back as the held row it imitates.
+TEST(WireFuzz, TruncatedAndForgedRowsRejectedOnPoolHitAndMiss) {
+  membership::HeartbeatMsg heartbeat;
+  heartbeat.entry = representative_row(5);
+  membership::BootstrapResponseMsg image;
+  image.responder = 1;
+  for (membership::NodeId n = 0; n < 4; ++n) {
+    image.entries.push_back(representative_row(n));
+  }
+  const membership::Message corpus[] = {membership::Message{heartbeat},
+                                        membership::Message{image}};
+
+  for (bool hit : {false, true}) {
+    membership::RowPool pool;
+    std::vector<membership::RowRef> held;  // keeps the hit path's rows live
+    if (hit) {
+      held.push_back(pool.intern(heartbeat.entry->data()));
+      for (const auto& row : image.entries) {
+        held.push_back(pool.intern(row->data()));
+      }
+    }
+    for (const auto& message : corpus) {
+      auto payload = membership::encode_message(message);
+      ASSERT_TRUE(
+          membership::decode_message(payload->data(), payload->size(), pool)
+              .has_value());
+      // Every field after each row is mandatory, so every strict prefix
+      // is malformed.
+      for (size_t len = 0; len < payload->size(); ++len) {
+        EXPECT_FALSE(
+            membership::decode_message(payload->data(), len, pool).has_value())
+            << "hit=" << hit << " len=" << len;
+      }
+    }
+
+    // Forged length: the machine.os string (after version, type, node u32,
+    // incarnation u64, cpus u16, memory u32) claims more bytes than the
+    // frame holds.
+    auto payload = membership::encode_message(corpus[0]);
+    std::vector<uint8_t> forged(*payload);
+    const size_t os_length = 2 + 4 + 8 + 2 + 4;
+    forged[os_length] = 0x7f;
+    EXPECT_FALSE(
+        membership::decode_message(forged.data(), forged.size(), pool)
+            .has_value())
+        << "hit=" << hit;
+
+    // Forged content of the same length: decodes, but as the forged row,
+    // not as the held row it differs from by one byte.
+    forged = *payload;
+    forged[os_length + 1] ^= 0x01;
+    auto decoded =
+        membership::decode_message(forged.data(), forged.size(), pool);
+    ASSERT_TRUE(decoded.has_value());
+    const auto& row = std::get<membership::HeartbeatMsg>(*decoded).entry;
+    EXPECT_NE(row->data(), heartbeat.entry->data());
+    EXPECT_FALSE(membership::same_row(*row, *heartbeat.entry));
+  }
 }
 
 }  // namespace
