@@ -34,10 +34,6 @@ int main(int argc, char** argv) {
   auto& seed_flag = flags.add_int("seed", 1, "first seed");
   auto& runs_flag = flags.add_int("runs", 1, "consecutive seeds to sweep");
   auto& nodes_flag = flags.add_int("nodes", 12, "cluster size");
-  auto& anti_entropy_flag = flags.add_string(
-      "hier-anti-entropy", "full",
-      "full | digest — hier leader anti-entropy mode (ignored by other"
-      " schemes)");
   auto& jobs_flag = flags.add_int(
       "jobs", 1, "worker threads (0 = hardware concurrency); output is"
                  " byte-identical for any value");
@@ -100,15 +96,6 @@ int main(int argc, char** argv) {
     plans = {plan};
   }
 
-  bool hier_digest = false;
-  if (anti_entropy_flag == "digest") {
-    hier_digest = true;
-  } else if (anti_entropy_flag != "full") {
-    std::fprintf(stderr, "unknown --hier-anti-entropy=%s\n",
-                 anti_entropy_flag.c_str());
-    return 2;
-  }
-
   std::FILE* trace_out = nullptr;
   if (!trace_flag.empty()) {
     trace_out = std::fopen(trace_flag.c_str(), "w");
@@ -160,8 +147,6 @@ int main(int argc, char** argv) {
           spec.trace = trace_out != nullptr;
           spec.metrics = metrics_out != nullptr;
           spec.slo = slo_flag;
-          spec.hier_digest =
-              hier_digest && scheme == protocols::Scheme::kHierarchical;
           specs.push_back(spec);
         }
       }

@@ -27,8 +27,7 @@ struct ExperimentSettings {
   // Pad per-node membership info to the paper's measured 228 bytes.
   size_t heartbeat_pad = 228;
   sim::Duration settle = 20 * sim::kSecond;
-  // Hier-only tuning (anti-entropy mode, refresh cadence); ignored by the
-  // other schemes.
+  // Hier-only tuning (e.g. refresh cadence); ignored by the other schemes.
   protocols::HierConfig hier;
 };
 

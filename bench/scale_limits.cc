@@ -1,20 +1,16 @@
 // Incremental scalability (paper requirement, Sec. 1: "incrementally
 // scalable from a small cluster to a large-scale cluster with thousands of
-// nodes"). Forms hierarchical clusters from 100 to 10,000 nodes in both
-// anti-entropy modes, reporting formation time, steady-state traffic,
-// per-node anti-entropy bytes, and single-failure behavior.
+// nodes"). Forms hierarchical clusters from 100 to 10,000 nodes, reporting
+// formation time, steady-state traffic, per-node anti-entropy bytes, and
+// single-failure behavior.
 //
 // Anti-entropy bytes are attributed from the per-kind tx byte counters: in
-// a churn-free steady-state window the only update-kind traffic is the
-// leaders' periodic refresh, so update + refresh_digest + refresh_pull +
-// refresh_delta + sync + busy bytes are exactly the anti-entropy spend.
+// a churn-free steady-state window the leaders' periodic digest round is
+// the only anti-entropy, so update + refresh_digest + refresh_pull +
+// refresh_delta + sync + busy bytes are exactly its spend.
 //
 //   bench/scale_limits --max-nodes=10000 --json=BENCH_scale.json
-//   bench/scale_limits --max-nodes=2000 --full-max-nodes=1000  # CI smoke
-//
-// Full mode re-announces O(n) rows per leader per round, so beyond
-// --full-max-nodes (default 2000) only digest mode is measured — the
-// impracticality of the full sweep at 10k is the redesign's motivation.
+//   bench/scale_limits --max-nodes=2000 --json=scale-ci.json  # CI smoke
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -30,7 +26,6 @@ namespace {
 
 struct RunResult {
   int nodes = 0;
-  const char* mode = "full";
   double formed_s = -1;
   double per_node_pkts = 0;
   double per_node_kbps = 0;
@@ -43,9 +38,9 @@ struct RunResult {
 constexpr sim::Duration kRefreshInterval = 10 * sim::kSecond;
 constexpr sim::Duration kWindow = 20 * sim::kSecond;
 
-// The wire kinds that carry anti-entropy traffic (full refresh rides the
-// update kind; digest mode adds its three kinds; truncation fallbacks ride
-// the solicited sync exchange, budget overflow answers with busy).
+// The wire kinds that carry anti-entropy traffic: the digest round's three
+// kinds, plus update (repairs relayed onward), the solicited sync exchange
+// truncation fallbacks ride, and busy (budget overflow answers).
 const char* kAntiEntropyKinds[] = {
     "update",        "refresh_digest", "refresh_pull", "refresh_delta",
     "sync_request",  "sync_response",  "busy"};
@@ -59,19 +54,15 @@ uint64_t anti_entropy_tx_bytes(const obs::MetricsRegistry& metrics) {
   return total;
 }
 
-RunResult run_one(int nodes, bool digest, uint64_t seed) {
+RunResult run_one(int nodes, uint64_t seed) {
   RunResult result;
   result.nodes = nodes;
-  result.mode = digest ? "digest" : "full";
 
   ExperimentSettings settings;
   settings.scheme = protocols::Scheme::kHierarchical;
   settings.nodes = nodes;
   settings.seed = seed;
   settings.hier.refresh_interval = kRefreshInterval;
-  if (digest) {
-    settings.hier.anti_entropy_mode = protocols::AntiEntropyMode::kDigest;
-  }
 
   BuiltCluster built = build_cluster(settings);
   built.cluster->start_all();
@@ -95,8 +86,6 @@ RunResult run_one(int nodes, bool digest, uint64_t seed) {
   // drains through the busy-deferral budget for tens of seconds. Probe in
   // 10s steps until a whole step is free of elections and solicited image
   // traffic, so the measured window holds only the periodic anti-entropy.
-  // (The update kind can't be the signal: in full mode the refresh itself
-  // rides it.)
   obs::MetricsRegistry& metrics = built.network->obs().metrics;
   for (int probe = 0; probe < 30; ++probe) {
     metrics.reset(obs::Protocol::kNet);
@@ -126,7 +115,7 @@ RunResult run_one(int nodes, bool digest, uint64_t seed) {
       window_s / nodes / 1e3;
   if (std::getenv("SCALE_DEBUG_KINDS") != nullptr) {
     for (const char* kind : kAntiEntropyKinds) {
-      std::fprintf(stderr, "  [%d %s] %s = %llu\n", nodes, result.mode, kind,
+      std::fprintf(stderr, "  [%d] %s = %llu\n", nodes, kind,
                    static_cast<unsigned long long>(metrics.counter_value(
                        obs::Protocol::kNet,
                        std::string("tx_bytes_kind_") + kind)));
@@ -172,12 +161,12 @@ void write_json(const std::string& path, uint64_t seed,
     const RunResult& r = results[i];
     std::fprintf(
         out,
-        "    {\"nodes\": %d, \"mode\": \"%s\", \"formed_s\": %.2f,"
+        "    {\"nodes\": %d, \"formed_s\": %.2f,"
         " \"per_node_pkts_per_s\": %.2f, \"per_node_kbps\": %.3f,"
         " \"anti_entropy_bytes_per_node_per_s\": %.2f,"
         " \"anti_entropy_bytes_per_node_per_round\": %.1f,"
         " \"detect_s\": %.2f, \"converge_s\": %.2f}%s\n",
-        r.nodes, r.mode, r.formed_s, r.per_node_pkts, r.per_node_kbps,
+        r.nodes, r.formed_s, r.per_node_pkts, r.per_node_kbps,
         r.ae_bytes_per_node_per_s, r.ae_bytes_per_node_per_round, r.detect_s,
         r.converge_s, i + 1 < results.size() ? "," : "");
   }
@@ -190,36 +179,27 @@ void write_json(const std::string& path, uint64_t seed,
 int main(int argc, char** argv) {
   util::FlagSet flags("scale_limits");
   auto& max_nodes = flags.add_int("max-nodes", 10000, "largest cluster");
-  auto& full_max_nodes = flags.add_int(
-      "full-max-nodes", 2000,
-      "largest cluster measured in full anti-entropy mode (its O(n) refresh"
-      " makes larger full-mode runs impractical — digest mode has no cap)");
   auto& seed = flags.add_int("seed", 7, "rng seed");
   auto& json_flag = flags.add_string(
       "json", "", "write machine-readable results to this file");
   flags.parse(argc, argv);
 
   std::printf("Scale sweep — hierarchical protocol, networks of 20\n\n");
-  std::printf("%8s %8s %10s %14s %14s %16s %10s %10s\n", "nodes", "mode",
-              "formed s", "per-node pkt/s", "per-node KB/s", "AE B/node/round",
+  std::printf("%8s %10s %14s %14s %16s %10s %10s\n", "nodes", "formed s",
+              "per-node pkt/s", "per-node KB/s", "AE B/node/round",
               "detect s", "converge s");
 
   std::vector<RunResult> results;
   for (int nodes : {100, 200, 500, 1000, 2000, 5000, 10000}) {
     if (nodes > static_cast<int>(max_nodes)) break;
-    for (bool digest : {false, true}) {
-      if (!digest && nodes > static_cast<int>(full_max_nodes)) continue;
-      RunResult r = run_one(nodes, digest, static_cast<uint64_t>(seed));
-      results.push_back(r);
-      std::printf("%8d %8s %10.1f %14.1f %14.2f %16.1f %10.2f %10.2f\n",
-                  r.nodes, r.mode, r.formed_s, r.per_node_pkts,
-                  r.per_node_kbps, r.ae_bytes_per_node_per_round, r.detect_s,
-                  r.converge_s);
-      if (r.formed_s < 0) {
-        std::fprintf(stderr, "cluster of %d (%s) never converged\n", nodes,
-                     r.mode);
-        return 1;
-      }
+    RunResult r = run_one(nodes, static_cast<uint64_t>(seed));
+    results.push_back(r);
+    std::printf("%8d %10.1f %14.1f %14.2f %16.1f %10.2f %10.2f\n", r.nodes,
+                r.formed_s, r.per_node_pkts, r.per_node_kbps,
+                r.ae_bytes_per_node_per_round, r.detect_s, r.converge_s);
+    if (r.formed_s < 0) {
+      std::fprintf(stderr, "cluster of %d never converged\n", nodes);
+      return 1;
     }
   }
 
@@ -228,7 +208,7 @@ int main(int argc, char** argv) {
   }
   std::printf(
       "\nshape check: per-node traffic stays ~constant (the whole point of"
-      " topology-scoped groups); digest mode keeps anti-entropy bytes"
-      " per node ~flat where full mode grows with the view\n");
+      " topology-scoped groups); digest anti-entropy keeps its bytes per"
+      " node ~flat as the view grows\n");
   return 0;
 }

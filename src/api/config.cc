@@ -48,21 +48,6 @@ bool apply_system_key(SystemConfig& system, const std::string& key,
     system.mcast_freq = *v;
     return true;
   }
-  if (upper == "ANTI_ENTROPY_MODE") {
-    system.anti_entropy_mode = to_lower(value);
-    return true;  // vocabulary enforced once, in Build()
-  }
-  if (upper == "DIGEST_INTERVAL") {
-    auto v = parse_double(value);
-    if (!v || *v < 0) {
-      return set_error(error, line, "expected non-negative number for " + key);
-    }
-    system.digest_interval = *v;
-    return true;
-  }
-  if (upper == "DIGEST_MAX_ROWS_PER_DELTA") {
-    return need_int(system.digest_max_rows_per_delta);
-  }
   return set_error(error, line, "unknown *SYSTEM key " + key);
 }
 
@@ -206,21 +191,6 @@ MembershipConfigBuilder& MembershipConfigBuilder::trace_kinds_mask(
   config_.system.trace_kinds_mask = mask;
   return *this;
 }
-MembershipConfigBuilder& MembershipConfigBuilder::anti_entropy_mode(
-    std::string mode) {
-  config_.system.anti_entropy_mode = std::move(mode);
-  return *this;
-}
-MembershipConfigBuilder& MembershipConfigBuilder::digest_interval(
-    double seconds) {
-  config_.system.digest_interval = seconds;
-  return *this;
-}
-MembershipConfigBuilder& MembershipConfigBuilder::digest_max_rows_per_delta(
-    int rows) {
-  config_.system.digest_max_rows_per_delta = rows;
-  return *this;
-}
 MembershipConfigBuilder& MembershipConfigBuilder::add_service(
     std::string name, std::string partition_spec,
     std::map<std::string, std::string> params) {
@@ -262,21 +232,6 @@ Status MembershipConfigBuilder::Build(MembershipConfig* out) const {
   }
   if ((sys.trace_kinds_mask & ~obs::kAllTraceKinds) != 0) {
     return Status::Error("trace_kinds_mask names unknown trace kinds");
-  }
-  if (sys.anti_entropy_mode != "full" && sys.anti_entropy_mode != "digest") {
-    return Status::Error("ANTI_ENTROPY_MODE must be 'full' or 'digest', got '" +
-                         sys.anti_entropy_mode + "'");
-  }
-  if (sys.digest_interval < 0 || sys.digest_interval > 3600) {
-    return Status::Error(
-        strformat("DIGEST_INTERVAL must be in [0, 3600] seconds, got %g",
-                  sys.digest_interval));
-  }
-  if (sys.digest_max_rows_per_delta < 1 ||
-      sys.digest_max_rows_per_delta > 65536) {
-    return Status::Error(
-        strformat("DIGEST_MAX_ROWS_PER_DELTA must be in [1, 65536], got %d",
-                  sys.digest_max_rows_per_delta));
   }
   for (const auto& service : config_.services) {
     if (service.name.empty()) {

@@ -48,14 +48,6 @@ struct SystemConfig {
   bool metrics_enabled = true;
   size_t trace_capacity = size_t{1} << 16;
   uint64_t trace_kinds_mask = obs::kAllTraceKinds;
-  // Anti-entropy surface (control API v4). "full" re-announces the whole
-  // refresh scope every interval; "digest" ships per-subtree digests first
-  // and only the divergent rows. DIGEST_INTERVAL seconds (0 = reuse the
-  // refresh cadence) and DIGEST_MAX_ROWS_PER_DELTA bound one delta before
-  // the full-image backstop takes over.
-  std::string anti_entropy_mode = "full";
-  double digest_interval = 0.0;
-  int digest_max_rows_per_delta = 64;
 };
 
 struct ServiceConfig {
@@ -110,9 +102,6 @@ class MembershipConfigBuilder {
   MembershipConfigBuilder& metrics_enabled(bool enabled);
   MembershipConfigBuilder& trace_capacity(size_t capacity);
   MembershipConfigBuilder& trace_kinds_mask(uint64_t mask);
-  MembershipConfigBuilder& anti_entropy_mode(std::string mode);
-  MembershipConfigBuilder& digest_interval(double seconds);
-  MembershipConfigBuilder& digest_max_rows_per_delta(int rows);
   MembershipConfigBuilder& add_service(
       std::string name, std::string partition_spec = "0",
       std::map<std::string, std::string> params = {});

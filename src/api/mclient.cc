@@ -45,7 +45,7 @@ int MClient::lookup_service(const std::string& service_regex,
   if (table == nullptr) return -1;
   if (machines != nullptr) machines->clear();
 
-  auto matches = table->lookup(service_regex, partition_spec);
+  auto matches = table->lookup_regex(service_regex, partition_spec);
   if (machines != nullptr) {
     for (const auto* entry : matches) {
       machines->push_back(machine_from_entry(*entry));

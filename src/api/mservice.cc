@@ -100,7 +100,6 @@ ControlResponse MService::control(const ControlRequest& request) {
       return metrics.counter_value(obs::Protocol::kHier, name, self_);
     };
     AntiEntropyStats& stats = response.anti_entropy;
-    stats.mode = config_.system.anti_entropy_mode;
     stats.digests_sent = counter("digests_sent");
     stats.digest_pulls_sent = counter("digest_pulls_sent");
     stats.digest_pulls_served = counter("digest_pulls_served");
@@ -238,12 +237,6 @@ int MService::run() {
   hier.max_ttl = config_.system.max_ttl;
   hier.period = static_cast<sim::Duration>(1e9 / config_.system.mcast_freq);
   hier.max_losses = config_.system.max_loss;
-  hier.anti_entropy_mode = config_.system.anti_entropy_mode == "digest"
-                               ? protocols::AntiEntropyMode::kDigest
-                               : protocols::AntiEntropyMode::kFull;
-  hier.digest_interval =
-      static_cast<sim::Duration>(config_.system.digest_interval * 1e9);
-  hier.digest_max_rows_per_delta = config_.system.digest_max_rows_per_delta;
 
   membership::EntryData own = membership::make_representative_entry(self_, 1);
   own.services.clear();

@@ -35,16 +35,16 @@ namespace tamp::api {
 // v2 replaced it with typed, versioned request/response structs. v3 added
 // the observability requests: MetricsQuery reads this node's registry
 // counters, TraceControl drives the network's structured tracer. v4 added
-// AntiEntropyQuery, reporting the configured anti-entropy mode and the
-// digest-round economics (rows shipped vs. suppressed, full-image
-// fallbacks). v5 adds the application-traffic queries: WorkloadQuery reads
-// this node's workload counters (requests issued/ok/failed, attempts,
-// misroutes, proxy fallbacks) and SloQuery additionally reports the node's
-// success-latency distribution. The versioned requests carry their wire
-// version explicitly and are rejected on mismatch — an older client
-// sending a newer-only request (or a struct stamped with the old version)
-// gets a Status error, never silent misinterpretation. Parameter changes
-// are requests validated before run(); queries work on the live daemon.
+// AntiEntropyQuery, reporting the digest-round economics (rows shipped vs.
+// suppressed, full-image fallbacks). v5 adds the application-traffic
+// queries: WorkloadQuery reads this node's workload counters (requests
+// issued/ok/failed, attempts, misroutes, proxy fallbacks) and SloQuery
+// additionally reports the node's success-latency distribution. The
+// versioned requests carry their wire version explicitly and are rejected
+// on mismatch — an older client sending a newer-only request (or a struct
+// stamped with the old version) gets a Status error, never silent
+// misinterpretation. Parameter changes are requests validated before
+// run(); queries work on the live daemon.
 inline constexpr int kControlApiVersion = 5;
 
 struct SetFrequencyRequest {
@@ -79,10 +79,10 @@ struct TraceControl {
   uint64_t kinds_mask = obs::kAllTraceKinds;   // subset of kAllTraceKinds
 };
 
-// Report the anti-entropy configuration and digest-round statistics
-// (requires run()). Versioned like MetricsQuery: a request stamped with an
-// older API version is rejected — pre-v4 clients do not know digest mode
-// exists and would misread the stats.
+// Report the digest-round anti-entropy statistics (requires run()).
+// Versioned like MetricsQuery: a request stamped with an older API version
+// is rejected — pre-v4 clients do not know digest rounds exist and would
+// misread the stats.
 struct AntiEntropyQuery {
   int version = kControlApiVersion;
 };
@@ -127,7 +127,6 @@ struct MetricValue {
 // AntiEntropyQuery. Shipped/suppressed count rows this node *served* (as a
 // delta responder); pulls/deltas/fallbacks cover both roles.
 struct AntiEntropyStats {
-  std::string mode;  // "full" | "digest"
   uint64_t digests_sent = 0;
   uint64_t digest_pulls_sent = 0;
   uint64_t digest_pulls_served = 0;

@@ -209,18 +209,18 @@ struct GossipMsg {
 
 // --- incremental anti-entropy (v3 digest exchange) ----------------------
 //
-// A leader's periodic refresh in digest mode summarizes its view instead of
-// resending it: rows are bucketed by hash(subject) and each bucket carries
-// the XOR of its rows' content hashes (order-independent, so sender and
-// receiver need not iterate identically). A receiver whose buckets all
-// match just touches the covered rows' freshness; mismatched buckets cost
-// one unicast pull (row summaries only) plus one delta carrying the rows
-// that actually differ. The full-image sync path survives solely as the
-// truncation backstop, behind the same admission budget as bootstrap.
+// A leader's periodic refresh summarizes its view instead of resending it:
+// rows are bucketed by hash(subject) and each bucket carries the XOR of its
+// rows' content hashes (order-independent, so sender and receiver need not
+// iterate identically). A receiver whose buckets all match just touches the
+// covered rows' freshness; mismatched buckets cost one unicast pull (row
+// summaries only) plus one delta carrying the rows that actually differ.
+// The full-image sync path survives solely as the truncation backstop,
+// behind the same admission budget as bootstrap.
 
 // Upper bound a decoder accepts for bucket vectors / pull index lists; far
-// above any sane config (HierConfig defaults to 16 buckets) but low enough
-// that a forged length byte cannot drive a giant allocation.
+// above the 16 buckets daemons send (protocols::kDigestBuckets) but low
+// enough that a forged length byte cannot drive a giant allocation.
 inline constexpr size_t kMaxDigestBuckets = 1024;
 // Upper bound on a subtree digest's explicit subject list (and on sync
 // image row counts elsewhere): generous for 10k-node clusters, small
@@ -235,7 +235,7 @@ inline constexpr size_t kMaxDigestSubjects = size_t{1} << 20;
 // across buckets instead of striping.
 size_t digest_bucket_of(NodeId node, size_t bucket_count);
 
-// Multicast digest: replaces the full-view refresh broadcast. `subtree`
+// Multicast digest: the leader's periodic anti-entropy round. `subtree`
 // distinguishes the upward subtree summary (level L leader reporting its
 // subtree into the L+1 group) from the downward full-view summary.
 struct RefreshDigestMsg {
@@ -279,8 +279,9 @@ struct RefreshPullMsg {
 // Unicast digest origin -> requester: full entries for rows that differ or
 // are missing at the requester, plus the ids whose rows already agree (the
 // requester touches those instead of receiving them — the suppressed
-// bytes). `truncated` marks a delta clipped at digest_max_rows_per_delta;
-// the requester escalates to a budget-gated full-image sync.
+// bytes). `truncated` marks a delta clipped at the per-delta row cap
+// (protocols::kDigestMaxRowsPerDelta); the requester escalates to a
+// budget-gated full-image sync.
 struct RefreshDeltaMsg {
   NodeId responder = kInvalidNode;
   Incarnation responder_incarnation = 0;

@@ -21,6 +21,35 @@ auto locate(Vec& rows, NodeId node) {
   return rows.end();
 }
 
+// Entries hosting a service `matches(name)` accepts on a partition the spec
+// selects, sorted by node id.
+template <typename NameMatch>
+std::vector<const MembershipEntry*> select_providers(
+    const std::vector<MembershipTable::Slot>& entries,
+    const NameMatch& matches, const std::string& partition_spec) {
+  std::vector<const MembershipEntry*> out;
+  auto wanted = util::expand_partition_spec(partition_spec);
+  for (const auto& [id, entry] : entries) {
+    for (const auto& service : entry.data().services) {
+      if (!matches(service.name)) continue;
+      bool partition_ok = !wanted.has_value();  // "*": any partition set
+      if (wanted) {
+        for (int p : service.partitions) {
+          if (std::binary_search(wanted->begin(), wanted->end(), p)) {
+            partition_ok = true;
+            break;
+          }
+        }
+      }
+      if (partition_ok) {
+        out.push_back(&entry);
+        break;
+      }
+    }
+  }
+  return out;
+}
+
 }  // namespace
 
 void MembershipTable::flush() const {
@@ -166,37 +195,25 @@ std::vector<NodeId> MembershipTable::node_ids() const {
 }
 
 std::vector<const MembershipEntry*> MembershipTable::lookup(
+    std::string_view service, const std::string& partition_spec) const {
+  return select_providers(
+      entries(), [&](const std::string& name) { return name == service; },
+      partition_spec);
+}
+
+std::vector<const MembershipEntry*> MembershipTable::lookup_regex(
     const std::string& service_regex,
     const std::string& partition_spec) const {
-  flush();
-  std::vector<const MembershipEntry*> out;
   std::regex pattern;
   try {
     pattern = std::regex(service_regex);
   } catch (const std::regex_error&) {
-    return out;  // malformed pattern matches nothing
+    return {};  // malformed pattern matches nothing
   }
-  auto wanted = util::expand_partition_spec(partition_spec);
-
-  for (const auto& [id, entry] : entries_) {
-    for (const auto& service : entry.data().services) {
-      if (!std::regex_match(service.name, pattern)) continue;
-      bool partition_ok = !wanted.has_value();  // "*": any partition set
-      if (wanted) {
-        for (int p : service.partitions) {
-          if (std::binary_search(wanted->begin(), wanted->end(), p)) {
-            partition_ok = true;
-            break;
-          }
-        }
-      }
-      if (partition_ok) {
-        out.push_back(&entry);
-        break;
-      }
-    }
-  }
-  return out;
+  return select_providers(
+      entries(),
+      [&](const std::string& name) { return std::regex_match(name, pattern); },
+      partition_spec);
 }
 
 std::vector<NodeId> MembershipTable::expire(

@@ -14,6 +14,7 @@
 #include <functional>
 #include <map>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -85,10 +86,14 @@ class MembershipTable {
     return entries_;
   }
 
-  // Service lookup: `service_regex` is matched against the full service
-  // name; `partition_spec` ("*", "2", "1-3", "0,2") selects nodes hosting at
-  // least one listed partition. Returns matching entries sorted by node id.
+  // Service lookup: nodes registering exactly `service`; `partition_spec`
+  // ("*", "2", "1-3", "0,2") selects nodes hosting at least one listed
+  // partition. Returns matching entries sorted by node id.
   std::vector<const MembershipEntry*> lookup(
+      std::string_view service, const std::string& partition_spec) const;
+  // The same, but `service_regex` must match the full service name. The
+  // pattern is compiled once per call; a malformed one matches nothing.
+  std::vector<const MembershipEntry*> lookup_regex(
       const std::string& service_regex,
       const std::string& partition_spec) const;
 

@@ -125,8 +125,9 @@ class ServiceConsumer {
   void start();
   void stop();
 
-  // Asynchronously invoke (service, partition). The callback fires exactly
-  // once, on completion or final failure.
+  // Asynchronously invoke (service, partition); `service` is an exact
+  // service name. The callback fires exactly once, on completion or final
+  // failure.
   void invoke(const std::string& service, int partition,
               uint32_t request_bytes, uint32_t response_bytes,
               Callback callback);

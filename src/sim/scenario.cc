@@ -47,7 +47,6 @@ std::string scenario_name(const ScenarioSpec& spec) {
   std::string name = std::string(protocols::scheme_name(spec.scheme)) + "/" +
                      shape_name(spec.shape) + "/" + plan_name(spec.plan) +
                      "/s" + std::to_string(spec.seed);
-  if (spec.hier_digest) name += "/digest";
   if (spec.slo) name += "/slo";
   return name;
 }
@@ -59,7 +58,6 @@ std::string repro_command(const ScenarioSpec& spec) {
                     " --plan=" + plan_name(spec.plan) +
                     " --seed=" + std::to_string(spec.seed) +
                     " --nodes=" + std::to_string(spec.nodes);
-  if (spec.hier_digest) cmd += " --hier-anti-entropy=digest";
   if (spec.slo) cmd += " --slo";
   return cmd;
 }
@@ -220,9 +218,6 @@ class ScenarioRunner {
     // Watch the topology epoch at heartbeat cadence: mutation plans need the
     // re-scoping reaction, and on static plans the poll never fires.
     opts.hier.topology_poll_interval = opts.hier.period;
-    if (spec_.hier_digest) {
-      opts.hier.anti_entropy_mode = protocols::AntiEntropyMode::kDigest;
-    }
     cluster_ = std::make_unique<protocols::Cluster>(sim_, *net_,
                                                     layout_.hosts, opts);
 
@@ -718,29 +713,6 @@ std::vector<ScenarioSpec> full_matrix(const MatrixOptions& options) {
           spec.slo = options.slo;
           specs.push_back(spec);
         }
-      }
-    }
-  }
-  return specs;
-}
-
-std::vector<ScenarioSpec> digest_matrix(const MatrixOptions& options) {
-  std::vector<ScenarioSpec> specs;
-  for (ShapeKind shape : kAllShapeKinds) {
-    for (PlanKind plan : kAllPlanKinds) {
-      if (!plan_applicable(Scheme::kHierarchical, plan)) continue;
-      for (uint64_t s = 0; s < options.seed_count; ++s) {
-        ScenarioSpec spec;
-        spec.scheme = Scheme::kHierarchical;
-        spec.shape = shape;
-        spec.plan = plan;
-        spec.seed = options.first_seed + s;
-        spec.nodes = options.nodes;
-        spec.trace = options.trace;
-        spec.metrics = options.metrics;
-        spec.slo = options.slo;
-        spec.hier_digest = true;
-        specs.push_back(spec);
       }
     }
   }

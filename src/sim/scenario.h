@@ -48,9 +48,6 @@ struct ScenarioSpec {
   // Extra virtual time simulated past the oracle's quiescence bound, so the
   // quiescent invariants get several check ticks.
   sim::Duration tail = 8 * sim::kSecond;
-  // Hier only: run leader anti-entropy in incremental digest mode instead of
-  // full periodic view refresh. Ignored by the other schemes.
-  bool hier_digest = false;
   // Observability. When `trace` is set the runner enables the network's
   // structured tracer (capacity / kinds below) and returns the JSONL dump
   // in ScenarioResult::trace_jsonl — byte-identical across same-seed runs.
@@ -117,11 +114,5 @@ struct MatrixOptions {
   bool slo = false;
 };
 std::vector<ScenarioSpec> full_matrix(const MatrixOptions& options = {});
-
-// The digest-mode slice: every hierarchical (shape, plan, seed) tuple from
-// the same grid, with ScenarioSpec::hier_digest set. Grades the incremental
-// digest anti-entropy path against the identical fault plans the full-image
-// path faces.
-std::vector<ScenarioSpec> digest_matrix(const MatrixOptions& options = {});
 
 }  // namespace tamp::chaos

@@ -282,65 +282,21 @@ TEST(ConfigBuilder, RejectsOutOfRangeValues) {
   EXPECT_EQ(config.system.max_ttl, 99);
 }
 
-TEST(ConfigBuilder, AntiEntropyKnobsValidateAndFlowThrough) {
-  MembershipConfig config;
-  Status status = MembershipConfigBuilder()
-                      .anti_entropy_mode("digest")
-                      .digest_interval(15.0)
-                      .digest_max_rows_per_delta(128)
-                      .Build(&config);
-  ASSERT_TRUE(status.ok()) << status.message();
-  EXPECT_EQ(config.system.anti_entropy_mode, "digest");
-  EXPECT_DOUBLE_EQ(config.system.digest_interval, 15.0);
-  EXPECT_EQ(config.system.digest_max_rows_per_delta, 128);
-
-  // Defaults keep the pre-v4 behavior: full-view refresh.
-  MembershipConfig defaults;
-  ASSERT_TRUE(MembershipConfigBuilder().Build(&defaults).ok());
-  EXPECT_EQ(defaults.system.anti_entropy_mode, "full");
-
-  EXPECT_FALSE(
-      MembershipConfigBuilder().anti_entropy_mode("gossip").Build(&config).ok());
-  EXPECT_FALSE(
-      MembershipConfigBuilder().anti_entropy_mode("").Build(&config).ok());
-  EXPECT_FALSE(
-      MembershipConfigBuilder().digest_interval(-1.0).Build(&config).ok());
-  EXPECT_FALSE(
-      MembershipConfigBuilder().digest_interval(3601.0).Build(&config).ok());
-  EXPECT_FALSE(
-      MembershipConfigBuilder().digest_max_rows_per_delta(0).Build(&config).ok());
-  EXPECT_FALSE(MembershipConfigBuilder()
-                   .digest_max_rows_per_delta(65537)
-                   .Build(&config)
-                   .ok());
-}
-
-TEST(ConfigBuilder, AntiEntropyKeysParseFromFigureSevenText) {
-  MembershipConfig config;
-  Status status = MembershipConfigBuilder::FromText(
-                      "*SYSTEM\n"
-                      "ANTI_ENTROPY_MODE = Digest\n"  // case-folded
-                      "DIGEST_INTERVAL = 20\n"
-                      "DIGEST_MAX_ROWS_PER_DELTA = 32\n")
-                      .Build(&config);
-  ASSERT_TRUE(status.ok()) << status.message();
-  EXPECT_EQ(config.system.anti_entropy_mode, "digest");
-  EXPECT_DOUBLE_EQ(config.system.digest_interval, 20.0);
-  EXPECT_EQ(config.system.digest_max_rows_per_delta, 32);
-
-  // Vocabulary violations surface at Build(), like every other key.
-  EXPECT_FALSE(MembershipConfigBuilder::FromText(
-                   "*SYSTEM\nANTI_ENTROPY_MODE = sometimes\n")
-                   .Build(&config)
-                   .ok());
-  EXPECT_FALSE(MembershipConfigBuilder::FromText(
-                   "*SYSTEM\nDIGEST_INTERVAL = -3\n")
-                   .Build(&config)
-                   .ok());
-  EXPECT_FALSE(MembershipConfigBuilder::FromText(
-                   "*SYSTEM\nDIGEST_MAX_ROWS_PER_DELTA = 1.5\n")
-                   .Build(&config)
-                   .ok());
+// Digest rounds are the only periodic anti-entropy, so the keys that once
+// chose and tuned a mode are gone: a file still naming one fails like any
+// other unknown key.
+TEST(ConfigBuilder, RetiredAntiEntropyKeysAreUnknown) {
+  for (const char* key : {"ANTI_ENTROPY_MODE = digest", "DIGEST_INTERVAL = 20",
+                          "DIGEST_MAX_ROWS_PER_DELTA = 32"}) {
+    MembershipConfig config;
+    Status status =
+        MembershipConfigBuilder::FromText(std::string("*SYSTEM\n") + key +
+                                          "\n")
+            .Build(&config);
+    EXPECT_FALSE(status.ok()) << key;
+    EXPECT_NE(status.message().find("unknown *SYSTEM key"), std::string::npos)
+        << key << ": " << status.message();
+  }
 }
 
 TEST(ConfigBuilder, SeedsFromFigureSevenText) {

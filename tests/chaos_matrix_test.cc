@@ -43,11 +43,23 @@ TEST_P(ChaosMatrix, InvariantsHoldUnderFaults) {
 INSTANTIATE_TEST_SUITE_P(Sweep, ChaosMatrix, ::testing::ValuesIn(matrix()),
                          param_name);
 
-// The digest slice: the hier rows of the same grid, re-run with incremental
-// digest anti-entropy. The digest path must survive exactly the fault plans
-// the full-image path does.
-INSTANTIATE_TEST_SUITE_P(DigestSweep, ChaosMatrix,
-                         ::testing::ValuesIn(digest_matrix()), param_name);
+// Sweep's hierarchical rows again, under their historical "_digest" test
+// ids. Digest rounds are the only periodic anti-entropy, so these repeat
+// Sweep's rows exactly; they are kept only so the existing ids keep
+// resolving (ROADMAP item 5 retires them).
+std::vector<ScenarioSpec> hierarchical_rows() {
+  std::vector<ScenarioSpec> rows;
+  for (const ScenarioSpec& spec : matrix()) {
+    if (spec.scheme == protocols::Scheme::kHierarchical) rows.push_back(spec);
+  }
+  return rows;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    DigestSweep, ChaosMatrix, ::testing::ValuesIn(hierarchical_rows()),
+    [](const ::testing::TestParamInfo<ScenarioSpec>& info) {
+      return param_name(info) + "_digest";
+    });
 
 }  // namespace
 }  // namespace tamp::chaos

@@ -196,15 +196,17 @@ TEST(Table, LookupByServiceAndPartition) {
   EXPECT_EQ(table.lookup("index", "*").size(), 2u);
   EXPECT_EQ(table.lookup("index", "2").size(), 1u);
   EXPECT_EQ(table.lookup("index", "0-1").size(), 1u);
-  EXPECT_EQ(table.lookup(".*", "*").size(), 3u);
+  EXPECT_EQ(table.lookup(".*", "*").size(), 0u);  // names match exactly
+  EXPECT_EQ(table.lookup_regex(".*", "*").size(), 3u);
+  EXPECT_EQ(table.lookup_regex("index", "2").size(), 1u);
   EXPECT_EQ(table.lookup("doc", "1-5").size(), 0u);
-  EXPECT_EQ(table.lookup("(index|doc)", "0").size(), 2u);
+  EXPECT_EQ(table.lookup_regex("(index|doc)", "0").size(), 2u);
 }
 
 TEST(Table, LookupMalformedRegexMatchesNothing) {
   MembershipTable table;
   table.apply(row(1), Liveness::kDirect, kInvalidNode, 0);
-  EXPECT_TRUE(table.lookup("(unclosed", "*").empty());
+  EXPECT_TRUE(table.lookup_regex("(unclosed", "*").empty());
 }
 
 TEST(Table, NodeIdsSorted) {

@@ -304,41 +304,19 @@ TEST_F(ControlObsFixture, MetricsQueryRequiresRunningDaemon) {
   EXPECT_FALSE(service->control(api::MetricsQuery{}).status.ok());
 }
 
-TEST_F(ControlObsFixture, AntiEntropyQueryReportsModeAndCounters) {
+TEST_F(ControlObsFixture, AntiEntropyQueryReflectsDigestMode) {
   ASSERT_EQ(service->run(), 0);
   sim.run_until(70 * sim::kSecond);  // past at least one refresh interval
 
   api::ControlResponse response = service->control(api::AntiEntropyQuery{});
   ASSERT_TRUE(response.status.ok()) << response.status.message();
   EXPECT_EQ(response.version, api::kControlApiVersion);
-  EXPECT_EQ(response.anti_entropy.mode, "full");
-  // Full mode never emits digest traffic.
-  EXPECT_EQ(response.anti_entropy.digests_sent, 0u);
-  EXPECT_EQ(response.anti_entropy.deltas_sent, 0u);
-}
-
-TEST_F(ControlObsFixture, AntiEntropyQueryReflectsDigestMode) {
-  api::MembershipConfig config;
-  ASSERT_TRUE(api::MembershipConfigBuilder()
-                  .anti_entropy_mode("digest")
-                  .Build(&config)
-                  .ok());
-  api::DirectoryStore digest_store;
-  api::MService digest_service(sim, *net, digest_store, layout.hosts[1],
-                               config);
-  ASSERT_EQ(digest_service.run(), 0);
-  sim.run_until(sim.now() + 70 * sim::kSecond);
-
-  api::ControlResponse response =
-      digest_service.control(api::AntiEntropyQuery{});
-  ASSERT_TRUE(response.status.ok()) << response.status.message();
-  EXPECT_EQ(response.anti_entropy.mode, "digest");
   // The lone leader on its channel has sent at least one digest round, and
   // the registry's per-node counters back every stat the response carries.
   EXPECT_GT(response.anti_entropy.digests_sent, 0u);
   EXPECT_EQ(response.anti_entropy.digests_sent,
             net->obs().metrics.counter_value(
-                obs::Protocol::kHier, "digests_sent", layout.hosts[1]));
+                obs::Protocol::kHier, "digests_sent", layout.hosts[0]));
 }
 
 TEST_F(ControlObsFixture, AntiEntropyQueryVersionAndRunGates) {
@@ -346,13 +324,17 @@ TEST_F(ControlObsFixture, AntiEntropyQueryVersionAndRunGates) {
   EXPECT_FALSE(service->control(api::AntiEntropyQuery{}).status.ok());
 
   ASSERT_EQ(service->run(), 0);
+  sim.run_until(70 * sim::kSecond);  // digests sent, so counters are non-zero
+  ASSERT_GT(net->obs().metrics.counter_value(obs::Protocol::kHier,
+                                             "digests_sent", layout.hosts[0]),
+            0u);
   api::AntiEntropyQuery stale;
   stale.version = 3;
   api::ControlResponse response = service->control(stale);
   EXPECT_FALSE(response.status.ok());
   EXPECT_NE(response.status.message().find("not supported"),
             std::string::npos);
-  EXPECT_TRUE(response.anti_entropy.mode.empty());  // rejected => not filled
+  EXPECT_EQ(response.anti_entropy.digests_sent, 0u);  // rejected => not filled
 }
 
 TEST_F(ControlObsFixture, TraceControlDrivesTheNetworkTracer) {
