@@ -1,5 +1,8 @@
 #include "api/config.h"
 
+#include <cmath>
+#include <limits>
+
 #include "util/strings.h"
 
 namespace tamp::api {
@@ -13,6 +16,16 @@ using util::trim;
 namespace {
 
 enum class Section { kNone, kSystem, kService };
+
+// MCAST_FREQ band (heartbeats per second). Outside it the heartbeat period
+// is years long or shorter than a millisecond, and a non-finite rate has no
+// period at all.
+constexpr double kMinMcastFreq = 0.001;
+constexpr double kMaxMcastFreq = 1000.0;
+
+bool valid_mcast_freq(double hz) {
+  return std::isfinite(hz) && hz >= kMinMcastFreq && hz <= kMaxMcastFreq;
+}
 
 bool set_error(std::string* error, int line, const std::string& message) {
   if (error != nullptr) {
@@ -29,6 +42,10 @@ bool apply_system_key(SystemConfig& system, const std::string& key,
   auto need_int = [&](int& slot) {
     auto v = parse_int(value);
     if (!v) return set_error(error, line, "expected integer for " + key);
+    if (*v < std::numeric_limits<int>::min() ||
+        *v > std::numeric_limits<int>::max()) {
+      return set_error(error, line, "integer out of range for " + key);
+    }
     slot = static_cast<int>(*v);
     return true;
   };
@@ -42,8 +59,9 @@ bool apply_system_key(SystemConfig& system, const std::string& key,
   }
   if (upper == "MCAST_FREQ") {
     auto v = parse_double(value);
-    if (!v || *v <= 0) {
-      return set_error(error, line, "expected positive number for " + key);
+    if (!v || !valid_mcast_freq(*v)) {
+      return set_error(error, line,
+                       "expected a number in [0.001, 1000] for " + key);
     }
     system.mcast_freq = *v;
     return true;
@@ -211,8 +229,10 @@ Status MembershipConfigBuilder::Build(MembershipConfig* out) const {
     return Status::Error(
         strformat("MAX_TTL must be in [1, 250], got %d", sys.max_ttl));
   }
-  if (sys.mcast_freq <= 0) {
-    return Status::Error("MCAST_FREQ must be positive");
+  if (!valid_mcast_freq(sys.mcast_freq)) {
+    return Status::Error(strformat(
+        "MCAST_FREQ must be a finite number in [0.001, 1000], got %g",
+        sys.mcast_freq));
   }
   if (sys.max_loss < 1) {
     return Status::Error(

@@ -17,7 +17,7 @@ AllToAllDaemon::AllToAllDaemon(sim::Simulation& sim, net::Network& net,
     : MembershipDaemon(sim, net, self, std::move(own)),
       config_(config),
       announce_timer_(sim, config.period, [this] { announce(); }),
-      scan_timer_(sim, config.scan_interval, [this] { scan(); }),
+      scan_timer_(sim, kAllToAllScanInterval, [this] { scan(); }),
       heartbeats_sent_(net.obs().metrics.counter(obs::Protocol::kAllToAll,
                                                  "heartbeats_sent", self)) {}
 
@@ -26,8 +26,8 @@ AllToAllDaemon::~AllToAllDaemon() { stop(); }
 void AllToAllDaemon::start() {
   if (running()) return;
   base_start();
-  net_.join_group(self_, config_.channel);
-  net_.bind(self_, config_.port, [this](const net::Packet& p) { on_packet(p); });
+  net_.join_group(self_, kAllToAllChannel);
+  net_.bind(self_, kDataPort, [this](const net::Packet& p) { on_packet(p); });
   // Random phase: real daemons don't tick in lockstep.
   announce_timer_.start_with_random_phase();
   scan_timer_.start_with_random_phase();
@@ -38,8 +38,8 @@ void AllToAllDaemon::stop() {
   if (!running()) return;
   announce_timer_.stop();
   scan_timer_.stop();
-  net_.unbind(self_, config_.port);
-  net_.leave_group(self_, config_.channel);
+  net_.unbind(self_, kDataPort);
+  net_.leave_group(self_, kAllToAllChannel);
   base_stop();
 }
 
@@ -47,7 +47,7 @@ void AllToAllDaemon::announce() {
   HeartbeatMsg heartbeat;
   heartbeat.entry = own_;
   heartbeat.seq = ++seq_;
-  net_.send_multicast(self_, config_.channel, config_.ttl, config_.port,
+  net_.send_multicast(self_, kAllToAllChannel, kAllToAllTtl, kDataPort,
                       encode_message(heartbeat, config_.heartbeat_pad));
   heartbeats_sent_->add();
 }

@@ -16,13 +16,15 @@
 
 namespace tamp::protocols {
 
+// Heartbeats go to kAllToAllChannel on kDataPort with this TTL, which
+// must cover the whole cluster.
+inline constexpr uint8_t kAllToAllTtl = 32;
+// How often the table is checked for members past their timeout.
+inline constexpr sim::Duration kAllToAllScanInterval = 100 * sim::kMillisecond;
+
 struct AllToAllConfig {
-  net::ChannelId channel = kAllToAllChannel;
-  net::Port port = kDataPort;
-  uint8_t ttl = 32;  // must cover the whole cluster
   sim::Duration period = sim::kSecond;
   int max_losses = 5;
-  sim::Duration scan_interval = 100 * sim::kMillisecond;
   size_t heartbeat_pad = 0;  // pad heartbeats to a fixed size (0 = off)
 };
 

@@ -40,10 +40,9 @@ Cluster::Cluster(sim::Simulation& sim, net::Network& net,
 }
 
 void Cluster::seed_gossip(size_t index) {
-  // Seed a gossip daemon with a few peers so views can fill in; a real
-  // deployment would use a static bootstrap list the same way.
+  // Seed a gossip daemon with a few peers so views can fill in.
   auto* gossip = static_cast<GossipDaemon*>(daemons_[index].get());
-  for (int s = 1; s <= options_.gossip_seeds; ++s) {
+  for (int s = 1; s <= kGossipSeeds; ++s) {
     size_t peer = (index + static_cast<size_t>(s)) % daemons_.size();
     if (peer == index) continue;
     gossip->add_seed(membership::make_representative_entry(hosts_[peer], 1));
@@ -57,8 +56,7 @@ std::unique_ptr<MembershipDaemon> Cluster::make_daemon(net::HostId host) {
       return std::make_unique<AllToAllDaemon>(sim_, net_, host, std::move(entry),
                                               options_.alltoall);
     case Scheme::kGossip:
-      return std::make_unique<GossipDaemon>(sim_, net_, host, std::move(entry),
-                                            options_.gossip);
+      return std::make_unique<GossipDaemon>(sim_, net_, host, std::move(entry));
     case Scheme::kHierarchical:
       return std::make_unique<HierDaemon>(sim_, net_, host, std::move(entry),
                                           options_.hier);

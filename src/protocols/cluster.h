@@ -24,14 +24,11 @@ class Cluster {
   struct Options {
     Scheme scheme = Scheme::kHierarchical;
     AllToAllConfig alltoall;
-    GossipConfig gossip;
     HierConfig hier;
     // Pad per-node heartbeat info to this size (0 = natural). Applied to
     // the all-to-all and hierarchical heartbeat payloads; gossip messages
     // scale with view size by construction.
     size_t heartbeat_pad = 0;
-    // Gossip bootstrap: how many seed peers each node starts with.
-    int gossip_seeds = 3;
   };
 
   Cluster(sim::Simulation& sim, net::Network& net,

@@ -15,12 +15,10 @@ using membership::GossipRecord;
 using membership::Liveness;
 
 GossipDaemon::GossipDaemon(sim::Simulation& sim, net::Network& net,
-                           membership::NodeId self, membership::EntryData own,
-                           GossipConfig config)
+                           membership::NodeId self, membership::EntryData own)
     : MembershipDaemon(sim, net, self, std::move(own)),
-      config_(config),
-      round_timer_(sim, config.period, [this] { round(); }),
-      scan_timer_(sim, config.scan_interval, [this] { scan(); }),
+      round_timer_(sim, kGossipPeriod, [this] { round(); }),
+      scan_timer_(sim, kGossipScanInterval, [this] { scan(); }),
       gossips_sent_(
           net.obs().metrics.counter(obs::Protocol::kGossip, "gossips_sent",
                                     self)) {}
@@ -30,7 +28,7 @@ GossipDaemon::~GossipDaemon() { stop(); }
 void GossipDaemon::start() {
   if (running()) return;
   base_start();
-  net_.bind(self_, config_.port, [this](const net::Packet& p) { on_packet(p); });
+  net_.bind(self_, kGossipPort, [this](const net::Packet& p) { on_packet(p); });
   round_timer_.start_with_random_phase();
   scan_timer_.start_with_random_phase();
 }
@@ -39,7 +37,7 @@ void GossipDaemon::stop() {
   if (!running()) return;
   round_timer_.stop();
   scan_timer_.stop();
-  net_.unbind(self_, config_.port);
+  net_.unbind(self_, kGossipPort);
   base_stop();
 }
 
@@ -53,12 +51,15 @@ void GossipDaemon::add_seed(membership::EntryData entry) {
   }
 }
 
-sim::Duration GossipDaemon::effective_tfail() const {
-  if (config_.tfail > 0) return config_.tfail;
-  double n = std::max<double>(2.0, static_cast<double>(table_.size()));
-  double periods = config_.tfail_c0 + config_.tfail_c1 * std::log2(n);
+sim::Duration gossip_tfail(size_t n) {
+  const double periods =
+      5.5 + 1.75 * std::log2(static_cast<double>(std::max<size_t>(n, 2)));
   return static_cast<sim::Duration>(periods *
-                                    static_cast<double>(config_.period));
+                                    static_cast<double>(kGossipPeriod));
+}
+
+sim::Duration GossipDaemon::effective_tfail() const {
+  return gossip_tfail(table_.size());
 }
 
 membership::GossipMsg GossipDaemon::build_view() {
@@ -94,14 +95,11 @@ membership::NodeId GossipDaemon::next_target() {
 
 void GossipDaemon::round() {
   ++own_counter_;
-  net::Payload payload;
-  for (int i = 0; i < config_.fanout; ++i) {
-    membership::NodeId target = next_target();
-    if (target == membership::kInvalidNode) return;
-    if (!payload) payload = encode_message(build_view());
-    net_.send_unicast(self_, net::Address{target, config_.port}, payload);
-    gossips_sent_->add();
-  }
+  const membership::NodeId target = next_target();
+  if (target == membership::kInvalidNode) return;
+  net_.send_unicast(self_, net::Address{target, kGossipPort},
+                    encode_message(build_view()));
+  gossips_sent_->add();
 }
 
 void GossipDaemon::scan() {

@@ -7,10 +7,10 @@
 // failed, and is quarantined for `2 * tfail` so stale gossip can't
 // resurrect it (the classic cleanup rule).
 //
-// `tfail` defaults to the O(log n) mistake-probability bound: with one
+// `tfail` is the O(log n) mistake-probability bound (gossip_tfail): with one
 // gossip per period, information about a node reaches everyone in O(log n)
 // rounds, so the failure timeout must scale with log n to keep the mistake
-// probability at the configured level. The default constants are calibrated
+// probability at a fixed level. The constants are calibrated
 // so that P_mistake ~ 0.1% reproduces the paper's measured detection times
 // (~13 s at 20 nodes, ~17-20 s at 100).
 //
@@ -31,21 +31,22 @@
 
 namespace tamp::protocols {
 
-struct GossipConfig {
-  net::Port port = kGossipPort;
-  sim::Duration period = sim::kSecond;
-  int fanout = 1;  // peers contacted per round
-  // Fixed failure timeout; <= 0 means adaptive: period * (c0 + c1 * log2 n).
-  sim::Duration tfail = 0;
-  double tfail_c0 = 5.5;
-  double tfail_c1 = 1.75;
-  sim::Duration scan_interval = 200 * sim::kMillisecond;
-};
+// One gossip round per period, sent to one peer.
+inline constexpr sim::Duration kGossipPeriod = sim::kSecond;
+inline constexpr sim::Duration kGossipScanInterval = 200 * sim::kMillisecond;
+// Seed peers each node starts with; a real deployment would use a static
+// bootstrap list the same way.
+inline constexpr int kGossipSeeds = 3;
+
+// Failure timeout at view size `n` (clamped to at least 2):
+// kGossipPeriod * (5.5 + 1.75 * log2 n), i.e. ~13.06 s at 20 nodes and
+// ~17.13 s at 100. The daemon and the oracle both read it from here.
+sim::Duration gossip_tfail(size_t n);
 
 class GossipDaemon : public MembershipDaemon {
  public:
   GossipDaemon(sim::Simulation& sim, net::Network& net, membership::NodeId self,
-               membership::EntryData own, GossipConfig config = {});
+               membership::EntryData own);
   ~GossipDaemon() override;
 
   void start() override;
@@ -59,7 +60,6 @@ class GossipDaemon : public MembershipDaemon {
   sim::Duration effective_tfail() const;
 
   uint64_t gossips_sent() const { return gossips_sent_->value; }
-  const GossipConfig& config() const { return config_; }
 
  private:
   // Heartbeat-counter cursor for one peer, scoped to an incarnation: a
@@ -80,7 +80,6 @@ class GossipDaemon : public MembershipDaemon {
   // Next peer from the shuffled cycle; kInvalidNode when no peers exist.
   membership::NodeId next_target();
 
-  GossipConfig config_;
   sim::PeriodicTimer round_timer_;
   sim::PeriodicTimer scan_timer_;
   uint64_t own_counter_ = 0;

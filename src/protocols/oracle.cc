@@ -43,34 +43,28 @@ MembershipOracle::MembershipOracle(sim::Simulation& sim, net::Network& net,
 
 void MembershipOracle::derive_bounds() {
   const Cluster::Options& opts = cluster_.options();
-  const double n = static_cast<double>(std::max<size_t>(cluster_.size(), 2));
-  const double log_n = std::log2(n);
   switch (opts.scheme) {
     case Scheme::kAllToAll: {
       const auto& cfg = opts.alltoall;
       detection_bound_ =
-          cfg.max_losses * cfg.period + cfg.scan_interval + cfg.period;
+          cfg.max_losses * cfg.period + kAllToAllScanInterval + cfg.period;
       convergence_bound_ = detection_bound_ + cfg.period;
       // Heals are heartbeat-fast: direct observations override tombstones.
       quiesce_ = convergence_bound_ + 3 * cfg.period;
       break;
     }
     case Scheme::kGossip: {
-      const auto& cfg = opts.gossip;
-      sim::Duration tfail =
-          cfg.tfail > 0
-              ? cfg.tfail
-              : static_cast<sim::Duration>(
-                    static_cast<double>(cfg.period) *
-                    (cfg.tfail_c0 + cfg.tfail_c1 * log_n));
+      const sim::Duration tfail = gossip_tfail(cluster_.size());
       // Dissemination spreads in O(log n) rounds.
+      const double log_n = std::log2(
+          static_cast<double>(std::max<size_t>(cluster_.size(), 2)));
       sim::Duration spread = static_cast<sim::Duration>(
-          static_cast<double>(cfg.period) * (log_n + 2.0));
+          static_cast<double>(kGossipPeriod) * (log_n + 2.0));
       detection_bound_ = tfail + spread;
       convergence_bound_ = detection_bound_ + spread;
       // Re-admission after a (correct) removal waits out the 2*tfail
       // quarantine before stale-counter records are believed again.
-      quiesce_ = 2 * tfail + 2 * spread + 3 * cfg.period;
+      quiesce_ = 2 * tfail + 2 * spread + 3 * kGossipPeriod;
       break;
     }
     case Scheme::kHierarchical: {
@@ -80,16 +74,14 @@ void MembershipOracle::derive_bounds() {
           std::pow(cfg.level_timeout_factor, static_cast<double>(levels - 1));
       sim::Duration worst_timeout = static_cast<sim::Duration>(
           static_cast<double>(cfg.max_losses * cfg.period) * worst_factor);
-      detection_bound_ = worst_timeout + cfg.scan_interval + cfg.period;
+      detection_bound_ = worst_timeout + kHierScanInterval + cfg.period;
       // LEAVE records relay one level per hop; elections may interleave.
-      convergence_bound_ =
-          detection_bound_ + (levels + 2) * cfg.period +
-          cfg.election_timeout + cfg.coordinator_timeout + cfg.backup_grace;
+      convergence_bound_ = detection_bound_ + (levels + 2) * cfg.period +
+                           kElectionTimeout + kCoordinatorTimeout +
+                           kBackupGrace;
       // Full repair after partitions needs tombstone expiry plus one
       // anti-entropy refresh cycle on top of detection + convergence.
-      quiesce_ = convergence_bound_ + cfg.tombstone_ttl +
-                 (cfg.refresh_interval > 0 ? cfg.refresh_interval
-                                           : 5 * cfg.period) +
+      quiesce_ = convergence_bound_ + kTombstoneTtl + cfg.refresh_interval +
                  3 * cfg.period;
       break;
     }

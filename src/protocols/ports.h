@@ -15,6 +15,9 @@ inline constexpr net::Port kControlPort = 10051;
 inline constexpr net::Port kGossipPort = 10052;
 // Proxy WAN port (unicast to a datacenter's virtual IP).
 inline constexpr net::Port kProxyWanPort = 10060;
+// Port of the local proxy group's relay multicast (remote-DC news fanned
+// out to the backup proxies).
+inline constexpr net::Port kProxyGroupPort = kProxyWanPort + 1;
 // Service request/response ports (Neptune provider/consumer modules).
 inline constexpr net::Port kServicePort = 10070;
 inline constexpr net::Port kServiceReplyPort = 10071;

@@ -47,9 +47,9 @@ void ProxyDaemon::start() {
   membership_.register_service(kProxyServiceName,
                                {static_cast<int>(config_.dc)});
   net_.join_group(self(), config_.proxy_channel);
-  net_.bind(self(), config_.wan_port,
+  net_.bind(self(), protocols::kProxyWanPort,
             [this](const net::Packet& p) { on_wan_packet(p); });
-  net_.bind(self(), config_.relay_port,
+  net_.bind(self(), protocols::kProxyGroupPort,
             [this](const net::Packet& p) { on_proxy_channel_packet(p); });
   tick_timer_.start_with_random_phase();
 }
@@ -57,8 +57,8 @@ void ProxyDaemon::start() {
 void ProxyDaemon::stop() {
   if (!running_) return;
   tick_timer_.stop();
-  net_.unbind(self(), config_.wan_port);
-  net_.unbind(self(), config_.relay_port);
+  net_.unbind(self(), protocols::kProxyWanPort);
+  net_.unbind(self(), protocols::kProxyGroupPort);
   net_.leave_group(self(), config_.proxy_channel);
   if (is_leader_ &&
       net_.virtual_ip_owner(config_.local_vip) == self()) {
@@ -147,7 +147,7 @@ void ProxyDaemon::send_wan(const Message& message, bool is_update) {
   auto payload = encode_message(message);
   for (const auto& [dc, vip] : config_.remote_vips) {
     if (dc == config_.dc) continue;
-    net_.send_to_virtual(self(), vip, config_.wan_port, payload);
+    net_.send_to_virtual(self(), vip, protocols::kProxyWanPort, payload);
     if (is_update) {
       metrics_.wan_updates_sent->add();
     } else {
@@ -196,8 +196,8 @@ void ProxyDaemon::ingest_remote(net::DatacenterId dc, uint64_t seq,
     relay.sender = self();
     relay.seq = seq;
     relay.summary = summary;
-    net_.send_multicast(self(), config_.proxy_channel,
-                        config_.proxy_channel_ttl, config_.relay_port,
+    net_.send_multicast(self(), config_.proxy_channel, kProxyChannelTtl,
+                        protocols::kProxyGroupPort,
                         encode_message(Message{relay}));
     metrics_.relays_to_local_group->add();
   }
@@ -205,7 +205,7 @@ void ProxyDaemon::ingest_remote(net::DatacenterId dc, uint64_t seq,
 
 void ProxyDaemon::expire_remotes() {
   const sim::Duration timeout =
-      static_cast<sim::Duration>(config_.max_losses) * config_.period * 2;
+      static_cast<sim::Duration>(kProxyMaxLosses) * config_.period * 2;
   for (auto it = remote_.begin(); it != remote_.end();) {
     if (sim_.now() - it->second.last_heard > timeout) {
       TAMP_LOG(Info) << "proxy " << self() << " drops silent dc " << it->first;

@@ -35,6 +35,10 @@
 namespace tamp::proxy {
 
 inline constexpr char kProxyServiceName[] = "membership-proxy";
+// A remote datacenter silent for 2 * kProxyMaxLosses WAN periods is dropped.
+inline constexpr int kProxyMaxLosses = 5;
+// TTL of the local proxy group's relay multicast; must span the local DC.
+inline constexpr uint8_t kProxyChannelTtl = 8;
 
 struct ProxyConfig {
   net::DatacenterId dc = 0;
@@ -42,11 +46,7 @@ struct ProxyConfig {
   // Remote datacenters: dc id -> that DC's virtual IP.
   std::map<net::DatacenterId, net::VirtualIpId> remote_vips;
   sim::Duration period = sim::kSecond;   // WAN heartbeat period
-  int max_losses = 5;                    // remote-DC heartbeat timeout factor
   net::ChannelId proxy_channel = protocols::kProxyChannelBase;
-  uint8_t proxy_channel_ttl = 8;         // must span the local DC
-  net::Port wan_port = protocols::kProxyWanPort;
-  net::Port relay_port = protocols::kProxyWanPort + 1;  // local relay channel
 };
 
 // Knowledge about one remote datacenter.

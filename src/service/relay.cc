@@ -6,13 +6,8 @@
 namespace tamp::service {
 
 ProxyRelay::ProxyRelay(sim::Simulation& sim, net::Network& net,
-                       proxy::ProxyDaemon& proxy, ServiceConsumer& consumer,
-                       RelayConfig config)
-    : sim_(sim),
-      net_(net),
-      proxy_(proxy),
-      consumer_(consumer),
-      config_(config) {
+                       proxy::ProxyDaemon& proxy, ServiceConsumer& consumer)
+    : sim_(sim), net_(net), proxy_(proxy), consumer_(consumer) {
   // The relay's local consumer must never fall back to the proxy itself,
   // or a stale summary could bounce a request between datacenters forever.
   TAMP_CHECK(!consumer_.config().proxy_fallback);
@@ -23,7 +18,7 @@ ProxyRelay::~ProxyRelay() { stop(); }
 void ProxyRelay::start() {
   if (running_) return;
   running_ = true;
-  net_.bind(self(), config_.relay_port,
+  net_.bind(self(), kProxyRelayPort,
             [this](const net::Packet& p) { on_packet(p); });
 }
 
@@ -32,7 +27,7 @@ void ProxyRelay::stop() {
   for (auto& [id, relay] : handshakes_) sim_.cancel(relay.handshake_timer);
   handshakes_.clear();
   forwarded_.clear();
-  net_.unbind(self(), config_.relay_port);
+  net_.unbind(self(), kProxyRelayPort);
   running_ = false;
 }
 
@@ -63,7 +58,7 @@ void ProxyRelay::on_packet(const net::Packet& packet) {
     RelayAckMsg ack;
     ack.conn_id = syn->conn_id;
     ack.from = self();
-    net_.send_unicast(self(), net::Address{syn->from, config_.relay_port},
+    net_.send_unicast(self(), net::Address{syn->from, kProxyRelayPort},
                       encode_service_message(ack));
     return;
   }
@@ -79,10 +74,10 @@ void ProxyRelay::on_packet(const net::Packet& packet) {
     RequestMsg forwarded = relay.original;
     forwarded.relay_hops = relay.original.relay_hops - 1;
     forwarded.reply_host = self();
-    forwarded.reply_port = config_.relay_port;
+    forwarded.reply_port = kProxyRelayPort;
     forwarded_[forwarded.request_id] =
         net::Address{relay.original.reply_host, relay.original.reply_port};
-    net_.send_to_virtual(self(), relay.remote_vip, config_.relay_port,
+    net_.send_to_virtual(self(), relay.remote_vip, kProxyRelayPort,
                          encode_service_message(forwarded));
     ++stats_.relayed_out;
     return;
@@ -122,7 +117,7 @@ void ProxyRelay::handle_local_request(const RequestMsg& request) {
   relay.remote_vip = vip->second;
   uint64_t conn_id = request.request_id;
   relay.handshake_timer =
-      sim_.schedule_after(config_.handshake_timeout, [this, conn_id] {
+      sim_.schedule_after(kRelayHandshakeTimeout, [this, conn_id] {
         auto it = handshakes_.find(conn_id);
         if (it == handshakes_.end()) return;
         RequestMsg original = it->second.original;
@@ -134,7 +129,7 @@ void ProxyRelay::handle_local_request(const RequestMsg& request) {
   RelaySynMsg syn;
   syn.conn_id = conn_id;
   syn.from = self();
-  net_.send_to_virtual(self(), vip->second, config_.relay_port,
+  net_.send_to_virtual(self(), vip->second, kProxyRelayPort,
                        encode_service_message(syn));
 }
 

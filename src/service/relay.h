@@ -19,10 +19,9 @@
 
 namespace tamp::service {
 
-struct RelayConfig {
-  net::Port relay_port = kProxyRelayPort;
-  sim::Duration handshake_timeout = 500 * sim::kMillisecond;
-};
+// How long an outbound relay waits for the remote proxy's RelayAck before
+// the request is rejected as unavailable.
+inline constexpr sim::Duration kRelayHandshakeTimeout = 500 * sim::kMillisecond;
 
 struct RelayStats {
   uint64_t relayed_out = 0;       // requests forwarded to a remote DC
@@ -35,7 +34,7 @@ class ProxyRelay {
   // `proxy` supplies remote availability; `consumer` executes requests
   // locally on behalf of remote datacenters. Neither is owned.
   ProxyRelay(sim::Simulation& sim, net::Network& net, proxy::ProxyDaemon& proxy,
-             ServiceConsumer& consumer, RelayConfig config = {});
+             ServiceConsumer& consumer);
   ~ProxyRelay();
 
   ProxyRelay(const ProxyRelay&) = delete;
@@ -63,7 +62,6 @@ class ProxyRelay {
   net::Network& net_;
   proxy::ProxyDaemon& proxy_;
   ServiceConsumer& consumer_;
-  RelayConfig config_;
   bool running_ = false;
   // conn_id (== request id) -> half-open outbound relay awaiting RelayAck.
   std::map<uint64_t, OutboundRelay> handshakes_;

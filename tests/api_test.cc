@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
 #include "api/mclient.h"
 #include "api/mservice.h"
 #include "net/builders.h"
@@ -225,6 +228,20 @@ TEST_F(ApiFixture, ControlRejectsBadValuesAndLateChanges) {
   EXPECT_EQ(service.daemon().config().period, sim::kSecond);
 }
 
+// SetFrequencyRequest is validated by the same builder check as the file.
+TEST_F(ApiFixture, ControlRejectsNonFiniteFrequency) {
+  net::ClusterLayout small = net::build_single_segment(topo, 2);
+  net = std::make_unique<net::Network>(sim, topo);
+  MService service(sim, *net, store, small.hosts[0], kPaperConfig);
+  for (double hz : {std::nan(""), std::numeric_limits<double>::infinity(),
+                    1e12}) {
+    EXPECT_FALSE(service.control(SetFrequencyRequest{hz}).status.ok()) << hz;
+  }
+  EXPECT_DOUBLE_EQ(service.config().system.mcast_freq, 1.0);
+  ASSERT_EQ(service.run(), 0);
+  EXPECT_EQ(service.daemon().config().period, sim::kSecond);
+}
+
 TEST_F(ApiFixture, LeadershipQueryReportsEpochsAndIncarnation) {
   build(1, 4);
   sim.run_until(15 * sim::kSecond);
@@ -280,6 +297,50 @@ TEST(ConfigBuilder, RejectsOutOfRangeValues) {
   EXPECT_FALSE(
       MembershipConfigBuilder().add_service("").Build(&config).ok());
   EXPECT_EQ(config.system.max_ttl, 99);
+}
+
+// A heartbeat rate must give a usable period: NaN, infinities and rates
+// outside [0.001, 1000] Hz would otherwise yield periods of INT64_MIN or 0.
+TEST(ConfigBuilder, RejectsNonFiniteAndOutOfBandFrequency) {
+  MembershipConfig config;
+  for (double hz : {std::nan(""), std::numeric_limits<double>::infinity(),
+                    -std::numeric_limits<double>::infinity(), 1e12, 1000.5,
+                    0.0009}) {
+    EXPECT_FALSE(MembershipConfigBuilder().mcast_freq(hz).Build(&config).ok())
+        << hz;
+  }
+  EXPECT_TRUE(MembershipConfigBuilder().mcast_freq(0.001).Build(&config).ok());
+  EXPECT_TRUE(MembershipConfigBuilder().mcast_freq(1000).Build(&config).ok());
+}
+
+TEST(Config, RejectsNonFiniteAndOutOfBandFrequencyText) {
+  for (const char* value : {"nan", "inf", "-inf", "1e12", "0.0001"}) {
+    std::string error;
+    EXPECT_FALSE(
+        parse_config(std::string("*SYSTEM\nMCAST_FREQ = ") + value + "\n",
+                     &error)
+            .has_value())
+        << value;
+    EXPECT_NE(error.find("MCAST_FREQ"), std::string::npos) << error;
+  }
+  EXPECT_TRUE(parse_config("*SYSTEM\nMCAST_FREQ = 1000\n").has_value());
+}
+
+// 4294967297 == 2^32 + 1 used to be truncated to 1 on its way into an int.
+TEST(Config, RejectsIntegersThatDoNotFitInt) {
+  for (const char* line :
+       {"MAX_LOSS = 4294967297", "MAX_TTL = 2147483648",
+        "MCAST_PORT = -2147483649", "SHM_KEY = 9223372036854775807"}) {
+    std::string error;
+    EXPECT_FALSE(
+        parse_config(std::string("*SYSTEM\n") + line + "\n", &error)
+            .has_value())
+        << line;
+    EXPECT_NE(error.find("out of range"), std::string::npos) << error;
+  }
+  auto config = parse_config("*SYSTEM\nSHM_KEY = 2147483647\n");
+  ASSERT_TRUE(config.has_value());
+  EXPECT_EQ(config->system.shm_key, 2147483647);
 }
 
 // Digest rounds are the only periodic anti-entropy, so the keys that once

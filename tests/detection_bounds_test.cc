@@ -35,8 +35,6 @@ TEST_P(DetectionBounds, DetectionWithinAnalyticalBound) {
   opts.alltoall.max_losses = max_losses;
   opts.hier.period = period;
   opts.hier.max_losses = max_losses;
-  // Formation phases scale with the heartbeat period.
-  opts.hier.join_listen = 3 * period;
   Cluster cluster(sim, net, layout.hosts, opts);
 
   net::HostId victim = layout.hosts[12];

@@ -136,7 +136,7 @@ TEST(FaultInjection, PartitionHealRemergesWithSameIncarnations) {
 
   // Cut rack 0 off for twice the tombstone TTL.
   topo.set_link_up(layout.rack_uplinks[0], false);
-  sim.run_until(sim.now() + 2 * opts.hier.tombstone_ttl);
+  sim.run_until(sim.now() + 2 * kTombstoneTtl);
   net::HostId islander = layout.racks[0][1];
   net::HostId mainlander = layout.racks[1][1];
   EXPECT_FALSE(cluster.daemon_for(mainlander)->table().contains(islander));
