@@ -215,9 +215,6 @@ class ScenarioRunner {
     // Faster anti-entropy keeps the post-fault repair horizon (and thus the
     // whole matrix's wall time) short without changing the protocol.
     opts.hier.refresh_interval = 10 * sim::kSecond;
-    // Watch the topology epoch at heartbeat cadence: mutation plans need the
-    // re-scoping reaction, and on static plans the poll never fires.
-    opts.hier.topology_poll_interval = opts.hier.period;
     cluster_ = std::make_unique<protocols::Cluster>(sim_, *net_,
                                                     layout_.hosts, opts);
 

@@ -241,8 +241,6 @@ struct ProxyFallbackFixture : public ::testing::Test {
     net = std::make_unique<net::Network>(sim, topo);
     protocols::Cluster::Options opts;
     opts.scheme = protocols::Scheme::kHierarchical;
-    // React to topology mutation at heartbeat speed, like the chaos plans.
-    opts.hier.topology_poll_interval = 1 * sim::kSecond;
     cluster = std::make_unique<protocols::Cluster>(sim, *net, layout.hosts,
                                                    opts);
     cluster->start_all();

@@ -35,7 +35,6 @@ TEST(DynamicTopology, MigrationRescopesLevelZeroGroups) {
   Cluster::Options opts;
   opts.scheme = Scheme::kHierarchical;
   opts.hier.refresh_interval = 10 * sim::kSecond;
-  opts.hier.topology_poll_interval = opts.hier.period;
   Cluster cluster(sim, net, layout.hosts, opts);
   cluster.start_all();
   sim.run_until(15 * sim::kSecond);
@@ -68,6 +67,48 @@ TEST(DynamicTopology, MigrationRescopesLevelZeroGroups) {
       << cluster.converged_count() << "/" << cluster.size();
 }
 
+// The topology reaction is always on: a cluster built from default options
+// re-scopes a migrated host's level-0 groups on both sides within two
+// heartbeat periods, long before any failure timeout could.
+TEST(DynamicTopology, DefaultConfigReactsWithinTwoPeriods) {
+  sim::Simulation sim{42};
+  net::Topology topo;
+  net::RackedClusterParams params;
+  params.racks = 2;
+  params.hosts_per_rack = 4;
+  net::ClusterLayout layout = net::build_racked_cluster(topo, params);
+  net::Network net(sim, topo);
+
+  const Cluster::Options opts;
+  Cluster cluster(sim, net, layout.hosts, opts);
+  cluster.start_all();
+  sim.run_until(15 * sim::kSecond);
+  ASSERT_TRUE(cluster.converged());
+
+  net::HostId mover = layout.racks[0][3];
+  topo.migrate_host(mover, layout.rack_switches[1]);
+  sim.run_until(sim.now() + 2 * opts.hier.period);
+
+  EXPECT_GT(net.obs().metrics.counter_value(obs::Protocol::kHier,
+                                            "topology_rescopes", mover),
+            0u);
+  auto* moved = static_cast<HierDaemon*>(cluster.daemon_for(mover));
+  ASSERT_NE(moved, nullptr);
+  std::vector<membership::NodeId> group = moved->group_members(0);
+  for (net::HostId h : layout.racks[1]) {
+    EXPECT_TRUE(contains(group, h)) << "mover missing new segment peer " << h;
+  }
+  for (net::HostId h : layout.racks[0]) {
+    if (h == mover) continue;
+    EXPECT_FALSE(contains(group, h)) << "mover still tracks old peer " << h;
+    auto* d = static_cast<HierDaemon*>(cluster.daemon_for(h));
+    EXPECT_FALSE(contains(d->group_members(0), mover))
+        << "old segment peer " << h << " still tracks the mover at level 0";
+  }
+  EXPECT_TRUE(cluster.converged())
+      << cluster.converged_count() << "/" << cluster.size();
+}
+
 // Crashing the core router must *not* make anyone declare cross-rack peers
 // dead-and-gone forever: after the router powers back, the directory and
 // the level groups must both return to the pre-crash shape.
@@ -83,7 +124,6 @@ TEST(DynamicTopology, RouterPowerCycleReformsHierarchy) {
   Cluster::Options opts;
   opts.scheme = Scheme::kHierarchical;
   opts.hier.refresh_interval = 10 * sim::kSecond;
-  opts.hier.topology_poll_interval = opts.hier.period;
   Cluster cluster(sim, net, layout.hosts, opts);
   cluster.start_all();
   sim.run_until(15 * sim::kSecond);
