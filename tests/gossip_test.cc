@@ -4,6 +4,7 @@
 
 #include "net/builders.h"
 #include "protocols/cluster.h"
+#include "protocols/oracle.h"
 
 namespace tamp::protocols {
 namespace {
@@ -40,6 +41,25 @@ TEST_F(GossipFixture, AdaptiveTfailGrowsWithViewSize) {
   // c0 + c1 * log2(32) periods.
   double expected = (5.5 + 1.75 * 5.0) * 1e9;
   EXPECT_NEAR(static_cast<double>(tfail32), expected, 1e6);
+}
+
+// The calibration stated in gossip.h: ~13 s at 20 nodes, ~17 s at 100.
+TEST(GossipTfail, MatchesHeaderCalibration) {
+  EXPECT_NEAR(static_cast<double>(gossip_tfail(20)) / 1e9, 13.06, 0.005);
+  EXPECT_NEAR(static_cast<double>(gossip_tfail(100)) / 1e9, 17.13, 0.005);
+  EXPECT_EQ(gossip_tfail(0), gossip_tfail(2));  // views clamp to 2 nodes
+}
+
+// The oracle's detection bound is the daemon's own timeout plus the
+// O(log n) dissemination spread, both from the same definitions.
+TEST_F(GossipFixture, OracleDetectionBoundUsesGossipTfail) {
+  auto layout = net::build_single_segment(topo, 20);
+  net::Network net(sim, topo);
+  Cluster cluster(sim, net, layout.hosts, options());
+  MembershipOracle oracle(sim, net, topo, cluster);
+  const auto spread = static_cast<sim::Duration>(
+      static_cast<double>(kGossipPeriod) * (std::log2(20.0) + 2.0));
+  EXPECT_EQ(oracle.detection_bound(), gossip_tfail(20) + spread);
 }
 
 TEST_F(GossipFixture, FailureEventuallyDetectedEverywhere) {
