@@ -149,13 +149,6 @@ struct Encoder {
     w.u64(m.seq);
     encode_summary(w, m.summary);
   }
-  void operator()(const ProxyUpdateMsg& m) {
-    w.u8(static_cast<uint8_t>(MessageType::kProxyUpdate));
-    w.u16(m.dc);
-    w.u32(m.sender);
-    w.u64(m.seq);
-    encode_summary(w, m.summary);
-  }
   void operator()(const BusyMsg& m) {
     w.u8(static_cast<uint8_t>(MessageType::kBusy));
     w.u32(m.responder);
@@ -356,15 +349,6 @@ std::optional<Message> decode_message(const uint8_t* data, size_t size,
       if (!r.ok()) return std::nullopt;
       return m;
     }
-    case MessageType::kProxyUpdate: {
-      ProxyUpdateMsg m;
-      m.dc = r.u16();
-      m.sender = r.u32();
-      m.seq = r.u64();
-      m.summary = decode_summary(r);
-      if (!r.ok()) return std::nullopt;
-      return m;
-    }
     case MessageType::kBusy: {
       BusyMsg m;
       m.responder = r.u32();
@@ -492,8 +476,6 @@ const char* wire_kind_name(uint8_t kind) {
       return "gossip";
     case MessageType::kProxyHeartbeat:
       return "proxy_heartbeat";
-    case MessageType::kProxyUpdate:
-      return "proxy_update";
     case MessageType::kBusy:
       return "busy";
     case MessageType::kRefreshDigest:

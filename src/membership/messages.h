@@ -35,7 +35,7 @@ enum class MessageType : uint8_t {
   kCoordinator = 9,
   kGossip = 10,
   kProxyHeartbeat = 11,
-  kProxyUpdate = 12,
+  // 12 is retired: proxy updates travel as kProxyHeartbeat frames.
   kBusy = 13,
   kRefreshDigest = 14,
   kRefreshPull = 15,
@@ -304,6 +304,9 @@ struct ServiceSummary {
   bool operator==(const ServiceSummary&) const = default;
 };
 
+// A datacenter's whole summary. The proxy leader sends one periodically
+// (paper Heartbeat Message) and one at once whenever the summary changes
+// (paper Update Message); receivers treat both alike.
 struct ProxyHeartbeatMsg {
   uint16_t dc = 0;
   NodeId sender = kInvalidNode;
@@ -311,19 +314,12 @@ struct ProxyHeartbeatMsg {
   ServiceSummary summary;
 };
 
-struct ProxyUpdateMsg {
-  uint16_t dc = 0;
-  NodeId sender = kInvalidNode;
-  uint64_t seq = 0;
-  ServiceSummary summary;  // summaries are small; updates resend the whole one
-};
-
 using Message =
     std::variant<HeartbeatMsg, UpdateMsg, BootstrapRequestMsg,
                  BootstrapResponseMsg, SyncRequestMsg, SyncResponseMsg,
                  ElectionMsg, ElectionAnswerMsg, CoordinatorMsg, GossipMsg,
-                 ProxyHeartbeatMsg, ProxyUpdateMsg, BusyMsg, RefreshDigestMsg,
-                 RefreshPullMsg, RefreshDeltaMsg>;
+                 ProxyHeartbeatMsg, BusyMsg, RefreshDigestMsg, RefreshPullMsg,
+                 RefreshDeltaMsg>;
 
 // Encode into a payload buffer. `pad_to` (when > 0) zero-pads the result to
 // a fixed size — used to equalize heartbeat packet sizes across protocols,

@@ -99,7 +99,6 @@ ApplyResult MembershipTable::apply(const RowRef& row, Liveness liveness,
     entry.liveness = liveness;
     entry.relayed_by = relayed_by;
     entry.last_heard = now;
-    entry.first_seen = now;
     auto pos =
         std::lower_bound(overlay_.begin(), overlay_.end(), node, row_before);
     overlay_.emplace(pos, node, std::move(entry));

@@ -112,7 +112,6 @@ struct MembershipEntry {
   Liveness liveness = Liveness::kDirect;
   NodeId relayed_by = kInvalidNode;  // leader this entry depends on
   sim::Time last_heard = 0;          // local clock of last refresh
-  sim::Time first_seen = 0;
 
   const EntryData& data() const { return row->data(); }
 };

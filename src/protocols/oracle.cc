@@ -300,11 +300,18 @@ void MembershipOracle::on_change(size_t observer_index, NodeId subject,
   size_t subject_index = static_cast<size_t>(it - cluster_.hosts().begin());
   if (!truth_[subject_index].alive) return;  // correct detection
   if (excused(observer_index, subject, when)) return;
+  // The spans excused() compared: each one outlasted the window.
+  auto since = [when](sim::Time last) {
+    return last > 0 ? sim::format_time(when - last) : std::string("never");
+  };
   add_violation(
       "false-failure", cluster_.hosts()[observer_index], subject,
-      "declared dead while alive, reachable, and undisturbed for longer "
-      "than the detection deadline (" +
-          sim::format_time(detection_deadline()) + ")");
+      "declared dead while alive and reachable; time since last "
+      "disturbance: observer " +
+          since(truth_[observer_index].last_disturbed) + ", subject " +
+          since(truth_[subject_index].last_disturbed) + ", network " +
+          since(last_network_change_) + "; each held to the excuse window " +
+          sim::format_time(detection_deadline()));
 }
 
 // --- periodic checks --------------------------------------------------------

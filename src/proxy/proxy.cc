@@ -10,7 +10,6 @@ using membership::decode_message;
 using membership::encode_message;
 using membership::Message;
 using membership::ProxyHeartbeatMsg;
-using membership::ProxyUpdateMsg;
 using membership::ServiceSummary;
 
 ProxyDaemon::ProxyDaemon(sim::Simulation& sim, net::Network& net,
@@ -73,14 +72,7 @@ void ProxyDaemon::tick() {
   evaluate_leadership();
   recompute_summary(/*push_update=*/true);
   expire_remotes();
-  if (!is_leader_) return;
-
-  ProxyHeartbeatMsg heartbeat;
-  heartbeat.dc = config_.dc;
-  heartbeat.sender = self();
-  heartbeat.seq = ++seq_;
-  heartbeat.summary = local_summary_;
-  send_wan(Message{heartbeat}, /*is_update=*/false);
+  if (is_leader_) send_summary(/*is_update=*/false);
 }
 
 void ProxyDaemon::evaluate_leadership() {
@@ -134,17 +126,17 @@ void ProxyDaemon::recompute_summary(bool push_update) {
   if (!push_update || !is_leader_) return;
   // Paper Update Message: a change in the local summary is pushed to the
   // other datacenters immediately, without waiting for the next heartbeat.
-  ProxyUpdateMsg update;
-  update.dc = config_.dc;
-  update.sender = self();
-  update.seq = ++seq_;
-  update.summary = local_summary_;
-  send_wan(Message{update}, /*is_update=*/true);
+  send_summary(/*is_update=*/true);
 }
 
-void ProxyDaemon::send_wan(const Message& message, bool is_update) {
+void ProxyDaemon::send_summary(bool is_update) {
+  ProxyHeartbeatMsg summary;
+  summary.dc = config_.dc;
+  summary.sender = self();
+  summary.seq = ++seq_;
+  summary.summary = local_summary_;
   // Sequential unicast to each remote datacenter's well-known VIP.
-  auto payload = encode_message(message);
+  auto payload = encode_message(Message{summary});
   for (const auto& [dc, vip] : config_.remote_vips) {
     if (dc == config_.dc) continue;
     net_.send_to_virtual(self(), vip, protocols::kProxyWanPort, payload);
@@ -160,10 +152,8 @@ void ProxyDaemon::on_wan_packet(const net::Packet& packet) {
   auto message = decode_message(packet, membership::row_pool(net_));
   if (!message) return;
   metrics_.wan_messages_received->add();
-  if (auto* heartbeat = std::get_if<ProxyHeartbeatMsg>(&*message)) {
-    ingest_remote(heartbeat->dc, heartbeat->seq, heartbeat->summary, true);
-  } else if (auto* update = std::get_if<ProxyUpdateMsg>(&*message)) {
-    ingest_remote(update->dc, update->seq, update->summary, true);
+  if (auto* summary = std::get_if<ProxyHeartbeatMsg>(&*message)) {
+    ingest_remote(summary->dc, summary->seq, summary->summary, true);
   }
 }
 
@@ -172,10 +162,8 @@ void ProxyDaemon::on_proxy_channel_packet(const net::Packet& packet) {
   if (!message) return;
   // Remote state relayed by the local proxy leader: absorb without
   // re-relaying (only the leader relays).
-  if (auto* heartbeat = std::get_if<ProxyHeartbeatMsg>(&*message)) {
-    ingest_remote(heartbeat->dc, heartbeat->seq, heartbeat->summary, false);
-  } else if (auto* update = std::get_if<ProxyUpdateMsg>(&*message)) {
-    ingest_remote(update->dc, update->seq, update->summary, false);
+  if (auto* summary = std::get_if<ProxyHeartbeatMsg>(&*message)) {
+    ingest_remote(summary->dc, summary->seq, summary->summary, false);
   }
 }
 

@@ -17,7 +17,8 @@
 //    availability summary* of the local datacenter to every remote DC's
 //    VIP (summaries omit per-machine details, exactly as the paper
 //    prescribes; large summaries fragment at the transport),
-//  * sends an immediate ProxyUpdate whenever the local summary changes,
+//  * sends the same message at once whenever the local summary changes
+//    (the paper's Update Message),
 //  * relays everything it learns about remote DCs to the local proxy group
 //    over a reserved multicast channel, so backup proxies can take over
 //    with warm state.
@@ -99,7 +100,9 @@ class ProxyDaemon {
   void recompute_summary(bool push_update);
   membership::ServiceSummary build_summary() const;
   void evaluate_leadership();
-  void send_wan(const membership::Message& message, bool is_update);
+  // Unicasts the local summary to every remote datacenter's VIP; only the
+  // counter it bumps tells a periodic heartbeat from a change-driven update.
+  void send_summary(bool is_update);
   void on_wan_packet(const net::Packet& packet);
   void on_proxy_channel_packet(const net::Packet& packet);
   void ingest_remote(net::DatacenterId dc, uint64_t seq,

@@ -243,15 +243,24 @@ TEST(Messages, ProxyRoundTrip) {
   msg.summary.availability["doc"][2] = 1;
   auto out = round_trip(msg);
   EXPECT_EQ(out.dc, 1);
+  EXPECT_EQ(out.sender, 77u);
+  EXPECT_EQ(out.seq, 5u);
   EXPECT_EQ(out.summary, msg.summary);
+}
 
-  ProxyUpdateMsg update;
-  update.dc = 2;
-  update.sender = 9;
-  update.seq = 6;
-  update.summary.availability["cache"][0] = 4;
-  auto update_out = round_trip(update);
-  EXPECT_EQ(update_out.summary, update.summary);
+// Wire type 12 carried the retired proxy update message; proxy updates now
+// travel as type-11 frames, so a well-formed type-12 body must not decode.
+TEST(Messages, RetiredProxyUpdateTypeRejected) {
+  ProxyHeartbeatMsg msg;
+  msg.dc = 2;
+  msg.sender = 9;
+  msg.seq = 6;
+  msg.summary.availability["cache"][0] = 4;
+  std::vector<uint8_t> frame(*encode_message(Message{msg}));
+  ASSERT_TRUE(decode(frame.data(), frame.size()).has_value());
+  ASSERT_EQ(frame[1], static_cast<uint8_t>(MessageType::kProxyHeartbeat));
+  frame[1] = 12;
+  EXPECT_FALSE(decode(frame.data(), frame.size()).has_value());
 }
 
 TEST(Messages, ProxySummaryMuchSmallerThanFullEntries) {

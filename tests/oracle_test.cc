@@ -178,6 +178,51 @@ TEST_F(OracleTest, DetectsFalseFailuresUnderSilentBlackhole) {
   EXPECT_TRUE(found) << oracle_->report();
 }
 
+// A false-failure report states the spans the excuse compared: time since
+// the observer's, the subject's and the network's last disturbance, and
+// the window each was held to.
+TEST_F(OracleTest, FalseFailureReportStatesWhatItCompared) {
+  build(Scheme::kAllToAll, 1, 6);
+  oracle_->start();
+  cluster_->start_all();
+  sim_->run_until(16 * sim::kSecond);
+  ASSERT_TRUE(oracle_->ok()) << oracle_->report();
+
+  // Disturb node i at 16 s + i * 100 ms and the network at 17 s, so every
+  // span in the report differs.
+  auto disturbed_at = [](size_t i) {
+    return 16 * sim::kSecond + static_cast<sim::Time>(i) * 100 *
+                                   sim::kMillisecond;
+  };
+  for (size_t i = 0; i < layout_.hosts.size(); ++i) {
+    sim_->run_until(disturbed_at(i));
+    oracle_->note_resume(i);
+  }
+  const sim::Time network_change = 17 * sim::kSecond;
+  sim_->run_until(network_change);
+  oracle_->note_network_fault(false);  // an edge with nothing left active
+  sim_->run_until(network_change + oracle_->detection_deadline() +
+                  sim::kSecond);
+  net_->set_extra_loss(1.0);  // silent: no note_network_fault()
+  sim_->run_until(sim_->now() + 15 * sim::kSecond);
+
+  ASSERT_FALSE(oracle_->ok());
+  const auto& violation = oracle_->violations().front();
+  ASSERT_EQ(violation.invariant, "false-failure") << violation.to_string();
+  const sim::Time when = violation.when;
+  EXPECT_EQ(violation.detail,
+            "declared dead while alive and reachable; time since last "
+            "disturbance: observer " +
+                sim::format_time(when - disturbed_at(index_of(
+                                            violation.observer))) +
+                ", subject " +
+                sim::format_time(when - disturbed_at(index_of(
+                                            violation.subject))) +
+                ", network " + sim::format_time(when - network_change) +
+                "; each held to the excuse window " +
+                sim::format_time(oracle_->detection_deadline()));
+}
+
 // Invariant 3: a crash the oracle knows about but that never actually
 // happened (the victim keeps heartbeating, so nobody removes it) trips the
 // detection-bound / completeness machinery — proving the kill-probe path

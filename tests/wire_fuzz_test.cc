@@ -210,56 +210,31 @@ membership::ServiceSummary random_summary(util::Rng& rng) {
 
 }  // namespace
 
-// Proxy heartbeat / update messages (dc id + sender + seq + service summary)
+// Proxy summary messages (dc id + sender + seq + service summary)
 // round-trip exactly through the shared membership envelope.
 TEST(WireFuzz, RandomProxyMessagesRoundTrip) {
   util::Rng rng(6);
   for (int i = 0; i < 2000; ++i) {
-    const uint16_t dc = static_cast<uint16_t>(rng.uniform_u64(1 << 16));
-    const auto sender =
-        static_cast<membership::NodeId>(rng.uniform_u64(10000));
-    const uint64_t seq = rng.next_u64();
-    const membership::ServiceSummary summary = random_summary(rng);
-
-    membership::Message message;
-    if (rng.bernoulli(0.5)) {
-      membership::ProxyHeartbeatMsg msg;
-      msg.dc = dc;
-      msg.sender = sender;
-      msg.seq = seq;
-      msg.summary = summary;
-      message = msg;
-    } else {
-      membership::ProxyUpdateMsg msg;
-      msg.dc = dc;
-      msg.sender = sender;
-      msg.seq = seq;
-      msg.summary = summary;
-      message = msg;
-    }
-    auto payload = membership::encode_message(message);
+    membership::ProxyHeartbeatMsg msg;
+    msg.dc = static_cast<uint16_t>(rng.uniform_u64(1 << 16));
+    msg.sender = static_cast<membership::NodeId>(rng.uniform_u64(10000));
+    msg.seq = rng.next_u64();
+    msg.summary = random_summary(rng);
+    auto payload = membership::encode_message(membership::Message{msg});
     auto decoded = decode(payload->data(), payload->size());
     ASSERT_TRUE(decoded.has_value());
-    if (const auto* heartbeat =
-            std::get_if<membership::ProxyHeartbeatMsg>(&*decoded)) {
-      EXPECT_EQ(heartbeat->dc, dc);
-      EXPECT_EQ(heartbeat->sender, sender);
-      EXPECT_EQ(heartbeat->seq, seq);
-      EXPECT_EQ(heartbeat->summary, summary);
-    } else {
-      const auto* update = std::get_if<membership::ProxyUpdateMsg>(&*decoded);
-      ASSERT_NE(update, nullptr);
-      EXPECT_EQ(update->dc, dc);
-      EXPECT_EQ(update->sender, sender);
-      EXPECT_EQ(update->seq, seq);
-      EXPECT_EQ(update->summary, summary);
-    }
+    const auto* out = std::get_if<membership::ProxyHeartbeatMsg>(&*decoded);
+    ASSERT_NE(out, nullptr);
+    EXPECT_EQ(out->dc, msg.dc);
+    EXPECT_EQ(out->sender, msg.sender);
+    EXPECT_EQ(out->seq, msg.seq);
+    EXPECT_EQ(out->summary, msg.summary);
   }
 }
 
 TEST(WireFuzz, MutatedProxyMessagesNeverCrash) {
   util::Rng rng(7);
-  membership::ProxyUpdateMsg msg;
+  membership::ProxyHeartbeatMsg msg;
   msg.dc = 3;
   msg.sender = 17;
   msg.seq = 42;
