@@ -5,6 +5,7 @@
 #include "membership/codec.h"
 #include "net/buffer_pool.h"
 #include "net/transport.h"
+#include "util/check.h"
 
 namespace tamp::membership {
 namespace {
@@ -211,7 +212,7 @@ net::Payload encode_message(const Message& message, size_t pad_to) {
   w.u8(kWireVersionByte);
   std::visit(Encoder{w}, message);
   if (pad_to > 0) w.pad_to(pad_to);
-  return net::make_pooled_payload(w.take());
+  return net::make_payload(w.take());
 }
 
 std::optional<Message> decode_message(const uint8_t* data, size_t size,
@@ -440,6 +441,33 @@ std::optional<Message> decode_message(const uint8_t* data, size_t size,
     }
   }
   return std::nullopt;
+}
+
+namespace {
+
+// A payload's decode as its receivers share it; nullopt when malformed.
+struct DecodedMessage final : net::Decoded {
+  DecodedMessage(const RowPool& pool, std::optional<Message> decoded)
+      : net::Decoded(&pool), message(std::move(decoded)) {}
+  std::optional<Message> message;
+};
+
+}  // namespace
+
+std::shared_ptr<const Message> decode_message(const net::Packet& packet,
+                                              RowPool& pool) {
+  if (!packet.payload) return nullptr;
+  const net::PayloadBytes& bytes = *packet.payload;
+  if (bytes.decoded == nullptr) {
+    bytes.decoded = std::make_unique<DecodedMessage>(
+        pool, decode_message(bytes.data(), bytes.size(), pool));
+  }
+  // A payload never leaves its simulation, whose receivers share one pool.
+  TAMP_CHECK(bytes.decoded->owner == &pool);
+  const auto& held = static_cast<const DecodedMessage&>(*bytes.decoded);
+  if (!held.message) return nullptr;
+  // Shares the payload's ownership: the message lives as long as its bytes.
+  return std::shared_ptr<const Message>(packet.payload, &*held.message);
 }
 
 size_t digest_bucket_of(NodeId node, size_t bucket_count) {

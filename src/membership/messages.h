@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <variant>
@@ -330,10 +331,13 @@ net::Payload encode_message(const Message& message, size_t pad_to = 0);
 // already holds is looked up rather than parsed.
 std::optional<Message> decode_message(const uint8_t* data, size_t size,
                                       RowPool& pool);
-inline std::optional<Message> decode_message(const net::Packet& packet,
-                                             RowPool& pool) {
-  return decode_message(packet.data(), packet.size(), pool);
-}
+
+// Decodes a delivered packet; null on malformed input. The first receiver
+// of a payload parses it into the payload's `decoded` slot, and every later
+// receiver (the rest of a multicast fan-out, injected duplicates) gets that
+// same immutable message.
+std::shared_ptr<const Message> decode_message(const net::Packet& packet,
+                                              RowPool& pool);
 
 // --- wire-kind classification (per-kind transport accounting) -----------
 //

@@ -2,6 +2,8 @@
 
 #include <utility>
 
+#include "net/packet.h"
+
 namespace tamp::net {
 
 namespace {
@@ -33,12 +35,8 @@ void release_buffer(std::vector<uint8_t> buffer) {
   list.push_back(std::move(buffer));
 }
 
-Payload make_pooled_payload(std::vector<uint8_t> bytes) {
-  auto* owned = new std::vector<uint8_t>(std::move(bytes));
-  return Payload(owned, [](const std::vector<uint8_t>* p) {
-    release_buffer(std::move(*const_cast<std::vector<uint8_t>*>(p)));
-    delete p;
-  });
+PayloadBytes::~PayloadBytes() {
+  release_buffer(std::move(static_cast<std::vector<uint8_t>&>(*this)));
 }
 
 size_t buffer_pool_depth() { return freelist().size(); }

@@ -17,20 +17,15 @@
 #include <cstdint>
 #include <vector>
 
-#include "net/packet.h"
-
 namespace tamp::net {
 
 // A cleared buffer, with capacity retained from a previously released
 // payload when one is available.
 std::vector<uint8_t> acquire_buffer();
 
-// Return a buffer's capacity to the pool (bounded; excess is freed).
+// Return a buffer's capacity to the pool (bounded; excess is freed). Every
+// payload's bytes come back here when its last receiver releases it.
 void release_buffer(std::vector<uint8_t> buffer);
-
-// Wrap encoded bytes as a Payload whose buffer returns to the pool when the
-// last receiver releases it.
-Payload make_pooled_payload(std::vector<uint8_t> bytes);
 
 // Current freelist depth on this thread (test hook).
 size_t buffer_pool_depth();

@@ -1,9 +1,9 @@
 // The unit of delivery on the simulated network.
 //
 // Payload bytes are shared (not copied) across the receivers of a multicast
-// fan-out. `wire_bytes` is what the bandwidth accounting charges: payload
-// plus per-fragment UDP/IP/Ethernet overhead, matching how the paper counts
-// heartbeat bandwidth on real links.
+// fan-out, and so is their decode. `wire_bytes` is what the bandwidth
+// accounting charges: payload plus per-fragment UDP/IP/Ethernet overhead,
+// matching how the paper counts heartbeat bandwidth on real links.
 #pragma once
 
 #include <cstdint>
@@ -15,10 +15,30 @@
 
 namespace tamp::net {
 
-using Payload = std::shared_ptr<const std::vector<uint8_t>>;
+// What a payload decoded into, as the decoder's own subclass (net/ cannot
+// name message types). `owner` is the decoding context it was made in.
+struct Decoded {
+  explicit Decoded(const void* owner) : owner(owner) {}
+  virtual ~Decoded() = default;
+  const void* const owner;
+};
+
+// Encoded bytes, immutable once built, plus their decoded form: the first
+// receiver fills `decoded` and every later one (the rest of a multicast
+// fan-out, injected duplicates) reads it, so each payload is parsed once.
+// It is the byte vector itself, so readers treat it as one. When the last
+// holder lets go, its capacity returns to the buffer pool (buffer_pool.h).
+struct PayloadBytes : std::vector<uint8_t> {
+  explicit PayloadBytes(std::vector<uint8_t> bytes)
+      : std::vector<uint8_t>(std::move(bytes)) {}
+  ~PayloadBytes();
+  mutable std::unique_ptr<const Decoded> decoded;
+};
+
+using Payload = std::shared_ptr<const PayloadBytes>;
 
 inline Payload make_payload(std::vector<uint8_t> bytes) {
-  return std::make_shared<const std::vector<uint8_t>>(std::move(bytes));
+  return std::make_shared<const PayloadBytes>(std::move(bytes));
 }
 
 enum class DeliveryKind : uint8_t { kUnicast, kMulticast };

@@ -355,10 +355,17 @@ void HierDaemon::scan_level(int level) {
   LevelState& ls = level_state(level);
   const sim::Time now = sim_.now();
   const sim::Duration timeout = level_timeout(level);
+  if (now - ls.oldest_heard <= timeout) return;  // nobody can have expired
   std::vector<NodeId> dead;
+  sim::Time oldest = now;
   for (const auto& [node, info] : ls.members) {
-    if (now - info.last_heard > timeout) dead.push_back(node);
+    if (now - info.last_heard > timeout) {
+      dead.push_back(node);
+    } else {
+      oldest = std::min(oldest, info.last_heard);
+    }
   }
+  ls.oldest_heard = oldest;
   for (NodeId node : dead) on_member_dead(level, node);
 }
 

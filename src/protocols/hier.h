@@ -162,6 +162,11 @@ class HierDaemon : public MembershipDaemon {
     bool joined = false;
     bool bootstrapped = false;
     std::map<membership::NodeId, MemberInfo> members;  // excludes self
+    // A lower bound on every member's last_heard. Every stamp is sim_.now()
+    // and sim time never runs backwards, so inserts, refreshes and erases
+    // can only raise the true minimum; scan_level skips the walk while no
+    // member can have expired yet, and re-tightens the bound when it walks.
+    sim::Time oldest_heard = 0;
 
     membership::NodeId leader = membership::kInvalidNode;  // may be self
     membership::NodeId leader_backup = membership::kInvalidNode;

@@ -64,7 +64,7 @@ net::Payload encode_service_message(const ServiceMessage& message) {
   Encoder encoder{w};
   std::visit(encoder, message);
   if (encoder.pad > 0) w.pad_to(w.size() + encoder.pad);
-  return net::make_pooled_payload(w.take());
+  return net::make_payload(w.take());
 }
 
 std::optional<ServiceMessage> decode_service_message(const uint8_t* data,

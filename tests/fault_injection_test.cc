@@ -5,6 +5,7 @@
 
 #include <memory>
 
+#include "membership/messages.h"
 #include "net/builders.h"
 #include "protocols/cluster.h"
 
@@ -87,6 +88,53 @@ TEST(FaultInjection, DuplicationIsIdempotent) {
   sim.run_until(15 * sim::kSecond);
   EXPECT_TRUE(cluster.converged())
       << cluster.converged_count() << "/" << cluster.size();
+}
+
+// Injected duplicates are copies of one transmission, so they share its
+// decode with every other receiver of it, and each copy is still counted.
+TEST(FaultInjection, DuplicatesShareOneDecode) {
+  sim::Simulation sim(3);
+  net::Topology topo;
+  auto layout = net::build_single_segment(topo, 3);
+  net::Network net(sim, topo);
+  TestInjector injector;
+  injector.set_duplicates(2);
+  net.set_fault_injector(&injector);
+  std::vector<std::shared_ptr<const membership::Message>> decoded;
+  for (net::HostId h : layout.hosts) {
+    net.join_group(h, 42);
+    net.bind(h, 7, [&](const net::Packet& p) {
+      decoded.push_back(
+          membership::decode_message(p, membership::row_pool(net)));
+    });
+  }
+  const auto election = [](membership::NodeId candidate) {
+    return membership::encode_message(membership::ElectionMsg{candidate, 0});
+  };
+
+  net.send_multicast(layout.hosts[0], 42, 1, 7, election(1));
+  sim.run();
+  ASSERT_EQ(decoded.size(), 6u);  // 2 receivers x 3 copies
+  for (const auto& message : decoded) {
+    ASSERT_NE(message, nullptr);
+    EXPECT_EQ(message.get(), decoded[0].get());
+  }
+  EXPECT_EQ(net.obs().metrics.counter_value(obs::Protocol::kNet,
+                                            "rx_multicast_messages"),
+            6u);
+
+  decoded.clear();
+  net.send_unicast(layout.hosts[0], {layout.hosts[1], 7}, election(2));
+  sim.run();
+  ASSERT_EQ(decoded.size(), 3u);
+  for (const auto& message : decoded) {
+    ASSERT_NE(message, nullptr);
+    EXPECT_EQ(message.get(), decoded[0].get());
+  }
+  EXPECT_EQ(std::get<membership::ElectionMsg>(*decoded[0]).candidate, 2u);
+  EXPECT_EQ(net.obs().metrics.counter_value(obs::Protocol::kNet,
+                                            "rx_messages"),
+            9u);
 }
 
 // With no injector installed the transport must draw the same RNG sequence

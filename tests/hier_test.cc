@@ -448,5 +448,167 @@ TEST_F(HierFixture, StatsCountersMove) {
             0u);
 }
 
+// --- scan gate --------------------------------------------------------------
+//
+// scan_level skips its member walk while no member can have expired yet.
+// These pin that a death still lands on exactly the 100 ms scan tick the
+// full walk finds: the first one strictly past last_heard + level_timeout.
+// A two-node segment keeps "last heard" observable from outside: every
+// multicast the observer takes delivery of comes from its one peer.
+
+// Sim times at which `host` took delivery of a multicast, read off its
+// rx_multicast_messages counter between events.
+class MulticastArrivals {
+ public:
+  MulticastArrivals(sim::Simulation& sim, net::Network& net, net::HostId host)
+      : sim_(sim),
+        counter_(net.obs().metrics.counter(obs::Protocol::kNet,
+                                           "rx_multicast_messages", host)) {
+    sim_.set_trace_hook([this](sim::Time at, sim::EventId) {
+      poll();
+      previous_ = at;
+    });
+  }
+  ~MulticastArrivals() { sim_.set_trace_hook(nullptr); }
+
+  const std::vector<sim::Time>& times() {
+    poll();
+    return times_;
+  }
+  sim::Time last() { return times().empty() ? -1 : times_.back(); }
+
+ private:
+  // The counter moved during the event that ran at `previous_`.
+  void poll() {
+    if (counter_->value == seen_) return;
+    seen_ = counter_->value;
+    times_.push_back(previous_);
+  }
+
+  sim::Simulation& sim_;
+  const obs::Counter* counter_;
+  uint64_t seen_ = 0;
+  sim::Time previous_ = 0;
+  std::vector<sim::Time> times_;
+};
+
+// When `observer` declared `member` dead at `level`, or -1.
+sim::Time declared_dead_at(const net::Network& net, net::HostId observer,
+                           net::HostId member, int level = 0) {
+  for (const auto& event : net.obs().tracer.events()) {
+    if (event.kind == obs::TraceKind::kTimeoutExpiry &&
+        event.node == observer && event.a == member && event.level == level) {
+      return event.at;
+    }
+  }
+  return -1;
+}
+
+void trace_expiries(net::Network& net) {
+  net.obs().tracer.set_enabled(true);
+  net.obs().tracer.set_kinds_mask(
+      obs::trace_bit(obs::TraceKind::kTimeoutExpiry));
+}
+
+TEST_F(HierFixture, CrashDeclaredOnFirstScanTickPastTimeout) {
+  auto layout = net::build_single_segment(topo, 2);
+  net::Network net(sim, topo);
+  trace_expiries(net);
+  Cluster cluster(sim, net, layout.hosts, options(1));
+  MulticastArrivals heard(sim, net, layout.hosts[0]);
+  cluster.start_all();
+  sim.run_until(10 * sim::kSecond);
+  ASSERT_TRUE(cluster.converged());
+
+  cluster.kill(1);
+  sim.run_until(sim.now() + 10 * sim::kSecond);
+
+  const sim::Time declared =
+      declared_dead_at(net, layout.hosts[0], layout.hosts[1]);
+  ASSERT_GE(declared, 0);
+  const sim::Duration late = declared - heard.last() -
+                             cluster.hier_daemon(0)->level_timeout(0);
+  EXPECT_GT(late, 0);
+  EXPECT_LE(late, kHierScanInterval);
+}
+
+TEST_F(HierFixture, MemberRefreshedAtTimeoutBoundaryIsNotDeclaredDead) {
+  auto layout = net::build_single_segment(topo, 2);
+  net::Network net(sim, topo);
+  trace_expiries(net);
+  // Cuts the peer's packets sent in [from, until) towards the observer.
+  class WindowCut : public net::FaultInjector {
+   public:
+    net::HostId sender = net::kInvalidHost;
+    sim::Time from = 0, until = 0;
+    Verdict verdict(const net::Packet& packet) override {
+      Verdict verdict;
+      verdict.cut = packet.from.host == sender && packet.sent_at >= from &&
+                    packet.sent_at < until;
+      return verdict;
+    }
+  } cut;
+  net.set_fault_injector(&cut);
+  Cluster cluster(sim, net, layout.hosts, options(1));
+  MulticastArrivals heard(sim, net, layout.hosts[0]);
+  cluster.start_all();
+  sim.run_until(10 * sim::kSecond);
+  ASSERT_TRUE(cluster.converged());
+
+  // The peer heartbeats once a period and sends nothing else in steady
+  // state, so cutting four of them puts the next arrival exactly one
+  // level timeout after the last.
+  const sim::Duration timeout = cluster.hier_daemon(0)->level_timeout(0);
+  const sim::Duration period = cluster.hier_daemon(0)->config().period;
+  ASSERT_EQ(timeout, 5 * period);
+  cut.sender = layout.hosts[1];
+  cut.from = sim.now();
+  cut.until = sim.now() + 4 * period;
+  sim.run_until(sim.now() + 10 * sim::kSecond);
+
+  sim::Duration longest_gap = 0;
+  const auto& times = heard.times();
+  for (size_t i = 1; i < times.size(); ++i) {
+    longest_gap = std::max(longest_gap, times[i] - times[i - 1]);
+  }
+  EXPECT_EQ(longest_gap, timeout);
+  EXPECT_EQ(declared_dead_at(net, layout.hosts[0], layout.hosts[1]), -1);
+  EXPECT_EQ(cluster.hier_daemon(0)->group_members(0),
+            std::vector<membership::NodeId>{layout.hosts[1]});
+}
+
+TEST_F(HierFixture, RejoinedLevelDeclaresLaterCrashOnTime) {
+  auto layout = net::build_single_segment(topo, 2);
+  net::Network net(sim, topo);
+  trace_expiries(net);
+  Cluster cluster(sim, net, layout.hosts, options(1));
+  MulticastArrivals heard(sim, net, layout.hosts[0]);
+  cluster.start_all();
+  sim.run_until(10 * sim::kSecond);
+  ASSERT_TRUE(cluster.converged());
+
+  // Leave the level (which clears its members) and join it again on the
+  // same daemon, so the level keeps whatever bound it held before.
+  HierDaemon* observer = cluster.hier_daemon(0);
+  observer->stop();
+  sim.run_until(sim.now() + 2 * sim::kSecond);
+  observer->start();
+  sim.run_until(sim.now() + 10 * sim::kSecond);
+  ASSERT_TRUE(observer->joined(0));
+  ASSERT_EQ(observer->group_members(0),
+            std::vector<membership::NodeId>{layout.hosts[1]});
+
+  cluster.kill(1);
+  sim.run_until(sim.now() + 10 * sim::kSecond);
+
+  const sim::Time declared =
+      declared_dead_at(net, layout.hosts[0], layout.hosts[1]);
+  ASSERT_GE(declared, 0);
+  const sim::Duration late =
+      declared - heard.last() - observer->level_timeout(0);
+  EXPECT_GT(late, 0);
+  EXPECT_LE(late, kHierScanInterval);
+}
+
 }  // namespace
 }  // namespace tamp::protocols

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <vector>
 
+#include "membership/messages.h"
 #include "net/builders.h"
 #include "net/transport.h"
 #include "sim/simulation.h"
@@ -267,6 +268,93 @@ TEST_F(TransportFixture, ReceiverSetsFollowJoinsAndTopologyChanges) {
 
   net.leave_group(late, 5);
   EXPECT_EQ(send(), before);
+}
+
+// --- shared decode -----------------------------------------------------------
+//
+// Every receiver of one payload gets the message its first receiver
+// decoded; the receive-side counters still count each of them.
+
+struct SharedDecodeFixture : public TransportFixture {
+  std::vector<std::shared_ptr<const membership::Message>> decoded;
+  std::vector<HostId> receivers;
+
+  // Binds port 7 on every host to decode what arrives; holding each result
+  // keeps the decodes alive, so distinct sends cannot reuse an address.
+  void decode_on_receipt(Network& net, const std::vector<HostId>& hosts) {
+    for (HostId h : hosts) {
+      net.bind(h, 7, [this, &net, h](const Packet& p) {
+        decoded.push_back(
+            membership::decode_message(p, membership::row_pool(net)));
+        receivers.push_back(h);
+      });
+    }
+  }
+
+  static Payload election(membership::NodeId candidate) {
+    return membership::encode_message(
+        membership::ElectionMsg{candidate, /*level=*/0});
+  }
+};
+
+TEST_F(SharedDecodeFixture, MulticastReceiversShareOneDecode) {
+  auto layout = build_single_segment(topo, 4);
+  Network net(sim, topo);
+  decode_on_receipt(net, layout.hosts);
+  for (HostId h : layout.hosts) net.join_group(h, 42);
+  net.send_multicast(layout.hosts[0], 42, 1, 7, election(9));
+  sim.run();
+
+  ASSERT_EQ(decoded.size(), 3u);
+  ASSERT_NE(decoded[0], nullptr);
+  EXPECT_EQ(std::get<membership::ElectionMsg>(*decoded[0]).candidate, 9u);
+  for (const auto& message : decoded) {
+    EXPECT_EQ(message.get(), decoded[0].get());
+  }
+  const obs::MetricsRegistry& m = net.obs().metrics;
+  EXPECT_EQ(m.counter_value(obs::Protocol::kNet, "rx_messages"), 3u);
+  EXPECT_EQ(m.counter_value(obs::Protocol::kNet, "rx_multicast_messages"), 3u);
+  for (size_t i = 1; i < layout.hosts.size(); ++i) {
+    EXPECT_EQ(m.counter_value(obs::Protocol::kNet, "rx_multicast_messages",
+                              layout.hosts[i]),
+              1u);
+  }
+}
+
+TEST_F(SharedDecodeFixture, MalformedMulticastDroppedByEveryReceiver) {
+  auto layout = build_single_segment(topo, 4);
+  Network net(sim, topo);
+  decode_on_receipt(net, layout.hosts);
+  for (HostId h : layout.hosts) net.join_group(h, 42);
+  const Payload whole = election(9);
+  net.send_multicast(layout.hosts[0], 42, 1, 7,
+                     make_payload({whole->begin(), whole->end() - 1}));
+  sim.run();
+
+  ASSERT_EQ(receivers.size(), 3u);
+  for (const auto& message : decoded) EXPECT_EQ(message, nullptr);
+}
+
+TEST_F(SharedDecodeFixture, ByteEqualPayloadsNeverShareADecode) {
+  auto layout = build_single_segment(topo, 3);
+  Network net(sim, topo);
+  decode_on_receipt(net, layout.hosts);
+  for (HostId h : layout.hosts) net.join_group(h, 42);
+  // Two encodings of one message are byte-equal but separate payloads; a
+  // payload sent again is the same bytes and keeps its decode.
+  const Payload first = election(9);
+  const Payload second = election(9);
+  ASSERT_EQ(*first, *second);
+  net.send_multicast(layout.hosts[0], 42, 1, 7, first);
+  net.send_multicast(layout.hosts[0], 42, 1, 7, second);
+  net.send_multicast(layout.hosts[0], 42, 1, 7, first);
+  sim.run();
+
+  ASSERT_EQ(receivers.size(), 6u);
+  for (const auto& message : decoded) ASSERT_NE(message, nullptr);
+  EXPECT_NE(decoded[0].get(), decoded[2].get());
+  for (size_t i : {1, 4, 5}) EXPECT_EQ(decoded[i].get(), decoded[0].get());
+  EXPECT_EQ(decoded[3].get(), decoded[2].get());
 }
 
 }  // namespace
