@@ -43,11 +43,14 @@ inline Payload make_payload(std::vector<uint8_t> bytes) {
 
 enum class DeliveryKind : uint8_t { kUnicast, kMulticast };
 
+// 56 B: the delivery closure `[this, packet]` then fits sim::Callback's
+// inline buffer (a static_assert in transport.cc holds that), so a unicast
+// delivery allocates nothing. Mind the padding when adding a field.
 struct Packet {
   Address from;
   Address to;               // for multicast: to.host is the receiver
-  DeliveryKind kind = DeliveryKind::kUnicast;
   ChannelId channel = 0;    // multicast only
+  DeliveryKind kind = DeliveryKind::kUnicast;
   uint8_t ttl = 0;          // TTL the sender used (multicast only)
   Payload payload;
   size_t wire_bytes = 0;    // payload + header overhead, all fragments

@@ -173,7 +173,10 @@ void Network::dispatch(Packet packet, const PathInfo& path, size_t fragments,
       delay += static_cast<sim::Duration>(
           sim_.rng().uniform_u64(static_cast<uint64_t>(verdict.jitter)));
     }
-    sim_.schedule_after(delay, [this, packet] { deliver(packet); });
+    auto delivery = [this, packet] { deliver(packet); };
+    static_assert(sim::Callback::kFitsInline<decltype(delivery)>,
+                  "a unicast delivery must not allocate; see net::Packet");
+    sim_.schedule_after(delay, std::move(delivery));
   }
 }
 
@@ -308,11 +311,10 @@ bool Network::send_multicast(HostId from, ChannelId channel, uint8_t ttl,
     }
   }
   for (auto& group : groups) {
-    auto batch = std::make_shared<std::vector<Packet>>(
-        std::move(group.packets));
-    sim_.schedule_after(group.delay, [this, batch] {
-      for (Packet& packet : *batch) deliver(std::move(packet));
-    });
+    sim_.schedule_after(group.delay,
+                        [this, batch = std::move(group.packets)] {
+                          for (const Packet& packet : batch) deliver(packet);
+                        });
   }
   return true;
 }
@@ -372,7 +374,7 @@ bool Network::host_up(HostId host) const {
   return hosts_[host].up;
 }
 
-void Network::deliver(Packet packet) {
+void Network::deliver(const Packet& packet) {
   HostState& receiver = hosts_[packet.to.host];
   if (!receiver.up) return;
   if (packet.kind == DeliveryKind::kMulticast &&

@@ -206,7 +206,7 @@ class Network {
   // per-receiver multicast fan-out.
   void dispatch(Packet packet, const PathInfo& path, size_t fragments,
                 sim::Duration egress_delay);
-  void deliver(Packet packet);
+  void deliver(const Packet& packet);
 
   sim::Simulation& sim_;
   Topology& topology_;

@@ -4,27 +4,42 @@
 
 namespace tamp::sim {
 
-EventId EventQueue::push(Time t, std::function<void()> fn) {
-  EventId id = next_seq_++;
+EventId EventQueue::push(Time t, Callback&& fn) {
+  auto slot = static_cast<uint32_t>(slots_.size());
+  if (free_.empty()) {
+    TAMP_CHECK_MSG(slot <= kSlotMask, "more than 2^24 events pending at once");
+    slots_.emplace_back();
+  } else {
+    slot = free_.back();
+    free_.pop_back();
+  }
+  const EventId id = next_seq_++ << kSlotBits | slot;
+  slots_[slot].id = id;
+  slots_[slot].fn = std::move(fn);
   heap_.push(HeapEntry{t, id});
-  pending_.emplace(id, std::move(fn));
-  ++live_count_;
   return id;
 }
 
+Callback EventQueue::release(EventId id) {
+  const auto slot = static_cast<uint32_t>(id & kSlotMask);
+  slots_[slot].id = kInvalidEventId;
+  free_.push_back(slot);
+  return std::move(slots_[slot].fn);
+}
+
 bool EventQueue::cancel(EventId id) {
-  if (id == kInvalidEventId) return false;
-  auto it = pending_.find(id);
-  if (it == pending_.end()) return false;
-  pending_.erase(it);
-  --live_count_;
+  if (id == kInvalidEventId || (id & kSlotMask) >= slots_.size() ||
+      !pending(id)) {
+    return false;
+  }
+  // The released callback dies at the end of this statement, once the slot
+  // is consistent again: a capture's destructor may itself push or cancel.
+  release(id);
   return true;
 }
 
 void EventQueue::skip_cancelled() {
-  while (!heap_.empty() && !pending_.contains(heap_.top().seq)) {
-    heap_.pop();
-  }
+  while (!heap_.empty() && !pending(heap_.top().id)) heap_.pop();
 }
 
 Time EventQueue::next_time() {
@@ -36,14 +51,9 @@ Time EventQueue::next_time() {
 EventQueue::Fired EventQueue::pop() {
   skip_cancelled();
   TAMP_CHECK(!heap_.empty());
-  HeapEntry top = heap_.top();
+  const HeapEntry top = heap_.top();
   heap_.pop();
-  auto it = pending_.find(top.seq);
-  TAMP_CHECK(it != pending_.end());
-  Fired fired{top.t, top.seq, std::move(it->second)};
-  pending_.erase(it);
-  --live_count_;
-  return fired;
+  return Fired{top.t, top.id, release(top.id)};
 }
 
 }  // namespace tamp::sim

@@ -1,18 +1,25 @@
 // Pending-event set for the discrete-event engine.
 //
-// A binary heap of (time, sequence) keys. Ties in time are broken by
-// insertion order so execution is fully deterministic. Cancellation is
-// lazy: cancelled entries stay in the heap and are skipped on pop, which
-// keeps cancel() O(1) — protocols cancel timers constantly (every heartbeat
-// refreshes a failure-suspicion timer).
+// Callbacks live in a slot store (a vector with a free list), and a binary
+// heap orders (time, id) keys. An EventId is `seq << kSlotBits | slot`:
+// `seq` counts pushes, so ids are unique and grow with insertion order, and
+// ties in time break by push order exactly as a (time, seq) key would — the
+// slot bits never decide a comparison. Execution is fully deterministic.
+//
+// Cancellation frees the slot (and destroys the callback) at once but
+// leaves the heap entry behind; an entry whose slot no longer holds its id
+// is stale and skipped on pop, so a reused slot can never fire early or
+// twice. cancel() is O(1) — protocols cancel timers constantly (every
+// heartbeat refreshes a failure-suspicion timer). No operation hashes, and
+// closures that fit Callback's inline buffer are never heap-allocated.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <queue>
-#include <unordered_map>
 #include <vector>
 
+#include "sim/callback.h"
 #include "sim/time.h"
 
 namespace tamp::sim {
@@ -22,14 +29,14 @@ inline constexpr EventId kInvalidEventId = 0;
 
 class EventQueue {
  public:
-  EventId push(Time t, std::function<void()> fn);
+  EventId push(Time t, Callback&& fn);
 
   // Cancels a pending event; returns false if it already ran or was
   // cancelled. Safe to call with kInvalidEventId.
   bool cancel(EventId id);
 
-  bool empty() const { return live_count_ == 0; }
-  size_t size() const { return live_count_; }
+  bool empty() const { return size() == 0; }
+  size_t size() const { return slots_.size() - free_.size(); }
 
   // Time of the earliest pending event; undefined when empty().
   Time next_time();
@@ -39,30 +46,41 @@ class EventQueue {
   struct Fired {
     Time t;
     EventId id;
-    std::function<void()> fn;
+    Callback fn;
   };
   Fired pop();
 
-  uint64_t total_scheduled() const { return next_seq_ - 1; }
-
  private:
+  // At most 2^24 (16.7M) events pending at once; `seq` gets the other 40
+  // bits, room for 10^12 pushes.
+  static constexpr int kSlotBits = 24;
+  static constexpr EventId kSlotMask = (EventId{1} << kSlotBits) - 1;
+
+  struct Slot {
+    EventId id = kInvalidEventId;  // kInvalidEventId while free
+    Callback fn;
+  };
+
   struct HeapEntry {
     Time t;
-    uint64_t seq;  // doubles as EventId
+    EventId id;  // orders as its seq: the high bits
     bool operator>(const HeapEntry& other) const {
       if (t != other.t) return t > other.t;
-      return seq > other.seq;
+      return id > other.id;
     }
   };
 
+  bool pending(EventId id) const { return slots_[id & kSlotMask].id == id; }
+  // Empties the slot and returns its callback for the caller to run or drop.
+  Callback release(EventId id);
   void skip_cancelled();
 
   std::priority_queue<HeapEntry, std::vector<HeapEntry>,
                       std::greater<HeapEntry>>
       heap_;
-  std::unordered_map<EventId, std::function<void()>> pending_;
+  std::vector<Slot> slots_;
+  std::vector<uint32_t> free_;  // indices of empty slots
   uint64_t next_seq_ = 1;
-  size_t live_count_ = 0;
 };
 
 }  // namespace tamp::sim

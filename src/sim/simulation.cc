@@ -9,12 +9,12 @@ std::string format_time(Time t) {
   return util::strformat("%.6fs", to_seconds(t));
 }
 
-EventId Simulation::schedule_at(Time t, std::function<void()> fn) {
+EventId Simulation::schedule_at(Time t, Callback fn) {
   TAMP_CHECK_MSG(t >= now_, "cannot schedule into the past");
   return queue_.push(t, std::move(fn));
 }
 
-EventId Simulation::schedule_after(Duration delay, std::function<void()> fn) {
+EventId Simulation::schedule_after(Duration delay, Callback fn) {
   if (delay < 0) delay = 0;
   return queue_.push(now_ + delay, std::move(fn));
 }
@@ -33,11 +33,6 @@ uint64_t Simulation::run_until(Time deadline) {
     now_ = deadline;
   }
   return executed;
-}
-
-void Simulation::advance_to(Time t) {
-  TAMP_CHECK(t >= now_);
-  run_until(t);
 }
 
 }  // namespace tamp::sim

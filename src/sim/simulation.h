@@ -10,6 +10,7 @@
 #include <functional>
 #include <limits>
 
+#include "sim/callback.h"
 #include "sim/event_queue.h"
 #include "sim/time.h"
 #include "util/rng.h"
@@ -27,10 +28,10 @@ class Simulation {
   util::Rng& rng() { return rng_; }
 
   // Schedule `fn` at absolute virtual time `t` (must be >= now()).
-  EventId schedule_at(Time t, std::function<void()> fn);
+  EventId schedule_at(Time t, Callback fn);
 
   // Schedule `fn` after a delay (clamped to >= 0).
-  EventId schedule_after(Duration delay, std::function<void()> fn);
+  EventId schedule_after(Duration delay, Callback fn);
 
   // Cancel a pending event. Returns false if already fired/cancelled.
   bool cancel(EventId id) { return queue_.cancel(id); }
@@ -43,11 +44,7 @@ class Simulation {
   // Run until the queue is empty.
   uint64_t run() { return run_until(std::numeric_limits<Time>::max()); }
 
-  // Advance virtual time to `t` (>= now) even if no event is pending there.
-  void advance_to(Time t);
-
   uint64_t events_executed() const { return events_executed_; }
-  size_t pending_events() const { return queue_.size(); }
 
   // Install/remove a per-event hook (used by tests to trace execution).
   void set_trace_hook(std::function<void(Time, EventId)> hook) {

@@ -138,7 +138,9 @@ TEST(DynamicTopology, RouterPowerCycleReformsHierarchy) {
       auto* d = static_cast<HierDaemon*>(cluster.daemon_for(h));
       std::vector<membership::NodeId> group = d->group_members(0);
       for (net::HostId peer : layout.racks[rack]) {
-        if (peer != h) EXPECT_TRUE(contains(group, peer));
+        if (peer != h) {
+          EXPECT_TRUE(contains(group, peer));
+        }
       }
       for (size_t other = 0; other < layout.racks.size(); ++other) {
         if (other == rack) continue;

@@ -1,9 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <array>
+#include <map>
+#include <memory>
+#include <utility>
 #include <vector>
 
+#include "sim/callback.h"
 #include "sim/simulation.h"
 #include "sim/timer.h"
+#include "util/rng.h"
 
 namespace tamp::sim {
 namespace {
@@ -50,6 +56,193 @@ TEST(EventQueue, SizeTracksLiveEvents) {
   q.cancel(a);
   EXPECT_EQ(q.size(), 1u);
   EXPECT_EQ(q.next_time(), 2);
+}
+
+TEST(EventQueue, ReusedSlotFiresAtItsOwnTime) {
+  EventQueue q;
+  std::vector<int> tags;
+  EventId early = q.push(10, [&] { tags.push_back(1); });
+  ASSERT_TRUE(q.cancel(early));
+  // The next push takes the freed slot; the stale heap entry at t=10 must
+  // not fire it.
+  EventId late = q.push(50, [&] { tags.push_back(2); });
+  q.push(30, [&] { tags.push_back(3); });
+  EXPECT_NE(late, early);
+  EXPECT_EQ(q.size(), 2u);
+  EXPECT_EQ(q.next_time(), 30);
+  std::vector<Time> times;
+  while (!q.empty()) {
+    auto event = q.pop();
+    event.fn();
+    times.push_back(event.t);
+  }
+  EXPECT_EQ(tags, (std::vector<int>{3, 2}));
+  EXPECT_EQ(times, (std::vector<Time>{30, 50}));
+}
+
+TEST(EventQueue, CancelOfDeadIdFailsAfterSlotReuse) {
+  EventQueue q;
+  EventId fired = q.push(1, [] {});
+  q.pop().fn();
+  EventId reuser = q.push(2, [] {});
+  EXPECT_FALSE(q.cancel(fired));
+  EXPECT_EQ(q.size(), 1u);
+
+  EXPECT_TRUE(q.cancel(reuser));
+  EventId second = q.push(3, [] {});
+  EXPECT_FALSE(q.cancel(reuser));
+  EXPECT_EQ(q.size(), 1u);
+  EXPECT_TRUE(q.cancel(second));
+  EXPECT_TRUE(q.empty());
+}
+
+TEST(EventQueue, TiesKeepPushOrderAcrossSlotReuse) {
+  EventQueue q;
+  std::vector<int> order;
+  std::vector<EventId> ids;
+  for (int i = 0; i < 6; ++i) {
+    ids.push_back(q.push(100, [&order, i] { order.push_back(i); }));
+  }
+  // Free slots in the middle; later pushes reuse them (low slot numbers)
+  // but must still run after every earlier push at the same time.
+  q.cancel(ids[1]);
+  q.cancel(ids[3]);
+  q.cancel(ids[0]);
+  for (int i = 6; i < 9; ++i) {
+    q.push(100, [&order, i] { order.push_back(i); });
+  }
+  while (!q.empty()) q.pop().fn();
+  EXPECT_EQ(order, (std::vector<int>{2, 4, 5, 6, 7, 8}));
+}
+
+// Random push/cancel/pop against a reference map keyed on (time, push
+// order): the fire sequence and size() must match step for step.
+TEST(EventQueue, MatchesReferenceOrderUnderRandomOps) {
+  util::Rng rng(2024);
+  EventQueue q;
+  std::map<std::pair<Time, int>, int> reference;  // (t, push#) -> tag
+  std::vector<std::pair<EventId, std::pair<Time, int>>> issued;
+  std::vector<int> fired, expected;
+  Time now = 0;
+  int pushes = 0;
+  for (int op = 0; op < 100000; ++op) {
+    const uint64_t dice = rng.uniform_u64(10);
+    if (dice < 5) {
+      // Few distinct times, so ties are common.
+      const Time t = now + static_cast<Time>(rng.uniform_u64(8));
+      const int tag = pushes++;
+      EventId id = q.push(t, [&fired, tag] { fired.push_back(tag); });
+      reference.emplace(std::pair{t, tag}, tag);
+      issued.emplace_back(id, std::pair{t, tag});
+    } else if (dice < 8 && !issued.empty()) {
+      const auto& [id, key] = issued[rng.uniform_u64(issued.size())];
+      ASSERT_EQ(q.cancel(id), reference.erase(key) == 1) << "op " << op;
+    } else if (!reference.empty()) {
+      ASSERT_EQ(q.next_time(), reference.begin()->first.first);
+      auto event = q.pop();
+      now = event.t;
+      event.fn();
+      expected.push_back(reference.begin()->second);
+      reference.erase(reference.begin());
+    }
+    ASSERT_EQ(q.size(), reference.size()) << "op " << op;
+  }
+  while (!reference.empty()) {
+    q.pop().fn();
+    expected.push_back(reference.begin()->second);
+    reference.erase(reference.begin());
+  }
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(fired, expected);
+  EXPECT_GT(fired.size(), 10000u);
+}
+
+// Counts destructions of live (not moved-from) copies.
+struct DestroyCounter {
+  explicit DestroyCounter(int* destroyed) : destroyed(destroyed) {}
+  DestroyCounter(DestroyCounter&& other) noexcept
+      : destroyed(std::exchange(other.destroyed, nullptr)) {}
+  ~DestroyCounter() {
+    if (destroyed != nullptr) ++*destroyed;
+  }
+  int* destroyed;
+};
+
+TEST(Callback, HoldsMoveOnlyCapture) {
+  int seen = 0;
+  Callback cb = [p = std::make_unique<int>(7), &seen] { seen = *p; };
+  cb();
+  EXPECT_EQ(seen, 7);
+
+  EventQueue q;
+  q.push(1, [p = std::make_unique<int>(9), &seen] { seen = *p; });
+  q.pop().fn();
+  EXPECT_EQ(seen, 9);
+}
+
+TEST(Callback, QueueReleasesCapturesOnCancelFireAndDestruction) {
+  auto token = std::make_shared<int>(0);
+  {
+    EventQueue q;
+    EventId cancelled = q.push(1, [token] {});
+    q.push(2, [token] {});
+    q.push(3, [token] {});
+    EXPECT_EQ(token.use_count(), 4);
+    q.cancel(cancelled);
+    EXPECT_EQ(token.use_count(), 3);  // destroyed at cancel, not at pop
+    q.pop().fn();
+    EXPECT_EQ(token.use_count(), 2);  // destroyed after firing
+  }
+  EXPECT_EQ(token.use_count(), 1);  // the queue's destructor dropped the rest
+}
+
+TEST(Callback, OversizedCaptureTakesHeapPath) {
+  int destroyed = 0;
+  int runs = 0;
+  std::array<char, 2 * Callback::kInlineSize> big{};
+  big.back() = 5;
+  auto fn = [big, counter = DestroyCounter(&destroyed), &runs] {
+    runs += big.back();
+  };
+  static_assert(!Callback::kFitsInline<decltype(fn)>);
+  {
+    Callback cb(std::move(fn));
+    Callback moved = std::move(cb);
+    moved();
+    moved();
+    EXPECT_EQ(runs, 10);
+    EXPECT_EQ(destroyed, 0);
+  }
+  EXPECT_EQ(destroyed, 1);
+}
+
+TEST(Callback, InlineCaptureDestroysOnce) {
+  int destroyed = 0;
+  auto fn = [counter = DestroyCounter(&destroyed)] {};
+  static_assert(Callback::kFitsInline<decltype(fn)>);
+  {
+    Callback cb(std::move(fn));
+    Callback moved = std::move(cb);
+    moved();
+  }
+  EXPECT_EQ(destroyed, 1);
+}
+
+TEST(Callback, MovedFromIsEmpty) {
+  int runs = 0;
+  Callback a = [&runs] { ++runs; };
+  EXPECT_TRUE(a);
+  Callback b = std::move(a);
+  EXPECT_FALSE(a);  // NOLINT(bugprone-use-after-move): the point
+  ASSERT_TRUE(b);
+  b();
+  EXPECT_EQ(runs, 1);
+  Callback c;
+  EXPECT_FALSE(c);
+  c = std::move(b);
+  EXPECT_FALSE(b);  // NOLINT(bugprone-use-after-move)
+  c();
+  EXPECT_EQ(runs, 2);
 }
 
 TEST(Simulation, NowAdvancesWithEvents) {
