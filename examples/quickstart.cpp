@@ -45,17 +45,16 @@ int main() {
   // One validated configuration shared by every node (paper Section 5:
   // "all nodes share the same configuration file").
   api::MembershipConfig config;
-  api::Status built = api::MembershipConfigBuilder()
-                          .shm_key(999)
-                          .max_ttl(4)
-                          .mcast_addr("239.255.0.2")
-                          .mcast_port(10050)
-                          .mcast_freq(1.0)
-                          .max_loss(5)
-                          .add_service("HTTP", "0", {{"Port", "8080"}})
-                          .Build(&config);
-  if (!built.ok()) {
-    std::printf("configuration rejected: %s\n", built.message().c_str());
+  config.system.shm_key = 999;
+  config.system.max_ttl = 4;
+  config.system.mcast_addr = "239.255.0.2";
+  config.system.mcast_port = 10050;
+  config.system.mcast_freq = 1.0;
+  config.system.max_loss = 5;
+  config.services.push_back({"HTTP", "0", {{"Port", "8080"}}});
+  api::Status valid = api::validate(config);
+  if (!valid.ok()) {
+    std::printf("configuration rejected: %s\n", valid.message().c_str());
     return 1;
   }
 

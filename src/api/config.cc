@@ -153,78 +153,8 @@ std::optional<MembershipConfig> parse_config(std::string_view text,
   return config;
 }
 
-MembershipConfigBuilder MembershipConfigBuilder::FromText(
-    std::string_view text) {
-  MembershipConfigBuilder builder;
-  auto parsed = parse_config(text, &builder.parse_error_);
-  if (parsed) builder.config_ = std::move(*parsed);
-  return builder;
-}
-
-MembershipConfigBuilder& MembershipConfigBuilder::replace(
-    MembershipConfig config) {
-  config_ = std::move(config);
-  parse_error_.clear();
-  return *this;
-}
-
-MembershipConfigBuilder& MembershipConfigBuilder::shm_key(int key) {
-  config_.system.shm_key = key;
-  return *this;
-}
-MembershipConfigBuilder& MembershipConfigBuilder::max_ttl(int ttl) {
-  config_.system.max_ttl = ttl;
-  return *this;
-}
-MembershipConfigBuilder& MembershipConfigBuilder::mcast_addr(std::string addr) {
-  config_.system.mcast_addr = std::move(addr);
-  return *this;
-}
-MembershipConfigBuilder& MembershipConfigBuilder::mcast_port(int port) {
-  config_.system.mcast_port = port;
-  return *this;
-}
-MembershipConfigBuilder& MembershipConfigBuilder::mcast_freq(
-    double heartbeats_per_second) {
-  config_.system.mcast_freq = heartbeats_per_second;
-  return *this;
-}
-MembershipConfigBuilder& MembershipConfigBuilder::max_loss(
-    int consecutive_losses) {
-  config_.system.max_loss = consecutive_losses;
-  return *this;
-}
-MembershipConfigBuilder& MembershipConfigBuilder::metrics_enabled(
-    bool enabled) {
-  config_.system.metrics_enabled = enabled;
-  return *this;
-}
-MembershipConfigBuilder& MembershipConfigBuilder::trace_capacity(
-    size_t capacity) {
-  config_.system.trace_capacity = capacity;
-  return *this;
-}
-MembershipConfigBuilder& MembershipConfigBuilder::trace_kinds_mask(
-    uint64_t mask) {
-  config_.system.trace_kinds_mask = mask;
-  return *this;
-}
-MembershipConfigBuilder& MembershipConfigBuilder::add_service(
-    std::string name, std::string partition_spec,
-    std::map<std::string, std::string> params) {
-  ServiceConfig service;
-  service.name = std::move(name);
-  service.partition_spec = std::move(partition_spec);
-  service.params = std::move(params);
-  config_.services.push_back(std::move(service));
-  return *this;
-}
-
-Status MembershipConfigBuilder::Build(MembershipConfig* out) const {
-  if (!parse_error_.empty()) {
-    return Status::Error("configuration file: " + parse_error_);
-  }
-  const SystemConfig& sys = config_.system;
+Status validate(const MembershipConfig& config) {
+  const SystemConfig& sys = config.system;
   if (sys.max_ttl < 1 || sys.max_ttl > 250) {
     return Status::Error(
         strformat("MAX_TTL must be in [1, 250], got %d", sys.max_ttl));
@@ -253,7 +183,7 @@ Status MembershipConfigBuilder::Build(MembershipConfig* out) const {
   if ((sys.trace_kinds_mask & ~obs::kAllTraceKinds) != 0) {
     return Status::Error("trace_kinds_mask names unknown trace kinds");
   }
-  for (const auto& service : config_.services) {
+  for (const auto& service : config.services) {
     if (service.name.empty()) {
       return Status::Error("service name must not be empty");
     }
@@ -266,7 +196,6 @@ Status MembershipConfigBuilder::Build(MembershipConfig* out) const {
                            service.partition_spec + "'");
     }
   }
-  *out = config_;
   return Status::Ok();
 }
 

@@ -66,54 +66,16 @@ struct MembershipConfig {
 std::optional<MembershipConfig> parse_config(std::string_view text,
                                              std::string* error = nullptr);
 
-// The single validated construction path for MService/MClient configuration.
-// Seeds from defaults or a Figure-7 file, layers fluent overrides on top,
-// and validates everything once in Build() — replacing the previous split
-// where file parsing, control() asserts, and silent fallbacks each enforced
-// (different subsets of) the rules.
+// The one place the configuration rules live: ranges, the observability
+// bounds and every service's partition spec. Both MService constructors and
+// every control() parameter request run a candidate through it, so no path
+// can hand the daemon a value another path would refuse.
 //
 //   MembershipConfig config;
-//   Status status = MembershipConfigBuilder()
-//                       .mcast_addr("239.255.0.2")
-//                       .mcast_freq(2.0)
-//                       .max_ttl(4)
-//                       .add_service("HTTP", "0", {{"Port", "8080"}})
-//                       .Build(&config);
-class MembershipConfigBuilder {
- public:
-  MembershipConfigBuilder() = default;
-
-  // Seed the builder from a Figure-7 configuration file. A parse failure is
-  // remembered and surfaces as the Build() status (fluent overrides applied
-  // after a failed parse still land on the defaults, matching the paper's
-  // "if the configuration file is not available, default values are used").
-  static MembershipConfigBuilder FromText(std::string_view text);
-
-  // Seed from an already-assembled configuration (e.g. re-validating after
-  // a programmatic tweak). Clears any remembered parse failure.
-  MembershipConfigBuilder& replace(MembershipConfig config);
-
-  MembershipConfigBuilder& shm_key(int key);
-  MembershipConfigBuilder& max_ttl(int ttl);
-  MembershipConfigBuilder& mcast_addr(std::string addr);
-  MembershipConfigBuilder& mcast_port(int port);
-  MembershipConfigBuilder& mcast_freq(double heartbeats_per_second);
-  MembershipConfigBuilder& max_loss(int consecutive_losses);
-  MembershipConfigBuilder& metrics_enabled(bool enabled);
-  MembershipConfigBuilder& trace_capacity(size_t capacity);
-  MembershipConfigBuilder& trace_kinds_mask(uint64_t mask);
-  MembershipConfigBuilder& add_service(
-      std::string name, std::string partition_spec = "0",
-      std::map<std::string, std::string> params = {});
-
-  // Validates the assembled configuration (ranges, partition specs, parse
-  // status) and writes it to `out` on success. `out` is untouched on error.
-  Status Build(MembershipConfig* out) const;
-
- private:
-  MembershipConfig config_;
-  std::string parse_error_;  // non-empty when FromText failed
-};
+//   config.system.mcast_freq = 2.0;
+//   config.services.push_back({"HTTP", "0", {{"Port", "8080"}}});
+//   Status status = validate(config);
+Status validate(const MembershipConfig& config);
 
 // Maps a dotted-quad multicast address to a simulator channel id (stable
 // hash), so configuration files keep their familiar 239.x.y.z syntax.

@@ -10,40 +10,42 @@ namespace tamp::api {
 MService::MService(sim::Simulation& sim, net::Network& net,
                    DirectoryStore& store, net::HostId self,
                    MembershipConfig config)
-    : sim_(sim),
-      net_(net),
-      store_(store),
-      self_(self),
-      config_(std::move(config)) {}
+    : sim_(sim), net_(net), store_(store), self_(self) {
+  adopt(std::move(config));
+}
 
 MService::MService(sim::Simulation& sim, net::Network& net,
                    DirectoryStore& store, net::HostId self,
                    const std::string& configuration)
     : sim_(sim), net_(net), store_(store), self_(self) {
   auto parsed = parse_config(configuration, &config_error_);
-  if (parsed) {
-    config_ = std::move(*parsed);
-  }  // else: defaults, with the reason kept in config_error_
+  if (parsed) adopt(std::move(*parsed));
+}
+
+void MService::adopt(MembershipConfig config) {
+  Status status = validate(config);
+  if (status.ok()) {
+    config_ = std::move(config);
+  } else {
+    config_error_ = status.message();
+  }
 }
 
 MService::~MService() { shutdown(); }
 
 ControlResponse MService::control(const ControlRequest& request) {
   ControlResponse response;
-  // Parameter changes re-validate the whole configuration through the
-  // builder, so control() can never push the daemon somewhere the
-  // construction path would have refused.
+  // Parameter changes re-validate the whole configuration, so control()
+  // can never push the daemon somewhere the constructors would have
+  // refused.
   auto apply = [&](MembershipConfig candidate) {
     if (daemon_ != nullptr) {
       response.status =
           Status::Error("parameter changes must precede run()");
       return;
     }
-    MembershipConfigBuilder builder;
-    builder.replace(std::move(candidate));
-    MembershipConfig validated;
-    response.status = builder.Build(&validated);
-    if (response.status.ok()) config_ = std::move(validated);
+    response.status = validate(candidate);
+    if (response.status.ok()) config_ = std::move(candidate);
   };
 
   if (const auto* metrics = std::get_if<MetricsQuery>(&request)) {
@@ -265,6 +267,7 @@ int MService::register_service(const std::string& name,
                                const std::string& partition_spec) {
   if (daemon_ == nullptr) return -1;
   auto partitions = util::expand_partition_spec(partition_spec);
+  if (partitions && partitions->empty()) return -1;  // malformed spec
   daemon_->register_service(name, partitions.value_or(std::vector<int>{0}));
   return 0;
 }

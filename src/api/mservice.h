@@ -175,14 +175,13 @@ struct ControlResponse {
 
 class MService {
  public:
-  // The validated construction path: build the configuration with
-  // MembershipConfigBuilder (or take a parsed one) and hand it over.
-  MService(sim::Simulation& sim, net::Network& net, DirectoryStore& store,
-           net::HostId self, MembershipConfig config);
-  // Figure-7 fidelity path: parses `configuration`. A malformed file falls
+  // Both constructors validate the configuration (the text one parses
+  // the Figure-7 file first). A configuration that fails either step falls
   // back to defaults, like the paper's implementation ("if the
   // configuration file is not available, default values will be used");
   // `config_error()` reports what went wrong.
+  MService(sim::Simulation& sim, net::Network& net, DirectoryStore& store,
+           net::HostId self, MembershipConfig config);
   MService(sim::Simulation& sim, net::Network& net, DirectoryStore& store,
            net::HostId self, const std::string& configuration);
   ~MService();
@@ -191,9 +190,8 @@ class MService {
   MService& operator=(const MService&) = delete;
 
   // Typed control: parameter requests must precede run() and are validated
-  // through the same rules as MembershipConfigBuilder::Build; queries
-  // require a running daemon. Never asserts — rejections come back in
-  // `status`.
+  // through validate(), like the constructors; queries require a running
+  // daemon. Never asserts — rejections come back in `status`.
   ControlResponse control(const ControlRequest& request);
 
   // Start the membership daemon, publish the directory segment, and
@@ -202,6 +200,8 @@ class MService {
   int run();
   void shutdown();
 
+  // Returns -1, registering nothing, before run() or on a malformed
+  // partition spec.
   int register_service(const std::string& name,
                        const std::string& partition_spec);
   int update_value(const std::string& key, const std::string& value);
@@ -216,6 +216,10 @@ class MService {
   protocols::HierDaemon& daemon();
 
  private:
+  // Takes `config` if validate() accepts it; otherwise keeps the defaults
+  // and records the reason in config_error_.
+  void adopt(MembershipConfig config);
+
   sim::Simulation& sim_;
   net::Network& net_;
   DirectoryStore& store_;

@@ -103,12 +103,11 @@ bool Network::in_group(HostId host, ChannelId channel) const {
 
 size_t Network::fragments_for(size_t payload_size) const {
   if (payload_size == 0) return 1;
-  return (payload_size + config_.mtu - 1) / config_.mtu;
+  return (payload_size + kMtu - 1) / kMtu;
 }
 
 size_t Network::wire_bytes_for(size_t payload_size) const {
-  return payload_size + fragments_for(payload_size) *
-                            config_.per_fragment_overhead;
+  return payload_size + fragments_for(payload_size) * kPerFragmentOverhead;
 }
 
 bool Network::survives(const PathInfo& path, size_t fragments,
@@ -158,7 +157,7 @@ void Network::dispatch(Packet packet, const PathInfo& path, size_t fragments,
   }
 
   sim::Duration base_delay =
-      config_.min_delivery_delay + path.latency + egress_delay;
+      kMinDeliveryDelay + path.latency + egress_delay;
   if (path.min_bandwidth_bps > 0) {
     base_delay += static_cast<sim::Duration>(
         static_cast<double>(packet.wire_bytes) * 8.0 /
@@ -282,7 +281,7 @@ bool Network::send_multicast(HostId from, ChannelId channel, uint8_t ttl,
     }
 
     sim::Duration base_delay =
-        config_.min_delivery_delay + path.latency + egress_delay;
+        kMinDeliveryDelay + path.latency + egress_delay;
     if (path.min_bandwidth_bps > 0) {
       base_delay += static_cast<sim::Duration>(
           static_cast<double>(wire) * 8.0 / path.min_bandwidth_bps * 1e9);

@@ -31,11 +31,13 @@ class RowPool;  // membership/row.h; net/ only holds it
 
 namespace tamp::net {
 
+inline constexpr size_t kMtu = 1500;  // bytes of payload per fragment (IP)
+// Per-fragment header bytes: Ethernet (18) + IP (20) + UDP (8).
+inline constexpr size_t kPerFragmentOverhead = 46;
+inline constexpr sim::Duration kMinDeliveryDelay = 5 * sim::kMicrosecond;
+
 struct NetworkConfig {
-  size_t mtu = 1500;                    // bytes of payload per fragment (IP)
-  size_t per_fragment_overhead = 46;    // Ethernet(18) + IP(20) + UDP(8)
-  double extra_loss = 0.0;              // loss injected on top of link loss
-  sim::Duration min_delivery_delay = 5 * sim::kMicrosecond;
+  double extra_loss = 0.0;  // loss injected on top of link loss
   // Per-host egress capacity model. A host's NIC serializes packets at
   // `egress_bytes_per_sec`; packets queue behind earlier ones (virtual-time
   // token accounting, no per-packet RNG) and a packet that would push the

@@ -32,7 +32,7 @@ MembershipOracle::MembershipOracle(sim::Simulation& sim, net::Network& net,
       topology_(topology),
       cluster_(cluster),
       config_(config),
-      check_timer_(sim, config.check_interval, [this] { tick(); }) {
+      check_timer_(sim, kOracleCheckInterval, [this] { tick(); }) {
   truth_.resize(cluster_.size());
   derive_bounds();
 }
@@ -86,7 +86,6 @@ void MembershipOracle::derive_bounds() {
       break;
     }
   }
-  if (config_.quiesce > 0) quiesce_ = config_.quiesce;
 }
 
 int MembershipOracle::hier_levels() const {
@@ -98,14 +97,14 @@ int MembershipOracle::hier_levels() const {
 sim::Duration MembershipOracle::detection_deadline() const {
   return static_cast<sim::Duration>(
       static_cast<double>(detection_bound_ + convergence_bound_) *
-      config_.slack);
+      kOracleSlack);
 }
 
 void MembershipOracle::start() {
   TAMP_CHECK(!running_);
   running_ = true;
   for (size_t i = 0; i < cluster_.size(); ++i) install_listener(i);
-  check_timer_.start(config_.check_interval);
+  check_timer_.start(kOracleCheckInterval);
 }
 
 void MembershipOracle::stop() {
@@ -224,7 +223,6 @@ void MembershipOracle::note_network_fault(bool any_active) {
 }
 
 void MembershipOracle::note_topology_mutation() {
-  last_topology_mutation_ = sim_.now();
   last_network_change_ = sim_.now();
   last_fault_ = sim_.now();
   // Distances changed mid-probe: like any network-condition edge, the
@@ -339,11 +337,7 @@ void MembershipOracle::tick() {
     if (cluster_.options().scheme == Scheme::kHierarchical) {
       check_leader_uniqueness();
       check_provenance();
-      if (last_topology_mutation_ == 0 ||
-          sim_.now() - last_topology_mutation_ >=
-              config_.reconvergence_bound) {
-        check_scope_reconvergence();
-      }
+      check_scope_reconvergence();
     }
   }
 }
@@ -459,7 +453,7 @@ void MembershipOracle::check_solicited_rate() {
   const int levels = hier_levels();
   // A check window spans this many serve windows, plus one for phase.
   const uint64_t windows =
-      static_cast<uint64_t>(config_.check_interval /
+      static_cast<uint64_t>(kOracleCheckInterval /
                             std::max<sim::Duration>(cfg.period, 1)) + 1;
   const uint64_t serve_limit = windows * cfg.image_serve_budget + 2;
   // At most one outstanding exchange per (level, peer), each sending at
@@ -757,7 +751,7 @@ void MembershipOracle::check_scope_reconvergence() {
 void MembershipOracle::add_violation(const std::string& invariant,
                                      NodeId observer, NodeId subject,
                                      const std::string& detail) {
-  if (violations_.size() >= config_.max_violations) return;
+  if (violations_.size() >= kOracleMaxViolations) return;
   Violation violation;
   violation.invariant = invariant;
   violation.when = sim_.now();

@@ -68,30 +68,25 @@
 
 namespace tamp::protocols {
 
+// How often the oracle grades the cluster.
+inline constexpr sim::Duration kOracleCheckInterval = sim::kSecond;
+// Multiplier on the analytical detection/convergence bounds; >1 absorbs
+// scan-interval quantization and scheduling phase.
+inline constexpr double kOracleSlack = 3.0;
+// The oracle stops collecting violations after this many.
+inline constexpr size_t kOracleMaxViolations = 8;
+
 class MembershipOracle {
  public:
   struct Config {
-    sim::Duration check_interval = sim::kSecond;
-    // Multiplier on the analytical detection/convergence bounds; >1 absorbs
-    // scan-interval quantization and scheduling phase.
-    double slack = 3.0;
     // Cold-start allowance before invariants 2-4 arm.
     sim::Duration formation_grace = 15 * sim::kSecond;
-    // Quiet time after the last fault before the quiescent invariants
-    // (completeness, leader uniqueness, provenance) are enforced.
-    // 0 = derive from the scheme's timeout/tombstone/anti-entropy config.
-    sim::Duration quiesce = 0;
-    // Extra allowance, past quiescence, between the last topology mutation
-    // and the first scope-reconvergence check (invariant 11). 0 = the
-    // quiescence horizon alone is the reconvergence bound.
-    sim::Duration reconvergence_bound = 0;
     // Floor on the hierarchy depth the checks size their bookkeeping for.
     // The level count is otherwise derived from the topology's *current*
     // max_ttl — set this when runtime mutation will deepen the hierarchy
     // past its build-time depth (e.g. a host migrated behind a new router),
     // so bounds and per-level state cover the final shape from the start.
     int min_levels = 0;
-    size_t max_violations = 8;  // stop collecting after this many
   };
 
   struct Violation {
@@ -125,9 +120,9 @@ class MembershipOracle {
   // clock and opens an excuse window for failure declarations.
   void note_network_fault(bool any_active);
   // The topology itself changed shape (router crash/recovery, link added,
-  // host migrated): starts invariant 11's reconvergence clock on top of the
-  // usual quiescence reset. Callers still report the accompanying
-  // reachability change through note_network_fault.
+  // host migrated): resets the quiescence clock, so invariant 11 grades the
+  // new shape once the quiescence horizon has passed. Callers still report
+  // the accompanying reachability change through note_network_fault.
   void note_topology_mutation();
 
   // Reachability under the currently injected faults, direction-sensitive
@@ -231,7 +226,6 @@ class MembershipOracle {
   std::vector<std::vector<sim::Time>> stale_claim_since_;
   sim::Time last_fault_ = 0;          // any note_*() call
   sim::Time last_network_change_ = 0; // network-condition edges only
-  sim::Time last_topology_mutation_ = 0;  // shape changes only (invariant 11)
   bool network_fault_active_ = false;
   std::function<bool(net::HostId, net::HostId)> reachable_;
 

@@ -3,93 +3,9 @@
 #include <algorithm>
 
 #include "proxy/proxy.h"
-#include "util/strings.h"
+#include "util/check.h"
 
 namespace tamp::service {
-
-ConsumerConfigBuilder& ConsumerConfigBuilder::replace(ConsumerConfig config) {
-  config_ = config;
-  return *this;
-}
-
-ConsumerConfigBuilder& ConsumerConfigBuilder::reply_port(net::Port port) {
-  config_.reply_port = port;
-  return *this;
-}
-
-ConsumerConfigBuilder& ConsumerConfigBuilder::provider_port(net::Port port) {
-  config_.provider_port = port;
-  return *this;
-}
-
-ConsumerConfigBuilder& ConsumerConfigBuilder::relay_port(net::Port port) {
-  config_.relay_port = port;
-  return *this;
-}
-
-ConsumerConfigBuilder& ConsumerConfigBuilder::poll_candidates(int candidates) {
-  config_.poll_candidates = candidates;
-  return *this;
-}
-
-ConsumerConfigBuilder& ConsumerConfigBuilder::poll_timeout(
-    sim::Duration timeout) {
-  config_.poll_timeout = timeout;
-  return *this;
-}
-
-ConsumerConfigBuilder& ConsumerConfigBuilder::request_timeout(
-    sim::Duration timeout) {
-  config_.request_timeout = timeout;
-  return *this;
-}
-
-ConsumerConfigBuilder& ConsumerConfigBuilder::relay_timeout(
-    sim::Duration timeout) {
-  config_.relay_timeout = timeout;
-  return *this;
-}
-
-ConsumerConfigBuilder& ConsumerConfigBuilder::max_attempts(int attempts) {
-  config_.max_attempts = attempts;
-  return *this;
-}
-
-ConsumerConfigBuilder& ConsumerConfigBuilder::proxy_fallback(bool enabled) {
-  config_.proxy_fallback = enabled;
-  return *this;
-}
-
-api::Status ConsumerConfigBuilder::Build(ConsumerConfig* out) const {
-  if (config_.poll_candidates < 1 || config_.poll_candidates > 16) {
-    return api::Status::Error("poll_candidates must be in [1, 16], got " +
-                              std::to_string(config_.poll_candidates));
-  }
-  if (config_.max_attempts < 1 || config_.max_attempts > 16) {
-    return api::Status::Error("max_attempts must be in [1, 16], got " +
-                              std::to_string(config_.max_attempts));
-  }
-  if (config_.poll_timeout <= 0) {
-    return api::Status::Error("poll_timeout must be positive");
-  }
-  if (config_.request_timeout <= 0) {
-    return api::Status::Error("request_timeout must be positive");
-  }
-  if (config_.relay_timeout <= 0) {
-    return api::Status::Error("relay_timeout must be positive");
-  }
-  if (config_.reply_port == config_.provider_port) {
-    return api::Status::Error(
-        "reply_port must differ from provider_port (both " +
-        std::to_string(config_.reply_port) + ")");
-  }
-  if (config_.reply_port == config_.relay_port) {
-    return api::Status::Error("reply_port must differ from relay_port (both " +
-                              std::to_string(config_.reply_port) + ")");
-  }
-  *out = config_;
-  return api::Status::Ok();
-}
 
 const char* failure_cause_name(FailureCause cause) {
   switch (cause) {
@@ -129,7 +45,13 @@ ResponseStatus to_response_status(FailureCause cause) {
 ServiceConsumer::ServiceConsumer(sim::Simulation& sim, net::Network& net,
                                  protocols::MembershipDaemon& membership,
                                  ConsumerConfig config)
-    : sim_(sim), net_(net), membership_(membership), config_(config) {}
+    : sim_(sim), net_(net), membership_(membership), config_(config) {
+  // A colliding reply port would make the consumer answer itself.
+  TAMP_CHECK_MSG(config_.reply_port != protocols::kServicePort &&
+                     config_.reply_port != kProxyRelayPort,
+                 "consumer reply_port %u collides with a request port",
+                 static_cast<unsigned>(config_.reply_port));
+}
 
 ServiceConsumer::~ServiceConsumer() { stop(); }
 
@@ -196,7 +118,7 @@ void ServiceConsumer::attempt(uint64_t id) {
   if (it == pending_.end()) return;
   Pending& pending = it->second;
 
-  if (pending.attempts >= config_.max_attempts) {
+  if (pending.attempts >= kMaxAttempts) {
     attempt_proxy(pending);
     return;
   }
@@ -214,7 +136,7 @@ void ServiceConsumer::attempt(uint64_t id) {
   }
   sim_.rng().shuffle(candidates);
   candidates.resize(std::min<size_t>(
-      candidates.size(), static_cast<size_t>(config_.poll_candidates)));
+      candidates.size(), static_cast<size_t>(kPollCandidates)));
   start_poll(pending, std::move(candidates));
 }
 
@@ -231,12 +153,12 @@ void ServiceConsumer::start_poll(Pending& pending,
   poll.reply_port = config_.reply_port;
   auto payload = encode_service_message(poll);
   for (net::HostId host : candidates) {
-    net_.send_unicast(self(), net::Address{host, config_.provider_port},
+    net_.send_unicast(self(), net::Address{host, protocols::kServicePort},
                       payload);
   }
   uint64_t id = pending.id;
   pending.poll_timer =
-      sim_.schedule_after(config_.poll_timeout, [this, id] {
+      sim_.schedule_after(kPollTimeout, [this, id] {
         poll_deadline(id);
       });
 }
@@ -275,13 +197,13 @@ void ServiceConsumer::dispatch(Pending& pending, net::HostId target) {
   request.partition = pending.partition;
   request.request_bytes = pending.request_bytes;
   request.response_bytes = pending.response_bytes;
-  net_.send_unicast(self(), net::Address{target, config_.provider_port},
+  net_.send_unicast(self(), net::Address{target, protocols::kServicePort},
                     encode_service_message(request));
 
   uint64_t id = pending.id;
   sim_.cancel(pending.request_timer);
   pending.request_timer =
-      sim_.schedule_after(config_.request_timeout, [this, id] {
+      sim_.schedule_after(kRequestTimeout, [this, id] {
         request_deadline(id);
       });
 }
@@ -339,13 +261,13 @@ void ServiceConsumer::attempt_proxy(Pending& pending) {
   request.request_bytes = pending.request_bytes;
   request.response_bytes = pending.response_bytes;
   request.relay_hops = 1;
-  net_.send_unicast(self(), net::Address{proxy_host, config_.relay_port},
+  net_.send_unicast(self(), net::Address{proxy_host, kProxyRelayPort},
                     encode_service_message(request));
 
   uint64_t id = pending.id;
   sim_.cancel(pending.request_timer);
   pending.request_timer =
-      sim_.schedule_after(config_.relay_timeout, [this, id] {
+      sim_.schedule_after(kRelayTimeout, [this, id] {
         auto it = pending_.find(id);
         if (it == pending_.end()) return;
         InvokeResult result;

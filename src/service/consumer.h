@@ -14,7 +14,6 @@
 #include <string>
 #include <vector>
 
-#include "api/status.h"
 #include "protocols/daemon.h"
 #include "protocols/ports.h"
 #include "service/messages.h"
@@ -24,47 +23,21 @@ namespace tamp::service {
 
 inline constexpr net::Port kProxyRelayPort = 10072;
 
+// Invocation tuning. The paper's random polling probes d = 2 replicas.
+inline constexpr int kPollCandidates = 2;
+inline constexpr sim::Duration kPollTimeout = 20 * sim::kMillisecond;
+inline constexpr sim::Duration kRequestTimeout = 400 * sim::kMillisecond;
+inline constexpr sim::Duration kRelayTimeout = 2 * sim::kSecond;  // WAN path
+inline constexpr int kMaxAttempts = 3;
+
+// The two values a caller varies: the proxy relay's consumer shares its
+// node with gateway consumers, so it takes its own reply port, and it must
+// never fall back to the proxy itself. Requests go to providers on
+// protocols::kServicePort and to the relay on kProxyRelayPort, so the reply
+// port must differ from both (checked at construction).
 struct ConsumerConfig {
   net::Port reply_port = protocols::kServiceReplyPort;
-  net::Port provider_port = protocols::kServicePort;
-  net::Port relay_port = kProxyRelayPort;
-  int poll_candidates = 2;  // paper: random polling over d replicas
-  sim::Duration poll_timeout = 20 * sim::kMillisecond;
-  sim::Duration request_timeout = 400 * sim::kMillisecond;
-  sim::Duration relay_timeout = 2 * sim::kSecond;  // WAN path is slower
-  int max_attempts = 3;
   bool proxy_fallback = true;
-};
-
-// Validated construction for ConsumerConfig, same idiom as
-// MembershipConfigBuilder: fluent setters, `Build()` returns a Status and
-// leaves `out` untouched on rejection. Bare aggregate construction still
-// compiles (the struct stays public) but call sites should come through
-// here so bad timeouts/ports are caught at setup, not as silent hangs.
-class ConsumerConfigBuilder {
- public:
-  ConsumerConfigBuilder() = default;
-
-  // Seed from an already-assembled configuration (e.g. re-validating after
-  // a programmatic tweak).
-  ConsumerConfigBuilder& replace(ConsumerConfig config);
-
-  ConsumerConfigBuilder& reply_port(net::Port port);
-  ConsumerConfigBuilder& provider_port(net::Port port);
-  ConsumerConfigBuilder& relay_port(net::Port port);
-  ConsumerConfigBuilder& poll_candidates(int candidates);
-  ConsumerConfigBuilder& poll_timeout(sim::Duration timeout);
-  ConsumerConfigBuilder& request_timeout(sim::Duration timeout);
-  ConsumerConfigBuilder& relay_timeout(sim::Duration timeout);
-  ConsumerConfigBuilder& max_attempts(int attempts);
-  ConsumerConfigBuilder& proxy_fallback(bool enabled);
-
-  // Validates ranges and port distinctness; writes to `out` on success.
-  // `out` is untouched on error.
-  api::Status Build(ConsumerConfig* out) const;
-
- private:
-  ConsumerConfig config_;
 };
 
 // Why an invocation ended the way it did. Replaces the lossy

@@ -60,14 +60,9 @@ MultiDcHarness::MultiDcHarness(sim::Simulation& sim, MultiDcParams params)
       // The relay's consumer shares the node with the proxy; give it its
       // own reply port so they don't collide with gateway consumers.
       ConsumerConfig relay_consumer_config;
-      api::Status built =
-          ConsumerConfigBuilder()
-              .proxy_fallback(false)
-              .reply_port(
-                  static_cast<net::Port>(protocols::kServiceReplyPort + 10))
-              .Build(&relay_consumer_config);
-      TAMP_CHECK_MSG(built.ok(), "relay consumer config: %s",
-                     built.message().c_str());
+      relay_consumer_config.reply_port =
+          static_cast<net::Port>(protocols::kServiceReplyPort + 10);
+      relay_consumer_config.proxy_fallback = false;
       relay_consumers_[dc].push_back(std::make_unique<ServiceConsumer>(
           sim_, *network_, *hier, relay_consumer_config));
       relays_[dc].push_back(std::make_unique<ProxyRelay>(

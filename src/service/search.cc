@@ -9,7 +9,7 @@ SearchGateway::SearchGateway(sim::Simulation& sim, net::Network& net,
                              const SearchParams& params)
     : sim_(sim),
       params_(params),
-      consumer_(sim, net, membership, params.consumer) {}
+      consumer_(sim, net, membership) {}
 
 void SearchGateway::query(Callback callback) {
   auto state = std::make_shared<QueryState>();

@@ -30,7 +30,6 @@ struct SearchParams {
   uint32_t index_response_bytes = 1500;
   uint32_t doc_request_bytes = 400;
   uint32_t doc_response_bytes = 3000;
-  ConsumerConfig consumer;  // gateway consumer tuning
 };
 
 struct QueryResult {

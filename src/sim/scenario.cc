@@ -238,12 +238,11 @@ class ScenarioRunner {
     });
 
     if (spec_.slo) {
-      workload::WorkloadConfig workload_config;
       // Leave the gossip cold start outside the graded window, like
       // fault_start_ above.
-      workload_config.warmup = fault_start_ - 5 * sim::kSecond;
       workload_ = std::make_unique<workload::WorkloadDriver>(
-          sim_, *net_, *cluster_, workload_config, spec_.seed);
+          sim_, *net_, *cluster_, fault_start_ - 5 * sim::kSecond,
+          spec_.seed);
       // Phase boundaries: the fault window opens with the plan's first
       // event and the heal window with its last.
       workload_->set_phase_bounds(fault_start_, plan_.last_event_time());

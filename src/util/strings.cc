@@ -80,12 +80,14 @@ std::optional<std::vector<int>> expand_partition_spec(std::string_view spec) {
     size_t dash = p.find('-');
     if (dash == std::string_view::npos) {
       auto v = parse_int(p);
-      if (!v || *v < 0) return std::vector<int>{};
+      if (!v || *v < 0 || *v > kMaxPartitionId) return std::vector<int>{};
       ids.insert(static_cast<int>(*v));
     } else {
       auto lo = parse_int(p.substr(0, dash));
       auto hi = parse_int(p.substr(dash + 1));
-      if (!lo || !hi || *lo < 0 || *hi < *lo) return std::vector<int>{};
+      if (!lo || !hi || *lo < 0 || *hi < *lo || *hi > kMaxPartitionId) {
+        return std::vector<int>{};
+      }
       for (int64_t v = *lo; v <= *hi; ++v) ids.insert(static_cast<int>(v));
     }
   }

@@ -22,11 +22,14 @@ std::string to_lower(std::string_view text);
 std::optional<int64_t> parse_int(std::string_view text);
 std::optional<double> parse_double(std::string_view text);
 
+// Largest partition id a spec may name. Specs arrive from configuration
+// files and client lookups, so a range is bounded before it is expanded.
+inline constexpr int64_t kMaxPartitionId = 65535;
+
 // Expand a partition specification like "0", "1-3", "0,2,5-7" into the sorted
-// list of partition ids. "*" (or empty) returns nullopt, meaning "all".
-// Malformed specs also return an empty vector inside the optional? No:
-// malformed specs return an empty list (matches nothing) and the caller may
-// log. See tests for exact behaviour.
+// list of partition ids. "*" (or empty) returns nullopt, meaning "all". A
+// malformed spec — a bad number, a reversed range, or an id outside
+// [0, kMaxPartitionId] — returns an empty list, which matches nothing.
 std::optional<std::vector<int>> expand_partition_spec(std::string_view spec);
 
 // printf-style formatting into std::string.

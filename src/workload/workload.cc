@@ -41,15 +41,12 @@ const char* phase_name(int phase) {
 
 WorkloadDriver::WorkloadDriver(sim::Simulation& sim, net::Network& net,
                                protocols::Cluster& cluster,
-                               WorkloadConfig config, uint64_t seed)
+                               sim::Duration warmup, uint64_t seed)
     : sim_(sim),
       net_(net),
       cluster_(cluster),
-      config_(std::move(config)),
+      warmup_(warmup),
       rng_(seed ^ kArrivalSeedSalt) {
-  TAMP_CHECK(config_.partitions >= 1);
-  TAMP_CHECK(config_.replicas >= 1);
-  TAMP_CHECK(config_.requests_per_sec > 0);
   agents_.resize(cluster_.size());
 }
 
@@ -97,10 +94,10 @@ void WorkloadDriver::build_agent(size_t index) {
   // Providers: partition p lives on node indices (p*replicas + r) mod n.
   // Recomputed (not cached) so a rebuilt agent re-hosts the same set.
   agent.hosted_partitions.clear();
-  for (int p = 0; p < config_.partitions; ++p) {
-    for (int r = 0; r < config_.replicas; ++r) {
+  for (int p = 0; p < kPartitions; ++p) {
+    for (int r = 0; r < kReplicas; ++r) {
       const size_t owner =
-          (static_cast<size_t>(p) * static_cast<size_t>(config_.replicas) +
+          (static_cast<size_t>(p) * static_cast<size_t>(kReplicas) +
            static_cast<size_t>(r)) %
           agents_.size();
       if (owner == index) agent.hosted_partitions.push_back(p);
@@ -108,19 +105,18 @@ void WorkloadDriver::build_agent(size_t index) {
   }
   if (!agent.hosted_partitions.empty()) {
     service::ProviderConfig provider_config;
-    provider_config.port = config_.consumer.provider_port;
-    provider_config.concurrency = config_.provider_concurrency;
-    provider_config.max_queue = config_.provider_max_queue;
-    provider_config.mean_service_time = config_.provider_service_time;
+    provider_config.concurrency = kProviderConcurrency;
+    provider_config.max_queue = kProviderMaxQueue;
+    provider_config.mean_service_time = kProviderServiceTime;
     agent.provider = std::make_unique<service::ServiceProvider>(
         sim_, net_, cluster_.daemon(index), provider_config);
-    agent.provider->host_service(config_.service, agent.hosted_partitions);
+    agent.provider->host_service(kServiceName, agent.hosted_partitions);
     agent.provider->start();
   }
 
   // Every node fronts users.
   agent.consumer = std::make_unique<service::ServiceConsumer>(
-      sim_, net_, cluster_.daemon(index), config_.consumer);
+      sim_, net_, cluster_.daemon(index));
   agent.consumer->start();
   if (accepting_) schedule_arrival(index);
 }
@@ -172,9 +168,9 @@ void WorkloadDriver::note_restart(size_t index) {
 
 void WorkloadDriver::schedule_arrival(size_t index) {
   Agent& agent = agents_[index];
-  const double mean_gap_ns = 1e9 / config_.requests_per_sec;
+  const double mean_gap_ns = 1e9 / kRequestsPerSec;
   auto gap = static_cast<sim::Duration>(rng_.exponential(mean_gap_ns));
-  sim::Time at = std::max(sim_.now(), config_.warmup) + gap;
+  sim::Time at = std::max(sim_.now(), warmup_) + gap;
   agent.arrival = sim_.schedule_at(at, [this, index] { fire(index); });
 }
 
@@ -186,15 +182,14 @@ void WorkloadDriver::fire(size_t index) {
   const int phase = phase_of(sim_.now());
   const int partition =
       static_cast<int>(rng_.uniform_u64(
-          static_cast<uint64_t>(config_.partitions)));
+          static_cast<uint64_t>(kPartitions)));
   ++issued_total_;
   ++phases_[static_cast<size_t>(phase)].issued;
   agent.inflight[static_cast<size_t>(phase)] += 1;
   agent.issued->add();
 
   agent.consumer->invoke(
-      config_.service, partition, config_.request_bytes,
-      config_.response_bytes,
+      kServiceName, partition, kRequestBytes, kResponseBytes,
       [this, index, phase](const service::InvokeResult& result) {
         on_complete(index, phase, result);
       });
@@ -263,7 +258,7 @@ std::string WorkloadDriver::report_json() const {
   }
   emit("{\"service\":\"%s\",\"issued\":%" PRIu64 ",\"completed\":%" PRIu64
        ",\"aborted\":%" PRIu64 ",\"unresolved\":%" PRIu64 ",\"phases\":[",
-       config_.service.c_str(), issued_total_, completed, aborted, unresolved);
+       kServiceName, issued_total_, completed, aborted, unresolved);
   for (int phase = 0; phase < kPhaseCount; ++phase) {
     const PhaseSlo& slo = phases[static_cast<size_t>(phase)];
     if (phase > 0) out += ",";

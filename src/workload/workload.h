@@ -29,24 +29,20 @@
 
 namespace tamp::workload {
 
-struct WorkloadConfig {
-  std::string service = "app";
-  int partitions = 4;
-  int replicas = 2;  // providers per partition
-  // Open-loop arrival rate per consumer node (requests/second). Open loop:
-  // arrivals never wait for completions, so a slow system accumulates
-  // latency instead of silently shedding offered load.
-  double requests_per_sec = 25.0;
-  uint32_t request_bytes = 64;
-  uint32_t response_bytes = 256;
-  // Arrivals start here, leaving the directory time to converge so the
-  // pre-fault phase measures a healthy system.
-  sim::Duration warmup = 10 * sim::kSecond;
-  sim::Duration provider_service_time = 2 * sim::kMillisecond;
-  int provider_concurrency = 4;
-  size_t provider_max_queue = 256;
-  service::ConsumerConfig consumer;  // build via ConsumerConfigBuilder
-};
+// The workload every node runs: kPartitions partitions of one service,
+// each on kReplicas providers.
+inline constexpr char kServiceName[] = "app";
+inline constexpr int kPartitions = 4;
+inline constexpr int kReplicas = 2;
+// Open-loop arrival rate per consumer node (requests/second). Open loop:
+// arrivals never wait for completions, so a slow system accumulates
+// latency instead of silently shedding offered load.
+inline constexpr double kRequestsPerSec = 25.0;
+inline constexpr uint32_t kRequestBytes = 64;
+inline constexpr uint32_t kResponseBytes = 256;
+inline constexpr sim::Duration kProviderServiceTime = 2 * sim::kMillisecond;
+inline constexpr int kProviderConcurrency = 4;
+inline constexpr size_t kProviderMaxQueue = 256;
 
 // Scenario phases, classified by request start time.
 inline constexpr int kPhaseCount = 3;
@@ -75,10 +71,12 @@ struct PhaseSlo {
 class WorkloadDriver {
  public:
   // The cluster's daemons must exist (construction) but arrivals only begin
-  // after start(). `seed` feeds the arrival process; scenario runners pass
-  // the scenario seed so the workload is part of the reproduction tuple.
+  // after start(), and none before `warmup`, which leaves the directory
+  // time to converge so the pre-fault phase measures a healthy system.
+  // `seed` feeds the arrival process; scenario runners pass the scenario
+  // seed so the workload is part of the reproduction tuple.
   WorkloadDriver(sim::Simulation& sim, net::Network& net,
-                 protocols::Cluster& cluster, WorkloadConfig config,
+                 protocols::Cluster& cluster, sim::Duration warmup,
                  uint64_t seed);
   ~WorkloadDriver();
 
@@ -90,7 +88,7 @@ class WorkloadDriver {
   void set_phase_bounds(sim::Time fault_start, sim::Time heal_start);
 
   // Create providers/consumers, register services, schedule first arrivals
-  // (at config.warmup + an exponential gap). Call after the cluster's
+  // (at warmup + an exponential gap). Call after the cluster's
   // daemons have been started.
   void start();
   // Stop issuing new arrivals; in-flight requests keep running so the tail
@@ -144,7 +142,7 @@ class WorkloadDriver {
   sim::Simulation& sim_;
   net::Network& net_;
   protocols::Cluster& cluster_;
-  WorkloadConfig config_;
+  sim::Duration warmup_;
   util::Rng rng_;
   bool started_ = false;
   bool accepting_ = false;

@@ -6,7 +6,6 @@
 #include "api/mclient.h"
 #include "api/mservice.h"
 #include "net/builders.h"
-#include "service/consumer.h"
 
 namespace tamp::api {
 namespace {
@@ -172,12 +171,16 @@ TEST_F(ApiFixture, UpdateValuePropagates) {
 TEST_F(ApiFixture, RegisterServiceAtRuntime) {
   build(1, 4);
   sim.run_until(10 * sim::kSecond);
-  services[2]->register_service("Retriever", "1-3");
+  EXPECT_EQ(services[2]->register_service("Retriever", "1-3"), 0);
+  // A malformed spec registers nothing, even a range past the id bound.
+  EXPECT_EQ(services[2]->register_service("Broken", "2-x"), -1);
+  EXPECT_EQ(services[2]->register_service("Huge", "0-4000000000"), -1);
   sim.run_until(sim.now() + 5 * sim::kSecond);
 
   MClient client(store, layout.hosts[0], 999);
   MachineList machines;
   EXPECT_EQ(client.lookup_service("Retriever", "2", &machines), 1);
+  EXPECT_EQ(client.lookup_service("Broken|Huge", "*", nullptr), 0);
 }
 
 TEST_F(ApiFixture, ShutdownWithdrawsSegment) {
@@ -228,7 +231,7 @@ TEST_F(ApiFixture, ControlRejectsBadValuesAndLateChanges) {
   EXPECT_EQ(service.daemon().config().period, sim::kSecond);
 }
 
-// SetFrequencyRequest is validated by the same builder check as the file.
+// SetFrequencyRequest is validated by the same check as the file.
 TEST_F(ApiFixture, ControlRejectsNonFiniteFrequency) {
   net::ClusterLayout small = net::build_single_segment(topo, 2);
   net = std::make_unique<net::Network>(sim, topo);
@@ -266,51 +269,51 @@ TEST_F(ApiFixture, LeadershipQueryReportsEpochsAndIncarnation) {
   EXPECT_TRUE(leader_seen);
 }
 
-TEST(ConfigBuilder, FluentBuildValidates) {
+TEST(ConfigValidate, AcceptsAValidAggregate) {
   MembershipConfig config;
-  Status status = MembershipConfigBuilder()
-                      .mcast_addr("239.255.0.7")
-                      .mcast_freq(2.0)
-                      .max_ttl(3)
-                      .max_loss(4)
-                      .add_service("HTTP", "0", {{"Port", "8080"}})
-                      .Build(&config);
-  ASSERT_TRUE(status.ok()) << status.message();
-  EXPECT_EQ(config.system.mcast_addr, "239.255.0.7");
-  EXPECT_DOUBLE_EQ(config.system.mcast_freq, 2.0);
-  EXPECT_EQ(config.system.max_ttl, 3);
-  ASSERT_EQ(config.services.size(), 1u);
-  EXPECT_EQ(config.services[0].params.at("Port"), "8080");
+  config.system.mcast_addr = "239.255.0.7";
+  config.system.mcast_freq = 2.0;
+  config.system.max_ttl = 3;
+  config.system.max_loss = 4;
+  config.services.push_back({"HTTP", "0", {{"Port", "8080"}}});
+  Status status = validate(config);
+  EXPECT_TRUE(status.ok()) << status.message();
+  EXPECT_TRUE(validate(MembershipConfig{}).ok());
 }
 
-TEST(ConfigBuilder, RejectsOutOfRangeValues) {
-  MembershipConfig config;
-  config.system.max_ttl = 99;  // sentinel: must stay untouched on error
-  EXPECT_FALSE(MembershipConfigBuilder().max_ttl(0).Build(&config).ok());
-  EXPECT_FALSE(MembershipConfigBuilder().max_ttl(251).Build(&config).ok());
-  EXPECT_FALSE(MembershipConfigBuilder().mcast_freq(0).Build(&config).ok());
-  EXPECT_FALSE(MembershipConfigBuilder().max_loss(0).Build(&config).ok());
-  EXPECT_FALSE(MembershipConfigBuilder().mcast_port(65535).Build(&config).ok());
-  EXPECT_FALSE(MembershipConfigBuilder().mcast_addr("").Build(&config).ok());
-  EXPECT_FALSE(
-      MembershipConfigBuilder().add_service("S", "4-2").Build(&config).ok());
-  EXPECT_FALSE(
-      MembershipConfigBuilder().add_service("").Build(&config).ok());
-  EXPECT_EQ(config.system.max_ttl, 99);
+TEST(ConfigValidate, RejectsOutOfRangeValues) {
+  auto rejects = [](auto mutate) {
+    MembershipConfig config;
+    mutate(config);
+    return !validate(config).ok();
+  };
+  EXPECT_TRUE(rejects([](MembershipConfig& c) { c.system.max_ttl = 0; }));
+  EXPECT_TRUE(rejects([](MembershipConfig& c) { c.system.max_ttl = 251; }));
+  EXPECT_TRUE(rejects([](MembershipConfig& c) { c.system.mcast_freq = 0; }));
+  EXPECT_TRUE(rejects([](MembershipConfig& c) { c.system.max_loss = 0; }));
+  EXPECT_TRUE(
+      rejects([](MembershipConfig& c) { c.system.mcast_port = 65535; }));
+  EXPECT_TRUE(rejects([](MembershipConfig& c) { c.system.mcast_addr = ""; }));
+  EXPECT_TRUE(rejects(
+      [](MembershipConfig& c) { c.services.push_back({"S", "4-2", {}}); }));
+  EXPECT_TRUE(rejects(
+      [](MembershipConfig& c) { c.services.push_back({"", "0", {}}); }));
 }
 
 // A heartbeat rate must give a usable period: NaN, infinities and rates
 // outside [0.001, 1000] Hz would otherwise yield periods of INT64_MIN or 0.
-TEST(ConfigBuilder, RejectsNonFiniteAndOutOfBandFrequency) {
+TEST(ConfigValidate, RejectsNonFiniteAndOutOfBandFrequency) {
   MembershipConfig config;
   for (double hz : {std::nan(""), std::numeric_limits<double>::infinity(),
                     -std::numeric_limits<double>::infinity(), 1e12, 1000.5,
                     0.0009}) {
-    EXPECT_FALSE(MembershipConfigBuilder().mcast_freq(hz).Build(&config).ok())
-        << hz;
+    config.system.mcast_freq = hz;
+    EXPECT_FALSE(validate(config).ok()) << hz;
   }
-  EXPECT_TRUE(MembershipConfigBuilder().mcast_freq(0.001).Build(&config).ok());
-  EXPECT_TRUE(MembershipConfigBuilder().mcast_freq(1000).Build(&config).ok());
+  for (double hz : {0.001, 1000.0}) {
+    config.system.mcast_freq = hz;
+    EXPECT_TRUE(validate(config).ok()) << hz;
+  }
 }
 
 TEST(Config, RejectsNonFiniteAndOutOfBandFrequencyText) {
@@ -346,50 +349,30 @@ TEST(Config, RejectsIntegersThatDoNotFitInt) {
 // Digest rounds are the only periodic anti-entropy, so the keys that once
 // chose and tuned a mode are gone: a file still naming one fails like any
 // other unknown key.
-TEST(ConfigBuilder, RetiredAntiEntropyKeysAreUnknown) {
+TEST(Config, RetiredAntiEntropyKeysAreUnknown) {
   for (const char* key : {"ANTI_ENTROPY_MODE = digest", "DIGEST_INTERVAL = 20",
                           "DIGEST_MAX_ROWS_PER_DELTA = 32"}) {
-    MembershipConfig config;
-    Status status =
-        MembershipConfigBuilder::FromText(std::string("*SYSTEM\n") + key +
-                                          "\n")
-            .Build(&config);
-    EXPECT_FALSE(status.ok()) << key;
-    EXPECT_NE(status.message().find("unknown *SYSTEM key"), std::string::npos)
-        << key << ": " << status.message();
+    std::string error;
+    EXPECT_FALSE(
+        parse_config(std::string("*SYSTEM\n") + key + "\n", &error)
+            .has_value())
+        << key;
+    EXPECT_NE(error.find("unknown *SYSTEM key"), std::string::npos)
+        << key << ": " << error;
   }
 }
 
-TEST(ConfigBuilder, SeedsFromFigureSevenText) {
-  MembershipConfig config;
-  Status status = MembershipConfigBuilder::FromText(kPaperConfig)
-                      .mcast_freq(4.0)  // override on top of the file
-                      .Build(&config);
-  ASSERT_TRUE(status.ok()) << status.message();
-  EXPECT_EQ(config.system.shm_key, 999);
-  EXPECT_DOUBLE_EQ(config.system.mcast_freq, 4.0);
-  ASSERT_EQ(config.services.size(), 2u);
-
-  // A parse failure is remembered and surfaces in Build().
-  Status bad = MembershipConfigBuilder::FromText("*SYSTEM\nMAX_TTL = oops\n")
-                   .Build(&config);
-  EXPECT_FALSE(bad.ok());
-  EXPECT_NE(bad.message().find("line 2"), std::string::npos);
-}
-
-TEST(ConfigBuilder, ValidatedConfigConstructsServiceDirectly) {
+TEST(ApiStandalone, ValidatedConfigConstructsServiceDirectly) {
   sim::Simulation sim(7);
   net::Topology topo;
   auto layout = net::build_single_segment(topo, 2);
   net::Network net(sim, topo);
   DirectoryStore store;
 
-  MembershipConfig config;
-  ASSERT_TRUE(MembershipConfigBuilder::FromText(kPaperConfig)
-                  .shm_key(1234)
-                  .Build(&config)
-                  .ok());
-  MService service(sim, net, store, layout.hosts[0], std::move(config));
+  auto config = parse_config(kPaperConfig);
+  ASSERT_TRUE(config.has_value());
+  config->system.shm_key = 1234;
+  MService service(sim, net, store, layout.hosts[0], std::move(*config));
   EXPECT_TRUE(service.config_error().empty());
   EXPECT_EQ(service.shm_key(), 1234);
   EXPECT_EQ(service.run(), 0);
@@ -499,49 +482,6 @@ TEST_F(TrafficQueryFixture, TrafficQueriesGateOnVersionAndRun) {
   EXPECT_TRUE(service->control(WorkloadQuery{}).status.ok());
 }
 
-// --- ConsumerConfigBuilder -------------------------------------------------
-
-TEST(ConsumerConfigBuilder, FluentBuildValidates) {
-  service::ConsumerConfig config;
-  Status status = service::ConsumerConfigBuilder()
-                      .poll_candidates(3)
-                      .poll_timeout(50 * sim::kMillisecond)
-                      .request_timeout(sim::kSecond)
-                      .max_attempts(5)
-                      .proxy_fallback(false)
-                      .Build(&config);
-  ASSERT_TRUE(status.ok()) << status.message();
-  EXPECT_EQ(config.poll_candidates, 3);
-  EXPECT_EQ(config.poll_timeout, 50 * sim::kMillisecond);
-  EXPECT_EQ(config.request_timeout, sim::kSecond);
-  EXPECT_EQ(config.max_attempts, 5);
-  EXPECT_FALSE(config.proxy_fallback);
-}
-
-TEST(ConsumerConfigBuilder, RejectsOutOfRangeValues) {
-  service::ConsumerConfig config;
-  config.max_attempts = 99;  // sentinel: must stay untouched on error
-  using service::ConsumerConfigBuilder;
-  EXPECT_FALSE(ConsumerConfigBuilder().poll_candidates(0).Build(&config).ok());
-  EXPECT_FALSE(
-      ConsumerConfigBuilder().poll_candidates(17).Build(&config).ok());
-  EXPECT_FALSE(ConsumerConfigBuilder().max_attempts(0).Build(&config).ok());
-  EXPECT_FALSE(ConsumerConfigBuilder().poll_timeout(0).Build(&config).ok());
-  EXPECT_FALSE(
-      ConsumerConfigBuilder().request_timeout(-1).Build(&config).ok());
-  EXPECT_FALSE(ConsumerConfigBuilder().relay_timeout(0).Build(&config).ok());
-  // Port collisions would make the consumer answer itself.
-  EXPECT_FALSE(ConsumerConfigBuilder()
-                   .reply_port(protocols::kServicePort)
-                   .Build(&config)
-                   .ok());
-  EXPECT_FALSE(ConsumerConfigBuilder()
-                   .reply_port(service::kProxyRelayPort)
-                   .Build(&config)
-                   .ok());
-  EXPECT_EQ(config.max_attempts, 99);
-}
-
 TEST(ApiStandalone, MalformedConfigFallsBackToDefaults) {
   sim::Simulation sim(1);
   net::Topology topo;
@@ -552,6 +492,53 @@ TEST(ApiStandalone, MalformedConfigFallsBackToDefaults) {
   EXPECT_FALSE(service.config_error().empty());
   EXPECT_EQ(service.config().system.max_ttl, 4);  // default kept
   EXPECT_EQ(service.run(), 0);
+}
+
+// A file that parses but breaks a range rule gets the same fallback as a
+// syntax error: the constructor validates, so no value the rules refuse
+// reaches the daemon.
+TEST(ApiStandalone, OutOfRangeConfigFallsBackToDefaults) {
+  struct Case {
+    const char* text;
+    const char* key;
+  };
+  for (const Case& c :
+       {Case{"*SYSTEM\nMAX_TTL = 0\n", "MAX_TTL"},
+        Case{"*SYSTEM\nMAX_TTL = 251\n", "MAX_TTL"},
+        Case{"*SYSTEM\nMAX_LOSS = 0\n", "MAX_LOSS"},
+        Case{"*SYSTEM\nMCAST_PORT = 70000\n", "MCAST_PORT"},
+        Case{"*SERVICE\n[HTTP]\nPARTITION = 2-x\n", "PARTITION"}}) {
+    sim::Simulation sim(1);
+    net::Topology topo;
+    auto layout = net::build_single_segment(topo, 2);
+    net::Network net(sim, topo);
+    DirectoryStore store;
+    MService service(sim, net, store, layout.hosts[0], c.text);
+    EXPECT_NE(service.config_error().find(c.key), std::string::npos)
+        << c.text << ": " << service.config_error();
+    EXPECT_EQ(service.config().system.max_ttl, 4) << c.text;
+    EXPECT_EQ(service.config().system.max_loss, 5) << c.text;
+    EXPECT_EQ(service.config().system.mcast_port, 10050) << c.text;
+    EXPECT_TRUE(service.config().services.empty()) << c.text;
+    ASSERT_EQ(service.run(), 0) << c.text;
+    EXPECT_EQ(service.daemon().config().max_ttl, 4) << c.text;
+  }
+
+  // The aggregate constructor runs the same check.
+  sim::Simulation sim(1);
+  net::Topology topo;
+  auto layout = net::build_single_segment(topo, 2);
+  net::Network net(sim, topo);
+  DirectoryStore store;
+  MembershipConfig bad;
+  bad.system.max_ttl = 0;
+  bad.system.shm_key = 1234;
+  MService service(sim, net, store, layout.hosts[0], std::move(bad));
+  EXPECT_NE(service.config_error().find("MAX_TTL"), std::string::npos)
+      << service.config_error();
+  EXPECT_EQ(service.shm_key(), 999);  // defaults, not half the aggregate
+  ASSERT_EQ(service.run(), 0);
+  EXPECT_EQ(service.daemon().config().max_ttl, 4);
 }
 
 }  // namespace

@@ -59,8 +59,7 @@ TEST_F(ConsumerEdgeFixture, CallbackFiresExactlyOnceOnSuccess) {
 TEST_F(ConsumerEdgeFixture, CallbackFiresExactlyOnceOnFailure) {
   build(3);
   ConsumerConfig config;
-  ASSERT_TRUE(
-      ConsumerConfigBuilder().proxy_fallback(false).Build(&config).ok());
+  config.proxy_fallback = false;
   ServiceConsumer consumer(sim, *net, cluster->daemon(0), config);
   consumer.start();
   sim.run_until(8 * sim::kSecond);
@@ -119,11 +118,7 @@ TEST_F(ConsumerEdgeFixture, ExhaustedAttemptsReportUnavailable) {
   add_provider(2, "doomed", 0);
   add_provider(3, "doomed", 0);
   ConsumerConfig config;
-  ASSERT_TRUE(ConsumerConfigBuilder()
-                  .proxy_fallback(false)
-                  .max_attempts(2)
-                  .Build(&config)
-                  .ok());
+  config.proxy_fallback = false;
   ServiceConsumer consumer(sim, *net, cluster->daemon(0), config);
   consumer.start();
   sim.run_until(8 * sim::kSecond);
@@ -140,9 +135,22 @@ TEST_F(ConsumerEdgeFixture, ExhaustedAttemptsReportUnavailable) {
   ASSERT_TRUE(done);
   EXPECT_FALSE(got.ok());
   EXPECT_EQ(got.cause, FailureCause::kProviderDead);
-  EXPECT_EQ(got.attempts, 2);
+  EXPECT_EQ(got.attempts, kMaxAttempts);
   // Bounded by attempts x (poll timeout + request timeout).
-  EXPECT_LT(got.latency, 5 * sim::kSecond);
+  EXPECT_LT(got.latency, kMaxAttempts * (kPollTimeout + kRequestTimeout));
+}
+
+// Requests go out on the provider and relay ports, so a reply port equal
+// to either would make the consumer answer itself.
+TEST_F(ConsumerEdgeFixture, ReplyPortCollisionAborts) {
+  build(2);
+  for (net::Port port : {protocols::kServicePort, kProxyRelayPort}) {
+    ConsumerConfig config;
+    config.reply_port = port;
+    EXPECT_DEATH(
+        { ServiceConsumer consumer(sim, *net, cluster->daemon(0), config); },
+        "collides with a request port");
+  }
 }
 
 TEST_F(ConsumerEdgeFixture, ConcurrentInvocationsKeepIdsSeparate) {

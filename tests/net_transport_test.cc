@@ -153,17 +153,14 @@ TEST_F(TransportFixture, DeliveryDelayIncludesPathLatency) {
 
 TEST_F(TransportFixture, WireBytesIncludeOverheadAndFragments) {
   auto layout = build_single_segment(topo, 2);
-  NetworkConfig config;
-  config.mtu = 100;
-  config.per_fragment_overhead = 46;
-  Network net(sim, topo, config);
+  Network net(sim, topo);
   net.send_unicast(layout.hosts[0], {layout.hosts[1], 7},
-                   make_payload(std::vector<uint8_t>(250, 0)));
+                   make_payload(std::vector<uint8_t>(2 * kMtu + 1, 0)));
   sim.run();
-  // 250 bytes -> 3 fragments -> 250 + 3 * 46.
+  // 2 MTUs + 1 byte -> 3 fragments, each with its header bytes.
   EXPECT_EQ(net.obs().metrics.counter_value(obs::Protocol::kNet,
                                             "tx_wire_bytes"),
-            250u + 3u * 46u);
+            2 * kMtu + 1 + 3 * kPerFragmentOverhead);
 }
 
 TEST_F(TransportFixture, VirtualIpFollowsOwner) {

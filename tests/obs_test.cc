@@ -361,24 +361,16 @@ TEST_F(ControlObsFixture, TraceControlDrivesTheNetworkTracer) {
 
 TEST(ObsConfig, BuilderValidatesObservabilityFields) {
   api::MembershipConfig config;
-  EXPECT_FALSE(
-      api::MembershipConfigBuilder().trace_capacity(0).Build(&config).ok());
-  EXPECT_FALSE(api::MembershipConfigBuilder()
-                   .trace_capacity(api::kMaxTraceCapacity + 1)
-                   .Build(&config)
-                   .ok());
-  EXPECT_FALSE(api::MembershipConfigBuilder()
-                   .trace_kinds_mask(~uint64_t{0})
-                   .Build(&config)
-                   .ok());
-  EXPECT_TRUE(api::MembershipConfigBuilder()
-                  .metrics_enabled(false)
-                  .trace_capacity(4096)
-                  .trace_kinds_mask(obs::trace_bit(obs::TraceKind::kFault))
-                  .Build(&config)
-                  .ok());
-  EXPECT_FALSE(config.system.metrics_enabled);
-  EXPECT_EQ(config.system.trace_capacity, 4096u);
+  config.system.trace_capacity = 0;
+  EXPECT_FALSE(api::validate(config).ok());
+  config.system.trace_capacity = api::kMaxTraceCapacity + 1;
+  EXPECT_FALSE(api::validate(config).ok());
+  config.system.trace_capacity = 4096;
+  config.system.trace_kinds_mask = ~uint64_t{0};
+  EXPECT_FALSE(api::validate(config).ok());
+  config.system.metrics_enabled = false;
+  config.system.trace_kinds_mask = obs::trace_bit(obs::TraceKind::kFault);
+  EXPECT_TRUE(api::validate(config).ok());
 }
 
 TEST(ObsConfig, RunAppliesObservabilityConfigToTheNetwork) {
@@ -389,13 +381,11 @@ TEST(ObsConfig, RunAppliesObservabilityConfigToTheNetwork) {
   api::DirectoryStore store;
 
   api::MembershipConfig config;
-  api::MembershipConfigBuilder builder;
-  ASSERT_TRUE(builder.metrics_enabled(false)
-                  .trace_capacity(2048)
-                  .trace_kinds_mask(obs::trace_bit(obs::TraceKind::kGroupJoin))
-                  .Build(&config)
-                  .ok());
+  config.system.metrics_enabled = false;
+  config.system.trace_capacity = 2048;
+  config.system.trace_kinds_mask = obs::trace_bit(obs::TraceKind::kGroupJoin);
   api::MService service(sim, net, store, layout.hosts[0], std::move(config));
+  ASSERT_TRUE(service.config_error().empty()) << service.config_error();
   ASSERT_EQ(service.run(), 0);
   EXPECT_FALSE(net.obs().metrics.enabled());
   EXPECT_EQ(net.obs().tracer.capacity(), 2048u);

@@ -159,11 +159,7 @@ TEST_F(ServiceFixture, OverloadedProviderRejects) {
   provider.start();
 
   ConsumerConfig consumer_config;
-  ASSERT_TRUE(ConsumerConfigBuilder()
-                  .proxy_fallback(false)
-                  .max_attempts(1)
-                  .Build(&consumer_config)
-                  .ok());
+  consumer_config.proxy_fallback = false;
   ServiceConsumer consumer(sim, *net, cluster->daemon(0), consumer_config);
   consumer.start();
   sim.run_until(sim.now() + 3 * sim::kSecond);

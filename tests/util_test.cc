@@ -198,9 +198,17 @@ TEST(Strings, PartitionSpecWildcard) {
 }
 
 TEST(Strings, PartitionSpecMalformed) {
-  auto spec = expand_partition_spec("5-2");
-  ASSERT_TRUE(spec.has_value());
-  EXPECT_TRUE(spec->empty());
+  // Ids past kMaxPartitionId are malformed: "0-4000000000" used to insert
+  // 4e9 ids, and 4294967297 (2^32 + 1) used to be narrowed to partition 1.
+  for (const char* text : {"5-2", "65536", "65535-65536", "0-4000000000",
+                           "4294967297", "1,4294967297"}) {
+    auto spec = expand_partition_spec(text);
+    ASSERT_TRUE(spec.has_value()) << text;
+    EXPECT_TRUE(spec->empty()) << text;
+  }
+  auto top = expand_partition_spec("65534-65535");
+  ASSERT_TRUE(top.has_value());
+  EXPECT_EQ(*top, (std::vector<int>{65534, 65535}));
 }
 
 TEST(Strings, HumanBytes) {

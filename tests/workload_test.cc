@@ -25,8 +25,7 @@ struct WorkloadFixture {
 
   explicit WorkloadFixture(uint64_t sim_seed = 33) : sim(sim_seed) {}
 
-  void build(int hosts, uint64_t workload_seed = 5,
-             WorkloadConfig config = {}) {
+  void build(int hosts, uint64_t workload_seed = 5) {
     layout = net::build_single_segment(topo, hosts);
     net = std::make_unique<net::Network>(sim, topo);
     protocols::Cluster::Options opts;
@@ -35,8 +34,8 @@ struct WorkloadFixture {
     cluster = std::make_unique<protocols::Cluster>(sim, *net, layout.hosts,
                                                    opts);
     cluster->start_all();
-    driver = std::make_unique<WorkloadDriver>(sim, *net, *cluster, config,
-                                              workload_seed);
+    driver = std::make_unique<WorkloadDriver>(
+        sim, *net, *cluster, /*warmup=*/10 * sim::kSecond, workload_seed);
     driver->start();
   }
 };
@@ -127,10 +126,7 @@ TEST(Workload, DifferentSeedDifferentArrivals) {
 
 TEST(Workload, SilentProviderDeathShowsUpAsMisroutes) {
   WorkloadFixture fx;
-  WorkloadConfig config;
-  config.partitions = 2;
-  config.replicas = 2;
-  fx.build(4, 5, config);
+  fx.build(4);
   fx.sim.run_until(20 * sim::kSecond);
 
   // A provider host dies silently: the membership layer needs detection
