@@ -176,13 +176,6 @@ Status validate(const MembershipConfig& config) {
   if (sys.mcast_addr.empty()) {
     return Status::Error("MCAST_ADDR must not be empty");
   }
-  if (sys.trace_capacity < 1 || sys.trace_capacity > kMaxTraceCapacity) {
-    return Status::Error(strformat("trace_capacity must be in [1, %zu], got %zu",
-                                   kMaxTraceCapacity, sys.trace_capacity));
-  }
-  if ((sys.trace_kinds_mask & ~obs::kAllTraceKinds) != 0) {
-    return Status::Error("trace_kinds_mask names unknown trace kinds");
-  }
   for (const auto& service : config.services) {
     if (service.name.empty()) {
       return Status::Error("service name must not be empty");

@@ -27,15 +27,10 @@
 
 #include "api/status.h"
 #include "net/ids.h"
-#include "obs/obs.h"
 
 namespace tamp::api {
 
-// Upper bound on the trace ring a service may configure (2^22 events ≈
-// 160 MiB of TraceEvent) — large enough for any soak, small enough that a
-// typo'd capacity cannot exhaust memory.
-inline constexpr size_t kMaxTraceCapacity = size_t{1} << 22;
-
+// Exactly the six *SYSTEM keys of the Figure-7 file.
 struct SystemConfig {
   int shm_key = 999;
   int max_ttl = 4;
@@ -43,11 +38,6 @@ struct SystemConfig {
   int mcast_port = 10050;
   double mcast_freq = 1.0;  // heartbeats per second
   int max_loss = 5;
-  // Observability (applied to the Network's registry/tracer by
-  // MService::run(), before the daemon resolves its counter handles).
-  bool metrics_enabled = true;
-  size_t trace_capacity = size_t{1} << 16;
-  uint64_t trace_kinds_mask = obs::kAllTraceKinds;
 };
 
 struct ServiceConfig {
@@ -66,10 +56,11 @@ struct MembershipConfig {
 std::optional<MembershipConfig> parse_config(std::string_view text,
                                              std::string* error = nullptr);
 
-// The one place the configuration rules live: ranges, the observability
-// bounds and every service's partition spec. Both MService constructors and
+// The one place the configuration rules live: the ranges of the six *SYSTEM
+// keys and every service's partition spec. Both MService constructors and
 // every control() parameter request run a candidate through it, so no path
-// can hand the daemon a value another path would refuse.
+// can hand the daemon a value another path would refuse. (The tracer is not
+// part of the file; TraceControl configures and bounds-checks it.)
 //
 //   MembershipConfig config;
 //   config.system.mcast_freq = 2.0;

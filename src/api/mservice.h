@@ -29,23 +29,14 @@
 
 namespace tamp::api {
 
-// --- control surface (v4) --------------------------------------------------
+// --- control surface ---------------------------------------------------------
 //
-// The paper's `control(int cmd, void *arg)` became an enum + double in v1;
-// v2 replaced it with typed, versioned request/response structs. v3 added
-// the observability requests: MetricsQuery reads this node's registry
-// counters, TraceControl drives the network's structured tracer. v4 added
-// AntiEntropyQuery, reporting the digest-round economics (rows shipped vs.
-// suppressed, full-image fallbacks). v5 adds the application-traffic
-// queries: WorkloadQuery reads this node's workload counters (requests
-// issued/ok/failed, attempts, misroutes, proxy fallbacks) and SloQuery
-// additionally reports the node's success-latency distribution. The
-// versioned requests carry their wire version explicitly and are rejected
-// on mismatch — an older client sending a newer-only request (or a struct
-// stamped with the old version) gets a Status error, never silent
-// misinterpretation. Parameter changes are requests validated before
-// run(); queries work on the live daemon.
-inline constexpr int kControlApiVersion = 5;
+// The paper's `control(int cmd, void *arg)` as one typed request per job.
+// Parameter changes (the three Set* requests) must precede run() and are
+// validated like the configuration file; LeadershipQuery, MetricsQuery and
+// SloQuery read the live daemon and are refused before run(); TraceControl
+// drives the Network's tracer at any time. Every rejection is a Status in
+// the response, never an assert.
 
 struct SetFrequencyRequest {
   double heartbeats_per_second = 1.0;  // MCAST_FREQ
@@ -56,54 +47,38 @@ struct SetMaxLossRequest {
 struct SetMaxTtlRequest {
   int max_ttl = 4;  // formation TTL ceiling
 };
-// Snapshot the daemon's per-level leadership view (requires run()).
+// Snapshot the daemon's per-level leadership view.
 struct LeadershipQuery {};
 
-// Read this node's hierarchical-protocol counters from the registry
-// (requires run()). Versioned: a request stamped with an older API version
-// is rejected, because older clients do not know these semantics. Bounded:
-// an oversized filter or result cap is rejected, not truncated silently.
+// Read this node's hierarchical-protocol counters from the registry — the
+// digest-round anti-entropy counters included. Bounded: an oversized filter
+// or result cap is rejected, not truncated silently.
 struct MetricsQuery {
-  int version = kControlApiVersion;
   std::string name_filter;     // substring match; empty = all (<= 256 chars)
   size_t max_results = 64;     // in [1, 4096]
 };
 
-// Reconfigure the network's structured tracer. Works before or after
-// run() (the tracer lives on the Network, not the daemon). Versioned and
-// bounds-checked like MetricsQuery.
+// Upper bound on the trace ring a service may configure (2^22 events ≈
+// 160 MiB of TraceEvent) — large enough for any soak, small enough that a
+// typo'd capacity cannot exhaust memory.
+inline constexpr size_t kMaxTraceCapacity = size_t{1} << 22;
+
+// Reconfigure the network's structured tracer — the one way a service sets
+// it up. Works before or after run() (the tracer lives on the Network, not
+// the daemon).
 struct TraceControl {
-  int version = kControlApiVersion;
   bool enable = true;
   size_t capacity = size_t{1} << 16;           // in [1, kMaxTraceCapacity]
   uint64_t kinds_mask = obs::kAllTraceKinds;   // subset of kAllTraceKinds
 };
 
-// Report the digest-round anti-entropy statistics (requires run()).
-// Versioned like MetricsQuery: a request stamped with an older API version
-// is rejected — pre-v4 clients do not know digest rounds exist and would
-// misread the stats.
-struct AntiEntropyQuery {
-  int version = kControlApiVersion;
-};
-
-// Read this node's application-workload counters (requires run()).
-// Versioned like the other queries: pre-v5 clients do not know the
-// workload layer exists.
-struct WorkloadQuery {
-  int version = kControlApiVersion;
-};
-
-// WorkloadQuery plus the node's success-latency distribution (requires
-// run()). Percentiles are exact ranks over the recorded samples.
-struct SloQuery {
-  int version = kControlApiVersion;
-};
+// Read this node's application-workload counters and its success-latency
+// distribution. Percentiles are exact ranks over the recorded samples.
+struct SloQuery {};
 
 using ControlRequest =
     std::variant<SetFrequencyRequest, SetMaxLossRequest, SetMaxTtlRequest,
-                 LeadershipQuery, MetricsQuery, TraceControl,
-                 AntiEntropyQuery, WorkloadQuery, SloQuery>;
+                 LeadershipQuery, MetricsQuery, TraceControl, SloQuery>;
 
 // One level of the hierarchy as the local daemon sees it.
 struct LeadershipInfo {
@@ -123,21 +98,8 @@ struct MetricValue {
   uint64_t value = 0;
 };
 
-// The digest-round economics this node has observed, from an
-// AntiEntropyQuery. Shipped/suppressed count rows this node *served* (as a
-// delta responder); pulls/deltas/fallbacks cover both roles.
-struct AntiEntropyStats {
-  uint64_t digests_sent = 0;
-  uint64_t digest_pulls_sent = 0;
-  uint64_t digest_pulls_served = 0;
-  uint64_t deltas_sent = 0;
-  uint64_t delta_rows_shipped = 0;
-  uint64_t digest_rows_suppressed = 0;
-  uint64_t digest_full_fallbacks = 0;
-};
-
-// This node's workload counters, from a WorkloadQuery or SloQuery. All
-// zero when the node runs no workload (the counters simply don't exist).
+// This node's workload counters, from an SloQuery. All zero when the node
+// runs no workload (the counters simply don't exist).
 struct WorkloadStats {
   uint64_t requests_issued = 0;
   uint64_t requests_ok = 0;
@@ -158,18 +120,14 @@ struct SloStats {
 };
 
 struct ControlResponse {
-  int version = kControlApiVersion;
   Status status;
   // Filled for LeadershipQuery (empty otherwise):
   membership::Incarnation incarnation = 0;  // the node's own incarnation
   std::vector<LeadershipInfo> leadership;   // one entry per level
   // Filled for MetricsQuery (empty otherwise), sorted by name.
   std::vector<MetricValue> metrics;
-  // Filled for AntiEntropyQuery (defaults otherwise).
-  AntiEntropyStats anti_entropy;
-  // Filled for WorkloadQuery and SloQuery (defaults otherwise).
-  WorkloadStats workload;
   // Filled for SloQuery (defaults otherwise).
+  WorkloadStats workload;
   SloStats slo;
 };
 
@@ -220,15 +178,26 @@ class MService {
   // and records the reason in config_error_.
   void adopt(MembershipConfig config);
 
+  // One handler per ControlRequest alternative, dispatched by std::visit in
+  // control(): a request type without a handler does not compile.
+  void handle(const SetFrequencyRequest& request, ControlResponse& response);
+  void handle(const SetMaxLossRequest& request, ControlResponse& response);
+  void handle(const SetMaxTtlRequest& request, ControlResponse& response);
+  void handle(const LeadershipQuery& request, ControlResponse& response);
+  void handle(const MetricsQuery& request, ControlResponse& response);
+  void handle(const TraceControl& request, ControlResponse& response);
+  void handle(const SloQuery& request, ControlResponse& response);
+  // Shared steps: a parameter change validates a candidate configuration;
+  // a daemon-backed query needs a running daemon.
+  void apply(MembershipConfig candidate, ControlResponse& response);
+  bool require_running(const char* what, ControlResponse& response) const;
+
   sim::Simulation& sim_;
   net::Network& net_;
   DirectoryStore& store_;
   net::HostId self_;
   MembershipConfig config_;
   std::string config_error_;
-  // A successful TraceControl outlives run(): the static configuration's
-  // trace settings are only applied when no explicit control preceded them.
-  bool trace_overridden_ = false;
   std::unique_ptr<protocols::HierDaemon> daemon_;
 };
 

@@ -78,10 +78,8 @@ const char* trace_kind_name(TraceKind kind) {
 // --- MetricsRegistry -------------------------------------------------------
 
 template <class Cell>
-Cell* MetricsRegistry::resolve(Table<Cell>& table, Cell* scratch,
-                               Protocol protocol, std::string_view name,
-                               NodeId node) {
-  if (!enabled_) return scratch;
+Cell* MetricsRegistry::resolve(Table<Cell>& table, Protocol protocol,
+                               std::string_view name, NodeId node) {
   Key key{static_cast<uint8_t>(protocol), std::string(name), node};
   auto it = table.find(key);
   if (it == table.end()) {
@@ -92,17 +90,17 @@ Cell* MetricsRegistry::resolve(Table<Cell>& table, Cell* scratch,
 
 Counter* MetricsRegistry::counter(Protocol protocol, std::string_view name,
                                   NodeId node) {
-  return resolve(counters_, &scratch_counter_, protocol, name, node);
+  return resolve(counters_, protocol, name, node);
 }
 
 Gauge* MetricsRegistry::gauge(Protocol protocol, std::string_view name,
                               NodeId node) {
-  return resolve(gauges_, &scratch_gauge_, protocol, name, node);
+  return resolve(gauges_, protocol, name, node);
 }
 
 Histogram* MetricsRegistry::histogram(Protocol protocol, std::string_view name,
                                       NodeId node) {
-  return resolve(histograms_, &scratch_histogram_, protocol, name, node);
+  return resolve(histograms_, protocol, name, node);
 }
 
 void MetricsRegistry::reset() {
@@ -112,10 +110,6 @@ void MetricsRegistry::reset() {
     cell->moments.reset();
     cell->tail.reset();
   }
-  scratch_counter_.value = 0;
-  scratch_gauge_.value = 0.0;
-  scratch_histogram_.moments.reset();
-  scratch_histogram_.tail.reset();
 }
 
 void MetricsRegistry::reset(Protocol protocol) {
@@ -136,7 +130,6 @@ void MetricsRegistry::reset(Protocol protocol) {
 uint64_t MetricsRegistry::counter_value(Protocol protocol,
                                         std::string_view name,
                                         NodeId node) const {
-  if (!enabled_) return 0;
   auto it = counters_.find(
       Key{static_cast<uint8_t>(protocol), std::string(name), node});
   return it != counters_.end() ? it->second->value : 0;
@@ -144,7 +137,6 @@ uint64_t MetricsRegistry::counter_value(Protocol protocol,
 
 double MetricsRegistry::gauge_value(Protocol protocol, std::string_view name,
                                     NodeId node) const {
-  if (!enabled_) return 0.0;
   auto it = gauges_.find(
       Key{static_cast<uint8_t>(protocol), std::string(name), node});
   return it != gauges_.end() ? it->second->value : 0.0;
@@ -153,7 +145,6 @@ double MetricsRegistry::gauge_value(Protocol protocol, std::string_view name,
 const Histogram* MetricsRegistry::find_histogram(Protocol protocol,
                                                  std::string_view name,
                                                  NodeId node) const {
-  if (!enabled_) return nullptr;
   auto it = histograms_.find(
       Key{static_cast<uint8_t>(protocol), std::string(name), node});
   return it != histograms_.end() ? it->second.get() : nullptr;
@@ -161,7 +152,6 @@ const Histogram* MetricsRegistry::find_histogram(Protocol protocol,
 
 uint64_t MetricsRegistry::counter_sum_over_nodes(Protocol protocol,
                                                  std::string_view name) const {
-  if (!enabled_) return 0;
   const auto p = static_cast<uint8_t>(protocol);
   uint64_t sum = 0;
   // Keys sort by (protocol, name, node): the run we want is contiguous.
@@ -177,7 +167,6 @@ uint64_t MetricsRegistry::counter_sum_over_nodes(Protocol protocol,
 uint64_t MetricsRegistry::counter_prefix_sum(Protocol protocol,
                                              std::string_view prefix,
                                              NodeId node) const {
-  if (!enabled_) return 0;
   const auto p = static_cast<uint8_t>(protocol);
   uint64_t sum = 0;
   auto it = counters_.lower_bound(Key{p, std::string(prefix), 0});
@@ -190,7 +179,6 @@ uint64_t MetricsRegistry::counter_prefix_sum(Protocol protocol,
 
 void MetricsRegistry::visit_counters(
     const std::function<void(const CounterRow&)>& fn) const {
-  if (!enabled_) return;
   for (const auto& [key, cell] : counters_) {
     fn(CounterRow{static_cast<Protocol>(key.protocol), key.name, key.node,
                   cell->value});
@@ -219,41 +207,35 @@ std::string format_double(double v) {
 
 std::string MetricsRegistry::to_json() const {
   std::string out = "{\"counters\":[";
-  if (enabled_) {
-    bool first = true;
-    for (const auto& [key, cell] : counters_) {
-      if (cell->value == 0) continue;
-      if (!first) out += ",";
-      first = false;
-      append_key(out, CounterRow{static_cast<Protocol>(key.protocol),
-                                 key.name, key.node, cell->value});
-      out += ",\"value\":" + std::to_string(cell->value) + "}";
-    }
+  bool first = true;
+  for (const auto& [key, cell] : counters_) {
+    if (cell->value == 0) continue;
+    if (!first) out += ",";
+    first = false;
+    append_key(out, CounterRow{static_cast<Protocol>(key.protocol), key.name,
+                               key.node, cell->value});
+    out += ",\"value\":" + std::to_string(cell->value) + "}";
   }
   out += "],\"gauges\":[";
-  if (enabled_) {
-    bool first = true;
-    for (const auto& [key, cell] : gauges_) {
-      if (!first) out += ",";
-      first = false;
-      append_key(out, CounterRow{static_cast<Protocol>(key.protocol),
-                                 key.name, key.node, 0});
-      out += ",\"value\":" + format_double(cell->value) + "}";
-    }
+  first = true;
+  for (const auto& [key, cell] : gauges_) {
+    if (!first) out += ",";
+    first = false;
+    append_key(out, CounterRow{static_cast<Protocol>(key.protocol), key.name,
+                               key.node, 0});
+    out += ",\"value\":" + format_double(cell->value) + "}";
   }
   out += "],\"histograms\":[";
-  if (enabled_) {
-    bool first = true;
-    for (const auto& [key, cell] : histograms_) {
-      if (!first) out += ",";
-      first = false;
-      append_key(out, CounterRow{static_cast<Protocol>(key.protocol),
-                                 key.name, key.node, 0});
-      out += ",\"count\":" + std::to_string(cell->moments.count());
-      out += ",\"mean\":" + format_double(cell->moments.mean());
-      out += ",\"min\":" + format_double(cell->moments.min());
-      out += ",\"max\":" + format_double(cell->moments.max()) + "}";
-    }
+  first = true;
+  for (const auto& [key, cell] : histograms_) {
+    if (!first) out += ",";
+    first = false;
+    append_key(out, CounterRow{static_cast<Protocol>(key.protocol), key.name,
+                               key.node, 0});
+    out += ",\"count\":" + std::to_string(cell->moments.count());
+    out += ",\"mean\":" + format_double(cell->moments.mean());
+    out += ",\"min\":" + format_double(cell->moments.min());
+    out += ",\"max\":" + format_double(cell->moments.max()) + "}";
   }
   out += "]}";
   return out;

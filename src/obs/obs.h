@@ -78,11 +78,6 @@ struct Histogram {
 // for the registry's lifetime; `reset()` zeroes values without invalidating
 // handles, so components keep their cached pointers across measurement
 // windows.
-//
-// When disabled, resolution hands out a shared scratch cell (writes vanish)
-// and every query reports zero / empty. Set the flag before constructing
-// the components to be silenced: handles resolved while enabled keep
-// recording into their real cells, though queries still report nothing.
 class MetricsRegistry {
  public:
   Counter* counter(Protocol protocol, std::string_view name,
@@ -92,14 +87,11 @@ class MetricsRegistry {
   Histogram* histogram(Protocol protocol, std::string_view name,
                        NodeId node = kNoNode);
 
-  bool enabled() const { return enabled_; }
-  void set_enabled(bool on) { enabled_ = on; }
-
   // Zero every value (all protocols, or one); handles stay valid.
   void reset();
   void reset(Protocol protocol);
 
-  // --- queries (0 / empty when the metric does not exist or disabled) -----
+  // --- queries (0 / empty when the metric does not exist) ------------------
   uint64_t counter_value(Protocol protocol, std::string_view name,
                          NodeId node = kNoNode) const;
   double gauge_value(Protocol protocol, std::string_view name,
@@ -110,8 +102,8 @@ class MetricsRegistry {
   // Sum of every counter under `node` whose name starts with `prefix`.
   uint64_t counter_prefix_sum(Protocol protocol, std::string_view prefix,
                               NodeId node = kNoNode) const;
-  // Read access to an existing histogram cell (nullptr when absent or the
-  // registry is disabled) — the query-side companion of `histogram()`.
+  // Read access to an existing histogram cell (nullptr when absent) — the
+  // query-side companion of `histogram()`.
   const Histogram* find_histogram(Protocol protocol, std::string_view name,
                                   NodeId node = kNoNode) const;
 
@@ -140,16 +132,12 @@ class MetricsRegistry {
   using Table = std::map<Key, std::unique_ptr<Cell>>;
 
   template <class Cell>
-  Cell* resolve(Table<Cell>& table, Cell* scratch, Protocol protocol,
-                std::string_view name, NodeId node);
+  Cell* resolve(Table<Cell>& table, Protocol protocol, std::string_view name,
+                NodeId node);
 
   Table<Counter> counters_;
   Table<Gauge> gauges_;
   Table<Histogram> histograms_;
-  Counter scratch_counter_;
-  Gauge scratch_gauge_;
-  Histogram scratch_histogram_;
-  bool enabled_ = true;
 };
 
 // --- tracer ----------------------------------------------------------------

@@ -7,7 +7,11 @@ namespace tamp::service {
 ServiceProvider::ServiceProvider(sim::Simulation& sim, net::Network& net,
                                  protocols::MembershipDaemon& membership,
                                  ProviderConfig config)
-    : sim_(sim), net_(net), membership_(membership), config_(config) {}
+    : sim_(sim),
+      net_(net),
+      membership_(membership),
+      self_(membership.self()),
+      config_(config) {}
 
 ServiceProvider::~ServiceProvider() { stop(); }
 

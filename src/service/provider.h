@@ -46,7 +46,7 @@ class ServiceProvider {
   void stop();
   bool running() const { return running_; }
 
-  net::HostId self() const { return membership_.self(); }
+  net::HostId self() const { return self_; }
   uint32_t current_load() const {
     return static_cast<uint32_t>(active_ + queue_.size());
   }
@@ -62,6 +62,9 @@ class ServiceProvider {
   sim::Simulation& sim_;
   net::Network& net_;
   protocols::MembershipDaemon& membership_;
+  // Kept apart from membership_: Cluster::restart destroys the daemon this
+  // provider was built on, and stop() must still unbind the port afterwards.
+  net::HostId self_;
   ProviderConfig config_;
   std::map<std::string, std::vector<int>> hosted_;
   // In-service completion events capture a weak ref to this token; stop()

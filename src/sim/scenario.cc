@@ -295,7 +295,6 @@ class ScenarioRunner {
   // as a scenario failure like an oracle violation.
   void check_conservation(ScenarioResult& result) {
     const obs::MetricsRegistry& m = net_->obs().metrics;
-    if (!m.enabled()) return;
     auto fail = [&](const std::string& what, uint64_t lhs, uint64_t rhs) {
       result.passed = false;
       if (!result.report.empty()) result.report += "\n";

@@ -79,6 +79,24 @@ TEST_F(SearchFixture, SurvivesSingleDocReplicaFailure) {
   EXPECT_GT(workload.total_completed(), 200u);
 }
 
+// Cluster::restart replaces the victim's daemon; re-deploying its providers
+// must tear down the old provider without touching the destroyed daemon.
+TEST_F(SearchFixture, RestartedDocReplicaServesAgain) {
+  build(24);
+  size_t victim = deployment->doc_nodes()[0];
+  cluster->kill(victim);
+  sim.run_until(sim.now() + 5 * sim::kSecond);
+  cluster->restart(victim);
+  deployment->restart_providers_on(victim);
+  sim.run_until(sim.now() + 10 * sim::kSecond);
+
+  SearchWorkload workload(sim, deployment->gateways(), 20.0);
+  workload.run_for(10 * sim::kSecond);
+  sim.run_until(sim.now() + 12 * sim::kSecond);
+  EXPECT_EQ(workload.total_failed(), 0u);
+  EXPECT_GT(workload.total_completed(), 150u);
+}
+
 TEST(SearchMultiDc, DocFailureFailsOverToRemoteDatacenter) {
   sim::Simulation sim(71);
   MultiDcParams params = default_two_dc_params();
