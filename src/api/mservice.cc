@@ -99,12 +99,6 @@ void MService::handle(const MetricsQuery& request, ControlResponse& response) {
     response.status = Status::Error("name_filter exceeds 256 characters");
     return;
   }
-  if (request.max_results < 1 || request.max_results > 4096) {
-    response.status =
-        Status::Error("max_results must be in [1, 4096], got " +
-                      std::to_string(request.max_results));
-    return;
-  }
   if (!require_running("MetricsQuery", response)) return;
   net_.obs().metrics.visit_counters(
       [&](const obs::MetricsRegistry::CounterRow& row) {
@@ -113,7 +107,6 @@ void MService::handle(const MetricsQuery& request, ControlResponse& response) {
             row.name.find(request.name_filter) == std::string_view::npos) {
           return;
         }
-        if (response.metrics.size() >= request.max_results) return;
         response.metrics.push_back(
             MetricValue{std::string(row.name), row.value});
       });

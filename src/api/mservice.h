@@ -50,12 +50,11 @@ struct SetMaxTtlRequest {
 // Snapshot the daemon's per-level leadership view.
 struct LeadershipQuery {};
 
-// Read this node's hierarchical-protocol counters from the registry — the
-// digest-round anti-entropy counters included. Bounded: an oversized filter
-// or result cap is rejected, not truncated silently.
+// Read every one of this node's hierarchical-protocol counters whose name
+// matches the filter — the digest-round anti-entropy counters included. An
+// oversized filter is rejected.
 struct MetricsQuery {
-  std::string name_filter;     // substring match; empty = all (<= 256 chars)
-  size_t max_results = 64;     // in [1, 4096]
+  std::string name_filter;  // substring match; empty = all (<= 256 chars)
 };
 
 // Upper bound on the trace ring a service may configure (2^22 events ≈

@@ -80,13 +80,11 @@ bool MembershipTable::tombstoned(NodeId node, Incarnation incarnation,
 }
 
 ApplyResult MembershipTable::apply(const RowRef& row, Liveness liveness,
-                                   NodeId relayed_by, sim::Time now,
-                                   bool override_tombstone) {
+                                   NodeId relayed_by, sim::Time now) {
   const NodeId node = row->node();
   const Incarnation incarnation = row->incarnation();
-  if (liveness == Liveness::kDirect || override_tombstone) {
-    // Hearing the node itself (or a solicited full exchange) is
-    // authoritative: clear any tombstone.
+  if (liveness == Liveness::kDirect) {
+    // Hearing the node itself is authoritative: clear any tombstone.
     tombstones_.erase(node);
   } else if (tombstoned(node, incarnation, now)) {
     return ApplyResult::kStale;
@@ -150,11 +148,6 @@ bool MembershipTable::remove(NodeId node, Incarnation incarnation,
   if (it == entries_.end()) return false;
   entries_.erase(it);
   return true;
-}
-
-void MembershipTable::touch(NodeId node, sim::Time now) {
-  MembershipEntry* entry = find_mutable(node);
-  if (entry != nullptr) entry->last_heard = now;
 }
 
 void MembershipTable::reconfirm_relay(NodeId node, NodeId relayed_by,
@@ -232,29 +225,6 @@ std::vector<NodeId> MembershipTable::expire(
   }
   entries_.erase(keep, entries_.end());
   return expired;
-}
-
-std::vector<NodeId> MembershipTable::purge_relayed_by(NodeId leader) {
-  flush();
-  std::vector<NodeId> purged;
-  auto keep = entries_.begin();
-  for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-    if (it->second.liveness == Liveness::kRelayed &&
-        it->second.relayed_by == leader) {
-      purged.push_back(it->first);
-    } else {
-      if (keep != it) *keep = std::move(*it);
-      ++keep;
-    }
-  }
-  entries_.erase(keep, entries_.end());
-  return purged;
-}
-
-void MembershipTable::clear() {
-  entries_.clear();
-  overlay_.clear();
-  tombstones_.clear();
 }
 
 }  // namespace tamp::membership

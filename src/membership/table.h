@@ -46,20 +46,16 @@ class MembershipTable {
   // this node learned it (paper: the SHM "local part" vs "external part").
   // A direct observation upgrades a relayed entry; a relayed record never
   // downgrades a direct one of the same incarnation. Direct observations
-  // always clear a tombstone; a relayed record does so only when
-  // `override_tombstone` is set (used for solicited bootstrap exchanges,
-  // which are authoritative in a way replayed piggybacked joins are not).
+  // always clear a tombstone; a relayed record never does, solicited
+  // exchanges included (the protocol relies on it to keep a node it just
+  // declared dead from flapping back in from a lagging responder's image).
   ApplyResult apply(const RowRef& row, Liveness liveness,
-                    NodeId relayed_by, sim::Time now,
-                    bool override_tombstone = false);
+                    NodeId relayed_by, sim::Time now);
 
   // Remove if our info about `node` is not newer than `incarnation`.
   // Records a tombstone (valid for tombstone_ttl from `now`) so stale
   // relayed joins of that incarnation stay out.
   bool remove(NodeId node, Incarnation incarnation, sim::Time now);
-
-  // Refresh the last-heard stamp without touching contents.
-  void touch(NodeId node, sim::Time now);
 
   // Re-root a relayed entry's provenance at `relayed_by` and refresh its
   // stamp: the new relay vouched (via an anti-entropy digest) that it holds
@@ -104,12 +100,6 @@ class MembershipTable {
   std::vector<NodeId> expire(
       sim::Time now,
       const std::function<sim::Duration(const MembershipEntry&)>& timeout_for);
-
-  // Purge all entries relayed by `leader` (paper: information relayed by a
-  // leader has the lifetime of that leader). Returns purged ids.
-  std::vector<NodeId> purge_relayed_by(NodeId leader);
-
-  void clear();
 
  private:
   struct Tombstone {

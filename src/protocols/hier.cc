@@ -52,11 +52,15 @@ HierDaemon::HierDaemon(sim::Simulation& sim, net::Network& net, NodeId self,
   for (int level = 0; level < config_.max_ttl; ++level) {
     auto state = std::make_unique<LevelState>();
     state->level = level;
-    state->listen_timer = std::make_unique<sim::OneShotTimer>(sim, [this, level] {
+    // The listen window and the backup grace both end the same way: elect
+    // if the channel is still leaderless.
+    auto elect_if_leaderless = [this, level] {
       if (level_state(level).leader == membership::kInvalidNode) {
         maybe_start_election(level);
       }
-    });
+    };
+    state->listen_timer =
+        std::make_unique<sim::OneShotTimer>(sim, elect_if_leaderless);
     state->election_timer = std::make_unique<sim::OneShotTimer>(
         sim, [this, level] { election_deadline(level); });
     state->coordinator_timer =
@@ -66,11 +70,7 @@ HierDaemon::HierDaemon(sim::Simulation& sim, net::Network& net, NodeId self,
           if (ls.leader == membership::kInvalidNode) maybe_start_election(level);
         });
     state->backup_grace_timer =
-        std::make_unique<sim::OneShotTimer>(sim, [this, level] {
-          if (level_state(level).leader == membership::kInvalidNode) {
-            maybe_start_election(level);
-          }
-        });
+        std::make_unique<sim::OneShotTimer>(sim, elect_if_leaderless);
     levels_.push_back(std::move(state));
   }
   resolve_metrics();
@@ -221,8 +221,7 @@ void HierDaemon::leave_levels_from(int level, bool announce) {
     ls.in_seq.clear();
     ls.digest_due.clear();
     clear_out_log(ls);
-    ls.pending_bootstrap.reset();
-    ls.pending_syncs.clear();
+    ls.exchanges.clear();
     // `superseded` intentionally NOT reset: succession knowledge, like the
     // epoch itself, must never regress within one daemon lifetime.
     // out_seq intentionally NOT reset: receivers' per-origin cursors must
@@ -277,8 +276,7 @@ membership::Epoch HierDaemon::epoch_of(int level) const {
 
 size_t HierDaemon::pending_exchanges(int level) const {
   if (level < 0 || level >= config_.max_ttl) return 0;
-  const LevelState& ls = *levels_[level];
-  return ls.pending_syncs.size() + (ls.pending_bootstrap ? 1u : 0u);
+  return levels_[level]->exchanges.size();
 }
 
 // --- periodic work ------------------------------------------------------------
@@ -401,12 +399,7 @@ size_t HierDaemon::drop_out_of_scope(int level) {
     // Mirror the voluntary-leave path (on_heartbeat's `leaving` branch):
     // the member is alive, merely out of earshot now, so no leave record is
     // relayed and no purge cascades — its entry just becomes second-hand.
-    ls.members.erase(member);
-    prune_pending(ls, member);
-    if (ls.leader == member) {
-      ls.leader = membership::kInvalidNode;
-      ls.backup_grace_timer->restart(kBackupGrace);
-    }
+    forget_member(ls, member);
     if (ls.i_am_leader && ls.my_backup == member) {
       ls.my_backup = pick_backup(level);
     }
@@ -415,6 +408,15 @@ size_t HierDaemon::drop_out_of_scope(int level) {
     }
   }
   return gone.size();
+}
+
+void HierDaemon::forget_member(LevelState& ls, NodeId member) {
+  ls.members.erase(member);
+  prune_pending(ls, member);
+  if (ls.leader == member) {
+    ls.leader = membership::kInvalidNode;
+    ls.backup_grace_timer->restart(kBackupGrace);
+  }
 }
 
 bool HierDaemon::heard_directly(NodeId node) const {
@@ -511,19 +513,9 @@ void HierDaemon::on_data_packet(const net::Packet& packet) {
   if (level < 0 || !levels_[level]->joined) return;
   auto message = decode_message(packet, row_pool_);
   if (!message) return;
-  // Resurfacing check: a deafness gap exceeding this level's own failure
-  // timeout means every peer has, by the same clock, timed us out and moved
-  // on. Whatever we stamped into the out-log while cut off (chiefly the
-  // leaves of nodes we could no longer hear) describes a world that no
-  // longer exists — drop it rather than replay it through the piggyback.
   LevelState& arrival = *levels_[level];
-  const sim::Time arrived = sim_.now();
-  if (arrival.last_received > 0 && !arrival.out_log.empty() &&
-      arrived - arrival.last_received > level_timeout(level)) {
-    clear_out_log(arrival);
-    metrics_.deaf_backlogs_dropped->add();
-  }
-  arrival.last_received = arrived;
+  drop_deaf_backlog(arrival);
+  arrival.last_received = sim_.now();
   std::visit(
       [&](auto&& msg) {
         using T = std::decay_t<decltype(msg)>;
@@ -549,32 +541,17 @@ void HierDaemon::on_control_packet(const net::Packet& packet) {
       [&](auto&& msg) {
         using T = std::decay_t<decltype(msg)>;
         if constexpr (std::is_same_v<T, BootstrapRequestMsg>) {
-          const int req_level =
-              msg.level < config_.max_ttl ? static_cast<int>(msg.level) : 0;
           // Symmetric exchange: absorb what the newcomer knows (it may be a
           // lower-level leader bringing a subtree) — cheap inbound work that
           // happens even when the O(N) image serve below is refused.
           absorb_entries(msg.known, msg.requester, 0);
-          if (!admit_image_serve()) {
-            send_busy(msg.requester, static_cast<uint8_t>(req_level),
-                      BusyKind::kBootstrap);
-            return;
-          }
-          metrics_.bootstraps_served->add();
           BootstrapResponseMsg response;
-          response.responder = self_;
-          response.responder_incarnation = own_->incarnation();
-          response.level = static_cast<uint8_t>(req_level);
-          response.epoch = levels_[req_level]->epoch;
-          response.entries = full_view();
-          metrics_.image_serve_entries->observe(
-              static_cast<double>(response.entries.size()));
-          net_.send_unicast(self_,
-                            net::Address{msg.requester, config_.control_port},
-                            encode_message(response));
+          response.level = static_cast<uint8_t>(wire_level(msg.level));
+          response.epoch = levels_[response.level]->epoch;
+          serve_image(msg.requester, BusyKind::kBootstrap,
+                      metrics_.bootstraps_served, response);
         } else if constexpr (std::is_same_v<T, BootstrapResponseMsg>) {
-          const int arrival =
-              msg.level < config_.max_ttl ? static_cast<int>(msg.level) : 0;
+          const int arrival = wire_level(msg.level);
           LevelState& ls = *levels_[arrival];
           // A full image from a responder whose leadership of this channel
           // was superseded is itself stale: don't absorb it, the live
@@ -587,67 +564,50 @@ void HierDaemon::on_control_packet(const net::Packet& packet) {
           // The exchange completed: only now is the level bootstrapped. A
           // lost response leaves the flag down and the retry timer running.
           if (ls.joined) ls.bootstrapped = true;
-          ls.pending_bootstrap.reset();
+          close_bootstrap(ls);
           absorb_entries(msg.entries, msg.responder, arrival);
         } else if constexpr (std::is_same_v<T, SyncRequestMsg>) {
-          if (!admit_image_serve()) {
-            send_busy(msg.requester, msg.level, BusyKind::kSync);
-            return;
-          }
-          metrics_.syncs_served->add();
           SyncResponseMsg response;
-          response.responder = self_;
-          response.responder_incarnation = own_->incarnation();
           response.level = msg.level;
           if (msg.level < config_.max_ttl) {
-            const int req_level = static_cast<int>(msg.level);
-            if (levels_[req_level]->joined) {
-              response.stream_seq = levels_[req_level]->out_seq;
-            }
-            response.epoch = levels_[req_level]->epoch;
+            const LevelState& ls = *levels_[msg.level];
+            if (ls.joined) response.stream_seq = ls.out_seq;
+            response.epoch = ls.epoch;
           }
-          response.entries = full_view();
-          metrics_.image_serve_entries->observe(
-              static_cast<double>(response.entries.size()));
-          net_.send_unicast(self_,
-                            net::Address{msg.requester, config_.control_port},
-                            encode_message(response));
+          serve_image(msg.requester, BusyKind::kSync, metrics_.syncs_served,
+                      response);
         } else if constexpr (std::is_same_v<T, SyncResponseMsg>) {
-          int level = msg.level;
-          if (level < config_.max_ttl && levels_[level]->joined) {
+          int arrival = 0;
+          if (joined(msg.level)) {
+            LevelState& ls = *levels_[msg.level];
             // Reconciliation removes entries, so it must never run against
             // the image of a responder whose leadership of this channel was
             // superseded (a resumed stale leader serves a view missing most
             // of the cluster).
-            if (fenced_stale(*levels_[level], msg.responder, msg.epoch,
+            if (fenced_stale(ls, msg.responder, msg.epoch,
                              msg.responder_incarnation)) {
               metrics_.stale_epoch_rejects->add();
               return;
             }
             // The poll was answered; stop the retry timer for it.
-            levels_[level]->pending_syncs.erase(msg.responder);
+            ls.exchanges.erase({BusyKind::kSync, msg.responder});
             // The image covers everything up to the responder's current
             // stream position: re-anchor our cursor there.
-            auto& in_seq = levels_[level]->in_seq;
-            auto cursor = in_seq.find(msg.responder);
-            if (cursor == in_seq.end() ||
+            auto cursor = ls.in_seq.find(msg.responder);
+            if (cursor == ls.in_seq.end() ||
                 cursor->second.incarnation < msg.responder_incarnation ||
                 (cursor->second.incarnation == msg.responder_incarnation &&
                  cursor->second.seq < msg.stream_seq)) {
-              in_seq[msg.responder] = LevelState::InCursor{
+              ls.in_seq[msg.responder] = LevelState::InCursor{
                   msg.responder_incarnation, msg.stream_seq};
             }
-            reconcile_with_image(msg.responder, msg.entries, level);
-            absorb_entries(msg.entries, msg.responder, level);
-          } else {
-            reconcile_with_image(msg.responder, msg.entries, 0);
-            absorb_entries(msg.entries, msg.responder, 0);
+            arrival = msg.level;
           }
+          reconcile_with_image(msg.responder, msg.entries, arrival);
+          absorb_entries(msg.entries, msg.responder, arrival);
         } else if constexpr (std::is_same_v<T, ElectionAnswerMsg>) {
-          int level = msg.level;
-          if (level >= 0 && level < config_.max_ttl &&
-              levels_[level]->joined && levels_[level]->electing) {
-            levels_[level]->answered = true;
+          if (joined(msg.level) && levels_[msg.level]->electing) {
+            levels_[msg.level]->answered = true;
           }
         } else if constexpr (std::is_same_v<T, BusyMsg>) {
           on_busy(msg);
@@ -669,12 +629,7 @@ void HierDaemon::on_heartbeat(int level, const HeartbeatMsg& msg) {
   if (msg.leaving) {
     // Voluntary channel departure: the node is alive, just out of earshot
     // here. Drop the membership bookkeeping without any death semantics.
-    ls.members.erase(sender);
-    prune_pending(ls, sender);
-    if (ls.leader == sender) {
-      ls.leader = membership::kInvalidNode;
-      ls.backup_grace_timer->restart(kBackupGrace);
-    }
+    forget_member(ls, sender);
     // Keep the entry's contents fresh, but record that our knowledge of it
     // is about to become second-hand.
     table_.apply(msg.entry, Liveness::kDirect, membership::kInvalidNode, now);
@@ -982,7 +937,7 @@ void HierDaemon::become_leader(int level) {
   ls.my_backup = pick_backup(level);
   // Our own view is now the group's authority; an outstanding bootstrap
   // poll (to a dead or demoted leader) is moot.
-  ls.pending_bootstrap.reset();
+  close_bootstrap(ls);
   // Mint a new leadership epoch above everything heard on this channel, and
   // fence the predecessor we are succeeding: its claims (and replayed
   // updates) below the new epoch are stale from this moment on.
@@ -1061,7 +1016,7 @@ void HierDaemon::adopt_epoch(int level, membership::Epoch epoch,
   ls.leader = new_leader;
   abdicate(level);
   ls.bootstrapped = false;
-  ls.pending_bootstrap.reset();  // any in-flight poll aimed at old leadership
+  close_bootstrap(ls);  // any in-flight poll aimed at old leadership
   if (new_leader != membership::kInvalidNode) {
     request_bootstrap(level, new_leader);
   }
@@ -1222,13 +1177,8 @@ void HierDaemon::relay_record(const UpdateRecord& record, int arrival_level) {
     emit[l + 1] = true;
   }
   for (int l = 0; l < config_.max_ttl; ++l) {
-    if (emit[l]) emit_update(l, record);
+    if (emit[l]) emit_batch(l, {record});
   }
-}
-
-void HierDaemon::emit_update(int level, const UpdateRecord& record) {
-  std::vector<UpdateRecord> batch{record};
-  emit_batch(level, batch);
 }
 
 void HierDaemon::emit_batch(int level,
@@ -1236,14 +1186,9 @@ void HierDaemon::emit_batch(int level,
   LevelState& ls = level_state(level);
   if (!ls.joined || batch.empty()) return;
 
-  // Deafness guard, mirrored from on_data_packet for timer-driven emissions
-  // (a refresh can fire after a resume before any packet has arrived): a
-  // backlog stamped while cut off must not ride out on the piggyback.
-  if (ls.last_received > 0 && !ls.out_log.empty() &&
-      sim_.now() - ls.last_received > level_timeout(level)) {
-    clear_out_log(ls);
-    metrics_.deaf_backlogs_dropped->add();
-  }
+  // Timer-driven emissions need the deafness guard too: a refresh can fire
+  // after a resume before any packet has arrived.
+  drop_deaf_backlog(ls);
 
   UpdateMsg msg;
   msg.origin = self_;
@@ -1300,6 +1245,19 @@ void HierDaemon::emit_batch(int level,
 void HierDaemon::clear_out_log(LevelState& ls) {
   ls.out_log.clear();
   ls.out_log_base = ls.out_seq;
+}
+
+void HierDaemon::drop_deaf_backlog(LevelState& ls) {
+  // A deafness gap exceeding this level's own failure timeout means every
+  // peer has, by the same clock, timed us out and moved on. Whatever we
+  // stamped into the out-log while cut off (chiefly the leaves of nodes we
+  // could no longer hear) describes a world that no longer exists — drop it
+  // rather than replay it through the piggyback.
+  if (ls.last_received > 0 && !ls.out_log.empty() &&
+      sim_.now() - ls.last_received > level_timeout(ls.level)) {
+    clear_out_log(ls);
+    metrics_.deaf_backlogs_dropped->add();
+  }
 }
 
 std::vector<const MembershipEntry*> HierDaemon::refresh_scope(
@@ -1490,8 +1448,7 @@ void HierDaemon::check_digest_rounds(int level) {
 
 void HierDaemon::on_refresh_pull(const RefreshPullMsg& msg) {
   if (msg.requester == self_) return;
-  const int level =
-      msg.level < config_.max_ttl ? static_cast<int>(msg.level) : 0;
+  const int level = wire_level(msg.level);
   LevelState& ls = *levels_[level];
   if (!ls.joined) return;
   metrics_.digest_pulls_served->add();
@@ -1541,8 +1498,7 @@ void HierDaemon::on_refresh_pull(const RefreshPullMsg& msg) {
 
 void HierDaemon::on_refresh_delta(const RefreshDeltaMsg& msg) {
   if (msg.responder == self_) return;
-  const int level =
-      msg.level < config_.max_ttl ? static_cast<int>(msg.level) : 0;
+  const int level = wire_level(msg.level);
   LevelState& ls = *levels_[level];
   if (!ls.joined) return;
   if (fenced_stale(ls, msg.responder, msg.epoch, msg.responder_incarnation)) {
@@ -1566,10 +1522,23 @@ void HierDaemon::on_refresh_delta(const RefreshDeltaMsg& msg) {
 
 // --- bootstrap / sync -------------------------------------------------------
 
+void HierDaemon::request_bootstrap(int level, NodeId leader) {
+  LevelState& ls = level_state(level);
+  auto it = ls.exchanges.find({BusyKind::kBootstrap, leader});
+  if (it != ls.exchanges.end() && !it->second->exhausted) {
+    return;  // a poll to this leader is already in flight
+  }
+  // Retarget (leadership moved) or restart after exhaustion: the attempt
+  // budget is per-exchange, and a fresh leader claim opens a fresh one.
+  close_bootstrap(ls);
+  open_exchange(level, BusyKind::kBootstrap, leader,
+                &HierDaemon::send_bootstrap_request);
+}
+
 void HierDaemon::request_sync(int level, NodeId origin, uint64_t observed_seq) {
   LevelState& ls = level_state(level);
-  auto it = ls.pending_syncs.find(origin);
-  if (it != ls.pending_syncs.end()) {
+  auto it = ls.exchanges.find({BusyKind::kSync, origin});
+  if (it != ls.exchanges.end()) {
     if (!it->second->exhausted) return;  // a poll is already in flight
     // The attempt budget on this origin is spent and it is still ahead of
     // us: stop polling and anchor the cursor past the gap instead. The
@@ -1579,21 +1548,27 @@ void HierDaemon::request_sync(int level, NodeId origin, uint64_t observed_seq) {
     if (cursor != ls.in_seq.end() && observed_seq > cursor->second.seq) {
       cursor->second.seq = observed_seq;
     }
-    ls.pending_syncs.erase(it);
+    ls.exchanges.erase(it);
     return;
   }
-  auto pending = std::make_unique<LevelState::PendingExchange>();
-  pending->target = origin;
-  pending->timer = std::make_unique<sim::OneShotTimer>(
-      sim_, [this, level, origin] { sync_retry(level, origin); });
-  ls.pending_syncs.emplace(origin, std::move(pending));
-  send_sync_request(level, origin);
+  open_exchange(level, BusyKind::kSync, origin,
+                &HierDaemon::send_sync_request);
+}
+
+void HierDaemon::send_bootstrap_request(int level, NodeId leader) {
+  metrics_.bootstraps_requested->add();
+  trace(obs::TraceKind::kBootstrapRequest, level, leader);
+  BootstrapRequestMsg request;
+  request.requester = self_;
+  request.level = static_cast<uint8_t>(level);
+  request.epoch = level_state(level).epoch;
+  request.known = full_view();
+  net_.send_unicast(self_, net::Address{leader, config_.control_port},
+                    encode_message(request));
 }
 
 void HierDaemon::send_sync_request(int level, NodeId origin) {
   LevelState& ls = level_state(level);
-  auto it = ls.pending_syncs.find(origin);
-  if (it == ls.pending_syncs.end()) return;
   metrics_.syncs_requested->add();
   trace(obs::TraceKind::kSyncRequest, level, origin);
   SyncRequestMsg request;
@@ -1606,90 +1581,91 @@ void HierDaemon::send_sync_request(int level, NodeId origin) {
   request.epoch = ls.epoch;
   net_.send_unicast(self_, net::Address{origin, config_.control_port},
                     encode_message(request));
-  it->second->timer->restart(
-      kExchangeRetry.delay(it->second->attempts, sim_.rng()));
-  ++it->second->attempts;
 }
 
-void HierDaemon::sync_retry(int level, NodeId origin) {
-  LevelState& ls = level_state(level);
-  auto it = ls.pending_syncs.find(origin);
-  if (it == ls.pending_syncs.end() || it->second->exhausted) return;
-  if (kExchangeRetry.exhausted(it->second->attempts)) {
-    // The slot stays (marking the origin as hopeless for now) until the
-    // next gap sighting anchors past it; it must not be destroyed here,
-    // inside its own timer's callback.
-    it->second->exhausted = true;
+void HierDaemon::open_exchange(int level, BusyKind kind, NodeId target,
+                               void (HierDaemon::*send)(int, NodeId)) {
+  auto& slot = level_state(level).exchanges[{kind, target}];
+  slot = std::make_unique<LevelState::PendingExchange>();
+  LevelState::PendingExchange* exchange = slot.get();
+  exchange->target = target;
+  exchange->send = send;
+  // The slot owns the timer, so the callback never outlives the slot.
+  exchange->timer = std::make_unique<sim::OneShotTimer>(
+      sim_, [this, level, exchange] { retry_exchange(level, *exchange); });
+  send_exchange(level, *exchange);
+}
+
+void HierDaemon::send_exchange(int level,
+                               LevelState::PendingExchange& exchange) {
+  (this->*exchange.send)(level, exchange.target);
+  exchange.timer->restart(kExchangeRetry.delay(exchange.attempts, sim_.rng()));
+  ++exchange.attempts;
+}
+
+void HierDaemon::retry_exchange(int level,
+                                LevelState::PendingExchange& exchange) {
+  if (kExchangeRetry.exhausted(exchange.attempts)) {
+    // Budget spent on this target: stop hammering it and leave the
+    // escalation to the requester's own path. A bootstrap stays
+    // un-bootstrapped, so the next leader claim (heartbeat flag or
+    // COORDINATOR) re-opens it; a sync is anchored past the gap at the next
+    // gap sighting. The slot survives until then: destroying it here would
+    // free the timer whose callback this is.
+    exchange.exhausted = true;
     metrics_.exchange_budget_exhausted->add();
-    trace(obs::TraceKind::kBudgetExhausted, level, origin);
+    trace(obs::TraceKind::kBudgetExhausted, level, exchange.target);
     return;
   }
   metrics_.exchange_retries->add();
-  trace(obs::TraceKind::kRetry, level, origin, it->second->attempts);
-  send_sync_request(level, origin);
+  trace(obs::TraceKind::kRetry, level, exchange.target, exchange.attempts);
+  send_exchange(level, exchange);
 }
 
-void HierDaemon::request_bootstrap(int level, NodeId leader) {
-  LevelState& ls = level_state(level);
-  if (ls.pending_bootstrap && !ls.pending_bootstrap->exhausted &&
-      ls.pending_bootstrap->target == leader) {
-    return;  // a poll to this leader is already in flight
+void HierDaemon::close_bootstrap(LevelState& ls) {
+  auto first = ls.exchanges.begin();
+  if (first != ls.exchanges.end() &&
+      first->first.first == BusyKind::kBootstrap) {
+    ls.exchanges.erase(first);
   }
-  if (!ls.pending_bootstrap) {
-    ls.pending_bootstrap = std::make_unique<LevelState::PendingExchange>();
-    ls.pending_bootstrap->timer = std::make_unique<sim::OneShotTimer>(
-        sim_, [this, level] { bootstrap_retry(level); });
-  }
-  // Retarget (leadership moved) or restart after exhaustion: the attempt
-  // budget is per-exchange, and a fresh leader claim opens a fresh one.
-  ls.pending_bootstrap->target = leader;
-  ls.pending_bootstrap->attempts = 0;
-  ls.pending_bootstrap->exhausted = false;
-  send_bootstrap_request(level);
-}
-
-void HierDaemon::send_bootstrap_request(int level) {
-  LevelState& ls = level_state(level);
-  LevelState::PendingExchange& pending = *ls.pending_bootstrap;
-  metrics_.bootstraps_requested->add();
-  trace(obs::TraceKind::kBootstrapRequest, level, pending.target);
-  BootstrapRequestMsg request;
-  request.requester = self_;
-  request.level = static_cast<uint8_t>(level);
-  request.epoch = ls.epoch;
-  request.known = full_view();
-  net_.send_unicast(self_, net::Address{pending.target, config_.control_port},
-                    encode_message(request));
-  pending.timer->restart(
-      kExchangeRetry.delay(pending.attempts, sim_.rng()));
-  ++pending.attempts;
-}
-
-void HierDaemon::bootstrap_retry(int level) {
-  LevelState& ls = level_state(level);
-  if (!ls.pending_bootstrap || ls.pending_bootstrap->exhausted) return;
-  if (kExchangeRetry.exhausted(ls.pending_bootstrap->attempts)) {
-    // Budget spent on this leader: stop hammering it. `bootstrapped` stays
-    // false, so the next leader claim (heartbeat flag or COORDINATOR)
-    // re-opens the exchange — leader re-discovery is the escalation. The
-    // slot survives until then: destroying it here would free the timer
-    // whose callback this is.
-    ls.pending_bootstrap->exhausted = true;
-    metrics_.exchange_budget_exhausted->add();
-    trace(obs::TraceKind::kBudgetExhausted, level, ls.pending_bootstrap->target);
-    return;
-  }
-  metrics_.exchange_retries->add();
-  trace(obs::TraceKind::kRetry, level, ls.pending_bootstrap->target,
-        ls.pending_bootstrap->attempts);
-  send_bootstrap_request(level);
 }
 
 void HierDaemon::prune_pending(LevelState& ls, NodeId member) {
-  ls.pending_syncs.erase(member);
-  if (ls.pending_bootstrap && ls.pending_bootstrap->target == member) {
-    ls.pending_bootstrap.reset();
+  ls.exchanges.erase({BusyKind::kBootstrap, member});
+  ls.exchanges.erase({BusyKind::kSync, member});
+}
+
+template <typename Response>
+void HierDaemon::serve_image(NodeId requester, BusyKind kind,
+                             obs::Counter* served, Response& response) {
+  if (!admit_image_serve()) {
+    metrics_.busy_sent->add();
+    BusyMsg busy;
+    busy.responder = self_;
+    busy.level = response.level;
+    busy.kind = kind;
+    // Deterministic stagger: successive refusals within one window are
+    // pointed at successively later windows, so a backlog of B requesters
+    // drains at `image_serve_budget` serves per period instead of all B
+    // re-colliding at the window rollover.
+    const auto windows_ahead = static_cast<sim::Duration>(
+        deferrals_window_++ / config_.image_serve_budget);
+    busy.retry_after = serve_window_start_ + config_.period - sim_.now() +
+                       windows_ahead * config_.period;
+    trace(obs::TraceKind::kBusyPushback, busy.level, requester,
+          static_cast<uint64_t>(busy.retry_after));
+    net_.send_unicast(self_, net::Address{requester, config_.control_port},
+                      encode_message(busy));
+    return;
   }
+  served->add();
+  response.responder = self_;
+  response.responder_incarnation = own_->incarnation();
+  response.entries = full_view();
+  metrics_.image_serve_entries->observe(
+      static_cast<double>(response.entries.size()));
+  net_.send_unicast(self_, net::Address{requester, config_.control_port},
+                    encode_message(response));
 }
 
 bool HierDaemon::admit_image_serve() {
@@ -1707,45 +1683,11 @@ bool HierDaemon::admit_image_serve() {
   return false;
 }
 
-sim::Duration HierDaemon::busy_retry_after() {
-  // Deterministic stagger: successive refusals within one window are
-  // pointed at successively later windows, so a backlog of B requesters
-  // drains at `image_serve_budget` serves per period instead of all B
-  // re-colliding at the window rollover.
-  const sim::Duration until_next =
-      serve_window_start_ + config_.period - sim_.now();
-  const auto windows_ahead = static_cast<sim::Duration>(
-      deferrals_window_++ / config_.image_serve_budget);
-  return until_next + windows_ahead * config_.period;
-}
-
-void HierDaemon::send_busy(NodeId requester, uint8_t level, BusyKind kind) {
-  metrics_.busy_sent->add();
-  BusyMsg busy;
-  busy.responder = self_;
-  busy.level = level;
-  busy.kind = kind;
-  busy.retry_after = busy_retry_after();
-  trace(obs::TraceKind::kBusyPushback, level, requester,
-        static_cast<uint64_t>(busy.retry_after));
-  net_.send_unicast(self_, net::Address{requester, config_.control_port},
-                    encode_message(busy));
-}
-
 void HierDaemon::on_busy(const BusyMsg& msg) {
-  const int level =
-      msg.level < config_.max_ttl ? static_cast<int>(msg.level) : 0;
-  LevelState& ls = *levels_[level];
-  LevelState::PendingExchange* pending = nullptr;
-  if (msg.kind == BusyKind::kBootstrap) {
-    if (ls.pending_bootstrap && ls.pending_bootstrap->target == msg.responder) {
-      pending = ls.pending_bootstrap.get();
-    }
-  } else {
-    auto it = ls.pending_syncs.find(msg.responder);
-    if (it != ls.pending_syncs.end()) pending = it->second.get();
-  }
-  if (pending == nullptr || pending->exhausted) return;
+  const int level = wire_level(msg.level);
+  auto& exchanges = levels_[level]->exchanges;
+  auto it = exchanges.find({msg.kind, msg.responder});
+  if (it == exchanges.end() || it->second->exhausted) return;
   metrics_.busy_deferrals->add();
   trace(obs::TraceKind::kBusyDeferral, level, msg.responder,
         static_cast<uint64_t>(msg.retry_after));
@@ -1753,8 +1695,8 @@ void HierDaemon::on_busy(const BusyMsg& msg) {
   // spreads requesters that were handed the same retry_after.
   const auto jitter = static_cast<sim::Duration>(sim_.rng().uniform_u64(
       static_cast<uint64_t>(config_.period / 2) + 1));
-  pending->timer->restart(std::max<sim::Duration>(msg.retry_after, 1) +
-                          jitter);
+  it->second->timer->restart(std::max<sim::Duration>(msg.retry_after, 1) +
+                             jitter);
 }
 
 std::vector<RowRef> HierDaemon::full_view() const {
@@ -1825,8 +1767,7 @@ void HierDaemon::absorb_entries(const std::vector<RowRef>& entries,
     // anti-entropy refresh re-merges the sides.
     ApplyResult result =
         table_.apply(entry, Liveness::kRelayed,
-                     provenance_tag(entry->node(), relayed_by), now,
-                     /*override_tombstone=*/false);
+                     provenance_tag(entry->node(), relayed_by), now);
     if (result == ApplyResult::kAdded) notify(entry->node(), true);
     if (result == ApplyResult::kAdded || result == ApplyResult::kUpdated) {
       relay_record(make_join_record(entry), arrival_level);

@@ -233,20 +233,23 @@ class HierDaemon : public MembershipDaemon {
     // orphan expiry.
     std::map<std::pair<membership::NodeId, bool>, sim::Time> digest_due;
 
-    // One in-flight solicited exchange: the unanswered poll's target, how
-    // many sends it has consumed, and the retry deadline. An `exhausted`
-    // slot has spent its attempt budget; it stays (deduplicating further
-    // triggers) until the escalation path or a pruning event clears it —
-    // never from inside its own timer callback.
+    // One in-flight solicited exchange: the unanswered poll's target and
+    // request builder, how many sends it has consumed, and the retry
+    // deadline. An `exhausted` slot has spent its attempt budget; it stays
+    // (deduplicating further triggers) until the escalation path or a
+    // pruning event clears it — never from inside its own timer callback.
     struct PendingExchange {
       membership::NodeId target = membership::kInvalidNode;
+      void (HierDaemon::*send)(int level, membership::NodeId target) = nullptr;
       int attempts = 0;
       bool exhausted = false;
       std::unique_ptr<sim::OneShotTimer> timer;
     };
-    std::unique_ptr<PendingExchange> pending_bootstrap;
-    std::map<membership::NodeId, std::unique_ptr<PendingExchange>>
-        pending_syncs;
+    // Keyed by (kind, target): at most one bootstrap slot per level (it
+    // sorts first) and one sync slot per origin.
+    std::map<std::pair<membership::BusyKind, membership::NodeId>,
+             std::unique_ptr<PendingExchange>>
+        exchanges;
 
     std::unique_ptr<sim::OneShotTimer> listen_timer;
     std::unique_ptr<sim::OneShotTimer> election_timer;
@@ -265,6 +268,10 @@ class HierDaemon : public MembershipDaemon {
   uint8_t ttl_of(int level) const { return static_cast<uint8_t>(level + 1); }
   int level_of_channel(net::ChannelId channel) const;
   LevelState& level_state(int level) { return *levels_[level]; }
+  // The level a control message names, clamped to 0 when out of range.
+  int wire_level(uint8_t level) const {
+    return level < config_.max_ttl ? level : 0;
+  }
 
   void join_level(int level);
   // Leave `level` and everything above; `announce` multicasts a goodbye on
@@ -289,6 +296,9 @@ class HierDaemon : public MembershipDaemon {
   // died or were cut off, the failure detector decides. Returns how many
   // were dropped.
   size_t drop_out_of_scope(int level);
+  // A member left this channel alive (goodbye, or moved out of scope): drop
+  // its bookkeeping, with no death semantics.
+  void forget_member(LevelState& ls, membership::NodeId member);
   void on_member_dead(int level, membership::NodeId member);
   bool heard_directly(membership::NodeId node) const;
   // Drop entries whose relay chain went through `dead` (paper Timeout
@@ -351,7 +361,6 @@ class HierDaemon : public MembershipDaemon {
   // into every group this node leads, plus upward when it leads the arrival
   // group itself.
   void relay_record(const membership::UpdateRecord& record, int arrival_level);
-  void emit_update(int level, const membership::UpdateRecord& record);
   void emit_batch(int level,
                   const std::vector<membership::UpdateRecord>& batch);
   // The refresh scope as a batch of join records: the full-image re-seed
@@ -391,30 +400,41 @@ class HierDaemon : public MembershipDaemon {
   // No-ops while a poll to the same leader is in flight; a fresh target or
   // an exhausted slot starts over with a full attempt budget.
   void request_bootstrap(int level, membership::NodeId leader);
-  void send_bootstrap_request(int level);
-  void bootstrap_retry(int level);
   // Open a sync exchange towards `origin` for this level's stream.
   // `observed_seq` is the origin's advertised stream position that exposed
   // the gap; when the exchange's budget is already exhausted it becomes the
   // anchor: the cursor jumps past the gap and anti-entropy repairs the rest.
   void request_sync(int level, membership::NodeId origin,
                     uint64_t observed_seq);
+  // The request builders: one poll each, no slot bookkeeping.
+  void send_bootstrap_request(int level, membership::NodeId leader);
   void send_sync_request(int level, membership::NodeId origin);
-  void sync_retry(int level, membership::NodeId origin);
+  // The lifecycle both polls share: open a slot and send; send through the
+  // slot's builder, arm the retry and count the attempt; on the retry
+  // timer, send again or mark the slot exhausted.
+  void open_exchange(int level, membership::BusyKind kind,
+                     membership::NodeId target,
+                     void (HierDaemon::*send)(int, membership::NodeId));
+  void send_exchange(int level, LevelState::PendingExchange& exchange);
+  void retry_exchange(int level, LevelState::PendingExchange& exchange);
+  // Drop the level's bootstrap slot, whatever its target.
+  static void close_bootstrap(LevelState& ls);
   // Drop exchange slots aimed at a member that died or left the channel.
   static void prune_pending(LevelState& ls, membership::NodeId member);
-  // Admission control for O(N) full-image serves: a per-period budget,
-  // refusals answered with BusyMsg naming a deterministic staggered
+  // Serve a bootstrap or sync image under admission control: a per-period
+  // budget, refusals answered with BusyMsg naming a deterministic staggered
   // retry_after (each refusal in a window is pointed one budget-slot
   // further out, so the backlog drains at budget serves per period).
+  template <typename Response>
+  void serve_image(membership::NodeId requester, membership::BusyKind kind,
+                   obs::Counter* served, Response& response);
   bool admit_image_serve();
-  sim::Duration busy_retry_after();
-  void send_busy(membership::NodeId requester, uint8_t level,
-                 membership::BusyKind kind);
   void on_busy(const membership::BusyMsg& msg);
   // Drop the out-log and advance the trim watermark so receivers behind
   // out_seq are forced onto the full-image path.
   void clear_out_log(LevelState& ls);
+  // Deafness guard: drop an out-log stamped while every peer timed us out.
+  void drop_deaf_backlog(LevelState& ls);
   std::vector<membership::RowRef> full_view() const;
   membership::NodeId provenance_tag(membership::NodeId subject,
                                     membership::NodeId proposed) const;

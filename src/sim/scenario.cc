@@ -188,6 +188,10 @@ class ScenarioRunner {
       : spec_(spec), sim_(spec.seed) {
     TAMP_CHECK(spec_.nodes >= 6);
     build_topology();
+    // The plan draws victims from [0, nodes), so every one must exist.
+    TAMP_CHECK_MSG(layout_.hosts.size() == spec_.nodes,
+                   "--shape=%s builds %zu hosts, not --nodes=%zu",
+                   shape_name(spec_.shape), layout_.hosts.size(), spec_.nodes);
     // Finite NICs: storms must contend for egress like they would on real
     // hardware. 100 Mbit/s with a ~256 KiB device queue — small enough that
     // a naive mass-bootstrap burst visibly drops, large enough that the

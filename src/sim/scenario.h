@@ -43,8 +43,8 @@ struct ScenarioSpec {
   ShapeKind shape = ShapeKind::kRacked;
   PlanKind plan = PlanKind::kCrashRestart;
   uint64_t seed = 1;
-  size_t nodes = 12;  // total cluster size (split into 3 segments on the
-                      // racked / chain shapes)
+  size_t nodes = 12;  // total cluster size (split into 3 equal segments on
+                      // the racked / chain shapes: a multiple of 3 there)
   // Extra virtual time simulated past the oracle's quiescence bound, so the
   // quiescent invariants get several check ticks.
   sim::Duration tail = 8 * sim::kSecond;

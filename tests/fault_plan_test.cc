@@ -154,5 +154,24 @@ TEST(PlanApplicability, GossipSkipsOnlySymmetricSplits) {
   EXPECT_GE(applicable, 4);
 }
 
+// Racked and router-chain build three equal segments. A node count those
+// shapes cannot lay out exits before the run, naming the shape and both
+// counts, instead of aborting on a victim index past the built hosts
+// (racked, 20) or silently running one node short (router-chain, 13).
+TEST(ScenarioSpecDeathTest, NodeCountTheShapeCannotBuildAborts) {
+  ScenarioSpec spec;
+  spec.scheme = protocols::Scheme::kGossip;
+  spec.shape = ShapeKind::kRacked;
+  spec.plan = PlanKind::kCrashRestart;
+  spec.seed = 2;
+  spec.nodes = 20;
+  EXPECT_DEATH(run_scenario(spec),
+               "--shape=racked builds 18 hosts, not --nodes=20");
+  spec.shape = ShapeKind::kRouterChain;
+  spec.nodes = 13;
+  EXPECT_DEATH(run_scenario(spec),
+               "--shape=router-chain builds 12 hosts, not --nodes=13");
+}
+
 }  // namespace
 }  // namespace tamp::chaos

@@ -52,6 +52,82 @@ struct RobustnessFixture : public ::testing::Test {
     }
     return nullptr;
   }
+
+  HierDaemon* rack_follower(int rack) {
+    for (net::HostId h : layout.racks[static_cast<size_t>(rack)]) {
+      auto* d = static_cast<HierDaemon*>(cluster->daemon_for(h));
+      if (d != nullptr && d->running() && !d->is_leader(0)) return d;
+    }
+    return nullptr;
+  }
+
+  // A crafted level-0 BusyMsg from `responder` to `to`'s control port,
+  // delivered before the next 100 ms.
+  void deliver_busy(net::HostId responder, HierDaemon* to,
+                    membership::BusyKind kind, sim::Duration retry_after) {
+    membership::BusyMsg busy;
+    busy.responder = responder;
+    busy.level = 0;
+    busy.kind = kind;
+    busy.retry_after = retry_after;
+    ASSERT_TRUE(net->send_unicast(
+        responder, net::Address{to->self(), to->config().control_port},
+        membership::encode_message(busy)));
+    sim.run_until(sim.now() + 100 * sim::kMillisecond);
+  }
+
+  // The attempt count the node's latest retry of an exchange reported.
+  uint64_t last_retry_attempts(const HierDaemon* d) {
+    const auto& events = net->obs().tracer.events();
+    for (auto it = events.rbegin(); it != events.rend(); ++it) {
+      if (it->kind == obs::TraceKind::kRetry && it->node == d->self()) {
+        return it->b;
+      }
+    }
+    ADD_FAILURE() << "no retry traced for node " << d->self();
+    return 0;
+  }
+
+  // Checks one open exchange of `requester` against crafted BusyMsgs: one of
+  // the other kind and one from a node that is not the target are ignored,
+  // so the poll is retried on its own schedule; the matching one defers the
+  // next send by retry_after without charging an attempt. `requests` names
+  // the counter the exchange's sends bump.
+  void expect_busy_defers_only_its_exchange(HierDaemon* requester,
+                                            net::HostId target,
+                                            membership::BusyKind kind,
+                                            net::HostId bystander,
+                                            std::string_view requests) {
+    using membership::BusyKind;
+    const size_t slots = requester->pending_exchanges(0);
+    ASSERT_GE(slots, 1u);
+    const uint64_t deferrals = hier_counter(requester, "busy_deferrals");
+    const uint64_t sent = hier_counter(requester, requests);
+    const BusyKind other =
+        kind == BusyKind::kSync ? BusyKind::kBootstrap : BusyKind::kSync;
+    deliver_busy(target, requester, other, 10 * sim::kSecond);
+    deliver_busy(bystander, requester, kind, 10 * sim::kSecond);
+    EXPECT_EQ(hier_counter(requester, "busy_deferrals"), deferrals);
+    // The first retry is due within 1.5 s of the opening send.
+    sim.run_until(sim.now() + 1500 * sim::kMillisecond);
+    const uint64_t retried = hier_counter(requester, requests);
+    ASSERT_EQ(retried, sent + 1) << "ignored busies must not defer";
+    const uint64_t attempts = last_retry_attempts(requester);
+
+    const sim::Time busy_at = sim.now();
+    deliver_busy(target, requester, kind, 4 * sim::kSecond);
+    EXPECT_EQ(hier_counter(requester, "busy_deferrals"), deferrals + 1);
+    EXPECT_EQ(requester->pending_exchanges(0), slots);
+    // Without the deferral the second retry would fall within 3 s.
+    sim.run_until(busy_at + 3900 * sim::kMillisecond);
+    EXPECT_EQ(hier_counter(requester, requests), retried);
+    // retry_after plus at most half a period of jitter.
+    sim.run_until(busy_at + 4600 * sim::kMillisecond);
+    EXPECT_EQ(hier_counter(requester, requests), retried + 1);
+    // The deferred send is the retry the busy postponed, at the attempt
+    // count the previous send left: the deferral charged nothing.
+    EXPECT_EQ(last_retry_attempts(requester), attempts + 1);
+  }
 };
 
 // Drops the first `count` frames of one wire type, cluster-wide — surgical,
@@ -519,6 +595,71 @@ TEST_F(RobustnessFixture, TruncatedDeltaEscalatesOnlyFromTheLiveLeader) {
   EXPECT_EQ(after.fallbacks, before.fallbacks);
   EXPECT_EQ(after.syncs, before.syncs);
   EXPECT_EQ(after.rejects, before.rejects + 1);
+}
+
+// A BusyMsg defers the open bootstrap slot it names. The joiner's requests
+// are all lost, so its slot stays open and retries for the whole test.
+TEST_F(RobustnessFixture, BusyDefersAnOpenBootstrapWithoutChargingAnAttempt) {
+  Cluster::Options opts;
+  opts.hier.refresh_interval = 1000 * sim::kSecond;
+  build(2, 5, opts);
+  DropFirstOfType injector;
+  net->set_fault_injector(&injector);
+  net->obs().tracer.set_enabled(true);
+
+  net::HostId revenant = layout.racks[1][3];
+  cluster->kill(index_of(revenant));
+  sim.run_until(sim.now() + 15 * sim::kSecond);
+  HierDaemon* leader = rack_leader(1);
+  ASSERT_NE(leader, nullptr);
+  injector.arm(membership::MessageType::kBootstrapRequest, 1 << 30);
+  cluster->restart(index_of(revenant));
+  auto* joiner = static_cast<HierDaemon*>(cluster->daemon_for(revenant));
+  // The leader's next heartbeat opens the slot; stop right after that send.
+  const uint64_t before = hier_counter(joiner, "bootstraps_requested");
+  while (hier_counter(joiner, "bootstraps_requested") == before) {
+    sim.run_until(sim.now() + 10 * sim::kMillisecond);
+  }
+  ASSERT_EQ(joiner->leader_of(0), leader->self());
+  expect_busy_defers_only_its_exchange(joiner, leader->self(),
+                                       membership::BusyKind::kBootstrap,
+                                       layout.racks[0][0],
+                                       "bootstraps_requested");
+}
+
+// The same for a sync slot. A crafted truncated delta opens it, and every
+// SyncRequest is lost, so it stays open and retries for the whole test.
+TEST_F(RobustnessFixture, BusyDefersAnOpenSyncWithoutChargingAnAttempt) {
+  Cluster::Options opts;
+  opts.hier.refresh_interval = 1000 * sim::kSecond;
+  build(2, 6, opts);
+  DropFirstOfType injector;
+  net->set_fault_injector(&injector);
+  net->obs().tracer.set_enabled(true);
+  HierDaemon* leader = rack_leader(0);
+  HierDaemon* follower = rack_follower(0);
+  ASSERT_NE(leader, nullptr);
+  ASSERT_NE(follower, nullptr);
+  ASSERT_EQ(follower->pending_exchanges(0), 0u);
+
+  injector.arm(membership::MessageType::kSyncRequest, 1 << 30);
+  membership::RefreshDeltaMsg delta;
+  delta.responder = leader->self();
+  delta.responder_incarnation = leader->own_entry().incarnation;
+  delta.level = 0;
+  delta.epoch = leader->epoch_of(0);
+  delta.truncated = true;
+  const uint64_t before = hier_counter(follower, "syncs_requested");
+  ASSERT_TRUE(net->send_unicast(
+      leader->self(),
+      net::Address{follower->self(), follower->config().control_port},
+      membership::encode_message(delta)));
+  while (hier_counter(follower, "syncs_requested") == before) {
+    sim.run_until(sim.now() + 10 * sim::kMillisecond);
+  }
+  expect_busy_defers_only_its_exchange(follower, leader->self(),
+                                       membership::BusyKind::kSync,
+                                       layout.racks[1][0], "syncs_requested");
 }
 
 // Digest rounds carry no sequence number, so a lost round is noticed by

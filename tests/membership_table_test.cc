@@ -164,17 +164,6 @@ TEST(Table, ExpirePolicy) {
   EXPECT_TRUE(table.contains(2));
 }
 
-TEST(Table, PurgeRelayedBy) {
-  MembershipTable table;
-  table.apply(row(1), Liveness::kRelayed, 9, 0);
-  table.apply(row(2), Liveness::kRelayed, 9, 0);
-  table.apply(row(3), Liveness::kRelayed, 8, 0);
-  table.apply(row(4), Liveness::kDirect, kInvalidNode, 0);
-  auto purged = table.purge_relayed_by(9);
-  EXPECT_EQ(purged, (std::vector<NodeId>{1, 2}));
-  EXPECT_EQ(table.size(), 2u);
-}
-
 TEST(Table, LookupByServiceAndPartition) {
   MembershipTable table;
   EntryData a;

@@ -231,8 +231,19 @@ TEST_F(ControlObsFixture, MetricsQueryRoundTrip) {
     }
   }
   EXPECT_TRUE(heartbeats_seen);
+  // Nothing is cut: the answer holds every hier counter the registry keeps
+  // for this node.
+  size_t registered = 0;
+  net->obs().metrics.visit_counters(
+      [&](const obs::MetricsRegistry::CounterRow& row) {
+        if (row.protocol == obs::Protocol::kHier &&
+            row.node == layout.hosts[0]) {
+          ++registered;
+        }
+      });
+  EXPECT_EQ(response.metrics.size(), registered);
 
-  // Substring filter and result cap both narrow the response.
+  // The substring filter narrows the response.
   api::MetricsQuery filtered;
   filtered.name_filter = "heartbeats";
   api::ControlResponse narrowed = service->control(filtered);
@@ -242,9 +253,6 @@ TEST_F(ControlObsFixture, MetricsQueryRoundTrip) {
   for (const api::MetricValue& metric : narrowed.metrics) {
     EXPECT_NE(metric.name.find("heartbeats"), std::string::npos);
   }
-  api::MetricsQuery capped;
-  capped.max_results = 1;
-  EXPECT_EQ(service->control(capped).metrics.size(), 1u);
 }
 
 TEST_F(ControlObsFixture, MalformedObservabilityRequestsAreRejected) {
@@ -252,12 +260,6 @@ TEST_F(ControlObsFixture, MalformedObservabilityRequestsAreRejected) {
   api::MetricsQuery oversized;
   oversized.name_filter.assign(257, 'x');
   EXPECT_FALSE(service->control(oversized).status.ok());
-  api::MetricsQuery zero_cap;
-  zero_cap.max_results = 0;
-  EXPECT_FALSE(service->control(zero_cap).status.ok());
-  api::MetricsQuery huge_cap;
-  huge_cap.max_results = 5000;
-  EXPECT_FALSE(service->control(huge_cap).status.ok());
 
   api::TraceControl zero_ring;
   zero_ring.capacity = 0;
@@ -309,11 +311,10 @@ TEST_F(ControlObsFixture, MetricsQueryReportsDigestCounters) {
   ASSERT_GT(net->obs().metrics.counter_value(obs::Protocol::kHier,
                                              "digests_sent", layout.hosts[0]),
             0u);
-  // Unfiltered, under the default cap: every digest-round counter is there
-  // and agrees with the registry.
+  // Unfiltered: every digest-round counter is there and agrees with the
+  // registry.
   api::ControlResponse response = service->control(api::MetricsQuery{});
   ASSERT_TRUE(response.status.ok()) << response.status.message();
-  EXPECT_LT(response.metrics.size(), api::MetricsQuery{}.max_results);
   for (const char* name :
        {"digests_sent", "digest_pulls_sent", "digest_pulls_served",
         "deltas_sent", "delta_rows_shipped", "digest_rows_suppressed",
