@@ -12,7 +12,6 @@
 //   bench/scale_limits --max-nodes=10000 --json=BENCH_scale.json
 //   bench/scale_limits --max-nodes=2000 --json=scale-ci.json  # CI smoke
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -113,14 +112,6 @@ RunResult run_one(int nodes, uint64_t seed) {
       static_cast<double>(
           metrics.counter_value(obs::Protocol::kNet, "rx_wire_bytes")) /
       window_s / nodes / 1e3;
-  if (std::getenv("SCALE_DEBUG_KINDS") != nullptr) {
-    for (const char* kind : kAntiEntropyKinds) {
-      std::fprintf(stderr, "  [%d] %s = %llu\n", nodes, kind,
-                   static_cast<unsigned long long>(metrics.counter_value(
-                       obs::Protocol::kNet,
-                       std::string("tx_bytes_kind_") + kind)));
-    }
-  }
   const double ae_bytes = static_cast<double>(anti_entropy_tx_bytes(metrics));
   result.ae_bytes_per_node_per_s = ae_bytes / window_s / nodes;
   result.ae_bytes_per_node_per_round = ae_bytes / rounds / nodes;

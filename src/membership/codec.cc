@@ -47,22 +47,6 @@ std::optional<EntryData> decode_entry(WireReader& r) {
   return entry;
 }
 
-void skip_entry(WireReader& r) {
-  r.u32();
-  r.u64();
-  r.u16();
-  r.u32();
-  r.skip_str();
-  uint64_t service_count = r.varint();
-  for (uint64_t i = 0; i < service_count && r.ok(); ++i) {
-    r.skip_str();
-    uint64_t partition_count = r.varint();
-    for (uint64_t p = 0; p < partition_count && r.ok(); ++p) r.varint();
-    skip_string_map(r);
-  }
-  skip_string_map(r);
-}
-
 uint64_t row_hash_of_encoding(const uint8_t* bytes, size_t size) {
   constexpr size_t kHeadBytes = 12;  // u32 node + u64 incarnation
   uint64_t hash = 0xcbf29ce484222325ULL;  // FNV-1a, 64-bit

@@ -10,9 +10,6 @@ namespace tamp::membership {
 
 void encode_entry(WireWriter& w, const EntryData& entry);
 std::optional<EntryData> decode_entry(WireReader& r);
-// Advances past one encoded entry without building it. Accepts exactly the
-// inputs decode_entry accepts (the reader fails on the same ones).
-void skip_entry(WireReader& r);
 
 // A row's anti-entropy digest hash, from the entry's encoding (`size` >=
 // 12): FNV-1a over the node id and incarnation, then the whole encoding,

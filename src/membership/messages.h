@@ -322,22 +322,20 @@ using Message =
                  ProxyHeartbeatMsg, BusyMsg, RefreshDigestMsg, RefreshPullMsg,
                  RefreshDeltaMsg>;
 
-// Encode into a payload buffer. `pad_to` (when > 0) zero-pads the result to
-// a fixed size — used to equalize heartbeat packet sizes across protocols,
-// as in the paper's measurements (228-byte average).
-net::Payload encode_message(const Message& message, size_t pad_to = 0);
+// Encode into a payload buffer that also holds `message` for its receivers.
+// `pad_to` (when > 0) zero-pads the result to a fixed size — used to
+// equalize heartbeat packet sizes across protocols, as in the paper's
+// measurements (228-byte average).
+net::Payload encode_message(Message message, size_t pad_to = 0);
 
-// Decode; nullopt on any malformed input. Rows come from `pool`: a row it
-// already holds is looked up rather than parsed.
+// The wire format's reference decoder; nullopt on any malformed input. Rows
+// come from `pool` in canonical form, the held row when it has one.
 std::optional<Message> decode_message(const uint8_t* data, size_t size,
                                       RowPool& pool);
 
-// Decodes a delivered packet; null on malformed input. The first receiver
-// of a payload parses it into the payload's `decoded` slot, and every later
-// receiver (the rest of a multicast fan-out, injected duplicates) gets that
-// same immutable message.
-std::shared_ptr<const Message> decode_message(const net::Packet& packet,
-                                              RowPool& pool);
+// The message a delivered packet carries: the one its encoder wrote, shared
+// by every receiver of the payload. Null for a payload no encoder built.
+std::shared_ptr<const Message> decode_message(const net::Packet& packet);
 
 // --- wire-kind classification (per-kind transport accounting) -----------
 //

@@ -21,21 +21,9 @@ RowRef RowPool::intern(EntryData data) {
 }
 
 RowRef RowPool::decode(WireReader& r) {
-  const uint8_t* begin = r.cursor();
-  skip_entry(r);
-  if (!r.ok()) return nullptr;
-  const auto size = static_cast<size_t>(r.cursor() - begin);
-  // encode_entry leads with the node id, then the incarnation (a braced
-  // list evaluates in order).
-  WireReader head(begin, size);
-  auto it = versions_.find(Key{head.u32(), head.u64()});
-  if (it != versions_.end()) {
-    if (RowRef held = find(it->second, begin, size)) return held;
-  }
-  WireReader span(begin, size);
-  auto data = decode_entry(span);
-  if (!data) return nullptr;  // unreachable: skip_entry accepted the span
-  return insert(make_row(std::move(*data)));
+  auto data = decode_entry(r);
+  if (!data) return nullptr;
+  return intern(std::move(*data));
 }
 
 RowRef RowPool::find(const Versions& versions, const uint8_t* bytes,

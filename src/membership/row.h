@@ -4,10 +4,9 @@
 // to n copies of each of n rows. The pool makes those copies one: rows are
 // hash-consed on (node, incarnation) and told apart by their canonical
 // bytes, so every table, message and image holding the same content holds
-// the same immutable Row. Decoding a row the pool already holds skips the
-// parse entirely: the span is scanned, looked up and compared. The digest
-// hash is not needed to find a row, so it is computed once, when the row
-// is built, never per decode.
+// the same immutable Row. Delivered messages carry their sender's rows, so
+// only the reference decoder (decode_message over bytes) reads rows off the
+// wire. The digest hash is computed once, when the row is built.
 //
 // The pool belongs to one simulation (row_pool(net) keeps it on the
 // Network), never to the process: parallel scenario runners drive
@@ -43,11 +42,10 @@ class RowPool {
   // The pooled row with `data`'s content, built on first use.
   RowRef intern(EntryData data);
 
-  // Reads one encoded row. A span whose bytes the pool already holds comes
-  // back as the held row without being parsed; any other span is parsed
-  // with decode_entry and interned in canonical form, so a non-canonical
-  // encoding (duplicate map key, overlong varint) yields the canonical row.
-  // Returns nullptr, with the reader failed, on a malformed row.
+  // Reads one encoded row with decode_entry and interns it, so canonical
+  // bytes yield the held row and a non-canonical encoding (duplicate map
+  // key, overlong varint) yields the canonical one. Returns nullptr, with
+  // the reader failed, on a malformed row.
   RowRef decode(WireReader& r);
 
   // Version slots held, live or awaiting a sweep. Rows nobody holds any

@@ -90,11 +90,6 @@ std::string WireReader::str() {
   return s;
 }
 
-void WireReader::skip_str() {
-  uint64_t size = varint();
-  if (take(size)) pos_ += size;
-}
-
 void write_string_map(WireWriter& w,
                       const std::map<std::string, std::string>& m) {
   w.varint(m.size());
@@ -113,14 +108,6 @@ std::map<std::string, std::string> read_string_map(WireReader& r) {
     m.emplace(std::move(key), std::move(value));
   }
   return m;
-}
-
-void skip_string_map(WireReader& r) {
-  uint64_t n = r.varint();
-  for (uint64_t i = 0; i < n && r.ok(); ++i) {
-    r.skip_str();
-    r.skip_str();
-  }
 }
 
 }  // namespace tamp::membership

@@ -60,14 +60,9 @@ class WireReader {
   uint64_t u64();
   uint64_t varint();
   std::string str();
-  // Advances past a length-prefixed string without copying it.
-  void skip_str();
 
   bool ok() const { return ok_; }
   size_t remaining() const { return size_ - pos_; }
-  // Next unread byte: spans read between two calls can be re-read or
-  // compared in place.
-  const uint8_t* cursor() const { return data_ + pos_; }
 
  private:
   bool take(size_t n) {
@@ -87,6 +82,5 @@ class WireReader {
 // Map/str helpers shared by codecs.
 void write_string_map(WireWriter& w, const std::map<std::string, std::string>& m);
 std::map<std::string, std::string> read_string_map(WireReader& r);
-void skip_string_map(WireReader& r);
 
 }  // namespace tamp::membership

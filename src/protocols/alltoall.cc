@@ -67,7 +67,7 @@ void AllToAllDaemon::scan() {
 }
 
 void AllToAllDaemon::on_packet(const net::Packet& packet) {
-  auto message = decode_message(packet, row_pool_);
+  auto message = decode_message(packet);
   if (!message) return;
   auto* heartbeat = std::get_if<HeartbeatMsg>(&*message);
   if (heartbeat == nullptr) return;

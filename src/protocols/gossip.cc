@@ -137,7 +137,7 @@ void GossipDaemon::scan() {
 }
 
 void GossipDaemon::on_packet(const net::Packet& packet) {
-  auto message = decode_message(packet, row_pool_);
+  auto message = decode_message(packet);
   if (!message) return;
   auto* gossip = std::get_if<GossipMsg>(&*message);
   if (gossip == nullptr) return;

@@ -121,11 +121,11 @@ void HierDaemon::trace(obs::TraceKind kind, int level, uint64_t a,
   net_.obs().tracer.record(kind, self_, sim_.now(), level, a, b);
 }
 
-sim::Duration HierDaemon::level_timeout(int level) const {
-  double factor = std::pow(config_.level_timeout_factor, level);
+sim::Duration level_timeout(const HierConfig& config, int level) {
+  double factor = std::pow(config.level_timeout_factor, level);
   return static_cast<sim::Duration>(
-      static_cast<double>(config_.max_losses) *
-      static_cast<double>(config_.period) * factor);
+      static_cast<double>(config.max_losses) *
+      static_cast<double>(config.period) * factor);
 }
 
 int HierDaemon::level_of_channel(net::ChannelId channel) const {
@@ -511,7 +511,7 @@ void HierDaemon::purge_dependents(NodeId dead, int arrival_level,
 void HierDaemon::on_data_packet(const net::Packet& packet) {
   int level = level_of_channel(packet.channel);
   if (level < 0 || !levels_[level]->joined) return;
-  auto message = decode_message(packet, row_pool_);
+  auto message = decode_message(packet);
   if (!message) return;
   LevelState& arrival = *levels_[level];
   drop_deaf_backlog(arrival);
@@ -535,7 +535,7 @@ void HierDaemon::on_data_packet(const net::Packet& packet) {
 }
 
 void HierDaemon::on_control_packet(const net::Packet& packet) {
-  auto message = decode_message(packet, row_pool_);
+  auto message = decode_message(packet);
   if (!message) return;
   std::visit(
       [&](auto&& msg) {
@@ -1315,7 +1315,7 @@ void HierDaemon::send_refresh_digest(int level, bool subtree) {
     if (subtree) msg.subjects.push_back(row->row->node());
   }
   net_.send_multicast(self_, channel_of(level), ttl_of(level),
-                      config_.data_port, encode_message(msg));
+                      config_.data_port, encode_message(std::move(msg)));
   metrics_.digests_sent->add();
 }
 
@@ -1414,7 +1414,7 @@ void HierDaemon::send_refresh_pull(
         row->row->node(), row->row->incarnation(), row->row->hash()});
   }
   net_.send_unicast(self_, net::Address{origin, config_.control_port},
-                    encode_message(pull));
+                    encode_message(std::move(pull)));
   metrics_.digest_pulls_sent->add();
 }
 
@@ -1493,7 +1493,7 @@ void HierDaemon::on_refresh_pull(const RefreshPullMsg& msg) {
   metrics_.digest_rows_suppressed->add(delta.confirmed.size());
   metrics_.deltas_sent->add();
   net_.send_unicast(self_, net::Address{msg.requester, config_.control_port},
-                    encode_message(delta));
+                    encode_message(std::move(delta)));
 }
 
 void HierDaemon::on_refresh_delta(const RefreshDeltaMsg& msg) {
@@ -1564,7 +1564,7 @@ void HierDaemon::send_bootstrap_request(int level, NodeId leader) {
   request.epoch = level_state(level).epoch;
   request.known = full_view();
   net_.send_unicast(self_, net::Address{leader, config_.control_port},
-                    encode_message(request));
+                    encode_message(std::move(request)));
 }
 
 void HierDaemon::send_sync_request(int level, NodeId origin) {
@@ -1665,7 +1665,7 @@ void HierDaemon::serve_image(NodeId requester, BusyKind kind,
   metrics_.image_serve_entries->observe(
       static_cast<double>(response.entries.size()));
   net_.send_unicast(self_, net::Address{requester, config_.control_port},
-                    encode_message(response));
+                    encode_message(std::move(response)));
 }
 
 bool HierDaemon::admit_image_serve() {

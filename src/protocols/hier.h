@@ -117,6 +117,10 @@ struct HierConfig {
   size_t image_serve_budget = 8;
 };
 
+// How long a member heard at `level` may stay silent before it is declared
+// dead: max_losses * period * level_timeout_factor^level.
+sim::Duration level_timeout(const HierConfig& config, int level);
+
 // Per-daemon counters live in the MetricsRegistry under
 // {obs::Protocol::kHier, <name>, self}; query net.obs().metrics directly
 // (the one-field-per-counter HierStats view is gone).
@@ -148,7 +152,9 @@ class HierDaemon : public MembershipDaemon {
   membership::Epoch epoch_of(int level) const;
 
   // Timeout used for members heard at `level`.
-  sim::Duration level_timeout(int level) const;
+  sim::Duration level_timeout(int level) const {
+    return protocols::level_timeout(config_, level);
+  }
 
  private:
   struct MemberInfo {

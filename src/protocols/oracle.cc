@@ -70,11 +70,8 @@ void MembershipOracle::derive_bounds() {
     case Scheme::kHierarchical: {
       const auto& cfg = opts.hier;
       int levels = hier_levels();
-      double worst_factor =
-          std::pow(cfg.level_timeout_factor, static_cast<double>(levels - 1));
-      sim::Duration worst_timeout = static_cast<sim::Duration>(
-          static_cast<double>(cfg.max_losses * cfg.period) * worst_factor);
-      detection_bound_ = worst_timeout + kHierScanInterval + cfg.period;
+      detection_bound_ =
+          level_timeout(cfg, levels - 1) + kHierScanInterval + cfg.period;
       // LEAVE records relay one level per hop; elections may interleave.
       convergence_bound_ = detection_bound_ + (levels + 2) * cfg.period +
                            kElectionTimeout + kCoordinatorTimeout +

@@ -149,7 +149,7 @@ void ProxyDaemon::send_summary(bool is_update) {
 }
 
 void ProxyDaemon::on_wan_packet(const net::Packet& packet) {
-  auto message = decode_message(packet, membership::row_pool(net_));
+  auto message = decode_message(packet);
   if (!message) return;
   metrics_.wan_messages_received->add();
   if (auto* summary = std::get_if<ProxyHeartbeatMsg>(&*message)) {
@@ -158,7 +158,7 @@ void ProxyDaemon::on_wan_packet(const net::Packet& packet) {
 }
 
 void ProxyDaemon::on_proxy_channel_packet(const net::Packet& packet) {
-  auto message = decode_message(packet, membership::row_pool(net_));
+  auto message = decode_message(packet);
   if (!message) return;
   // Remote state relayed by the local proxy leader: absorb without
   // re-relaying (only the leader relays).

@@ -102,9 +102,10 @@ ScenarioResult run_scenario(const ScenarioSpec& spec);
 
 // The full chaos matrix: every applicable (scheme, shape, plan, seed) tuple
 // for `seed_count` consecutive seeds from `first_seed`, in canonical sweep
-// order (scheme-major, then shape, then plan, then seed). This is the single
-// source of truth for the grid the matrix test, chaos_soak's all/all/all
-// sweep, and the parallel-runner equivalence suite all iterate.
+// order (scheme-major, then shape, then plan, then seed). The matrix test
+// and perfbench's chaos-grid workload iterate it, and the parallel-runner
+// test pins its size. chaos_soak's all/all/all sweep does not call it: it
+// builds its own seed-major loop over the same set.
 struct MatrixOptions {
   uint64_t first_seed = 1;
   uint64_t seed_count = 3;

@@ -12,8 +12,8 @@
 namespace tamp::chaos {
 namespace {
 
-// The grid itself comes from full_matrix() — the same spec list the
-// parallel runner's CI gate sweeps via bench/chaos_soak --jobs=N.
+// The grid itself comes from full_matrix(). bench/chaos_soak --scheme=all
+// --shape=all --plan=all runs the same set in its own seed-major order.
 std::vector<ScenarioSpec> matrix() { return full_matrix(); }
 
 std::string param_name(const ::testing::TestParamInfo<ScenarioSpec>& info) {
@@ -46,7 +46,7 @@ INSTANTIATE_TEST_SUITE_P(Sweep, ChaosMatrix, ::testing::ValuesIn(matrix()),
 // Sweep's hierarchical rows again, under their historical "_digest" test
 // ids. Digest rounds are the only periodic anti-entropy, so these repeat
 // Sweep's rows exactly; they are kept only so the existing ids keep
-// resolving (ROADMAP item 5 retires them).
+// resolving (ROADMAP item 6 retires them).
 std::vector<ScenarioSpec> hierarchical_rows() {
   std::vector<ScenarioSpec> rows;
   for (const ScenarioSpec& spec : matrix()) {

@@ -91,7 +91,7 @@ TEST(FaultInjection, DuplicationIsIdempotent) {
 }
 
 // Injected duplicates are copies of one transmission, so they share its
-// decode with every other receiver of it, and each copy is still counted.
+// message with every other receiver of it, and each copy is still counted.
 TEST(FaultInjection, DuplicatesShareOneDecode) {
   sim::Simulation sim(3);
   net::Topology topo;
@@ -104,8 +104,7 @@ TEST(FaultInjection, DuplicatesShareOneDecode) {
   for (net::HostId h : layout.hosts) {
     net.join_group(h, 42);
     net.bind(h, 7, [&](const net::Packet& p) {
-      decoded.push_back(
-          membership::decode_message(p, membership::row_pool(net)));
+      decoded.push_back(membership::decode_message(p));
     });
   }
   const auto election = [](membership::NodeId candidate) {

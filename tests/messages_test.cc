@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+#include <variant>
+#include <vector>
+
 #include "membership/codec.h"
 #include "membership/messages.h"
 #include "membership/row.h"
@@ -382,6 +387,164 @@ TEST(Messages, RefreshDeltaRoundTrip) {
   EXPECT_EQ(out.entries[0]->data(), msg.entries[0]->data());
   EXPECT_EQ(out.entries[1]->data(), msg.entries[1]->data());
   EXPECT_EQ(out.confirmed, msg.confirmed);
+}
+
+// Receivers read the message its encoder stored in the payload and never
+// parse the bytes, so this table is what shows that a parse would have given
+// them the same message: for every alternative, encode -> decode(bytes) ->
+// encode yields the bytes it started from, edge values included.
+struct ReencodeCase {
+  std::string name;
+  Message message;
+  size_t pad = 0;
+};
+
+std::vector<ReencodeCase> reencode_cases() {
+  HeartbeatMsg heartbeat;
+  heartbeat.entry = representative_row(12, 4);
+  heartbeat.level = 255;
+  heartbeat.is_leader = true;
+  heartbeat.leaving = true;
+  heartbeat.backup = 99;
+  heartbeat.seq = ~uint64_t{0};
+  heartbeat.epoch = 7;
+  HeartbeatMsg padded;
+  padded.entry = representative_row(1);
+
+  UpdateMsg update;
+  update.origin = 3;
+  update.origin_incarnation = 2;
+  update.epoch = 5;
+  update.window_base = 9;
+  UpdateRecord join;
+  join.seq = 10;
+  join.subject = 7;
+  join.incarnation = 2;
+  join.epoch = 5;
+  join.entry = representative_row(7, 2);
+  UpdateRecord leave;  // a leave carries no entry
+  leave.seq = 11;
+  leave.kind = UpdateKind::kLeave;
+  leave.subject = 8;
+  leave.incarnation = 1;
+  leave.epoch = 4;
+  update.records = {join, leave};
+
+  BootstrapRequestMsg request;
+  request.requester = 5;
+  request.level = 255;
+  request.epoch = 3;
+  request.known = {representative_row(5), representative_row(6)};
+  BootstrapResponseMsg response;
+  response.responder = 1;
+  response.level = 2;
+  response.epoch = 9;
+  response.responder_incarnation = 4;
+  for (NodeId n = 0; n < 5; ++n) {
+    response.entries.push_back(representative_row(n));
+  }
+
+  SyncResponseMsg sync;
+  sync.responder = 1;
+  sync.responder_incarnation = 3;
+  sync.level = 2;
+  sync.stream_seq = 1010;
+  sync.epoch = 8;
+  sync.entries = {representative_row(3)};
+
+  CoordinatorMsg coordinator{4, 255, 6, 12, 2, 3, 1};
+
+  GossipMsg gossip;
+  gossip.sender = 2;
+  gossip.records = {{representative_row(2), 40}, {representative_row(9), 7}};
+
+  ProxyHeartbeatMsg proxy;
+  proxy.dc = 1;
+  proxy.sender = 77;
+  proxy.seq = 5;
+  proxy.summary.availability["index"][0] = 3;
+  proxy.summary.availability["doc"][-1] = 1;
+
+  RefreshDigestMsg down;  // full-view digest: no subject list
+  down.origin = 40;
+  down.origin_incarnation = 3;
+  down.level = 1;
+  down.epoch = 19;
+  down.row_count = 12;
+  down.view_hash = 0xdeadbeefcafef00dULL;
+  down.buckets = {1, 0, ~uint64_t{0}, 42};
+  RefreshDigestMsg subtree = down;
+  subtree.subtree = true;
+  subtree.subjects = {0, 7, 40, 41, 59, 4000000000u};
+  subtree.row_count = static_cast<uint32_t>(subtree.subjects.size());
+
+  RefreshPullMsg pull;
+  pull.requester = 86;
+  pull.level = 1;
+  pull.epoch = 4;
+  pull.subtree = true;
+  pull.bucket_indices = {0, 3, 15};
+  pull.rows = {{12, 2, 0x1111}, {77, 9, 0x2222}};
+
+  RefreshDeltaMsg delta;
+  delta.responder = 23;
+  delta.responder_incarnation = 5;
+  delta.level = 1;
+  delta.epoch = 11;
+  delta.truncated = true;
+  delta.entries = {representative_row(30, 1), representative_row(31, 2)};
+  delta.confirmed = {24, 25, 39};
+
+  return {
+      {"heartbeat", heartbeat},
+      {"padded heartbeat", padded, 512},
+      {"update", update},
+      {"empty update", UpdateMsg{}},
+      {"bootstrap request", request},
+      {"empty bootstrap request", BootstrapRequestMsg{}},
+      {"bootstrap response", response},
+      {"empty bootstrap response", BootstrapResponseMsg{}},
+      {"sync request", SyncRequestMsg{42, 255, 1000, 6}},
+      {"sync response", sync},
+      {"empty sync response", SyncResponseMsg{}},
+      {"election", ElectionMsg{9, 255}},
+      {"election answer", ElectionAnswerMsg{3, 1}},
+      {"coordinator", coordinator},
+      {"gossip", gossip},
+      {"empty gossip", GossipMsg{}},
+      {"proxy heartbeat", proxy},
+      {"empty proxy heartbeat", ProxyHeartbeatMsg{}},
+      {"busy", BusyMsg{8, 255, BusyKind::kSync, 250'000'000}},
+      {"downward digest", down},
+      {"subtree digest", subtree},
+      {"empty digest", RefreshDigestMsg{}},
+      {"pull", pull},
+      {"empty pull", RefreshPullMsg{}},
+      {"delta", delta},
+      {"empty delta", RefreshDeltaMsg{}},
+  };
+}
+
+TEST(Messages, EveryAlternativeReencodesToItsOwnBytes) {
+  static_assert(std::variant_size_v<Message> == 15,
+                "give the new Message alternative a row in reencode_cases");
+  std::set<size_t> covered;
+  for (const ReencodeCase& c : reencode_cases()) {
+    const net::Payload sent = encode_message(c.message, c.pad);
+    const auto parsed = decode(sent->data(), sent->size());
+    ASSERT_TRUE(parsed.has_value()) << c.name;
+    EXPECT_EQ(parsed->index(), c.message.index()) << c.name;
+    EXPECT_EQ(*encode_message(*parsed, c.pad), *sent) << c.name;
+
+    // What a receiver reads is the message the encoder stored.
+    net::Packet packet;
+    packet.payload = sent;
+    const auto delivered = decode_message(packet);
+    ASSERT_NE(delivered, nullptr) << c.name;
+    EXPECT_EQ(*encode_message(*delivered, c.pad), *sent) << c.name;
+    covered.insert(c.message.index());
+  }
+  EXPECT_EQ(covered.size(), std::variant_size_v<Message>);
 }
 
 TEST(Messages, DigestRowHashIgnoresLocalSoftState) {

@@ -269,20 +269,19 @@ TEST_F(TransportFixture, ReceiverSetsFollowJoinsAndTopologyChanges) {
 
 // --- shared decode -----------------------------------------------------------
 //
-// Every receiver of one payload gets the message its first receiver
-// decoded; the receive-side counters still count each of them.
+// Every receiver of one payload gets the message its encoder stored; the
+// receive-side counters still count each of them.
 
 struct SharedDecodeFixture : public TransportFixture {
   std::vector<std::shared_ptr<const membership::Message>> decoded;
   std::vector<HostId> receivers;
 
-  // Binds port 7 on every host to decode what arrives; holding each result
-  // keeps the decodes alive, so distinct sends cannot reuse an address.
+  // Binds port 7 on every host to read what arrives; holding each result
+  // keeps the messages alive, so distinct sends cannot reuse an address.
   void decode_on_receipt(Network& net, const std::vector<HostId>& hosts) {
     for (HostId h : hosts) {
       net.bind(h, 7, [this, &net, h](const Packet& p) {
-        decoded.push_back(
-            membership::decode_message(p, membership::row_pool(net)));
+        decoded.push_back(membership::decode_message(p));
         receivers.push_back(h);
       });
     }
@@ -323,6 +322,7 @@ TEST_F(SharedDecodeFixture, MalformedMulticastDroppedByEveryReceiver) {
   Network net(sim, topo);
   decode_on_receipt(net, layout.hosts);
   for (HostId h : layout.hosts) net.join_group(h, 42);
+  // Bytes no encoder built carry no message.
   const Payload whole = election(9);
   net.send_multicast(layout.hosts[0], 42, 1, 7,
                      make_payload({whole->begin(), whole->end() - 1}));
@@ -338,7 +338,7 @@ TEST_F(SharedDecodeFixture, ByteEqualPayloadsNeverShareADecode) {
   decode_on_receipt(net, layout.hosts);
   for (HostId h : layout.hosts) net.join_group(h, 42);
   // Two encodings of one message are byte-equal but separate payloads; a
-  // payload sent again is the same bytes and keeps its decode.
+  // payload sent again is the same bytes and keeps its message.
   const Payload first = election(9);
   const Payload second = election(9);
   ASSERT_EQ(*first, *second);

@@ -264,8 +264,8 @@ TEST(ParallelRunner, DeterministicOrderingRegardlessOfCompletionOrder) {
   EXPECT_LT(completed_rank[kCount - 1], completed_rank[0]);
 }
 
-// The full grid helper is the single source of truth for the CI gate; pin
-// its shape so a silent shrink of the matrix can't pass unnoticed.
+// The full grid helper feeds the chaos matrix test and the chaos-grid
+// benchmark; pin its shape so a silent shrink can't pass unnoticed.
 TEST(ParallelRunner, FullMatrixShape) {
   const std::vector<ScenarioSpec> specs = full_matrix();
   size_t expected = 0;

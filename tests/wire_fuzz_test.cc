@@ -505,10 +505,10 @@ TEST(WireFuzz, TruncatedMessagesNeverCrash) {
 }
 
 
-// Rows decode on two paths: a span the pool already holds is looked up
-// without being parsed (pool hit), anything else is parsed (pool miss).
-// Truncated and forged frames must be rejected on both, and a forged span
-// must never come back as the held row it imitates.
+// A row decodes against a pool that already holds it (the held row comes
+// back) or one that does not (a new row is interned). Truncated and forged
+// frames must be rejected either way, and a forged span must never come
+// back as the held row it imitates.
 TEST(WireFuzz, TruncatedAndForgedRowsRejectedOnPoolHitAndMiss) {
   membership::HeartbeatMsg heartbeat;
   heartbeat.entry = representative_row(5);
