@@ -1,13 +1,17 @@
 // Google-benchmark pair for the hotpath gate: the observability work the
 // transport adds to every send, and the full instrumented send it rides on.
 // tools/gate.py hotpath fails CI if the first costs more than 5% of the
-// second. perfbench's per-layer ledger covers the other hot paths (codec,
-// table, event queue) on whole workloads.
+// second. BM_TableApplyRefresh times the directory lookup every received
+// heartbeat pays; no gate reads it. perfbench's per-layer ledger covers
+// the other hot paths (codec, event queue) on whole workloads.
 #include <benchmark/benchmark.h>
+
+#include <vector>
 
 #include "membership/codec.h"
 #include "membership/messages.h"
 #include "membership/row.h"
+#include "membership/table.h"
 #include "net/topology.h"
 #include "net/transport.h"
 #include "obs/obs.h"
@@ -71,6 +75,33 @@ void BM_TransportSendUnicast(benchmark::State& state) {
   benchmark::DoNotOptimize(received);
 }
 BENCHMARK(BM_TransportSendUnicast);
+
+// A heartbeat's table work: re-apply a row the directory already holds
+// (same content, so kRefreshed) in a 500-row table whose ids follow the
+// racked layout, a switch id and then 20 host ids per rack.
+void BM_TableApplyRefresh(benchmark::State& state) {
+  using membership::Liveness;
+  membership::MembershipTable table;
+  std::vector<membership::RowRef> rows;
+  for (membership::NodeId rack = 0; rack < 25; ++rack) {
+    for (membership::NodeId host = 1; host <= 20; ++host) {
+      rows.push_back(membership::make_row(
+          membership::make_representative_entry(rack * 21 + host)));
+    }
+  }
+  sim::Time now = 0;
+  for (const auto& row : rows) {
+    table.apply(row, Liveness::kDirect, membership::kInvalidNode, now);
+  }
+  benchmark::DoNotOptimize(table.entries());  // rows merged: steady state
+  size_t next = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(table.apply(rows[next], Liveness::kDirect,
+                                         membership::kInvalidNode, ++now));
+    next = (next + 7) % rows.size();  // 7 and 500 are coprime: every row
+  }
+}
+BENCHMARK(BM_TableApplyRefresh);
 
 }  // namespace
 }  // namespace tamp

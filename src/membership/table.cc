@@ -13,12 +13,44 @@ bool row_before(const MembershipTable::Slot& slot, NodeId node) {
   return slot.first < node;
 }
 
-// lower_bound over a sorted row vector; returns end() if absent.
+// The slot of `node` in a sorted row vector; end() if absent. Row ids are
+// topology device ids, which are dense (a racked layout puts one switch id
+// after every 20 hosts), so interpolating between the first and the last
+// id lands on or next to the row. Walk a few slots from that guess, then
+// binary-search the side that remains, so sparse ids still cost O(log n).
 template <typename Vec>
 auto locate(Vec& rows, NodeId node) {
-  auto it = std::lower_bound(rows.begin(), rows.end(), node, row_before);
-  if (it != rows.end() && it->first == node) return it;
-  return rows.end();
+  constexpr int kWalk = 4;
+  const auto end = rows.end();
+  if (rows.empty() || node < rows.front().first || node > rows.back().first) {
+    return end;
+  }
+  const uint64_t span = rows.back().first - rows.front().first;
+  const uint64_t offset = node - rows.front().first;
+  auto it = rows.begin();
+  if (span > 0) {
+    it += static_cast<ptrdiff_t>(offset * (rows.size() - 1) / span);
+  }
+  // The first and last ids bound both walks, so neither leaves the vector.
+  if (it->first < node) {
+    for (int step = 0; step < kWalk; ++step) {
+      if ((++it)->first >= node) return it->first == node ? it : end;
+    }
+    it = std::lower_bound(it + 1, end, node, row_before);
+  } else if (it->first > node) {
+    for (int step = 0; step < kWalk; ++step) {
+      if ((--it)->first <= node) return it->first == node ? it : end;
+    }
+    it = std::lower_bound(rows.begin(), it, node, row_before);
+  }
+  return it != end && it->first == node ? it : end;
+}
+
+void demote(MembershipEntry& entry, NodeId relayed_by) {
+  if (entry.liveness == Liveness::kDirect) {
+    entry.liveness = Liveness::kRelayed;
+    entry.relayed_by = relayed_by;
+  }
 }
 
 // Entries hosting a service `matches(name)` accepts on a partition the spec
@@ -67,6 +99,7 @@ void MembershipTable::flush() const {
 MembershipEntry* MembershipTable::find_mutable(NodeId node) {
   auto it = locate(entries_, node);
   if (it != entries_.end()) return &it->second;
+  if (overlay_.empty()) return nullptr;
   auto ov = locate(overlay_, node);
   if (ov != overlay_.end()) return &ov->second;
   return nullptr;
@@ -81,17 +114,24 @@ bool MembershipTable::tombstoned(NodeId node, Incarnation incarnation,
 
 ApplyResult MembershipTable::apply(const RowRef& row, Liveness liveness,
                                    NodeId relayed_by, sim::Time now) {
+  MembershipEntry* slot = find_mutable(row->node());
+  return apply_at(slot, row, liveness, relayed_by, now);
+}
+
+ApplyResult MembershipTable::apply_at(MembershipEntry*& slot,
+                                      const RowRef& row, Liveness liveness,
+                                      NodeId relayed_by, sim::Time now) {
   const NodeId node = row->node();
   const Incarnation incarnation = row->incarnation();
   if (liveness == Liveness::kDirect) {
     // Hearing the node itself is authoritative: clear any tombstone.
     tombstones_.erase(node);
   } else if (tombstoned(node, incarnation, now)) {
+    slot = nullptr;
     return ApplyResult::kStale;
   }
 
-  MembershipEntry* existing = find_mutable(node);
-  if (existing == nullptr) {
+  if (slot == nullptr) {
     MembershipEntry entry;
     entry.row = row;
     entry.liveness = liveness;
@@ -99,11 +139,11 @@ ApplyResult MembershipTable::apply(const RowRef& row, Liveness liveness,
     entry.last_heard = now;
     auto pos =
         std::lower_bound(overlay_.begin(), overlay_.end(), node, row_before);
-    overlay_.emplace(pos, node, std::move(entry));
+    slot = &overlay_.emplace(pos, node, std::move(entry))->second;
     return ApplyResult::kAdded;
   }
 
-  MembershipEntry& entry = *existing;
+  MembershipEntry& entry = *slot;
   if (incarnation < entry.row->incarnation()) return ApplyResult::kStale;
   const bool same = same_row(*entry.row, *row);
 
@@ -159,12 +199,15 @@ void MembershipTable::reconfirm_relay(NodeId node, NodeId relayed_by,
   entry->last_heard = now;
 }
 
+void MembershipTable::apply_departing(const RowRef& row, sim::Time now) {
+  MembershipEntry* slot = find_mutable(row->node());
+  apply_at(slot, row, Liveness::kDirect, kInvalidNode, now);
+  demote(*slot, kInvalidNode);  // a direct record is never refused
+}
+
 void MembershipTable::demote_to_relayed(NodeId node, NodeId relayed_by) {
   MembershipEntry* entry = find_mutable(node);
-  if (entry != nullptr && entry->liveness == Liveness::kDirect) {
-    entry->liveness = Liveness::kRelayed;
-    entry->relayed_by = relayed_by;
-  }
+  if (entry != nullptr) demote(*entry, relayed_by);
 }
 
 const MembershipEntry* MembershipTable::find(NodeId node) const {
@@ -175,7 +218,7 @@ const MembershipEntry* MembershipTable::find(NodeId node) const {
 
 bool MembershipTable::contains(NodeId node) const {
   return locate(entries_, node) != entries_.end() ||
-         locate(overlay_, node) != overlay_.end();
+         (!overlay_.empty() && locate(overlay_, node) != overlay_.end());
 }
 
 std::vector<NodeId> MembershipTable::node_ids() const {

@@ -79,26 +79,38 @@ void Network::unbind(HostId host, Port port) {
   hosts_[host].sockets.erase(port);
 }
 
+namespace {
+
+bool joined(const std::vector<ChannelId>& groups, ChannelId channel) {
+  return std::binary_search(groups.begin(), groups.end(), channel);
+}
+
+}  // namespace
+
 void Network::join_group(HostId host, ChannelId channel) {
   TAMP_CHECK(host < hosts_.size());
-  if (hosts_[host].groups.insert(channel).second) {
-    channel_members_[channel].push_back(host);
-    receiver_sets_.erase(channel);
-  }
+  auto& groups = hosts_[host].groups;
+  auto it = std::lower_bound(groups.begin(), groups.end(), channel);
+  if (it != groups.end() && *it == channel) return;
+  groups.insert(it, channel);
+  channel_members_[channel].push_back(host);
+  receiver_sets_.erase(channel);
 }
 
 void Network::leave_group(HostId host, ChannelId channel) {
   TAMP_CHECK(host < hosts_.size());
-  if (hosts_[host].groups.erase(channel) > 0) {
-    auto& members = channel_members_[channel];
-    members.erase(std::find(members.begin(), members.end(), host));
-    receiver_sets_.erase(channel);
-  }
+  auto& groups = hosts_[host].groups;
+  auto it = std::lower_bound(groups.begin(), groups.end(), channel);
+  if (it == groups.end() || *it != channel) return;
+  groups.erase(it);
+  auto& members = channel_members_[channel];
+  members.erase(std::find(members.begin(), members.end(), host));
+  receiver_sets_.erase(channel);
 }
 
 bool Network::in_group(HostId host, ChannelId channel) const {
   TAMP_CHECK(host < hosts_.size());
-  return hosts_[host].groups.contains(channel);
+  return joined(hosts_[host].groups, channel);
 }
 
 size_t Network::fragments_for(size_t payload_size) const {
@@ -377,7 +389,7 @@ void Network::deliver(const Packet& packet) {
   HostState& receiver = hosts_[packet.to.host];
   if (!receiver.up) return;
   if (packet.kind == DeliveryKind::kMulticast &&
-      !receiver.groups.contains(packet.channel)) {
+      !joined(receiver.groups, packet.channel)) {
     return;  // left the group while the packet was in flight
   }
 

@@ -16,7 +16,6 @@
 #include <functional>
 #include <memory>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "net/ids.h"
@@ -160,7 +159,9 @@ class Network {
   struct HostState {
     bool up = true;
     std::unordered_map<Port, RecvCallback> sockets;
-    std::unordered_set<ChannelId> groups;
+    // Joined channels, sorted: a handful (one per hierarchy level), probed
+    // on every multicast delivery.
+    std::vector<ChannelId> groups;
     TrafficCounters counters;
     // Virtual time at which this host's NIC finishes serializing everything
     // already accepted for egress; the queue backlog is (free_at - now) in

@@ -209,7 +209,7 @@ void HierDaemon::leave_levels_from(int level, bool announce) {
     net_.leave_group(self_, channel_of(l));
     ls.joined = false;
     ls.bootstrapped = false;
-    ls.members.clear();
+    ls.peers.clear();
     ls.leader = membership::kInvalidNode;
     ls.leader_backup = membership::kInvalidNode;
     ls.i_am_leader = false;
@@ -218,7 +218,6 @@ void HierDaemon::leave_levels_from(int level, bool announce) {
     ls.answered = false;
     ls.prev_leader = membership::kInvalidNode;
     ls.prev_leader_incarnation = 0;
-    ls.in_seq.clear();
     ls.digest_due.clear();
     clear_out_log(ls);
     ls.exchanges.clear();
@@ -230,6 +229,45 @@ void HierDaemon::leave_levels_from(int level, bool announce) {
     ls.election_timer->cancel();
     ls.coordinator_timer->cancel();
     ls.backup_grace_timer->cancel();
+  }
+}
+
+// --- per-level peer records -------------------------------------------------
+
+namespace {
+
+template <typename Peers>
+auto peer_slot(Peers& peers, NodeId id) {
+  return std::lower_bound(
+      peers.begin(), peers.end(), id,
+      [](const auto& peer, NodeId key) { return peer.id < key; });
+}
+
+}  // namespace
+
+HierDaemon::Peer* HierDaemon::LevelState::find_peer(NodeId id) {
+  auto it = peer_slot(peers, id);
+  return it != peers.end() && it->id == id ? &*it : nullptr;
+}
+
+HierDaemon::Peer& HierDaemon::LevelState::add_peer(NodeId id) {
+  auto it = peer_slot(peers, id);
+  if (it == peers.end() || it->id != id) it = peers.insert(it, Peer{.id = id});
+  return *it;
+}
+
+bool HierDaemon::LevelState::is_member(NodeId id) const {
+  auto it = peer_slot(peers, id);
+  return it != peers.end() && it->id == id && it->member;
+}
+
+void HierDaemon::LevelState::drop_member(NodeId id) {
+  auto it = peer_slot(peers, id);
+  if (it == peers.end() || it->id != id) return;
+  if (it->has_cursor) {
+    it->member = false;
+  } else {
+    peers.erase(it);
   }
 }
 
@@ -265,7 +303,9 @@ std::vector<int> HierDaemon::joined_levels() const {
 std::vector<NodeId> HierDaemon::group_members(int level) const {
   std::vector<NodeId> out;
   if (!joined(level)) return out;
-  for (const auto& [node, info] : levels_[level]->members) out.push_back(node);
+  for (const Peer& peer : levels_[level]->peers) {
+    if (peer.member) out.push_back(peer.id);
+  }
   return out;
 }
 
@@ -356,11 +396,12 @@ void HierDaemon::scan_level(int level) {
   if (now - ls.oldest_heard <= timeout) return;  // nobody can have expired
   std::vector<NodeId> dead;
   sim::Time oldest = now;
-  for (const auto& [node, info] : ls.members) {
-    if (now - info.last_heard > timeout) {
-      dead.push_back(node);
+  for (const Peer& peer : ls.peers) {
+    if (!peer.member) continue;
+    if (now - peer.last_heard > timeout) {
+      dead.push_back(peer.id);
     } else {
-      oldest = std::min(oldest, info.last_heard);
+      oldest = std::min(oldest, peer.last_heard);
     }
   }
   ls.oldest_heard = oldest;
@@ -388,12 +429,13 @@ void HierDaemon::on_topology_change(uint64_t epoch) {
 size_t HierDaemon::drop_out_of_scope(int level) {
   LevelState& ls = level_state(level);
   std::vector<NodeId> gone;
-  for (const auto& [member, info] : ls.members) {
+  for (const Peer& peer : ls.peers) {
+    if (!peer.member) continue;
     // Unreachable (0) is not "moved": a crashed host and a cut link look
     // the same from here, so the level timeout decides, which gives a
     // partition its death semantics.
-    const int ttl = net_.topology().ttl_required(self_, member);
-    if (ttl > level + 1) gone.push_back(member);
+    const int ttl = net_.topology().ttl_required(self_, peer.id);
+    if (ttl > level + 1) gone.push_back(peer.id);
   }
   for (NodeId member : gone) {
     // Mirror the voluntary-leave path (on_heartbeat's `leaving` branch):
@@ -411,7 +453,7 @@ size_t HierDaemon::drop_out_of_scope(int level) {
 }
 
 void HierDaemon::forget_member(LevelState& ls, NodeId member) {
-  ls.members.erase(member);
+  ls.drop_member(member);
   prune_pending(ls, member);
   if (ls.leader == member) {
     ls.leader = membership::kInvalidNode;
@@ -421,22 +463,22 @@ void HierDaemon::forget_member(LevelState& ls, NodeId member) {
 
 bool HierDaemon::heard_directly(NodeId node) const {
   for (int l = 0; l < config_.max_ttl; ++l) {
-    if (levels_[l]->joined && levels_[l]->members.contains(node)) return true;
+    if (levels_[l]->joined && levels_[l]->is_member(node)) return true;
   }
   return false;
 }
 
 void HierDaemon::on_member_dead(int level, NodeId member) {
   LevelState& ls = level_state(level);
-  auto it = ls.members.find(member);
-  if (it == ls.members.end()) return;
-  const bool was_leader = it->second.is_leader || ls.leader == member;
+  const Peer* peer = ls.find_peer(member);
+  if (peer == nullptr || !peer->member) return;
+  const bool was_leader = peer->is_leader || ls.leader == member;
   // Capture the dying life's incarnation before the table entry goes: the
   // succession fence must name the life that was lost, not a later restart.
   const auto* lost_entry = table_.find(member);
   const Incarnation lost_incarnation =
       lost_entry ? lost_entry->row->incarnation() : 0;
-  ls.members.erase(it);
+  ls.drop_member(member);
   prune_pending(ls, member);
 
   TAMP_LOG(Info) << "hier node " << self_ << " detects member " << member
@@ -593,13 +635,12 @@ void HierDaemon::on_control_packet(const net::Packet& packet) {
             ls.exchanges.erase({BusyKind::kSync, msg.responder});
             // The image covers everything up to the responder's current
             // stream position: re-anchor our cursor there.
-            auto cursor = ls.in_seq.find(msg.responder);
-            if (cursor == ls.in_seq.end() ||
-                cursor->second.incarnation < msg.responder_incarnation ||
-                (cursor->second.incarnation == msg.responder_incarnation &&
-                 cursor->second.seq < msg.stream_seq)) {
-              ls.in_seq[msg.responder] = LevelState::InCursor{
-                  msg.responder_incarnation, msg.stream_seq};
+            Peer& peer = ls.add_peer(msg.responder);
+            if (!peer.has_cursor ||
+                peer.incarnation < msg.responder_incarnation ||
+                (peer.incarnation == msg.responder_incarnation &&
+                 peer.seq < msg.stream_seq)) {
+              peer.anchor(msg.responder_incarnation, msg.stream_seq);
             }
             arrival = msg.level;
           }
@@ -632,9 +673,11 @@ void HierDaemon::on_heartbeat(int level, const HeartbeatMsg& msg) {
     forget_member(ls, sender);
     // Keep the entry's contents fresh, but record that our knowledge of it
     // is about to become second-hand.
-    table_.apply(msg.entry, Liveness::kDirect, membership::kInvalidNode, now);
-    if (!heard_directly(sender)) {
-      table_.demote_to_relayed(sender, membership::kInvalidNode);
+    if (heard_directly(sender)) {
+      table_.apply(msg.entry, Liveness::kDirect, membership::kInvalidNode,
+                   now);
+    } else {
+      table_.apply_departing(msg.entry, now);
     }
     return;
   }
@@ -657,11 +700,13 @@ void HierDaemon::on_heartbeat(int level, const HeartbeatMsg& msg) {
     ls.epoch = msg.epoch;
   }
 
-  const bool added_member = !ls.members.contains(sender);
+  // One record serves both the member bookkeeping and the stream cursor;
+  // the table apply and the notification below leave it in place.
+  Peer& peer = ls.add_peer(sender);
+  const bool added_member = !peer.member;
   // A stale claimant is still a live member; just don't record it as a
   // leader, or its presence would suppress a genuinely needed election.
-  ls.members[sender] = MemberInfo{now, msg.is_leader && !stale_claim,
-                                  msg.backup};
+  peer.heard(now, msg.is_leader && !stale_claim, msg.backup);
 
   ApplyResult result = table_.apply(msg.entry, Liveness::kDirect,
                                     membership::kInvalidNode, now);
@@ -670,15 +715,12 @@ void HierDaemon::on_heartbeat(int level, const HeartbeatMsg& msg) {
   // The heartbeat advertises the sender's update-stream position: a cursor
   // behind it means we lost update packets with nothing since to expose the
   // gap — poll for a fresh image (paper Message Loss Detection).
-  auto cursor = ls.in_seq.find(sender);
-  if (cursor == ls.in_seq.end() ||
-      cursor->second.incarnation < msg.entry->incarnation()) {
+  if (!peer.has_cursor || peer.incarnation < msg.entry->incarnation()) {
     // First contact (or a restarted sender with a fresh stream): anchor;
     // the bootstrap exchange supplies the content.
-    ls.in_seq[sender] =
-        LevelState::InCursor{msg.entry->incarnation(), msg.seq};
-  } else if (cursor->second.incarnation == msg.entry->incarnation() &&
-             msg.seq > cursor->second.seq) {
+    peer.anchor(msg.entry->incarnation(), msg.seq);
+  } else if (peer.incarnation == msg.entry->incarnation() &&
+             msg.seq > peer.seq) {
     // Cursor only advances when the recovery actually lands (update or
     // sync response): a lost poll is retried by the exchange's own timer.
     request_sync(level, sender, msg.seq);
@@ -745,8 +787,8 @@ void HierDaemon::on_heartbeat(int level, const HeartbeatMsg& msg) {
 void HierDaemon::on_update(int level, const UpdateMsg& msg) {
   LevelState& ls = level_state(level);
   if (msg.origin == self_) return;
-  auto member = ls.members.find(msg.origin);
-  if (member != ls.members.end()) member->second.last_heard = sim_.now();
+  Peer* peer = ls.find_peer(msg.origin);
+  if (peer != nullptr && peer->member) peer->last_heard = sim_.now();
   // Stale-replay fence. An update stream from an origin whose leadership
   // claim on this channel was superseded — at or below the epoch the batch
   // is stamped with — is replay from before the re-election (a resumed
@@ -769,23 +811,22 @@ void HierDaemon::on_update(int level, const UpdateMsg& msg) {
             });
 
   const uint64_t newest = ordered.back()->seq;
-  auto cursor = ls.in_seq.find(msg.origin);
-
-  if (cursor == ls.in_seq.end() ||
-      cursor->second.incarnation < msg.origin_incarnation) {
+  // `peer` stays valid below: process_record adds and drops no peers.
+  if (peer == nullptr || !peer->has_cursor ||
+      peer->incarnation < msg.origin_incarnation) {
     // First contact with this origin's stream on this channel (or the
     // origin restarted and its sequence numbers start over): accept
     // everything and anchor the cursor — there is no history to have lost.
     for (const auto* record : ordered) process_record(*record, msg.origin, level);
-    ls.in_seq[msg.origin] =
-        LevelState::InCursor{msg.origin_incarnation, newest};
+    if (peer == nullptr) peer = &ls.add_peer(msg.origin);
+    peer->anchor(msg.origin_incarnation, newest);
     return;
   }
-  if (cursor->second.incarnation > msg.origin_incarnation) {
+  if (peer->incarnation > msg.origin_incarnation) {
     return;  // stale message from a previous life of the origin
   }
 
-  const uint64_t known = cursor->second.seq;
+  const uint64_t known = peer->seq;
   if (newest <= known) return;  // stale duplicate
   if (msg.window_base > known) {
     // Records in (known, window_base] were trimmed out of the origin's
@@ -807,7 +848,7 @@ void HierDaemon::on_update(int level, const UpdateMsg& msg) {
   for (const auto* record : ordered) {
     if (record->seq > known) process_record(*record, msg.origin, level);
   }
-  cursor->second.seq = newest;
+  peer->seq = newest;
 }
 
 void HierDaemon::on_election(int level, const ElectionMsg& msg) {
@@ -871,7 +912,7 @@ void HierDaemon::on_coordinator(int level, const CoordinatorMsg& msg) {
   ls.election_timer->cancel();
   ls.coordinator_timer->cancel();
   ls.backup_grace_timer->cancel();
-  ls.members[msg.leader] = MemberInfo{sim_.now(), true, msg.backup};
+  ls.add_peer(msg.leader).heard(sim_.now(), true, msg.backup);
   if (!ls.bootstrapped) request_bootstrap(level, msg.leader);
 }
 
@@ -882,8 +923,8 @@ bool HierDaemon::can_participate(int level) const {
   if (!ls.joined) return false;
   // Paper overlap rule: stay out of elections on a channel where we already
   // hear a leader (even one of a different, overlapping group).
-  for (const auto& [node, info] : ls.members) {
-    if (info.is_leader) return false;
+  for (const Peer& peer : ls.peers) {
+    if (peer.member && peer.is_leader) return false;
   }
   return true;
 }
@@ -919,7 +960,9 @@ void HierDaemon::election_deadline(int level) {
 NodeId HierDaemon::pick_backup(int level) {
   LevelState& ls = level_state(level);
   std::vector<NodeId> candidates;
-  for (const auto& [node, info] : ls.members) candidates.push_back(node);
+  for (const Peer& peer : ls.peers) {
+    if (peer.member) candidates.push_back(peer.id);
+  }
   if (candidates.empty()) return membership::kInvalidNode;
   return sim_.rng().pick(candidates);
 }
@@ -1096,7 +1139,7 @@ void HierDaemon::handle_leader_loss(int level, NodeId old_leader,
     become_leader(level);  // designated backup takes over immediately
     return;
   }
-  if (backup != membership::kInvalidNode && ls.members.contains(backup)) {
+  if (backup != membership::kInvalidNode && ls.is_member(backup)) {
     ls.backup_grace_timer->restart(kBackupGrace);
   } else {
     maybe_start_election(level);
@@ -1131,9 +1174,7 @@ bool HierDaemon::process_record(const UpdateRecord& record, NodeId relayed_by,
 
   if (record.kind == UpdateKind::kJoin) {
     if (!record.entry) return false;
-    ApplyResult result = table_.apply(record.entry, Liveness::kRelayed,
-                                      provenance_tag(record.subject, relayed_by),
-                                      now);
+    ApplyResult result = apply_relayed(record.entry, relayed_by);
     const bool fresh =
         result == ApplyResult::kAdded || result == ApplyResult::kUpdated;
     if (result == ApplyResult::kAdded) notify(record.subject, true);
@@ -1269,10 +1310,10 @@ std::vector<const MembershipEntry*> HierDaemon::refresh_scope(
       // Upward refreshes announce only the subtree this node represents:
       // re-announcing what we learned *from* this very group would keep a
       // departed peer's stale entries alive through mutual refresh.
-      if (ls.members.contains(id)) continue;
+      if (ls.is_member(id)) continue;
       if (entry.liveness == Liveness::kRelayed &&
           entry.relayed_by != membership::kInvalidNode &&
-          ls.members.contains(entry.relayed_by)) {
+          ls.is_member(entry.relayed_by)) {
         continue;
       }
     }
@@ -1342,8 +1383,8 @@ std::vector<const MembershipEntry*> HierDaemon::digest_receiver_scope(
 void HierDaemon::on_refresh_digest(int level, const RefreshDigestMsg& msg) {
   LevelState& ls = level_state(level);
   if (msg.origin == self_) return;
-  auto member = ls.members.find(msg.origin);
-  if (member != ls.members.end()) member->second.last_heard = sim_.now();
+  Peer* peer = ls.find_peer(msg.origin);
+  if (peer != nullptr && peer->member) peer->last_heard = sim_.now();
   // Same stale-replay fence as update streams: a digest from a superseded
   // leadership life describes a pre-re-election world; comparing against it
   // (and worse, pulling rows from it) would resurrect that world.
@@ -1425,7 +1466,7 @@ void HierDaemon::check_digest_rounds(int level) {
     const auto [origin, subtree] = it->first;
     // Only a member still leading this group owes downward rounds; any
     // member of it still represents its subtree upward.
-    if (!ls.members.contains(origin) || (!subtree && ls.leader != origin)) {
+    if (!ls.is_member(origin) || (!subtree && ls.leader != origin)) {
       it = ls.digest_due.erase(it);
       continue;
     }
@@ -1544,9 +1585,9 @@ void HierDaemon::request_sync(int level, NodeId origin, uint64_t observed_seq) {
     // us: stop polling and anchor the cursor past the gap instead. The
     // digest round pulls whatever the lost stretch carried, and orphan
     // expiry removes what it should have removed.
-    auto cursor = ls.in_seq.find(origin);
-    if (cursor != ls.in_seq.end() && observed_seq > cursor->second.seq) {
-      cursor->second.seq = observed_seq;
+    Peer* peer = ls.find_peer(origin);
+    if (peer != nullptr && peer->has_cursor && observed_seq > peer->seq) {
+      peer->seq = observed_seq;
     }
     ls.exchanges.erase(it);
     return;
@@ -1576,8 +1617,8 @@ void HierDaemon::send_sync_request(int level, NodeId origin) {
   request.level = static_cast<uint8_t>(level);
   // The live cursor, not the one captured when the exchange opened: an
   // intervening update may have advanced it.
-  auto cursor = ls.in_seq.find(origin);
-  request.last_seq_seen = cursor != ls.in_seq.end() ? cursor->second.seq : 0;
+  const Peer* peer = ls.find_peer(origin);
+  request.last_seq_seen = peer != nullptr && peer->has_cursor ? peer->seq : 0;
   request.epoch = ls.epoch;
   net_.send_unicast(self_, net::Address{origin, config_.control_port},
                     encode_message(request));
@@ -1711,14 +1752,10 @@ std::vector<RowRef> HierDaemon::full_view() const {
 // subject. Any peer may mention any entry (bootstrap copies, anti-entropy
 // refreshes), so the tag is sticky — it moves to a new relayer only once
 // the current one is no longer heard (leader handover, healed partition).
-NodeId HierDaemon::provenance_tag(NodeId subject, NodeId proposed) const {
-  const auto* existing = table_.find(subject);
-  if (existing != nullptr && existing->liveness == Liveness::kRelayed &&
-      existing->relayed_by != membership::kInvalidNode &&
-      heard_directly(existing->relayed_by)) {
-    return existing->relayed_by;
-  }
-  return proposed;
+ApplyResult HierDaemon::apply_relayed(const RowRef& row, NodeId proposed) {
+  return table_.apply_relayed(
+      row, proposed, sim_.now(),
+      [this](NodeId relay) { return heard_directly(relay); });
 }
 
 // A solicited full image *synchronizes* the directory: adding what the
@@ -1757,7 +1794,6 @@ void HierDaemon::reconcile_with_image(NodeId responder,
 
 void HierDaemon::absorb_entries(const std::vector<RowRef>& entries,
                                 NodeId relayed_by, int arrival_level) {
-  const sim::Time now = sim_.now();
   for (const auto& entry : entries) {
     if (entry->node() == self_) continue;
     // Tombstones are respected even in solicited exchanges: during a
@@ -1765,9 +1801,7 @@ void HierDaemon::absorb_entries(const std::vector<RowRef>& entries,
     // dead, and overriding would flap the view. A healed partition's
     // mutual tombstones simply expire, after which the periodic
     // anti-entropy refresh re-merges the sides.
-    ApplyResult result =
-        table_.apply(entry, Liveness::kRelayed,
-                     provenance_tag(entry->node(), relayed_by), now);
+    ApplyResult result = apply_relayed(entry, relayed_by);
     if (result == ApplyResult::kAdded) notify(entry->node(), true);
     if (result == ApplyResult::kAdded || result == ApplyResult::kUpdated) {
       relay_record(make_join_record(entry), arrival_level);

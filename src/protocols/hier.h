@@ -43,7 +43,6 @@
 #include <deque>
 #include <map>
 #include <memory>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -157,17 +156,47 @@ class HierDaemon : public MembershipDaemon {
   }
 
  private:
-  struct MemberInfo {
-    sim::Time last_heard = 0;
-    bool is_leader = false;
+  // What this node keeps about one peer on one level's channel: whether it
+  // is a member (heard here, so the level's failure detector watches it)
+  // and the receive cursor of its update stream. The cursor is scoped by
+  // the peer's incarnation, since a restarted peer starts a fresh stream at
+  // seq 0. It outlives membership: a member declared dead or gone keeps its
+  // stream position until this node leaves the level.
+  struct Peer {
+    membership::NodeId id = membership::kInvalidNode;
+    bool member = false;
+    bool is_leader = false;   // member fields, meaningful while `member`
+    bool has_cursor = false;  // cursor fields, meaningful while set
     membership::NodeId backup = membership::kInvalidNode;
+    sim::Time last_heard = 0;
+    membership::Incarnation incarnation = 0;
+    uint64_t seq = 0;
+
+    void heard(sim::Time now, bool leader, membership::NodeId backup_id) {
+      member = true;
+      last_heard = now;
+      is_leader = leader;
+      backup = backup_id;
+    }
+    void anchor(membership::Incarnation life, uint64_t position) {
+      has_cursor = true;
+      incarnation = life;
+      seq = position;
+    }
   };
 
   struct LevelState {
     int level = 0;
     bool joined = false;
     bool bootstrapped = false;
-    std::map<membership::NodeId, MemberInfo> members;  // excludes self
+    // Sorted by id, self excluded: found or inserted once per packet.
+    std::vector<Peer> peers;
+    Peer* find_peer(membership::NodeId id);
+    Peer& add_peer(membership::NodeId id);  // found, or inserted blank
+    bool is_member(membership::NodeId id) const;
+    // The peer stops being a member; its record goes too unless it still
+    // holds a cursor.
+    void drop_member(membership::NodeId id);
     // A lower bound on every member's last_heard. Every stamp is sim_.now()
     // and sim time never runs backwards, so inserts, refreshes and erases
     // can only raise the true minimum; scan_level skips the walk while no
@@ -224,13 +253,6 @@ class HierDaemon : public MembershipDaemon {
     // UpdateMsg::window_base so receivers can tell a compaction hole (fine)
     // from trimmed-away history (needs a full-image sync).
     uint64_t out_log_base = 0;
-    // Per-origin receive cursor, scoped by the origin's incarnation: a
-    // restarted origin starts a fresh stream at seq 0.
-    struct InCursor {
-      membership::Incarnation incarnation = 0;
-      uint64_t seq = 0;
-    };
-    std::unordered_map<membership::NodeId, InCursor> in_seq;
     // Digest rounds carry no sequence number, so a lost one is detected by
     // time instead: when each (origin, subtree) stream heard on this
     // channel owes its next round. Refresh timers tick at a fixed period,
@@ -442,8 +464,9 @@ class HierDaemon : public MembershipDaemon {
   // Deafness guard: drop an out-log stamped while every peer timed us out.
   void drop_deaf_backlog(LevelState& ls);
   std::vector<membership::RowRef> full_view() const;
-  membership::NodeId provenance_tag(membership::NodeId subject,
-                                    membership::NodeId proposed) const;
+  // Apply a relayed row, keeping its sticky provenance tag (see hier.cc).
+  membership::ApplyResult apply_relayed(const membership::RowRef& row,
+                                        membership::NodeId proposed);
   void absorb_entries(const std::vector<membership::RowRef>& entries,
                       membership::NodeId relayed_by, int arrival_level);
   void reconcile_with_image(membership::NodeId responder,

@@ -8,6 +8,8 @@
 #include <map>
 #include <set>
 
+#include "membership/codec.h"
+#include "membership/row.h"
 #include "net/builders.h"
 #include "protocols/cluster.h"
 #include "sim/scenario.h"
@@ -721,6 +723,88 @@ TEST_F(RobustnessFixture, DeterministicReplay) {
   };
   EXPECT_EQ(run(1234), run(1234));
   EXPECT_NE(run(1234), run(1235));
+}
+
+// One daemon and one crafted peer on a switch. The peer runs no daemon:
+// each of its level-0 heartbeats is built here, so the stream position it
+// advertises is exactly the one the test names.
+struct PeerRecordFixture : public ::testing::Test {
+  sim::Simulation sim{5};
+  net::Topology topo;
+  net::HostId self_host = 0;
+  net::HostId peer_host = 0;
+  std::unique_ptr<net::Network> net;
+  std::unique_ptr<HierDaemon> daemon;
+
+  void SetUp() override {
+    net::DeviceId sw = topo.add_l2_switch("sw");
+    self_host = topo.add_host("self");
+    peer_host = topo.add_host("peer");
+    topo.connect(self_host, sw);
+    topo.connect(peer_host, sw);
+    net = std::make_unique<net::Network>(sim, topo);
+    daemon = std::make_unique<HierDaemon>(
+        sim, *net, self_host, membership::make_representative_entry(self_host));
+    daemon->start();
+    sim.run_until(5 * sim::kSecond);  // alone: it now leads level 0
+    ASSERT_TRUE(daemon->is_leader(0));
+  }
+
+  void peer_heartbeat(uint64_t stream_seq) {
+    membership::HeartbeatMsg heartbeat;
+    heartbeat.entry = membership::make_row(
+        membership::make_representative_entry(peer_host, /*incarnation=*/1));
+    heartbeat.level = 0;
+    heartbeat.seq = stream_seq;
+    ASSERT_TRUE(net->send_multicast(peer_host, daemon->config().base_channel,
+                                    /*ttl=*/1, daemon->config().data_port,
+                                    membership::encode_message(heartbeat)));
+    sim.run_until(sim.now() + 100 * sim::kMillisecond);
+  }
+
+  bool peer_is_member() const {
+    auto members = daemon->group_members(0);
+    return std::find(members.begin(), members.end(), peer_host) !=
+           members.end();
+  }
+};
+
+// A member declared dead keeps its update cursor: heard again in the same
+// life at a higher stream position, it is polled for the gap (a sync
+// exchange) instead of being re-anchored there.
+TEST_F(PeerRecordFixture, DeadMemberKeepsItsCursor) {
+  peer_heartbeat(5);
+  ASSERT_TRUE(peer_is_member());
+  EXPECT_EQ(daemon->pending_exchanges(0), 0u);
+
+  sim.run_until(sim.now() + daemon->level_timeout(0) + sim::kSecond);
+  ASSERT_FALSE(peer_is_member());
+  EXPECT_EQ(daemon->pending_exchanges(0), 0u);
+
+  peer_heartbeat(7);
+  EXPECT_TRUE(peer_is_member());
+  EXPECT_EQ(daemon->pending_exchanges(0), 1u);
+}
+
+// Leaving the level clears the cursor with the membership: after a leave
+// and a re-join, the peer's first heartbeat anchors a fresh cursor, and
+// only a position past that anchor opens a sync exchange.
+TEST_F(PeerRecordFixture, RejoinedLevelStartsAFreshCursor) {
+  peer_heartbeat(5);
+  ASSERT_TRUE(peer_is_member());
+
+  daemon->stop();
+  daemon->start();
+  ASSERT_TRUE(daemon->joined(0));
+  EXPECT_FALSE(peer_is_member());
+
+  peer_heartbeat(7);
+  EXPECT_TRUE(peer_is_member());
+  EXPECT_EQ(daemon->pending_exchanges(0), 0u);
+  peer_heartbeat(7);
+  EXPECT_EQ(daemon->pending_exchanges(0), 0u);
+  peer_heartbeat(8);
+  EXPECT_EQ(daemon->pending_exchanges(0), 1u);
 }
 
 }  // namespace

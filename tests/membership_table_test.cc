@@ -1,8 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
+#include <string>
+#include <tuple>
+
 #include "membership/codec.h"
 #include "membership/row.h"
 #include "membership/table.h"
+#include "util/rng.h"
 
 namespace tamp::membership {
 namespace {
@@ -204,6 +210,267 @@ TEST(Table, NodeIdsSorted) {
     table.apply(row(n), Liveness::kDirect, kInvalidNode, 0);
   }
   EXPECT_EQ(table.node_ids(), (std::vector<NodeId>{1, 3, 5}));
+}
+
+// --- differential property test ---------------------------------------------
+//
+// MembershipTable against a plain std::map model of the same rules, under
+// seeded random sequences of every mutation. The table finds rows through an
+// interpolated guess, a short walk and a lower_bound fallback, over a main
+// vector plus a pending overlay; the model has none of that, so any slip in
+// those paths shows up as a divergence.
+
+struct ReferenceTable {
+  struct Tombstone {
+    Incarnation incarnation = 0;
+    sim::Time expires = 0;
+  };
+  sim::Duration tombstone_ttl;
+  std::map<NodeId, MembershipEntry> rows;
+  std::map<NodeId, Tombstone> tombstones;
+
+  ApplyResult apply(const RowRef& row, Liveness liveness, NodeId relayed_by,
+                    sim::Time now) {
+    const NodeId node = row->node();
+    if (liveness == Liveness::kDirect) {
+      tombstones.erase(node);
+    } else if (auto t = tombstones.find(node);
+               t != tombstones.end() && now < t->second.expires &&
+               row->incarnation() <= t->second.incarnation) {
+      return ApplyResult::kStale;
+    }
+    auto it = rows.find(node);
+    if (it == rows.end()) {
+      rows[node] = MembershipEntry{row, liveness, relayed_by, now};
+      return ApplyResult::kAdded;
+    }
+    MembershipEntry& held = it->second;
+    if (row->incarnation() < held.row->incarnation()) {
+      return ApplyResult::kStale;
+    }
+    const bool same = same_row(*held.row, *row);
+    if (liveness == Liveness::kRelayed && held.liveness == Liveness::kDirect &&
+        row->incarnation() == held.row->incarnation()) {
+      held.last_heard = now;
+      if (same) return ApplyResult::kRefreshed;
+      held.row = row;
+      return ApplyResult::kUpdated;
+    }
+    if (!same) held.row = row;
+    held.liveness = liveness;
+    held.relayed_by = relayed_by;
+    held.last_heard = now;
+    return same ? ApplyResult::kRefreshed : ApplyResult::kUpdated;
+  }
+
+  NodeId sticky_relay(NodeId node, NodeId proposed,
+                      const std::set<NodeId>& heard) const {
+    auto it = rows.find(node);
+    if (it != rows.end() && it->second.liveness == Liveness::kRelayed &&
+        it->second.relayed_by != kInvalidNode &&
+        heard.contains(it->second.relayed_by)) {
+      return it->second.relayed_by;
+    }
+    return proposed;
+  }
+
+  void demote(NodeId node, NodeId relayed_by) {
+    auto it = rows.find(node);
+    if (it != rows.end() && it->second.liveness == Liveness::kDirect) {
+      it->second.liveness = Liveness::kRelayed;
+      it->second.relayed_by = relayed_by;
+    }
+  }
+
+  bool remove(NodeId node, Incarnation incarnation, sim::Time now) {
+    auto it = rows.find(node);
+    if (it != rows.end() && it->second.row->incarnation() > incarnation) {
+      return false;
+    }
+    Tombstone& tomb = tombstones[node];
+    tomb.incarnation = std::max(tomb.incarnation, incarnation);
+    tomb.expires = now + tombstone_ttl;
+    std::erase_if(tombstones,
+                  [&](const auto& t) { return now >= t.second.expires; });
+    if (it == rows.end()) return false;
+    rows.erase(it);
+    return true;
+  }
+
+  void reconfirm_relay(NodeId node, NodeId relayed_by, sim::Time now) {
+    auto it = rows.find(node);
+    if (node == relayed_by || it == rows.end() ||
+        it->second.liveness != Liveness::kRelayed) {
+      return;
+    }
+    it->second.relayed_by = relayed_by;
+    it->second.last_heard = now;
+  }
+
+  std::vector<NodeId> expire(sim::Time now, sim::Duration relayed_timeout) {
+    std::vector<NodeId> expired;
+    for (auto it = rows.begin(); it != rows.end();) {
+      if (it->second.liveness == Liveness::kRelayed &&
+          now - it->second.last_heard > relayed_timeout) {
+        expired.push_back(it->first);
+        it = rows.erase(it);
+      } else {
+        ++it;
+      }
+    }
+    return expired;
+  }
+};
+
+// Dense device-like ids (a switch id, then 20 hosts, per rack), sparse
+// random 32-bit ids with both extremes, and a single id.
+std::vector<NodeId> racked_ids(int racks) {
+  std::vector<NodeId> ids;
+  for (int r = 0; r < racks; ++r) {
+    for (int h = 1; h <= 20; ++h) {
+      ids.push_back(static_cast<NodeId>(r * 21 + h));
+    }
+  }
+  return ids;
+}
+
+std::vector<NodeId> sparse_ids(uint64_t seed) {
+  util::Rng rng(seed);
+  std::set<NodeId> ids{0, kInvalidNode - 1};
+  while (ids.size() < 48) {
+    ids.insert(static_cast<NodeId>(rng.uniform_u64(kInvalidNode)));
+  }
+  return {ids.begin(), ids.end()};
+}
+
+void expect_same_row(const MembershipEntry* got, const MembershipEntry* want,
+                     NodeId node) {
+  ASSERT_EQ(got == nullptr, want == nullptr) << "node " << node;
+  if (got == nullptr) return;
+  EXPECT_EQ(got->row, want->row) << "node " << node;
+  EXPECT_EQ(got->liveness, want->liveness) << "node " << node;
+  EXPECT_EQ(got->relayed_by, want->relayed_by) << "node " << node;
+  EXPECT_EQ(got->last_heard, want->last_heard) << "node " << node;
+}
+
+// `flush_every` spaces the reads that merge the overlay (find, entries)
+// so that rows pile up there in between; contains, size and every
+// mutation's result are compared after each step.
+void run_differential(const std::vector<NodeId>& ids, uint64_t seed,
+                      int steps, int flush_every) {
+  SCOPED_TRACE(testing::Message() << "seed " << seed << ", " << ids.size()
+                                  << " ids, flush every " << flush_every);
+  constexpr sim::Duration kTtl = 40;
+  util::Rng rng(seed);
+  MembershipTable table(kTtl);
+  ReferenceTable model{kTtl, {}, {}};
+  // Rows interned per (node, incarnation, variant), so an unchanged record
+  // re-applied is the same object, as in a row pool.
+  std::map<std::tuple<NodeId, Incarnation, int>, RowRef> pool;
+  auto row_for = [&](NodeId node, Incarnation inc, int variant) {
+    RowRef& slot = pool[{node, inc, variant}];
+    if (!slot) {
+      EntryData data = entry(node, inc);
+      data.values["variant"] = std::to_string(variant);
+      slot = make_row(std::move(data));
+    }
+    return slot;
+  };
+  auto pick = [&] { return ids[rng.uniform_u64(ids.size())]; };
+  std::set<NodeId> heard;  // the relays the sticky rule treats as live
+  for (NodeId id : ids) {
+    if (rng.bernoulli(0.5)) heard.insert(id);
+  }
+  auto still_heard = [&](NodeId relay) { return heard.contains(relay); };
+
+  sim::Time now = 0;
+  for (int step = 0; step < steps; ++step) {
+    now += static_cast<sim::Duration>(rng.uniform_u64(4));
+    const NodeId node = pick();
+    const Incarnation inc = 1 + rng.uniform_u64(3);
+    const int variant = static_cast<int>(rng.uniform_u64(2));
+    const NodeId relay = rng.bernoulli(0.2) ? kInvalidNode : pick();
+    const uint64_t op = rng.uniform_u64(100);
+    if (op < 30) {
+      RowRef r = row_for(node, inc, variant);
+      ASSERT_EQ(table.apply(r, Liveness::kDirect, kInvalidNode, now),
+                model.apply(r, Liveness::kDirect, kInvalidNode, now));
+    } else if (op < 50) {
+      RowRef r = row_for(node, inc, variant);
+      ASSERT_EQ(table.apply(r, Liveness::kRelayed, relay, now),
+                model.apply(r, Liveness::kRelayed, relay, now));
+    } else if (op < 65) {
+      RowRef r = row_for(node, inc, variant);
+      const NodeId tag = model.sticky_relay(node, relay, heard);
+      ASSERT_EQ(table.apply_relayed(r, relay, now, still_heard),
+                model.apply(r, Liveness::kRelayed, tag, now));
+    } else if (op < 70) {
+      RowRef r = row_for(node, inc, variant);
+      table.apply_departing(r, now);
+      model.apply(r, Liveness::kDirect, kInvalidNode, now);
+      model.demote(node, kInvalidNode);
+    } else if (op < 82) {
+      ASSERT_EQ(table.remove(node, inc, now), model.remove(node, inc, now));
+    } else if (op < 88) {
+      table.reconfirm_relay(node, relay, now);
+      model.reconfirm_relay(node, relay, now);
+    } else if (op < 95) {
+      table.demote_to_relayed(node, relay);
+      model.demote(node, relay);
+    } else {
+      const auto timeout =
+          static_cast<sim::Duration>(8 + rng.uniform_u64(16));
+      auto got = table.expire(now, [&](const MembershipEntry& e) {
+        return e.liveness == Liveness::kRelayed ? timeout : sim::Duration{-1};
+      });
+      ASSERT_EQ(got, model.expire(now, timeout));
+    }
+
+    ASSERT_EQ(table.size(), model.rows.size()) << "step " << step;
+    for (NodeId probe : {node, node - 1, node + 1, pick(), ids.front(),
+                         ids.back(), NodeId{0}, kInvalidNode - 1}) {
+      ASSERT_EQ(table.contains(probe), model.rows.contains(probe))
+          << "step " << step << " probe " << probe;
+    }
+    if (step % flush_every != flush_every - 1) continue;
+    for (NodeId probe : {node, node - 1, node + 1, pick()}) {
+      auto it = model.rows.find(probe);
+      expect_same_row(table.find(probe),
+                      it == model.rows.end() ? nullptr : &it->second, probe);
+    }
+    const auto& entries = table.entries();
+    ASSERT_EQ(entries.size(), model.rows.size());
+    auto want = model.rows.begin();
+    for (const auto& [id, got] : entries) {
+      ASSERT_EQ(id, want->first) << "step " << step;
+      expect_same_row(&got, &want->second, id);
+      ++want;
+    }
+  }
+}
+
+TEST(TableDifferential, DenseRackedIds) {
+  for (uint64_t seed : {1, 2, 3}) {
+    for (int flush_every : {1, 16}) {
+      run_differential(racked_ids(12), seed, 3000, flush_every);
+    }
+  }
+}
+
+TEST(TableDifferential, SparseRandomIds) {
+  for (uint64_t seed : {4, 5, 6}) {
+    for (int flush_every : {1, 16}) {
+      run_differential(sparse_ids(seed), seed, 3000, flush_every);
+    }
+  }
+}
+
+TEST(TableDifferential, SingleId) {
+  for (uint64_t seed : {7, 8}) {
+    for (int flush_every : {1, 16}) {
+      run_differential({42}, seed, 500, flush_every);
+    }
+  }
 }
 
 }  // namespace
