@@ -140,6 +140,7 @@ ApplyResult MembershipTable::apply_at(MembershipEntry*& slot,
     auto pos =
         std::lower_bound(overlay_.begin(), overlay_.end(), node, row_before);
     slot = &overlay_.emplace(pos, node, std::move(entry))->second;
+    track_relayed(*slot);
     return ApplyResult::kAdded;
   }
 
@@ -164,6 +165,7 @@ ApplyResult MembershipTable::apply_at(MembershipEntry*& slot,
   entry.liveness = liveness;
   entry.relayed_by = relayed_by;
   entry.last_heard = now;
+  track_relayed(entry);
   return same ? ApplyResult::kRefreshed : ApplyResult::kUpdated;
 }
 
@@ -197,17 +199,23 @@ void MembershipTable::reconfirm_relay(NodeId node, NodeId relayed_by,
   if (entry == nullptr || entry->liveness != Liveness::kRelayed) return;
   entry->relayed_by = relayed_by;
   entry->last_heard = now;
+  track_relayed(*entry);
 }
 
 void MembershipTable::apply_departing(const RowRef& row, sim::Time now) {
   MembershipEntry* slot = find_mutable(row->node());
   apply_at(slot, row, Liveness::kDirect, kInvalidNode, now);
   demote(*slot, kInvalidNode);  // a direct record is never refused
+  track_relayed(*slot);
 }
 
 void MembershipTable::demote_to_relayed(NodeId node, NodeId relayed_by) {
   MembershipEntry* entry = find_mutable(node);
-  if (entry != nullptr) demote(*entry, relayed_by);
+  if (entry == nullptr) return;
+  // The demoted row keeps the stamp its last direct observation left, which
+  // may be older than every relayed one.
+  demote(*entry, relayed_by);
+  track_relayed(*entry);
 }
 
 const MembershipEntry* MembershipTable::find(NodeId node) const {
@@ -256,12 +264,14 @@ std::vector<NodeId> MembershipTable::expire(
     const std::function<sim::Duration(const MembershipEntry&)>& timeout_for) {
   flush();
   std::vector<NodeId> expired;
+  oldest_relayed_ = std::numeric_limits<sim::Time>::max();
   auto keep = entries_.begin();
   for (auto it = entries_.begin(); it != entries_.end(); ++it) {
     sim::Duration timeout = timeout_for(it->second);
     if (timeout >= 0 && now - it->second.last_heard > timeout) {
       expired.push_back(it->first);
     } else {
+      track_relayed(it->second);
       if (keep != it) *keep = std::move(*it);
       ++keep;
     }

@@ -10,8 +10,10 @@
 // observation — hearing the node's own heartbeat — always overrides one.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <map>
 #include <string>
 #include <string_view>
@@ -123,6 +125,12 @@ class MembershipTable {
       sim::Time now,
       const std::function<sim::Duration(const MembershipEntry&)>& timeout_for);
 
+  // A lower bound on every relayed row's last_heard; the largest Time when
+  // there is none. Each relayed stamp and each demotion can only lower it,
+  // and expire() re-tightens it, so a relayed row with timeout T can have
+  // expired only once now - oldest_relayed_heard() > T.
+  sim::Time oldest_relayed_heard() const { return oldest_relayed_; }
+
  private:
   struct Tombstone {
     Incarnation incarnation = 0;
@@ -143,11 +151,19 @@ class MembershipTable {
   // the record).
   ApplyResult apply_at(MembershipEntry*& slot, const RowRef& row,
                        Liveness liveness, NodeId relayed_by, sim::Time now);
+  // Lowers oldest_relayed_ to `entry`'s stamp if the entry is relayed; run
+  // after every write of a stamp or a liveness.
+  void track_relayed(const MembershipEntry& entry) {
+    if (entry.liveness == Liveness::kRelayed) {
+      oldest_relayed_ = std::min(oldest_relayed_, entry.last_heard);
+    }
+  }
 
   sim::Duration tombstone_ttl_;
   mutable std::vector<Slot> entries_;  // sorted by node id
   mutable std::vector<Slot> overlay_;  // sorted, keys disjoint from entries_
   std::map<NodeId, Tombstone> tombstones_;
+  sim::Time oldest_relayed_ = std::numeric_limits<sim::Time>::max();
 };
 
 }  // namespace tamp::membership

@@ -1,5 +1,8 @@
 #include "protocols/alltoall.h"
 
+#include <algorithm>
+#include <limits>
+
 #include "util/logging.h"
 
 namespace tamp::protocols {
@@ -31,6 +34,7 @@ void AllToAllDaemon::start() {
   // Random phase: real daemons don't tick in lockstep.
   announce_timer_.start_with_random_phase();
   scan_timer_.start_with_random_phase();
+  arm_scan();
   announce();
 }
 
@@ -53,8 +57,7 @@ void AllToAllDaemon::announce() {
 }
 
 void AllToAllDaemon::scan() {
-  const sim::Duration timeout =
-      static_cast<sim::Duration>(config_.max_losses) * config_.period;
+  const sim::Duration timeout = member_timeout();
   auto expired = table_.expire(sim_.now(), [&](const auto& entry) {
     return entry.row->node() == self_ ? sim::Duration{-1} : timeout;
   });
@@ -63,6 +66,17 @@ void AllToAllDaemon::scan() {
     net_.obs().tracer.record(obs::TraceKind::kTimeoutExpiry, self_, sim_.now(),
                              -1, node);
     notify(node, false);
+  }
+  arm_scan();
+}
+
+void AllToAllDaemon::arm_scan() {
+  sim::Time oldest = std::numeric_limits<sim::Time>::max();
+  for (const auto& [node, entry] : table_.entries()) {
+    if (node != self_) oldest = std::min(oldest, entry.last_heard);
+  }
+  if (oldest != std::numeric_limits<sim::Time>::max()) {
+    scan_timer_.arm(oldest + member_timeout());
   }
 }
 
@@ -73,7 +87,11 @@ void AllToAllDaemon::on_packet(const net::Packet& packet) {
   if (heartbeat == nullptr) return;
   ApplyResult result = table_.apply(heartbeat->entry, Liveness::kDirect,
                                     membership::kInvalidNode, sim_.now());
-  if (result == ApplyResult::kAdded) notify(heartbeat->entry->node(), true);
+  if (result == ApplyResult::kAdded) {
+    // Only a row new to the table can lack an armed expiry.
+    scan_timer_.arm(sim_.now() + member_timeout());
+    notify(heartbeat->entry->node(), true);
+  }
 }
 
 }  // namespace tamp::protocols

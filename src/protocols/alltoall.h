@@ -19,7 +19,9 @@ namespace tamp::protocols {
 // Heartbeats go to kAllToAllChannel on kDataPort with this TTL, which
 // must cover the whole cluster.
 inline constexpr uint8_t kAllToAllTtl = 32;
-// How often the table is checked for members past their timeout.
+// The grid on which the table is checked for members past their timeout:
+// a member silent since t is declared dead on the first tick after
+// t + max_losses * period.
 inline constexpr sim::Duration kAllToAllScanInterval = 100 * sim::kMillisecond;
 
 struct AllToAllConfig {
@@ -44,11 +46,16 @@ class AllToAllDaemon : public MembershipDaemon {
  private:
   void announce();
   void scan();
+  // Arms the scan timer at the oldest peer row's expiry.
+  void arm_scan();
   void on_packet(const net::Packet& packet);
+  sim::Duration member_timeout() const {
+    return static_cast<sim::Duration>(config_.max_losses) * config_.period;
+  }
 
   AllToAllConfig config_;
   sim::PeriodicTimer announce_timer_;
-  sim::PeriodicTimer scan_timer_;
+  sim::GridTimer scan_timer_;
   uint64_t seq_ = 0;
   // Registry-backed (obs::Protocol::kAllToAll, "heartbeats_sent", self).
   obs::Counter* heartbeats_sent_ = nullptr;

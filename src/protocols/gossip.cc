@@ -31,6 +31,7 @@ void GossipDaemon::start() {
   net_.bind(self_, kGossipPort, [this](const net::Packet& p) { on_packet(p); });
   round_timer_.start_with_random_phase();
   scan_timer_.start_with_random_phase();
+  arm_scan();
 }
 
 void GossipDaemon::stop() {
@@ -47,6 +48,7 @@ void GossipDaemon::add_seed(membership::EntryData entry) {
   if (table_.apply(row, Liveness::kDirect, membership::kInvalidNode,
                    sim_.now()) == ApplyResult::kAdded) {
     peers_[row->node()] = PeerState{0, row->incarnation(), sim_.now()};
+    scan_timer_.arm(sim_.now() + effective_tfail());
     notify(row->node(), true);
   }
 }
@@ -134,6 +136,16 @@ void GossipDaemon::scan() {
       ++it;
     }
   }
+  arm_scan();
+}
+
+void GossipDaemon::arm_scan() {
+  const sim::Duration tfail = effective_tfail();
+  for (const auto& [node, peer] : peers_) {
+    scan_timer_.arm(peer.last_increase + tfail);
+  }
+  // Lifted on the first tick at or after `until`.
+  for (const auto& [node, dead] : dead_) scan_timer_.arm(dead.until - 1);
 }
 
 void GossipDaemon::on_packet(const net::Packet& packet) {
@@ -166,6 +178,7 @@ void GossipDaemon::on_packet(const net::Packet& packet) {
       if (result != ApplyResult::kStale) {
         peers_[node] = PeerState{record.heartbeat_counter,
                                  record.entry->incarnation(), now};
+        scan_timer_.arm(now + effective_tfail());
         notify(node, true);
       }
       continue;

@@ -33,6 +33,8 @@ namespace tamp::protocols {
 
 // One gossip round per period, sent to one peer.
 inline constexpr sim::Duration kGossipPeriod = sim::kSecond;
+// The grid on which failures are declared and quarantines lifted: each on
+// the first tick past its deadline.
 inline constexpr sim::Duration kGossipScanInterval = 200 * sim::kMillisecond;
 // Seed peers each node starts with; a real deployment would use a static
 // bootstrap list the same way.
@@ -75,13 +77,17 @@ class GossipDaemon : public MembershipDaemon {
 
   void round();
   void scan();
+  // Arms the scan timer at the earliest failure or quarantine deadline.
+  void arm_scan();
   void on_packet(const net::Packet& packet);
   membership::GossipMsg build_view();
   // Next peer from the shuffled cycle; kInvalidNode when no peers exist.
   membership::NodeId next_target();
 
   sim::PeriodicTimer round_timer_;
-  sim::PeriodicTimer scan_timer_;
+  // Only scan() shrinks the view, so tfail cannot fall between scans and a
+  // deadline armed at the view size of its day stays early enough.
+  sim::GridTimer scan_timer_;
   uint64_t own_counter_ = 0;
   std::unordered_map<membership::NodeId, PeerState> peers_;
   // Failed nodes quarantined until the stored time; records with counters

@@ -183,6 +183,7 @@ void HierDaemon::join_level(int level) {
   trace(obs::TraceKind::kGroupJoin, level);
   ls.last_received = sim_.now();  // deafness clock starts at (re)join
   net_.join_group(self_, channel_of(level));
+  arm_scan(level);
   send_heartbeat(level);
   // Paper bootstrap: listen for a leader flag first; elect only if the
   // channel turns out to be leaderless.
@@ -208,6 +209,7 @@ void HierDaemon::leave_levels_from(int level, bool announce) {
     }
     net_.leave_group(self_, channel_of(l));
     ls.joined = false;
+    demote_due_ = true;
     ls.bootstrapped = false;
     ls.peers.clear();
     ls.leader = membership::kInvalidNode;
@@ -334,31 +336,37 @@ void HierDaemon::heartbeat_tick() {
     check_digest_rounds(l);
   }
   // The table-wide soft-state GC below is O(view size); its timeouts are
-  // tens of seconds, so scanning every few periods loses nothing and keeps
-  // thousand-node simulations fast.
+  // tens of seconds, so checking every few periods loses nothing. Each of
+  // its two passes also walks the table only when it can find something.
   if (hb_seq_ % 5 != 0) return;
   // Direct entries we no longer actually hear (e.g. a lost goodbye from a
   // node that left a shared channel) decay to relayed status, entering the
-  // normal second-hand lifecycle below.
+  // normal second-hand lifecycle below. Direct rows are applied only for
+  // members, so only a dropped member or a left level can leave one unheard.
   const sim::Time now = sim_.now();
-  std::vector<NodeId> demote;
-  for (const auto& [id, entry] : table_.entries()) {
-    if (entry.liveness == Liveness::kDirect && id != self_ &&
-        !heard_directly(id)) {
-      demote.push_back(id);
+  if (demote_due_) {
+    demote_due_ = false;
+    std::vector<NodeId> demote;
+    for (const auto& [id, entry] : table_.entries()) {
+      if (entry.liveness == Liveness::kDirect && id != self_ &&
+          !heard_directly(id)) {
+        demote.push_back(id);
+      }
     }
-  }
-  for (NodeId id : demote) {
-    table_.demote_to_relayed(id, membership::kInvalidNode);
+    for (NodeId id : demote) {
+      table_.demote_to_relayed(id, membership::kInvalidNode);
+    }
   }
   // Relayed entries are soft state refreshed by the relay chain's periodic
   // anti-entropy (refresh_tick): an entry nobody re-announces — by a digest
   // or delta touch — within the refresh horizon is stale: drop it. This is
   // what eventually clears entries resurrected by packet reordering or late
-  // replays under loss.
+  // replays under loss. The table's bound on relayed stamps says when one
+  // can first be that stale.
   const sim::Duration top_timeout = level_timeout(config_.max_ttl - 1);
   const sim::Duration orphan_timeout = std::max(
       2 * top_timeout, 2 * config_.refresh_interval + top_timeout);
+  if (now - table_.oldest_relayed_heard() <= orphan_timeout) return;
   auto expired = table_.expire(now, [&](const membership::MembershipEntry& e) {
     if (e.row->node() == self_ || e.liveness != Liveness::kRelayed) {
       return sim::Duration{-1};
@@ -387,6 +395,13 @@ void HierDaemon::scan_tick() {
   for (int l = 0; l < config_.max_ttl; ++l) {
     if (levels_[l]->joined) scan_level(l);
   }
+  for (int l = 0; l < config_.max_ttl; ++l) {
+    if (levels_[l]->joined) arm_scan(l);
+  }
+}
+
+void HierDaemon::arm_scan(int level) {
+  scan_timer_.arm(level_state(level).oldest_heard + level_timeout(level));
 }
 
 void HierDaemon::scan_level(int level) {
@@ -454,6 +469,7 @@ size_t HierDaemon::drop_out_of_scope(int level) {
 
 void HierDaemon::forget_member(LevelState& ls, NodeId member) {
   ls.drop_member(member);
+  demote_due_ = true;
   prune_pending(ls, member);
   if (ls.leader == member) {
     ls.leader = membership::kInvalidNode;
@@ -479,6 +495,7 @@ void HierDaemon::on_member_dead(int level, NodeId member) {
   const Incarnation lost_incarnation =
       lost_entry ? lost_entry->row->incarnation() : 0;
   ls.drop_member(member);
+  demote_due_ = true;
   prune_pending(ls, member);
 
   TAMP_LOG(Info) << "hier node " << self_ << " detects member " << member

@@ -199,8 +199,10 @@ class HierDaemon : public MembershipDaemon {
     void drop_member(membership::NodeId id);
     // A lower bound on every member's last_heard. Every stamp is sim_.now()
     // and sim time never runs backwards, so inserts, refreshes and erases
-    // can only raise the true minimum; scan_level skips the walk while no
-    // member can have expired yet, and re-tightens the bound when it walks.
+    // can only raise the true minimum. No member can expire before
+    // oldest_heard + level_timeout, so the scan timer is armed there;
+    // scan_level skips the walk while that deadline has not passed, and
+    // re-tightens the bound when it walks.
     sim::Time oldest_heard = 0;
 
     membership::NodeId leader = membership::kInvalidNode;  // may be self
@@ -313,6 +315,8 @@ class HierDaemon : public MembershipDaemon {
   void send_heartbeat(int level);
   void scan_tick();
   void scan_level(int level);
+  // Arms the scan timer at the level's earliest possible member expiry.
+  void arm_scan(int level);
   // Self-healing across runtime topology mutation: the network's topology
   // epoch (Topology::epoch()) moved since the last heartbeat tick, so
   // re-probe every group member's TTL distance — modelling the ICMP probe a
@@ -520,8 +524,11 @@ class HierDaemon : public MembershipDaemon {
   HierConfig config_;
   std::vector<std::unique_ptr<LevelState>> levels_;
   sim::PeriodicTimer heartbeat_timer_;
-  sim::PeriodicTimer scan_timer_;
+  sim::GridTimer scan_timer_;
   sim::PeriodicTimer refresh_timer_;
+  // A member was dropped or a level left since the last demotion walk, so a
+  // direct row may have lost the only level it was heard on.
+  bool demote_due_ = false;
   // Topology::epoch() value already reacted to; re-anchored at start() so a
   // daemon booting after mutations does not replay history.
   uint64_t topo_epoch_seen_ = 0;

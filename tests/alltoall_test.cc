@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "expiry_probe.h"
 #include "net/builders.h"
 #include "protocols/cluster.h"
 
@@ -131,6 +132,35 @@ TEST_F(AllToAllFixture, StopUnbindsCleanly) {
   cluster.start_all();  // re-binding must not trip the port-in-use check
   sim.run_until(8 * sim::kSecond);
   EXPECT_TRUE(cluster.converged());
+}
+
+// The scan timer fires only once some row can have expired. A crash must
+// still be declared on the first 100 ms tick strictly past the last
+// heartbeat plus max_losses periods, as a scan on every tick declares it.
+// Two nodes keep "last heard" observable: every multicast the observer
+// takes delivery of comes from its one peer.
+TEST_F(AllToAllFixture, CrashDeclaredOnFirstScanTickPastTimeout) {
+  auto layout = net::build_single_segment(topo, 2);
+  net::Network net(sim, topo);
+  trace_expiries(net);
+  Cluster cluster(sim, net, layout.hosts, options());
+  ChangeTimes heard(
+      sim, net_counter(net, layout.hosts[0], "rx_multicast_messages"));
+  cluster.start_all();
+  sim.run_until(10 * sim::kSecond);
+  ASSERT_TRUE(cluster.converged());
+
+  cluster.kill(1);
+  sim.run_until(sim.now() + 10 * sim::kSecond);
+
+  const sim::Time declared =
+      declared_dead_at(net, layout.hosts[0], layout.hosts[1], /*level=*/-1);
+  ASSERT_GE(declared, 0);
+  const AllToAllConfig config;
+  const sim::Duration late =
+      declared - heard.last() - config.max_losses * config.period;
+  EXPECT_GT(late, 0);
+  EXPECT_LE(late, kAllToAllScanInterval);
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "expiry_probe.h"
 #include "net/builders.h"
 #include "protocols/cluster.h"
 #include "protocols/oracle.h"
@@ -163,6 +164,32 @@ TEST_F(GossipFixture, RestartWithHigherIncarnationRejoins) {
   const auto* entry = cluster.daemon(0).table().find(layout.hosts[3]);
   ASSERT_NE(entry, nullptr);
   EXPECT_EQ(entry->data().incarnation, 2u);
+}
+
+// The scan timer fires only once some peer can have failed. A crash must
+// still be declared on the first 200 ms tick strictly past the peer's last
+// counter increase plus tfail, as a scan on every tick declares it. Between
+// two nodes every gossip the observer receives comes from its one peer and
+// raises that peer's counter.
+TEST_F(GossipFixture, CrashDeclaredOnFirstScanTickPastTimeout) {
+  auto layout = net::build_single_segment(topo, 2);
+  net::Network net(sim, topo);
+  trace_expiries(net);
+  Cluster cluster(sim, net, layout.hosts, options());
+  ChangeTimes heard(sim, net_counter(net, layout.hosts[0], "rx_messages"));
+  cluster.start_all();
+  sim.run_until(10 * sim::kSecond);
+  ASSERT_TRUE(cluster.converged());
+
+  cluster.kill(1);
+  sim.run_until(sim.now() + 20 * sim::kSecond);
+
+  const sim::Time declared =
+      declared_dead_at(net, layout.hosts[0], layout.hosts[1], /*level=*/-1);
+  ASSERT_GE(declared, 0);
+  const sim::Duration late = declared - heard.last() - gossip_tfail(2);
+  EXPECT_GT(late, 0);
+  EXPECT_LE(late, kGossipScanInterval);
 }
 
 }  // namespace

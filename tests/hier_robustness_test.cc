@@ -8,6 +8,7 @@
 #include <map>
 #include <set>
 
+#include "expiry_probe.h"
 #include "membership/codec.h"
 #include "membership/row.h"
 #include "net/builders.h"
@@ -767,6 +768,37 @@ struct PeerRecordFixture : public ::testing::Test {
     return std::find(members.begin(), members.end(), peer_host) !=
            members.end();
   }
+
+  bool peer_row_relayed() const {
+    const auto* entry = daemon->table().find(peer_host);
+    return entry != nullptr &&
+           entry->liveness == membership::Liveness::kRelayed;
+  }
+
+  // The peer's row is direct, then the daemon leaves every level (a
+  // restart) and the peer stays silent. Returns when the restart happened
+  // and when the row was demoted (-1 if it never was within `horizon`).
+  std::pair<sim::Time, sim::Time> restart_and_watch_demotion(
+      sim::Duration horizon) {
+    peer_heartbeat(5);
+    EXPECT_TRUE(peer_is_member());
+    EXPECT_FALSE(peer_row_relayed());
+    daemon->stop();
+    daemon->start();
+    const sim::Time restarted = sim.now();
+    EXPECT_FALSE(peer_is_member());
+    EXPECT_FALSE(peer_row_relayed());
+    ChangeTimes relayed(sim, [this] { return peer_row_relayed() ? 1 : 0; });
+    sim.run_until(restarted + horizon);
+    return {restarted, relayed.times().empty() ? -1 : relayed.times()[0]};
+  }
+
+  // The heartbeat walk's orphan timeout (HierDaemon::heartbeat_tick).
+  sim::Duration orphan_timeout() const {
+    const sim::Duration top =
+        daemon->level_timeout(daemon->config().max_ttl - 1);
+    return std::max(2 * top, 2 * daemon->config().refresh_interval + top);
+  }
 };
 
 // A member declared dead keeps its update cursor: heard again in the same
@@ -805,6 +837,44 @@ TEST_F(PeerRecordFixture, RejoinedLevelStartsAFreshCursor) {
   EXPECT_EQ(daemon->pending_exchanges(0), 0u);
   peer_heartbeat(8);
   EXPECT_EQ(daemon->pending_exchanges(0), 1u);
+}
+
+// The heartbeat walk demotes direct rows only after a member was dropped or
+// a level left. A restart leaves every level, so the row of a peer that
+// was heard only there is demoted by the first walk after it: walks run
+// every fifth heartbeat.
+TEST_F(PeerRecordFixture, DirectRowOfAPeerNoLongerHeardIsDemotedAtTheNextWalk) {
+  const sim::Duration walk_every = 5 * daemon->config().period;
+  const auto [restarted, demoted] = restart_and_watch_demotion(walk_every);
+  ASSERT_GE(demoted, 0) << "never demoted";
+  EXPECT_GT(demoted, restarted);
+  EXPECT_LE(demoted, restarted + walk_every);
+}
+
+// A relayed row nobody re-announces expires on the first walk past the
+// orphan timeout since its last stamp, even though a demotion, not a relayed
+// stamp, made it relayed.
+TEST_F(PeerRecordFixture,
+       UnannouncedRelayedRowExpiresOnTheFirstWalkPastTimeout) {
+  const sim::Duration walk_every = 5 * daemon->config().period;
+  sim::Time expired = -1;
+  daemon->set_change_listener(
+      [&](membership::NodeId subject, bool alive, sim::Time when) {
+        if (subject == peer_host && !alive && expired < 0) expired = when;
+      });
+  const auto [restarted, demoted] = restart_and_watch_demotion(walk_every);
+  ASSERT_GE(demoted, 0) << "never demoted";
+  const sim::Time stamped = daemon->table().find(peer_host)->last_heard;
+  ASSERT_LT(stamped, restarted);
+
+  sim.run_until(stamped + orphan_timeout() + 2 * walk_every);
+  ASSERT_GE(expired, 0) << "never expired";
+  // Walks run on the demoting walk's grid, so the expiry is on one that is
+  // past the timeout while the one before it was not.
+  EXPECT_EQ((expired - demoted) % walk_every, 0);
+  EXPECT_GT(expired - stamped, orphan_timeout());
+  EXPECT_LE(expired - walk_every - stamped, orphan_timeout());
+  EXPECT_EQ(daemon->table().find(peer_host), nullptr);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <set>
 
+#include "expiry_probe.h"
 #include "net/builders.h"
 #include "protocols/cluster.h"
 
@@ -448,74 +449,22 @@ TEST_F(HierFixture, StatsCountersMove) {
             0u);
 }
 
-// --- scan gate --------------------------------------------------------------
+// --- scan deadline -----------------------------------------------------------
 //
-// scan_level skips its member walk while no member can have expired yet.
-// These pin that a death still lands on exactly the 100 ms scan tick the
-// full walk finds: the first one strictly past last_heard + level_timeout.
+// The scan timer fires only once some member can have expired, and
+// scan_level skips its walk until then. These pin that a death still lands
+// on exactly the 100 ms scan tick a walk on every tick finds: the first one
+// strictly past last_heard + level_timeout.
 // A two-node segment keeps "last heard" observable from outside: every
 // multicast the observer takes delivery of comes from its one peer.
-
-// Sim times at which `host` took delivery of a multicast, read off its
-// rx_multicast_messages counter between events.
-class MulticastArrivals {
- public:
-  MulticastArrivals(sim::Simulation& sim, net::Network& net, net::HostId host)
-      : sim_(sim),
-        counter_(net.obs().metrics.counter(obs::Protocol::kNet,
-                                           "rx_multicast_messages", host)) {
-    sim_.set_trace_hook([this](sim::Time at, sim::EventId) {
-      poll();
-      previous_ = at;
-    });
-  }
-  ~MulticastArrivals() { sim_.set_trace_hook(nullptr); }
-
-  const std::vector<sim::Time>& times() {
-    poll();
-    return times_;
-  }
-  sim::Time last() { return times().empty() ? -1 : times_.back(); }
-
- private:
-  // The counter moved during the event that ran at `previous_`.
-  void poll() {
-    if (counter_->value == seen_) return;
-    seen_ = counter_->value;
-    times_.push_back(previous_);
-  }
-
-  sim::Simulation& sim_;
-  const obs::Counter* counter_;
-  uint64_t seen_ = 0;
-  sim::Time previous_ = 0;
-  std::vector<sim::Time> times_;
-};
-
-// When `observer` declared `member` dead at `level`, or -1.
-sim::Time declared_dead_at(const net::Network& net, net::HostId observer,
-                           net::HostId member, int level = 0) {
-  for (const auto& event : net.obs().tracer.events()) {
-    if (event.kind == obs::TraceKind::kTimeoutExpiry &&
-        event.node == observer && event.a == member && event.level == level) {
-      return event.at;
-    }
-  }
-  return -1;
-}
-
-void trace_expiries(net::Network& net) {
-  net.obs().tracer.set_enabled(true);
-  net.obs().tracer.set_kinds_mask(
-      obs::trace_bit(obs::TraceKind::kTimeoutExpiry));
-}
 
 TEST_F(HierFixture, CrashDeclaredOnFirstScanTickPastTimeout) {
   auto layout = net::build_single_segment(topo, 2);
   net::Network net(sim, topo);
   trace_expiries(net);
   Cluster cluster(sim, net, layout.hosts, options(1));
-  MulticastArrivals heard(sim, net, layout.hosts[0]);
+  ChangeTimes heard(
+      sim, net_counter(net, layout.hosts[0], "rx_multicast_messages"));
   cluster.start_all();
   sim.run_until(10 * sim::kSecond);
   ASSERT_TRUE(cluster.converged());
@@ -550,7 +499,8 @@ TEST_F(HierFixture, MemberRefreshedAtTimeoutBoundaryIsNotDeclaredDead) {
   } cut;
   net.set_fault_injector(&cut);
   Cluster cluster(sim, net, layout.hosts, options(1));
-  MulticastArrivals heard(sim, net, layout.hosts[0]);
+  ChangeTimes heard(
+      sim, net_counter(net, layout.hosts[0], "rx_multicast_messages"));
   cluster.start_all();
   sim.run_until(10 * sim::kSecond);
   ASSERT_TRUE(cluster.converged());
@@ -582,7 +532,8 @@ TEST_F(HierFixture, RejoinedLevelDeclaresLaterCrashOnTime) {
   net::Network net(sim, topo);
   trace_expiries(net);
   Cluster cluster(sim, net, layout.hosts, options(1));
-  MulticastArrivals heard(sim, net, layout.hosts[0]);
+  ChangeTimes heard(
+      sim, net_counter(net, layout.hosts[0], "rx_multicast_messages"));
   cluster.start_all();
   sim.run_until(10 * sim::kSecond);
   ASSERT_TRUE(cluster.converged());

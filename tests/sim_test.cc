@@ -334,6 +334,134 @@ TEST(PeriodicTimer, RandomPhaseWithinPeriod) {
   EXPECT_LT(first, kSecond);
 }
 
+// The first tick of a PeriodicTimer started with a random phase at t = 0
+// under `seed`: GridTimer draws the same phase, so it is its grid's origin.
+Time periodic_origin(uint64_t seed, Duration interval) {
+  Simulation sim(seed);
+  Time first = -1;
+  PeriodicTimer timer(sim, interval, [&] {
+    if (first < 0) first = sim.now();
+  });
+  timer.start_with_random_phase();
+  sim.run_until(interval);
+  return first;
+}
+
+constexpr Duration kTick = 100 * kMillisecond;
+
+// Fire times of a GridTimer started at t = 0 under `seed` and armed there
+// at `deadline`, up to 10 s.
+std::vector<Time> grid_fires(uint64_t seed, Time deadline) {
+  Simulation sim(seed);
+  std::vector<Time> fires;
+  GridTimer timer(sim, kTick, [&] { fires.push_back(sim.now()); });
+  timer.start_with_random_phase();
+  timer.arm(deadline);
+  sim.run_until(10 * kSecond);
+  return fires;
+}
+
+TEST(GridTimer, DrawsPeriodicTimersPhase) {
+  for (uint64_t seed : {1, 2, 3, 5, 8}) {
+    const Time origin = periodic_origin(seed, kTick);
+    ASSERT_GT(origin, 0);
+    EXPECT_EQ(grid_fires(seed, 0), std::vector<Time>{origin}) << seed;
+    // The draw consumes the generator exactly as PeriodicTimer's does.
+    Simulation periodic_sim(seed), grid_sim(seed);
+    PeriodicTimer periodic(periodic_sim, kTick, [] {});
+    GridTimer grid(grid_sim, kTick, [] {});
+    periodic.start_with_random_phase();
+    grid.start_with_random_phase();
+    EXPECT_EQ(periodic_sim.rng().next_u64(), grid_sim.rng().next_u64());
+  }
+}
+
+TEST(GridTimer, FiresOnFirstTickStrictlyAfterDeadline) {
+  const uint64_t seed = 7;
+  const Time origin = periodic_origin(seed, kTick);
+  EXPECT_EQ(grid_fires(seed, origin + 3 * kTick + 1),
+            std::vector<Time>{origin + 4 * kTick});
+  EXPECT_EQ(grid_fires(seed, origin + 4 * kTick - 1),
+            std::vector<Time>{origin + 4 * kTick});
+  // A deadline exactly on a tick waits for the next one.
+  EXPECT_EQ(grid_fires(seed, origin + 3 * kTick),
+            std::vector<Time>{origin + 4 * kTick});
+  EXPECT_EQ(grid_fires(seed, origin), std::vector<Time>{origin + kTick});
+}
+
+TEST(GridTimer, EarlierDeadlineMovesTheFireLaterOneDoesNot) {
+  Simulation sim(7);
+  const Time origin = periodic_origin(7, kTick);
+  std::vector<Time> fires;
+  GridTimer timer(sim, kTick, [&] { fires.push_back(sim.now()); });
+  timer.start_with_random_phase();
+  timer.arm(origin + 5 * kTick);
+  timer.arm(origin + 2 * kTick);
+  EXPECT_EQ(timer.fire_at(), origin + 3 * kTick);
+  timer.arm(origin + 8 * kTick);
+  EXPECT_EQ(timer.fire_at(), origin + 3 * kTick);
+  sim.run_until(10 * kSecond);
+  EXPECT_EQ(fires, std::vector<Time>{origin + 3 * kTick});
+}
+
+TEST(GridTimer, StopCancelsAndAFiredTimerWaitsForTheNextArm) {
+  Simulation sim(7);
+  const Time origin = periodic_origin(7, kTick);
+  std::vector<Time> fires;
+  GridTimer timer(sim, kTick, [&] { fires.push_back(sim.now()); });
+  timer.start_with_random_phase();
+  timer.arm(origin + 2 * kTick);
+  timer.stop();
+  EXPECT_FALSE(timer.armed());
+  timer.arm(origin);  // ignored while stopped
+  sim.run_until(2 * kSecond);
+  EXPECT_TRUE(fires.empty());
+
+  timer.start_with_random_phase();
+  timer.arm(sim.now());
+  sim.run_until(4 * kSecond);
+  ASSERT_EQ(fires.size(), 1u);
+  EXPECT_FALSE(timer.armed());
+  sim.run_until(6 * kSecond);
+  EXPECT_EQ(fires.size(), 1u);  // silent until armed again
+  timer.arm(sim.now());
+  sim.run_until(8 * kSecond);
+  EXPECT_EQ(fires.size(), 2u);
+  EXPECT_GT(fires[1], 6 * kSecond);
+  EXPECT_LE(fires[1], 6 * kSecond + kTick);
+}
+
+// Events due on one instant run in push order. A tick armed long ahead must
+// still run after an event pushed before the preceding tick, as a
+// PeriodicTimer's tick does: its event is pushed one tick ahead.
+TEST(GridTimer, TickKeepsPeriodicTimersPlaceAmongSameInstantEvents) {
+  const Time origin = periodic_origin(7, kTick);
+  const Time tick = origin + 30 * kTick;
+  for (bool grid : {false, true}) {
+    Simulation sim(7);
+    std::vector<char> order;
+    PeriodicTimer periodic(sim, kTick, [&] {
+      if (sim.now() == tick) order.push_back('T');
+    });
+    GridTimer timer(sim, kTick, [&] { order.push_back('T'); });
+    if (grid) {
+      timer.start_with_random_phase();
+      timer.arm(tick - 1);
+    } else {
+      periodic.start_with_random_phase();
+    }
+    // Pushed two ticks ahead and one tick ahead of the tick instant.
+    sim.schedule_at(tick - 2 * kTick, [&] {
+      sim.schedule_at(tick, [&] { order.push_back('a'); });
+    });
+    sim.schedule_at(tick - kTick + 1, [&] {
+      sim.schedule_at(tick, [&] { order.push_back('b'); });
+    });
+    sim.run_until(tick);
+    EXPECT_EQ(order, (std::vector<char>{'a', 'T', 'b'})) << grid;
+  }
+}
+
 TEST(OneShotTimer, RestartReplacesDeadline) {
   Simulation sim;
   int fires = 0;
