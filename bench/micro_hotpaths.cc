@@ -2,8 +2,9 @@
 // transport adds to every send, and the full instrumented send it rides on.
 // tools/gate.py hotpath fails CI if the first costs more than 5% of the
 // second. BM_TableApplyRefresh times the directory lookup every received
-// heartbeat pays; no gate reads it. perfbench's per-layer ledger covers
-// the other hot paths (codec, event queue) on whole workloads.
+// heartbeat pays, and BM_TableAbsorbImage the inserts of a bootstrap image
+// absorbed row by row; no gate reads either. perfbench's per-layer ledger
+// covers the other hot paths (codec, event queue) on whole workloads.
 #include <benchmark/benchmark.h>
 
 #include <vector>
@@ -16,6 +17,7 @@
 #include "net/transport.h"
 #include "obs/obs.h"
 #include "sim/simulation.h"
+#include "util/rng.h"
 
 namespace tamp {
 namespace {
@@ -76,12 +78,9 @@ void BM_TransportSendUnicast(benchmark::State& state) {
 }
 BENCHMARK(BM_TransportSendUnicast);
 
-// A heartbeat's table work: re-apply a row the directory already holds
-// (same content, so kRefreshed) in a 500-row table whose ids follow the
-// racked layout, a switch id and then 20 host ids per rack.
-void BM_TableApplyRefresh(benchmark::State& state) {
-  using membership::Liveness;
-  membership::MembershipTable table;
+// 500 rows whose ids follow the racked layout, a switch id and then 20 host
+// ids per rack.
+std::vector<membership::RowRef> racked_rows() {
   std::vector<membership::RowRef> rows;
   for (membership::NodeId rack = 0; rack < 25; ++rack) {
     for (membership::NodeId host = 1; host <= 20; ++host) {
@@ -89,11 +88,19 @@ void BM_TableApplyRefresh(benchmark::State& state) {
           membership::make_representative_entry(rack * 21 + host)));
     }
   }
+  return rows;
+}
+
+// A heartbeat's table work: re-apply a row the directory already holds
+// (same content, so kRefreshed) in a table of the racked rows.
+void BM_TableApplyRefresh(benchmark::State& state) {
+  using membership::Liveness;
+  membership::MembershipTable table;
+  const std::vector<membership::RowRef> rows = racked_rows();
   sim::Time now = 0;
   for (const auto& row : rows) {
     table.apply(row, Liveness::kDirect, membership::kInvalidNode, now);
   }
-  benchmark::DoNotOptimize(table.entries());  // rows merged: steady state
   size_t next = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(table.apply(rows[next], Liveness::kDirect,
@@ -102,6 +109,23 @@ void BM_TableApplyRefresh(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TableApplyRefresh);
+
+// A bootstrap image's table work: insert the racked rows, in a seeded
+// shuffled order, into an empty table as relayed records, then read
+// the directory once.
+void BM_TableAbsorbImage(benchmark::State& state) {
+  using membership::Liveness;
+  std::vector<membership::RowRef> rows = racked_rows();
+  util::Rng(7).shuffle(rows);
+  for (auto _ : state) {
+    membership::MembershipTable table;
+    for (const auto& row : rows) {
+      table.apply(row, Liveness::kRelayed, 1, 0);
+    }
+    benchmark::DoNotOptimize(table.entries().data());
+  }
+}
+BENCHMARK(BM_TableAbsorbImage);
 
 }  // namespace
 }  // namespace tamp

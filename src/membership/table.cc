@@ -84,25 +84,9 @@ std::vector<const MembershipEntry*> select_providers(
 
 }  // namespace
 
-void MembershipTable::flush() const {
-  if (overlay_.empty()) return;
-  const size_t mid = entries_.size();
-  entries_.insert(entries_.end(), std::make_move_iterator(overlay_.begin()),
-                  std::make_move_iterator(overlay_.end()));
-  std::inplace_merge(
-      entries_.begin(), entries_.begin() + static_cast<ptrdiff_t>(mid),
-      entries_.end(),
-      [](const Slot& a, const Slot& b) { return a.first < b.first; });
-  overlay_.clear();
-}
-
 MembershipEntry* MembershipTable::find_mutable(NodeId node) {
   auto it = locate(entries_, node);
-  if (it != entries_.end()) return &it->second;
-  if (overlay_.empty()) return nullptr;
-  auto ov = locate(overlay_, node);
-  if (ov != overlay_.end()) return &ov->second;
-  return nullptr;
+  return it == entries_.end() ? nullptr : &it->second;
 }
 
 bool MembershipTable::tombstoned(NodeId node, Incarnation incarnation,
@@ -138,8 +122,8 @@ ApplyResult MembershipTable::apply_at(MembershipEntry*& slot,
     entry.relayed_by = relayed_by;
     entry.last_heard = now;
     auto pos =
-        std::lower_bound(overlay_.begin(), overlay_.end(), node, row_before);
-    slot = &overlay_.emplace(pos, node, std::move(entry))->second;
+        std::lower_bound(entries_.begin(), entries_.end(), node, row_before);
+    slot = &entries_.emplace(pos, node, std::move(entry))->second;
     track_relayed(*slot);
     return ApplyResult::kAdded;
   }
@@ -171,7 +155,6 @@ ApplyResult MembershipTable::apply_at(MembershipEntry*& slot,
 
 bool MembershipTable::remove(NodeId node, Incarnation incarnation,
                              sim::Time now) {
-  flush();
   auto it = locate(entries_, node);
   if (it != entries_.end() && it->second.row->incarnation() > incarnation) {
     return false;  // we know a newer life of this node
@@ -219,18 +202,15 @@ void MembershipTable::demote_to_relayed(NodeId node, NodeId relayed_by) {
 }
 
 const MembershipEntry* MembershipTable::find(NodeId node) const {
-  flush();
   auto it = locate(entries_, node);
   return it == entries_.end() ? nullptr : &it->second;
 }
 
 bool MembershipTable::contains(NodeId node) const {
-  return locate(entries_, node) != entries_.end() ||
-         (!overlay_.empty() && locate(overlay_, node) != overlay_.end());
+  return locate(entries_, node) != entries_.end();
 }
 
 std::vector<NodeId> MembershipTable::node_ids() const {
-  flush();
   std::vector<NodeId> ids;
   ids.reserve(entries_.size());
   for (const auto& [id, entry] : entries_) ids.push_back(id);
@@ -262,7 +242,6 @@ std::vector<const MembershipEntry*> MembershipTable::lookup_regex(
 std::vector<NodeId> MembershipTable::expire(
     sim::Time now,
     const std::function<sim::Duration(const MembershipEntry&)>& timeout_for) {
-  flush();
   std::vector<NodeId> expired;
   oldest_relayed_ = std::numeric_limits<sim::Time>::max();
   auto keep = entries_.begin();

@@ -34,12 +34,10 @@ enum class ApplyResult : uint8_t {
 
 class MembershipTable {
  public:
-  // Rows live in a flat sorted vector rather than a node-per-entry tree: the
-  // hot consumers (digest hashing, refresh encoding, piggyback scans) walk
-  // the whole directory every round, and a contiguous scan is what they pay
-  // for. Fresh inserts buffer in a small sorted overlay and merge into the
-  // main vector in one O(n + k) pass on the next read, so absorbing a batch
-  // of k new rows does not shift the main vector k times.
+  // Rows live in one flat vector sorted by node id rather than a
+  // node-per-entry tree: the hot consumers (digest hashing, refresh
+  // encoding, piggyback scans) walk the whole directory every round, and a
+  // contiguous scan is what they pay for.
   using Slot = std::pair<NodeId, MembershipEntry>;
 
   explicit MembershipTable(sim::Duration tombstone_ttl = 30 * sim::kSecond)
@@ -56,14 +54,10 @@ class MembershipTable {
   // apply() of a relayed record whose provenance is sticky: when the row
   // held now is relayed by a node `still_heard` accepts, it keeps that
   // relay, and `relayed_by` is only the fallback. The rule reads the slot
-  // apply() merges into, so a relayed row costs one lookup. The overlay
-  // is merged first: a bootstrap image absorbed row by row then lands in
-  // the main vector, mostly appended, while letting the overlay grow
-  // through it cost a 500-node run about 15% more peak memory.
+  // apply() merges into, so a relayed row costs one lookup.
   template <typename StillHeard>
   ApplyResult apply_relayed(const RowRef& row, NodeId relayed_by,
                             sim::Time now, const StillHeard& still_heard) {
-    flush();
     MembershipEntry* slot = find_mutable(row->node());
     if (slot != nullptr && slot->liveness == Liveness::kRelayed &&
         slot->relayed_by != kInvalidNode && still_heard(slot->relayed_by)) {
@@ -92,19 +86,17 @@ class MembershipTable {
   // node itself; its liveness is now second-hand). No-op otherwise.
   void demote_to_relayed(NodeId node, NodeId relayed_by);
 
-  // Pointers returned by find()/lookup() stay valid until the next insert or
-  // erase (collect-then-consume within one handler is fine; holding one
-  // across a mutation is not — same contract callers already honor).
+  // Pointers returned by find()/lookup() and references into entries() stay
+  // valid until the next insert or erase; an apply that adds a row is an
+  // insert (collect-then-consume within one handler is fine; holding one
+  // across a mutation is not).
   const MembershipEntry* find(NodeId node) const;
   bool contains(NodeId node) const;
-  size_t size() const { return entries_.size() + overlay_.size(); }
+  size_t size() const { return entries_.size(); }
   std::vector<NodeId> node_ids() const;
 
   // All entries (sorted by node id, deterministic iteration).
-  const std::vector<Slot>& entries() const {
-    flush();
-    return entries_;
-  }
+  const std::vector<Slot>& entries() const { return entries_; }
 
   // Service lookup: nodes registering exactly `service`; `partition_spec`
   // ("*", "2", "1-3", "0,2") selects nodes hosting at least one listed
@@ -139,11 +131,6 @@ class MembershipTable {
 
   bool tombstoned(NodeId node, Incarnation incarnation, sim::Time now) const;
 
-  // Merge the pending overlay into the main vector. Every public read path
-  // flushes first, so exposed pointers/references always target entries_.
-  void flush() const;
-  // Internal lookup that may return a row still sitting in the overlay;
-  // never exposed to callers.
   MembershipEntry* find_mutable(NodeId node);
   // The merge behind every apply. `slot` is the row held for row->node()
   // (nullptr when absent), found by the caller's one lookup; on return it
@@ -160,8 +147,7 @@ class MembershipTable {
   }
 
   sim::Duration tombstone_ttl_;
-  mutable std::vector<Slot> entries_;  // sorted by node id
-  mutable std::vector<Slot> overlay_;  // sorted, keys disjoint from entries_
+  std::vector<Slot> entries_;  // sorted by node id
   std::map<NodeId, Tombstone> tombstones_;
   sim::Time oldest_relayed_ = std::numeric_limits<sim::Time>::max();
 };

@@ -125,7 +125,7 @@ size_t Cluster::converged_count() const {
   size_t count = 0;
   for (size_t i = 0; i < daemons_.size(); ++i) {
     if (!alive_[i]) continue;
-    auto view = daemons_[i]->table().node_ids();  // sorted (std::map)
+    auto view = daemons_[i]->table().node_ids();  // sorted by id
     if (view.size() == expected.size() &&
         std::equal(view.begin(), view.end(), expected.begin())) {
       ++count;

@@ -48,10 +48,6 @@ class PeriodicTimer {
     }
   }
 
-  bool running() const { return running_; }
-  Duration period() const { return period_; }
-  void set_period(Duration period) { period_ = period; }
-
  private:
   void fire() {
     if (!running_) return;

@@ -216,9 +216,9 @@ TEST(Table, NodeIdsSorted) {
 //
 // MembershipTable against a plain std::map model of the same rules, under
 // seeded random sequences of every mutation. The table finds rows through an
-// interpolated guess, a short walk and a lower_bound fallback, over a main
-// vector plus a pending overlay; the model has none of that, so any slip in
-// those paths shows up as a divergence.
+// interpolated guess, a short walk and a lower_bound fallback over one sorted
+// vector; the model has none of that, so any slip in those paths shows up as
+// a divergence.
 
 struct ReferenceTable {
   struct Tombstone {
@@ -353,13 +353,13 @@ void expect_same_row(const MembershipEntry* got, const MembershipEntry* want,
   EXPECT_EQ(got->last_heard, want->last_heard) << "node " << node;
 }
 
-// `flush_every` spaces the reads that merge the overlay (find, entries)
-// so that rows pile up there in between; contains, size and every
-// mutation's result are compared after each step.
+// `read_every` spaces the full reads (find, entries), so that several
+// mutations land between two of them; contains, size and every mutation's
+// result are compared after each step.
 void run_differential(const std::vector<NodeId>& ids, uint64_t seed,
-                      int steps, int flush_every) {
+                      int steps, int read_every) {
   SCOPED_TRACE(testing::Message() << "seed " << seed << ", " << ids.size()
-                                  << " ids, flush every " << flush_every);
+                                  << " ids, read every " << read_every);
   constexpr sim::Duration kTtl = 40;
   util::Rng rng(seed);
   MembershipTable table(kTtl);
@@ -432,7 +432,7 @@ void run_differential(const std::vector<NodeId>& ids, uint64_t seed,
       ASSERT_EQ(table.contains(probe), model.rows.contains(probe))
           << "step " << step << " probe " << probe;
     }
-    if (step % flush_every != flush_every - 1) continue;
+    if (step % read_every != read_every - 1) continue;
     for (NodeId probe : {node, node - 1, node + 1, pick()}) {
       auto it = model.rows.find(probe);
       expect_same_row(table.find(probe),
@@ -451,24 +451,24 @@ void run_differential(const std::vector<NodeId>& ids, uint64_t seed,
 
 TEST(TableDifferential, DenseRackedIds) {
   for (uint64_t seed : {1, 2, 3}) {
-    for (int flush_every : {1, 16}) {
-      run_differential(racked_ids(12), seed, 3000, flush_every);
+    for (int read_every : {1, 16}) {
+      run_differential(racked_ids(12), seed, 3000, read_every);
     }
   }
 }
 
 TEST(TableDifferential, SparseRandomIds) {
   for (uint64_t seed : {4, 5, 6}) {
-    for (int flush_every : {1, 16}) {
-      run_differential(sparse_ids(seed), seed, 3000, flush_every);
+    for (int read_every : {1, 16}) {
+      run_differential(sparse_ids(seed), seed, 3000, read_every);
     }
   }
 }
 
 TEST(TableDifferential, SingleId) {
   for (uint64_t seed : {7, 8}) {
-    for (int flush_every : {1, 16}) {
-      run_differential({42}, seed, 500, flush_every);
+    for (int read_every : {1, 16}) {
+      run_differential({42}, seed, 500, read_every);
     }
   }
 }
