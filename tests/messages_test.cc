@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
 #include <string>
 #include <variant>
@@ -8,6 +9,8 @@
 #include "membership/codec.h"
 #include "membership/messages.h"
 #include "membership/row.h"
+#include "service/messages.h"
+#include "util/strings.h"
 
 namespace tamp::membership {
 namespace {
@@ -545,6 +548,95 @@ TEST(Messages, EveryAlternativeReencodesToItsOwnBytes) {
     covered.insert(c.message.index());
   }
   EXPECT_EQ(covered.size(), std::variant_size_v<Message>);
+}
+
+uint64_t fnv1a(const std::vector<uint8_t>& bytes) {
+  uint64_t hash = 0xcbf29ce484222325ULL;
+  for (uint8_t b : bytes) {
+    hash ^= b;
+    hash *= 0x100000001b3ULL;
+  }
+  return hash;
+}
+
+// A round trip passes whenever the encoder and the decoder agree, so it
+// cannot see a field that moved on both sides. These hashes pin the bytes
+// themselves: every reencode case, one message of each service type and one
+// entry. A deliberate wire change updates them; on a mismatch the test
+// prints the whole table as it now reads.
+TEST(Messages, EveryAlternativeKeepsItsPinnedBytes) {
+  const std::map<std::string, uint64_t> pinned = {
+      {"bootstrap request", 0xcb5d090f0bd23fb6ULL},
+      {"bootstrap response", 0xe53b4594df3f8995ULL},
+      {"busy", 0x814e520574792809ULL},
+      {"coordinator", 0x5940a7466fdf1e7cULL},
+      {"delta", 0xe9a7286ee3b61bd1ULL},
+      {"downward digest", 0x637c66d23d696b69ULL},
+      {"election", 0x5f684c9819d3887bULL},
+      {"election answer", 0x13d026eaaa091554ULL},
+      {"empty bootstrap request", 0xc7c1c53d2877e545ULL},
+      {"empty bootstrap response", 0x913bdcd37c4ccf2aULL},
+      {"empty delta", 0xce0a43787f302586ULL},
+      {"empty digest", 0x0f6ea9099fc0c790ULL},
+      {"empty gossip", 0xcb621fad57b6624cULL},
+      {"empty proxy heartbeat", 0xd65f39d3573126cdULL},
+      {"empty pull", 0xf7989e7dcb00f879ULL},
+      {"empty sync response", 0x9ae58e086f5b75a8ULL},
+      {"empty update", 0x66afeadd0c74dfa4ULL},
+      {"entry", 0x3108aab9b8a289cdULL},
+      {"gossip", 0xd8ff6912db61d17bULL},
+      {"heartbeat", 0x73dd3945368346a4ULL},
+      {"padded heartbeat", 0x34c1c5df8dbc024fULL},
+      {"proxy heartbeat", 0xe877786e12d3a860ULL},
+      {"pull", 0x7c28248747cecb06ULL},
+      {"service load poll", 0x12e0b9e0e122af6eULL},
+      {"service load reply", 0x7a57db9d064d7fb8ULL},
+      {"service relay ack", 0x476509a8cdf4cc83ULL},
+      {"service relay syn", 0x3f4c49429667530bULL},
+      {"service request", 0x019e8f6b6653fba9ULL},
+      {"service response", 0x0c0cead68add5c3bULL},
+      {"subtree digest", 0x43c02a26aadc94d0ULL},
+      {"sync request", 0x4bfeabcc7a3347fdULL},
+      {"sync response", 0x94dc9961e3bd31aeULL},
+      {"update", 0xfcccb2432b4dcbfcULL},
+  };
+
+  std::map<std::string, uint64_t> actual;
+  for (const ReencodeCase& c : reencode_cases()) {
+    actual[c.name] = fnv1a(*encode_message(c.message, c.pad));
+  }
+  service::RequestMsg request;
+  request.request_id = 77;
+  request.reply_host = 4;
+  request.reply_port = 700;
+  request.service = "search";
+  request.partition = -3;
+  request.request_bytes = 64;
+  request.response_bytes = 4096;
+  request.relay_hops = 0;
+  const std::pair<const char*, service::ServiceMessage> services[] = {
+      {"load poll", service::LoadPollMsg{1ULL << 40, 12, 9000}},
+      {"load reply", service::LoadReplyMsg{5, 13, 0xfffffffe}},
+      {"request", request},
+      {"response",
+       service::ResponseMsg{77, 4, service::ResponseStatus::kOverloaded, 16}},
+      {"relay syn", service::RelaySynMsg{~uint64_t{0}, 3}},
+      {"relay ack", service::RelayAckMsg{2, 8}},
+  };
+  for (const auto& [name, message] : services) {
+    actual[std::string("service ") + name] =
+        fnv1a(*service::encode_service_message(message));
+  }
+  WireWriter entry;
+  encode_entry(entry, make_representative_entry(42, 3));
+  actual["entry"] = fnv1a(entry.view());
+
+  std::string table;
+  for (const auto& [name, hash] : actual) {
+    table += util::strformat("      {\"%s\", 0x%016llxULL},\n", name.c_str(),
+                             static_cast<unsigned long long>(hash));
+  }
+  EXPECT_EQ(actual, pinned) << "the bytes now hash to:\n" << table;
 }
 
 TEST(Messages, DigestRowHashIgnoresLocalSoftState) {
