@@ -6,44 +6,28 @@
 
 namespace tamp::membership {
 
+template <class IO>
+void layout(IO& io, EntryData& entry) {
+  io.u32(entry.node);
+  io.u64(entry.incarnation);
+  io.u16(entry.machine.cpus);
+  io.u32(entry.machine.memory_mb);
+  io.str(entry.machine.os);
+  io.list(entry.services, [&io](ServiceRegistration& service) {
+    io.str(service.name);
+    io.list(service.partitions, [&io](int& p) { io.varint(p); });
+    layout(io, service.params);
+  });
+  layout(io, entry.values);
+}
+
 void encode_entry(WireWriter& w, const EntryData& entry) {
-  w.u32(entry.node);
-  w.u64(entry.incarnation);
-  w.u16(entry.machine.cpus);
-  w.u32(entry.machine.memory_mb);
-  w.str(entry.machine.os);
-  w.varint(entry.services.size());
-  for (const auto& service : entry.services) {
-    w.str(service.name);
-    w.varint(service.partitions.size());
-    for (int partition : service.partitions) {
-      w.varint(static_cast<uint64_t>(partition));
-    }
-    write_string_map(w, service.params);
-  }
-  write_string_map(w, entry.values);
+  write_layout(w, entry);
 }
 
 std::optional<EntryData> decode_entry(WireReader& r) {
   EntryData entry;
-  entry.node = r.u32();
-  entry.incarnation = r.u64();
-  entry.machine.cpus = r.u16();
-  entry.machine.memory_mb = r.u32();
-  entry.machine.os = r.str();
-  uint64_t service_count = r.varint();
-  for (uint64_t i = 0; i < service_count && r.ok(); ++i) {
-    ServiceRegistration service;
-    service.name = r.str();
-    uint64_t partition_count = r.varint();
-    for (uint64_t p = 0; p < partition_count && r.ok(); ++p) {
-      service.partitions.push_back(static_cast<int>(r.varint()));
-    }
-    service.params = read_string_map(r);
-    entry.services.push_back(std::move(service));
-  }
-  entry.values = read_string_map(r);
-  if (!r.ok()) return std::nullopt;
+  if (!read_layout(r, entry)) return std::nullopt;
   return entry;
 }
 

@@ -15,7 +15,6 @@
 
 #include "membership/row.h"
 #include "membership/types.h"
-#include "membership/wire.h"
 #include "net/packet.h"
 
 namespace tamp::net {

@@ -28,11 +28,6 @@ class Network;
 
 namespace tamp::membership {
 
-// Appends the row's cached canonical bytes (what encode_entry would write).
-inline void encode_row(WireWriter& w, const Row& row) {
-  w.bytes(row.bytes().data(), row.bytes().size());
-}
-
 class RowPool {
  public:
   RowPool() = default;

@@ -1,18 +1,13 @@
 #include "membership/wire.h"
 
+#include "membership/row.h"
+
 namespace tamp::membership {
 
-void WireWriter::u16(uint16_t v) {
-  buffer_.push_back(static_cast<uint8_t>(v));
-  buffer_.push_back(static_cast<uint8_t>(v >> 8));
-}
-
-void WireWriter::u32(uint32_t v) {
-  for (int i = 0; i < 4; ++i) buffer_.push_back(static_cast<uint8_t>(v >> (8 * i)));
-}
-
-void WireWriter::u64(uint64_t v) {
-  for (int i = 0; i < 8; ++i) buffer_.push_back(static_cast<uint8_t>(v >> (8 * i)));
+void WireWriter::little_endian(uint64_t v, int bytes) {
+  for (int i = 0; i < bytes; ++i) {
+    buffer_.push_back(static_cast<uint8_t>(v >> (8 * i)));
+  }
 }
 
 void WireWriter::varint(uint64_t v) {
@@ -37,32 +32,13 @@ void WireWriter::pad_to(size_t target) {
   if (buffer_.size() < target) buffer_.resize(target, 0);
 }
 
-uint8_t WireReader::u8() {
-  if (!take(1)) return 0;
-  return data_[pos_++];
-}
-
-uint16_t WireReader::u16() {
-  if (!take(2)) return 0;
-  uint16_t v = static_cast<uint16_t>(data_[pos_]) |
-               static_cast<uint16_t>(data_[pos_ + 1]) << 8;
-  pos_ += 2;
-  return v;
-}
-
-uint32_t WireReader::u32() {
-  if (!take(4)) return 0;
-  uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= static_cast<uint32_t>(data_[pos_ + i]) << (8 * i);
-  pos_ += 4;
-  return v;
-}
-
-uint64_t WireReader::u64() {
-  if (!take(8)) return 0;
+uint64_t WireReader::little_endian(int bytes) {
+  if (!take(bytes)) return 0;
   uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<uint64_t>(data_[pos_ + i]) << (8 * i);
-  pos_ += 8;
+  for (int i = 0; i < bytes; ++i) {
+    v |= static_cast<uint64_t>(data_[pos_ + i]) << (8 * i);
+  }
+  pos_ += bytes;
   return v;
 }
 
@@ -90,24 +66,9 @@ std::string WireReader::str() {
   return s;
 }
 
-void write_string_map(WireWriter& w,
-                      const std::map<std::string, std::string>& m) {
-  w.varint(m.size());
-  for (const auto& [key, value] : m) {
-    w.str(key);
-    w.str(value);
-  }
-}
-
-std::map<std::string, std::string> read_string_map(WireReader& r) {
-  std::map<std::string, std::string> m;
-  uint64_t n = r.varint();
-  for (uint64_t i = 0; i < n && r.ok(); ++i) {
-    std::string key = r.str();
-    std::string value = r.str();
-    m.emplace(std::move(key), std::move(value));
-  }
-  return m;
+void WireIn::row(RowRef& row) {
+  row = pool_ != nullptr ? pool_->decode(r_) : nullptr;
+  check(row != nullptr);
 }
 
 }  // namespace tamp::membership
