@@ -329,8 +329,9 @@ class HierDaemon : public MembershipDaemon {
   // were dropped.
   size_t drop_out_of_scope(int level);
   // A member left this channel alive (goodbye, or moved out of scope): drop
-  // its bookkeeping, with no death semantics.
-  void forget_member(LevelState& ls, membership::NodeId member);
+  // its bookkeeping, with no death semantics. A leader whose backup left
+  // picks another.
+  void forget_member(int level, membership::NodeId member);
   void on_member_dead(int level, membership::NodeId member);
   bool heard_directly(membership::NodeId node) const;
   // Drop entries whose relay chain went through `dead` (paper Timeout
