@@ -46,7 +46,8 @@ INSTANTIATE_TEST_SUITE_P(Sweep, ChaosMatrix, ::testing::ValuesIn(matrix()),
 // Sweep's hierarchical rows again, under their historical "_digest" test
 // ids. Digest rounds are the only periodic anti-entropy, so these repeat
 // Sweep's rows exactly; they are kept only so the existing ids keep
-// resolving (ROADMAP item 6 retires them).
+// resolving (the ROADMAP item "Retire `DigestSweep` and make test ids
+// layout-free" retires them).
 std::vector<ScenarioSpec> hierarchical_rows() {
   std::vector<ScenarioSpec> rows;
   for (const ScenarioSpec& spec : matrix()) {
