@@ -23,9 +23,9 @@ namespace tamp {
 namespace {
 
 // The exact per-send work the observability layer added to the transmit
-// path: classify the payload's wire kind, bump the per-host and per-kind
-// counters, and offer the (disabled) tracer an event. The CI gate compares
-// this against BM_TransportSendUnicast below.
+// path: read the wire kind the encoder stamped on the payload, bump the
+// per-host and per-kind counters, and offer the (disabled) tracer an event.
+// The CI gate compares this against BM_TransportSendUnicast below.
 void BM_ObsHotpathAddition(benchmark::State& state) {
   obs::Observability obs;
   obs::Counter* tx =
@@ -40,11 +40,10 @@ void BM_ObsHotpathAddition(benchmark::State& state) {
   auto payload =
       membership::encode_message(membership::Message{heartbeat}, 228);
   for (auto _ : state) {
-    uint8_t kind =
-        membership::classify_wire_kind(payload->data(), payload->size());
+    uint8_t kind = payload->kind;
     benchmark::DoNotOptimize(kind);
     tx->add();
-    bytes->add(payload->size());
+    bytes->add(payload->size);
     kind_total->add();
     obs.tracer.record(obs::TraceKind::kEgressDrop, 3, 0, -1, kind);
   }

@@ -2,7 +2,6 @@
 
 #include <limits>
 
-#include "net/buffer_pool.h"
 #include "net/transport.h"
 
 namespace tamp::membership {
@@ -210,22 +209,29 @@ constexpr MessageType kMessageTypes[] = {
     MessageType::kRefreshDelta,
 };
 
-// The message a payload encodes, as every receiver reads it. The only
-// net::Decoded subclass, so decode_message can downcast statically.
-struct EncodedMessage final : net::Decoded {
-  explicit EncodedMessage(Message message) : message(std::move(message)) {}
-  const Message message;
-};
+// A frame: the version byte, then the variant envelope, zero-padded to
+// `pad_to` bytes.
+template <class Sink>
+void write_frame(Sink& w, const Message& message, size_t pad_to) {
+  w.u8(kWireVersionByte);
+  write_variant(w, message, kMessageTypes);
+  if (pad_to > 0) w.pad_to(pad_to);
+}
 
 }  // namespace
 
 net::Payload encode_message(Message message, size_t pad_to) {
-  WireWriter w(net::acquire_buffer());
-  w.u8(kWireVersionByte);
-  write_variant(w, message, kMessageTypes);
-  if (pad_to > 0) w.pad_to(pad_to);
-  return net::make_payload(
-      w.take(), std::make_unique<EncodedMessage>(std::move(message)));
+  WireCounter size;
+  write_frame(size, message, pad_to);
+  const auto kind = static_cast<uint8_t>(kMessageTypes[message.index()]);
+  return net::make_payload(std::move(message), size.size(), kind);
+}
+
+std::vector<uint8_t> encode_message_bytes(const Message& message,
+                                          size_t pad_to) {
+  WireWriter w;
+  write_frame(w, message, pad_to);
+  return w.take();
 }
 
 std::optional<Message> decode_message(const uint8_t* data, size_t size,
@@ -237,14 +243,6 @@ std::optional<Message> decode_message(const uint8_t* data, size_t size,
   // here rather than misparsed further down.
   if (r.u8() != kWireVersionByte) return std::nullopt;
   return read_variant<Message>(r, kMessageTypes, &pool);
-}
-
-std::shared_ptr<const Message> decode_message(const net::Packet& packet) {
-  if (!packet.payload || !packet.payload->decoded) return nullptr;
-  const auto& held =
-      static_cast<const EncodedMessage&>(*packet.payload->decoded);
-  // Shares the payload's ownership: the message lives as long as its bytes.
-  return std::shared_ptr<const Message>(packet.payload, &held.message);
 }
 
 size_t digest_bucket_of(NodeId node, size_t bucket_count) {
@@ -272,11 +270,9 @@ const char* wire_kind_name(uint8_t kind) {
 
 void install_wire_classifier(net::Network& net) {
   net::WireClassifier classifier;
-  classifier.classify = [](const uint8_t* data, size_t size) {
-    return classify_wire_kind(data, size);
-  };
-  classifier.name = [](uint8_t kind) { return std::string(wire_kind_name(kind)); };
-  classifier.kind_count = kWireKindCount;
+  for (uint8_t kind = 0; kind < kWireKindCount; ++kind) {
+    classifier.names.emplace_back(wire_kind_name(kind));
+  }
   net.set_wire_classifier(std::move(classifier));
 }
 

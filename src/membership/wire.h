@@ -6,15 +6,19 @@
 //
 // Each wire type's field order is written once, in its `template <class IO>
 // void layout(IO& io, T& value)`: WireOut runs it to encode and WireIn to
-// decode. Layouts sit beside their codecs (codec.cc, messages.cc,
-// service/messages.cc); Messages.EveryAlternativeKeepsItsPinnedBytes in
-// tests/messages_test.cc pins the bytes they write.
+// decode. WireOut writes into a sink: a WireWriter builds the bytes (the
+// reference codec and its tests), a WireCounter only counts them (what a
+// sent payload is charged). Layouts sit beside their codecs (codec.cc,
+// messages.cc, service/messages.cc);
+// Messages.EveryAlternativeKeepsItsPinnedBytes in tests/messages_test.cc
+// pins the bytes they write.
 //
 // Readers never throw: a malformed buffer flips `ok()` to false and all
 // subsequent reads return zero values. Decoders check `ok()` once at the
 // end — mirroring how a defensive UDP daemon treats untrusted datagrams.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <optional>
@@ -32,14 +36,6 @@ class RowPool;
 
 class WireWriter {
  public:
-  WireWriter() = default;
-  // Start from recycled scratch (cleared here) so steady-state encoding
-  // reuses payload capacity instead of reallocating per message.
-  explicit WireWriter(std::vector<uint8_t> scratch)
-      : buffer_(std::move(scratch)) {
-    buffer_.clear();
-  }
-
   void u8(uint8_t v) { buffer_.push_back(v); }
   void u16(uint16_t v) { little_endian(v, 2); }
   void u32(uint32_t v) { little_endian(v, 4); }
@@ -60,6 +56,30 @@ class WireWriter {
   void little_endian(uint64_t v, int bytes);
 
   std::vector<uint8_t> buffer_;
+};
+
+// WireWriter's write ops, counting the bytes instead of writing them: the
+// size of an encoding, without building it.
+class WireCounter {
+ public:
+  void u8(uint8_t) { size_ += 1; }
+  void u16(uint16_t) { size_ += 2; }
+  void u32(uint32_t) { size_ += 4; }
+  void u64(uint64_t) { size_ += 8; }
+  void varint(uint64_t v) {
+    for (++size_; v >= 0x80; v >>= 7) ++size_;
+  }
+  void str(std::string_view s) {
+    varint(s.size());
+    size_ += s.size();
+  }
+  void bytes(const void*, size_t size) { size_ += size; }
+  void pad_to(size_t target) { size_ = std::max(size_, target); }
+
+  size_t size() const { return size_; }
+
+ private:
+  size_t size_ = 0;
 };
 
 class WireReader {
@@ -109,11 +129,13 @@ To same_width(From v) {
 // byte, so the input's length bounds what a forged count can allocate.
 inline constexpr uint64_t kUncapped = ~uint64_t{0};
 
-// Runs a layout to encode: every op writes the field it names.
+// Runs a layout to encode: every op writes the field it names into the
+// sink, a WireWriter or a WireCounter.
+template <class Sink>
 class WireOut {
  public:
   static constexpr bool kReading = false;
-  explicit WireOut(WireWriter& w) : w_(w) {}
+  explicit WireOut(Sink& w) : w_(w) {}
 
   template <class T> void u8(T v) { w_.u8(same_width<uint8_t>(v)); }
   template <class T> void u16(T v) { w_.u16(same_width<uint16_t>(v)); }
@@ -143,7 +165,7 @@ class WireOut {
   }
 
  private:
-  WireWriter& w_;
+  Sink& w_;
 };
 
 // A key the wire repeats: a string keeps its first value, a count takes its
@@ -209,11 +231,11 @@ class WireIn {
   RowPool* pool_;
 };
 
-// Encodes `value` with its layout. WireOut only reads the fields, so the
-// const_cast never writes through.
-template <class T>
-void write_layout(WireWriter& w, const T& value) {
-  WireOut out(w);
+// Encodes `value` with its layout into `w`, a WireWriter or a WireCounter.
+// WireOut only reads the fields, so the const_cast never writes through.
+template <class Sink, class T>
+void write_layout(Sink& w, const T& value) {
+  WireOut<Sink> out(w);
   layout(out, const_cast<T&>(value));
 }
 
@@ -227,9 +249,8 @@ bool read_layout(WireReader& r, T& value, RowPool* pool = nullptr) {
 
 // A variant envelope: the alternative's type byte, `types[index]`, then its
 // layout. `types` lists one byte per alternative, in variant order.
-template <class Variant, class Type, size_t N>
-void write_variant(WireWriter& w, const Variant& message,
-                   const Type (&types)[N]) {
+template <class Sink, class Variant, class Type, size_t N>
+void write_variant(Sink& w, const Variant& message, const Type (&types)[N]) {
   static_assert(N == std::variant_size_v<Variant>);
   w.u8(static_cast<uint8_t>(types[message.index()]));
   std::visit([&w](const auto& m) { write_layout(w, m); }, message);

@@ -1,46 +1,61 @@
 // The unit of delivery on the simulated network.
 //
-// Payload bytes are shared (not copied) across the receivers of a multicast
-// fan-out, and so is the message they encode. `wire_bytes` is what the
-// bandwidth accounting charges: payload plus per-fragment UDP/IP/Ethernet
-// overhead, matching how the paper counts heartbeat bandwidth on real links.
+// A payload is the sender's message, immutable once built, with the size its
+// encoding takes on the wire and its wire kind. Every receiver of a
+// multicast fan-out (and every injected duplicate) shares it, so no receiver
+// parses anything. `wire_bytes` is what the bandwidth accounting charges:
+// payload size plus per-fragment UDP/IP/Ethernet overhead, matching how the
+// paper counts heartbeat bandwidth on real links.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <vector>
+#include <utility>
 
 #include "net/ids.h"
 #include "sim/time.h"
 
 namespace tamp::net {
 
-// The message a payload encodes, as the encoder's own subclass (net/ cannot
-// name message types).
-struct Decoded {
-  virtual ~Decoded() = default;
+// What every payload has, whatever message it carries: the encoded size
+// (what the transport charges) and the wire kind its encoder stamped for
+// per-kind accounting (0: unknown). `type` names the Carried<M> it is, so
+// carried<M>() can check it before the downcast.
+struct CarriedBase {
+  CarriedBase(size_t size, uint8_t kind, const void* type)
+      : size(size), kind(kind), type(type) {}
+  virtual ~CarriedBase() = default;
+
+  const size_t size;
+  const uint8_t kind;
+  const void* const type;
 };
 
-// Encoded bytes, immutable once built, plus the message they encode: the
-// encoder stores the message it wrote in `decoded`, and every receiver (all
-// of a multicast fan-out, injected duplicates) reads that same message, so
-// no receiver parses. Payloads built from bare bytes carry none. It is the
-// byte vector itself, so readers treat it as one. When the last holder lets
-// go, its capacity returns to the buffer pool (buffer_pool.h).
-struct PayloadBytes : std::vector<uint8_t> {
-  explicit PayloadBytes(std::vector<uint8_t> bytes,
-                        std::unique_ptr<const Decoded> decoded = nullptr)
-      : std::vector<uint8_t>(std::move(bytes)), decoded(std::move(decoded)) {}
-  ~PayloadBytes();
-  const std::unique_ptr<const Decoded> decoded;
+// A payload carrying an M (net/ never names the message types; each plane
+// picks its own M).
+template <class M>
+struct Carried final : CarriedBase {
+  static constexpr char kType = 0;  // its address tags the type
+  Carried(M message, size_t size, uint8_t kind)
+      : CarriedBase(size, kind, &kType), message(std::move(message)) {}
+  const M message;
 };
 
-using Payload = std::shared_ptr<const PayloadBytes>;
+using Payload = std::shared_ptr<const CarriedBase>;
 
-inline Payload make_payload(std::vector<uint8_t> bytes,
-                            std::unique_ptr<const Decoded> decoded = nullptr) {
-  return std::make_shared<const PayloadBytes>(std::move(bytes),
-                                              std::move(decoded));
+template <class M>
+Payload make_payload(M message, size_t size, uint8_t kind = 0) {
+  return std::make_shared<const Carried<M>>(std::move(message), size, kind);
+}
+
+// The M a payload carries, sharing the payload's ownership; null for a
+// payload carrying anything else, so a packet that reaches another plane's
+// port reads as no message.
+template <class M>
+std::shared_ptr<const M> carried(const Payload& payload) {
+  if (!payload || payload->type != &Carried<M>::kType) return nullptr;
+  return {payload, &static_cast<const Carried<M>&>(*payload).message};
 }
 
 enum class DeliveryKind : uint8_t { kUnicast, kMulticast };
@@ -58,8 +73,7 @@ struct Packet {
   size_t wire_bytes = 0;    // payload + header overhead, all fragments
   sim::Time sent_at = 0;
 
-  size_t size() const { return payload ? payload->size() : 0; }
-  const uint8_t* data() const { return payload ? payload->data() : nullptr; }
+  size_t size() const { return payload ? payload->size : 0; }
 };
 
 }  // namespace tamp::net

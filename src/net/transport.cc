@@ -17,7 +17,7 @@ Network::Network(sim::Simulation& sim, Topology& topology,
       hosts_[host].counters = resolve_counters(host);
     }
   }
-  // Kind 0 ("unknown") exists even before a classifier is installed, so the
+  // Kind 0 ("unknown") exists even before kind names are installed, so the
   // per-kind sums are total from the first packet.
   set_wire_classifier(WireClassifier{});
 }
@@ -39,16 +39,13 @@ Network::TrafficCounters Network::resolve_counters(obs::NodeId node) {
 }
 
 void Network::set_wire_classifier(WireClassifier classifier) {
-  classifier_ = std::move(classifier);
-  if (classifier_.kind_count == 0) classifier_.kind_count = 1;
+  if (classifier.names.empty()) classifier.names.push_back("unknown");
   obs::MetricsRegistry& m = obs_.metrics;
   tx_kind_.clear();
   tx_bytes_kind_.clear();
   egress_drop_kind_.clear();
   tx_down_kind_.clear();
-  for (uint8_t kind = 0; kind < classifier_.kind_count; ++kind) {
-    const std::string suffix =
-        classifier_.name ? classifier_.name(kind) : "unknown";
+  for (const std::string& suffix : classifier.names) {
     tx_kind_.push_back(m.counter(obs::Protocol::kNet, "tx_kind_" + suffix));
     tx_bytes_kind_.push_back(
         m.counter(obs::Protocol::kNet, "tx_bytes_kind_" + suffix));
@@ -59,10 +56,9 @@ void Network::set_wire_classifier(WireClassifier classifier) {
   }
 }
 
-uint8_t Network::classify(const Payload& payload) const {
-  if (!classifier_.classify || !payload) return 0;
-  uint8_t kind = classifier_.classify(payload->data(), payload->size());
-  return kind < classifier_.kind_count ? kind : 0;
+uint8_t Network::kind_of(const Payload& payload) const {
+  const uint8_t kind = payload ? payload->kind : 0;
+  return kind < tx_kind_.size() ? kind : 0;
 }
 
 void Network::bind(HostId host, Port port, RecvCallback callback) {
@@ -193,13 +189,13 @@ void Network::dispatch(Packet packet, const PathInfo& path, size_t fragments,
 
 bool Network::send_unicast(HostId from, Address to, Payload payload) {
   TAMP_CHECK(from < hosts_.size() && to.host < hosts_.size());
-  const uint8_t kind = classify(payload);
+  const uint8_t kind = kind_of(payload);
   if (!hosts_[from].up) {
     tx_down_kind_[kind]->add();
     return false;
   }
 
-  const size_t wire = wire_bytes_for(payload ? payload->size() : 0);
+  const size_t wire = wire_bytes_for(payload ? payload->size : 0);
   sim::Duration egress_delay = 0;
   if (!egress_admit(from, wire, egress_delay)) {
     hosts_[from].counters.tx_dropped_egress->add();
@@ -236,13 +232,13 @@ bool Network::send_multicast(HostId from, ChannelId channel, uint8_t ttl,
                              Port port, Payload payload) {
   TAMP_CHECK(from < hosts_.size());
   TAMP_CHECK_MSG(ttl > 0, "multicast needs ttl >= 1");
-  const uint8_t kind = classify(payload);
+  const uint8_t kind = kind_of(payload);
   if (!hosts_[from].up) {
     tx_down_kind_[kind]->add();
     return false;
   }
 
-  const size_t wire = wire_bytes_for(payload ? payload->size() : 0);
+  const size_t wire = wire_bytes_for(payload ? payload->size : 0);
   sim::Duration egress_delay = 0;
   if (!egress_admit(from, wire, egress_delay)) {
     hosts_[from].counters.tx_dropped_egress->add();
@@ -259,7 +255,7 @@ bool Network::send_multicast(HostId from, ChannelId channel, uint8_t ttl,
   tx_kind_[kind]->add();
   tx_bytes_kind_[kind]->add(wire);
 
-  const size_t fragments = fragments_for(payload ? payload->size() : 0);
+  const size_t fragments = fragments_for(payload ? payload->size : 0);
 
   // Fan-out batching: receivers on identical paths (the common case — a
   // whole rack behind one switch) land at the same delivery time, so their

@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -69,14 +70,12 @@ class FaultInjector {
   virtual Verdict verdict(const Packet& packet) = 0;
 };
 
-// Attribution hook for per-wire-kind accounting: net/ cannot name the
-// membership layer's message types, so whoever owns both layers (Cluster,
-// MService) injects a payload classifier. Kind 0 is "unknown"; kinds must
-// be dense in [0, kind_count).
+// Names for per-wire-kind accounting: net/ cannot name the membership
+// layer's message types, so whoever owns both layers (Cluster, MService)
+// installs them. A payload's `kind` indexes `names`; kind 0 is "unknown",
+// and a kind past the end counts as 0.
 struct WireClassifier {
-  std::function<uint8_t(const uint8_t* data, size_t size)> classify;
-  std::function<std::string(uint8_t kind)> name;  // metric-name suffix
-  uint8_t kind_count = 1;
+  std::vector<std::string> names;  // metric-name suffixes
 };
 
 class Network {
@@ -138,9 +137,9 @@ class Network {
   // on first use.
   std::shared_ptr<membership::RowPool>& row_pool() { return row_pool_; }
 
-  // Install the payload classifier used for per-kind tx / egress-drop
-  // attribution. Idempotent; replacing an installed classifier with one
-  // that produces the same kinds is a no-op in effect.
+  // Install the kind names used for per-kind tx / egress-drop attribution.
+  // Idempotent; replacing installed names with the same names is a no-op in
+  // effect.
   void set_wire_classifier(WireClassifier classifier);
 
  private:
@@ -195,7 +194,7 @@ class Network {
   size_t wire_bytes_for(size_t payload_size) const;
   size_t fragments_for(size_t payload_size) const;
   TrafficCounters resolve_counters(obs::NodeId node);
-  uint8_t classify(const Payload& payload) const;
+  uint8_t kind_of(const Payload& payload) const;
   // Applies path loss (per fragment) + configured extra loss + any
   // injector-imposed loss; true if delivered.
   bool survives(const PathInfo& path, size_t fragments, double injected_loss);
@@ -220,8 +219,7 @@ class Network {
   std::vector<HostId> virtual_ips_;
   FaultInjector* injector_ = nullptr;
   TrafficCounters total_;
-  WireClassifier classifier_;
-  // Per-kind totals, indexed by classifier kind (satellite attribution for
+  // Per-kind totals, indexed by wire kind (satellite attribution for
   // the egress capacity model: *what* was shed, not just how much).
   // tx_bytes_kind_ decomposes tx_wire_bytes the way tx_kind_ decomposes
   // tx_messages — named with a distinct prefix so counter_prefix_sum over

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
 #include <string>
@@ -27,8 +28,8 @@ RowRef representative_row(NodeId node, Incarnation incarnation = 1) {
 
 template <typename T>
 T round_trip(const T& msg, size_t pad = 0) {
-  auto payload = encode_message(Message{msg}, pad);
-  auto decoded = decode(payload->data(), payload->size());
+  auto bytes = encode_message_bytes(Message{msg}, pad);
+  auto decoded = decode(bytes.data(), bytes.size());
   EXPECT_TRUE(decoded.has_value());
   auto* typed = std::get_if<T>(&*decoded);
   EXPECT_NE(typed, nullptr);
@@ -55,9 +56,10 @@ TEST(Messages, HeartbeatRoundTrip) {
 TEST(Messages, HeartbeatPadding) {
   HeartbeatMsg msg;
   msg.entry = representative_row(1);
-  auto payload = encode_message(Message{msg}, 512);
-  EXPECT_EQ(payload->size(), 512u);
-  auto decoded = decode(payload->data(), payload->size());
+  EXPECT_EQ(encode_message(Message{msg}, 512)->size, 512u);
+  auto bytes = encode_message_bytes(Message{msg}, 512);
+  EXPECT_EQ(bytes.size(), 512u);
+  auto decoded = decode(bytes.data(), bytes.size());
   ASSERT_TRUE(decoded.has_value());  // trailing zeros are ignored
   EXPECT_TRUE(std::holds_alternative<HeartbeatMsg>(*decoded));
 }
@@ -181,10 +183,10 @@ TEST(Messages, BusyRoundTrip) {
   EXPECT_EQ(out.retry_after, 1500000000);
 
   // An out-of-range deferral kind is rejected, not misparsed.
-  auto payload = encode_message(Message{msg});
-  auto decoded = decode(payload->data(), payload->size());
+  auto bytes = encode_message_bytes(Message{msg});
+  auto decoded = decode(bytes.data(), bytes.size());
   ASSERT_TRUE(decoded.has_value());
-  std::vector<uint8_t> bad(*payload);
+  std::vector<uint8_t> bad(bytes);
   bad[2 + 4 + 1] = 99;  // version, type, responder u32, level u8 -> kind
   EXPECT_FALSE(decode(bad.data(), bad.size()).has_value());
 }
@@ -192,15 +194,15 @@ TEST(Messages, BusyRoundTrip) {
 TEST(Messages, VersionByteGatesDecoding) {
   HeartbeatMsg msg;
   msg.entry = representative_row(1);
-  auto payload = encode_message(Message{msg});
-  ASSERT_FALSE(payload->empty());
+  auto bytes = encode_message_bytes(Message{msg});
+  ASSERT_FALSE(bytes.empty());
   // Every frame leads with the tagged version byte.
-  EXPECT_EQ((*payload)[0], kWireVersionByte);
+  EXPECT_EQ(bytes[0], kWireVersionByte);
 
   // A frame claiming any other version is rejected, not misparsed.
   for (int version = 0; version <= 0x0f; ++version) {
     if ((kWireVersionTag | version) == kWireVersionByte) continue;
-    std::vector<uint8_t> other(*payload);
+    std::vector<uint8_t> other(bytes);
     other[0] = static_cast<uint8_t>(kWireVersionTag | version);
     EXPECT_FALSE(decode(other.data(), other.size()).has_value());
   }
@@ -212,9 +214,9 @@ TEST(Messages, EpochlessV1FramesRejectedNeverMisparsed) {
   // cleanly instead of decoding with garbage epochs.
   HeartbeatMsg msg;
   msg.entry = representative_row(1);
-  auto payload = encode_message(Message{msg});
+  auto bytes = encode_message_bytes(Message{msg});
   for (uint8_t type = 0; type <= 12; ++type) {
-    std::vector<uint8_t> v1(payload->begin() + 1, payload->end());
+    std::vector<uint8_t> v1(bytes.begin() + 1, bytes.end());
     v1.insert(v1.begin(), type);  // what a v1 sender would have led with
     EXPECT_FALSE(decode(v1.data(), v1.size()).has_value());
   }
@@ -234,7 +236,7 @@ TEST(Messages, GossipRoundTripAndSizeScalesWithView) {
 
   // Gossip messages carry the whole view: size grows ~linearly with n —
   // the reason the paper's Figure 11 shows quadratic aggregate bandwidth.
-  EXPECT_GT(big_payload->size(), 40 * small_payload->size());
+  EXPECT_GT(big_payload->size, 40 * small_payload->size);
 
   auto out = round_trip(big);
   EXPECT_EQ(out.records.size(), 50u);
@@ -264,7 +266,7 @@ TEST(Messages, RetiredProxyUpdateTypeRejected) {
   msg.sender = 9;
   msg.seq = 6;
   msg.summary.availability["cache"][0] = 4;
-  std::vector<uint8_t> frame(*encode_message(Message{msg}));
+  std::vector<uint8_t> frame = encode_message_bytes(Message{msg});
   ASSERT_TRUE(decode(frame.data(), frame.size()).has_value());
   ASSERT_EQ(frame[1], static_cast<uint8_t>(MessageType::kProxyHeartbeat));
   frame[1] = 12;
@@ -285,7 +287,7 @@ TEST(Messages, ProxySummaryMuchSmallerThanFullEntries) {
     full.entries.push_back(representative_row(n));
   }
   auto full_payload = encode_message(Message{full});
-  EXPECT_LT(summary_payload->size() * 50, full_payload->size());
+  EXPECT_LT(summary_payload->size * 50, full_payload->size);
 }
 
 TEST(Messages, RefreshDigestRoundTrip) {
@@ -334,20 +336,20 @@ TEST(Messages, RefreshDigestScopeListValidated) {
   // A scope list on a downward digest is malformed.
   RefreshDigestMsg down = msg;
   down.subtree = false;
-  auto payload = encode_message(Message{down});
-  EXPECT_FALSE(decode(payload->data(), payload->size()).has_value());
+  auto bytes = encode_message_bytes(Message{down});
+  EXPECT_FALSE(decode(bytes.data(), bytes.size()).has_value());
 
   // row_count must match the scope list length on subtree digests.
   RefreshDigestMsg short_count = msg;
   short_count.row_count = 1;
-  payload = encode_message(Message{short_count});
-  EXPECT_FALSE(decode(payload->data(), payload->size()).has_value());
+  bytes = encode_message_bytes(Message{short_count});
+  EXPECT_FALSE(decode(bytes.data(), bytes.size()).has_value());
 
   // Non-ascending ids produce a zero delta on the wire — rejected.
   RefreshDigestMsg dup = msg;
   dup.subjects = {4, 4};
-  payload = encode_message(Message{dup});
-  EXPECT_FALSE(decode(payload->data(), payload->size()).has_value());
+  bytes = encode_message_bytes(Message{dup});
+  EXPECT_FALSE(decode(bytes.data(), bytes.size()).has_value());
 }
 
 TEST(Messages, RefreshPullRoundTrip) {
@@ -392,10 +394,10 @@ TEST(Messages, RefreshDeltaRoundTrip) {
   EXPECT_EQ(out.confirmed, msg.confirmed);
 }
 
-// Receivers read the message its encoder stored in the payload and never
-// parse the bytes, so this table is what shows that a parse would have given
-// them the same message: for every alternative, encode -> decode(bytes) ->
-// encode yields the bytes it started from, edge values included.
+// Receivers read the message its sender put in the payload and never parse
+// bytes, so this table is what shows that a parse would have given them the
+// same message: for every alternative, encode -> decode(bytes) -> encode
+// yields the bytes it started from, edge values included.
 struct ReencodeCase {
   std::string name;
   Message message;
@@ -533,21 +535,70 @@ TEST(Messages, EveryAlternativeReencodesToItsOwnBytes) {
                 "give the new Message alternative a row in reencode_cases");
   std::set<size_t> covered;
   for (const ReencodeCase& c : reencode_cases()) {
-    const net::Payload sent = encode_message(c.message, c.pad);
-    const auto parsed = decode(sent->data(), sent->size());
+    const std::vector<uint8_t> sent = encode_message_bytes(c.message, c.pad);
+    const auto parsed = decode(sent.data(), sent.size());
     ASSERT_TRUE(parsed.has_value()) << c.name;
     EXPECT_EQ(parsed->index(), c.message.index()) << c.name;
-    EXPECT_EQ(*encode_message(*parsed, c.pad), *sent) << c.name;
+    EXPECT_EQ(encode_message_bytes(*parsed, c.pad), sent) << c.name;
 
-    // What a receiver reads is the message the encoder stored.
+    // What a receiver reads is the message the sender put in the payload.
     net::Packet packet;
-    packet.payload = sent;
+    packet.payload = encode_message(c.message, c.pad);
     const auto delivered = decode_message(packet);
     ASSERT_NE(delivered, nullptr) << c.name;
-    EXPECT_EQ(*encode_message(*delivered, c.pad), *sent) << c.name;
+    EXPECT_EQ(encode_message_bytes(*delivered, c.pad), sent) << c.name;
     covered.insert(c.message.index());
   }
   EXPECT_EQ(covered.size(), std::variant_size_v<Message>);
+}
+
+// One message of each service type, edge values included.
+std::vector<std::pair<std::string, service::ServiceMessage>> service_cases() {
+  service::RequestMsg request;
+  request.request_id = 77;
+  request.reply_host = 4;
+  request.reply_port = 700;
+  request.service = "search";
+  request.partition = -3;
+  request.request_bytes = 64;
+  request.response_bytes = 4096;
+  request.relay_hops = 0;
+  return {
+      {"load poll", service::LoadPollMsg{1ULL << 40, 12, 9000}},
+      {"load reply", service::LoadReplyMsg{5, 13, 0xfffffffe}},
+      {"request", request},
+      {"response",
+       service::ResponseMsg{77, 4, service::ResponseStatus::kOverloaded, 16}},
+      {"relay syn", service::RelaySynMsg{~uint64_t{0}, 3}},
+      {"relay ack", service::RelayAckMsg{2, 8}},
+  };
+}
+
+// A sent payload builds no bytes; it is charged what the reference encoding
+// takes and stamped with the frame's type byte (service messages: kind 0).
+TEST(Messages, PayloadIsChargedItsReferenceEncoding) {
+  std::vector<ReencodeCase> cases = reencode_cases();
+  for (const char* name : {"heartbeat", "padded heartbeat"}) {
+    for (size_t pad : {size_t{0}, size_t{228}}) {
+      const auto& c = *std::find_if(
+          cases.begin(), cases.end(),
+          [name](const ReencodeCase& r) { return r.name == name; });
+      cases.push_back({c.name + " pad " + std::to_string(pad), c.message,
+                       pad});
+    }
+  }
+  for (const ReencodeCase& c : cases) {
+    const net::Payload sent = encode_message(c.message, c.pad);
+    const std::vector<uint8_t> frame = encode_message_bytes(c.message, c.pad);
+    EXPECT_EQ(sent->size, frame.size()) << c.name;
+    EXPECT_EQ(sent->kind, frame[1]) << c.name;
+  }
+  for (const auto& [name, message] : service_cases()) {
+    const net::Payload sent = service::encode_service_message(message);
+    EXPECT_EQ(sent->size, service::encode_service_message_bytes(message).size())
+        << name;
+    EXPECT_EQ(sent->kind, 0) << name;
+  }
 }
 
 uint64_t fnv1a(const std::vector<uint8_t>& bytes) {
@@ -603,29 +654,11 @@ TEST(Messages, EveryAlternativeKeepsItsPinnedBytes) {
 
   std::map<std::string, uint64_t> actual;
   for (const ReencodeCase& c : reencode_cases()) {
-    actual[c.name] = fnv1a(*encode_message(c.message, c.pad));
+    actual[c.name] = fnv1a(encode_message_bytes(c.message, c.pad));
   }
-  service::RequestMsg request;
-  request.request_id = 77;
-  request.reply_host = 4;
-  request.reply_port = 700;
-  request.service = "search";
-  request.partition = -3;
-  request.request_bytes = 64;
-  request.response_bytes = 4096;
-  request.relay_hops = 0;
-  const std::pair<const char*, service::ServiceMessage> services[] = {
-      {"load poll", service::LoadPollMsg{1ULL << 40, 12, 9000}},
-      {"load reply", service::LoadReplyMsg{5, 13, 0xfffffffe}},
-      {"request", request},
-      {"response",
-       service::ResponseMsg{77, 4, service::ResponseStatus::kOverloaded, 16}},
-      {"relay syn", service::RelaySynMsg{~uint64_t{0}, 3}},
-      {"relay ack", service::RelayAckMsg{2, 8}},
-  };
-  for (const auto& [name, message] : services) {
+  for (const auto& [name, message] : service_cases()) {
     actual[std::string("service ") + name] =
-        fnv1a(*service::encode_service_message(message));
+        fnv1a(service::encode_service_message_bytes(message));
   }
   WireWriter entry;
   encode_entry(entry, make_representative_entry(42, 3));
@@ -677,9 +710,9 @@ TEST(Messages, MalformedInputsRejected) {
 TEST(Messages, TruncationNeverCrashes) {
   HeartbeatMsg msg;
   msg.entry = representative_row(1);
-  auto payload = encode_message(Message{msg});
-  for (size_t cut = 1; cut < payload->size(); ++cut) {
-    (void)decode(payload->data(), cut);  // must not crash
+  auto bytes = encode_message_bytes(Message{msg});
+  for (size_t cut = 1; cut < bytes.size(); ++cut) {
+    (void)decode(bytes.data(), cut);  // must not crash
   }
   SUCCEED();
 }

@@ -12,9 +12,13 @@
 namespace tamp::net {
 namespace {
 
+// A payload carrying `data`, charged its length.
 Payload bytes(std::initializer_list<uint8_t> data) {
-  return make_payload(std::vector<uint8_t>(data));
+  return make_payload(std::vector<uint8_t>(data), data.size());
 }
+
+// A payload charged `size` bytes.
+Payload sized(size_t size) { return make_payload(size, size); }
 
 struct TransportFixture : public ::testing::Test {
   sim::Simulation sim{1};
@@ -26,7 +30,7 @@ TEST_F(TransportFixture, UnicastDelivers) {
   Network net(sim, topo);
   std::vector<uint8_t> got;
   net.bind(layout.hosts[1], 7, [&](const Packet& p) {
-    got.assign(p.data(), p.data() + p.size());
+    got = *carried<std::vector<uint8_t>>(p.payload);
     EXPECT_EQ(p.from.host, layout.hosts[0]);
     EXPECT_EQ(p.kind, DeliveryKind::kUnicast);
   });
@@ -155,7 +159,7 @@ TEST_F(TransportFixture, WireBytesIncludeOverheadAndFragments) {
   auto layout = build_single_segment(topo, 2);
   Network net(sim, topo);
   net.send_unicast(layout.hosts[0], {layout.hosts[1], 7},
-                   make_payload(std::vector<uint8_t>(2 * kMtu + 1, 0)));
+                   sized(2 * kMtu + 1));
   sim.run();
   // 2 MTUs + 1 byte -> 3 fragments, each with its header bytes.
   EXPECT_EQ(net.obs().metrics.counter_value(obs::Protocol::kNet,
@@ -322,10 +326,12 @@ TEST_F(SharedDecodeFixture, MalformedMulticastDroppedByEveryReceiver) {
   Network net(sim, topo);
   decode_on_receipt(net, layout.hosts);
   for (HostId h : layout.hosts) net.join_group(h, 42);
-  // Bytes no encoder built carry no message.
-  const Payload whole = election(9);
+  // A payload that carries no Message (here the election's bytes) reads
+  // as none.
+  const std::vector<uint8_t> frame =
+      membership::encode_message_bytes(membership::ElectionMsg{9, 0});
   net.send_multicast(layout.hosts[0], 42, 1, 7,
-                     make_payload({whole->begin(), whole->end() - 1}));
+                     make_payload(frame, frame.size()));
   sim.run();
 
   ASSERT_EQ(receivers.size(), 3u);
@@ -337,11 +343,12 @@ TEST_F(SharedDecodeFixture, ByteEqualPayloadsNeverShareADecode) {
   Network net(sim, topo);
   decode_on_receipt(net, layout.hosts);
   for (HostId h : layout.hosts) net.join_group(h, 42);
-  // Two encodings of one message are byte-equal but separate payloads; a
-  // payload sent again is the same bytes and keeps its message.
+  // Two encodings of one message are equal in size and kind but separate
+  // payloads; a payload sent again keeps its message.
   const Payload first = election(9);
   const Payload second = election(9);
-  ASSERT_EQ(*first, *second);
+  ASSERT_EQ(first->size, second->size);
+  ASSERT_EQ(first->kind, second->kind);
   net.send_multicast(layout.hosts[0], 42, 1, 7, first);
   net.send_multicast(layout.hosts[0], 42, 1, 7, second);
   net.send_multicast(layout.hosts[0], 42, 1, 7, first);
@@ -378,9 +385,8 @@ TEST(TransportFragmentation, MessageLostIfAnyFragmentLost) {
   });
   const int sent = 4000;
   for (int i = 0; i < sent; ++i) {
-    net.send_unicast(a, {b, 7}, make_payload(std::vector<uint8_t>(100, 1)));
-    net.send_unicast(a, {b, 7},
-                     make_payload(std::vector<uint8_t>(6000, 2)));  // 4 frags
+    net.send_unicast(a, {b, 7}, sized(100));
+    net.send_unicast(a, {b, 7}, sized(6000));  // 4 frags
   }
   sim.run();
   double small_rate = static_cast<double>(small_rx) / sent;
@@ -398,10 +404,8 @@ TEST(TransportFragmentation, TransmissionDelayScalesWithSize) {
   net.bind(layout.hosts[1], 7,
            [&](const Packet&) { deliveries.push_back(sim.now()); });
   // 100 KB at 100 Mb/s ~ 8 ms of transmission time; 100 B ~ negligible.
-  net.send_unicast(layout.hosts[0], {layout.hosts[1], 7},
-                   make_payload(std::vector<uint8_t>(100'000, 0)));
-  net.send_unicast(layout.hosts[0], {layout.hosts[1], 7},
-                   make_payload(std::vector<uint8_t>(100, 0)));
+  net.send_unicast(layout.hosts[0], {layout.hosts[1], 7}, sized(100'000));
+  net.send_unicast(layout.hosts[0], {layout.hosts[1], 7}, sized(100));
   sim.run();
   ASSERT_EQ(deliveries.size(), 2u);
   // The small message overtakes the big one (independent delays model

@@ -1,6 +1,7 @@
-// Decoder fuzzing: the daemons feed every received datagram through
-// decode_message / decode_service_message; arbitrary bytes must never
-// crash, hang, or over-read — only yield nullopt or a well-formed message.
+// Decoder fuzzing: the reference decoders decode_message /
+// decode_service_message must never crash, hang, or over-read on arbitrary
+// bytes — only yield nullopt or a well-formed message, and a message they
+// accept is charged, when sent, exactly what its reference encoding takes.
 #include <gtest/gtest.h>
 
 #include <type_traits>
@@ -16,9 +17,29 @@ namespace tamp {
 namespace {
 
 // Decodes as a receiver holding no rows yet would: against a fresh pool.
+// Whatever is accepted must be charged the size of its reference encoding,
+// under the kind its type byte names.
 std::optional<membership::Message> decode(const uint8_t* data, size_t size) {
   membership::RowPool pool;
-  return membership::decode_message(data, size, pool);
+  auto decoded = membership::decode_message(data, size, pool);
+  if (decoded) {
+    const net::Payload sent = membership::encode_message(*decoded);
+    const std::vector<uint8_t> frame =
+        membership::encode_message_bytes(*decoded);
+    EXPECT_EQ(sent->size, frame.size());
+    EXPECT_EQ(sent->kind, frame[1]);
+  }
+  return decoded;
+}
+
+std::optional<service::ServiceMessage> decode_service(const uint8_t* data,
+                                                      size_t size) {
+  auto decoded = service::decode_service_message(data, size);
+  if (decoded) {
+    EXPECT_EQ(service::encode_service_message(*decoded)->size,
+              service::encode_service_message_bytes(*decoded).size());
+  }
+  return decoded;
 }
 
 membership::RowRef representative_row(membership::NodeId node,
@@ -45,7 +66,7 @@ TEST(WireFuzz, RandomBytesNeverCrashServiceDecoder) {
   util::Rng rng(2);
   for (int i = 0; i < 20000; ++i) {
     auto bytes = random_bytes(rng, 512);
-    (void)service::decode_service_message(bytes.data(), bytes.size());
+    (void)decode_service(bytes.data(), bytes.size());
   }
   SUCCEED();
 }
@@ -54,9 +75,10 @@ TEST(WireFuzz, MutatedValidMessagesNeverCrash) {
   util::Rng rng(3);
   membership::HeartbeatMsg heartbeat;
   heartbeat.entry = representative_row(5);
-  auto payload = membership::encode_message(membership::Message{heartbeat});
+  auto payload =
+      membership::encode_message_bytes(membership::Message{heartbeat});
   for (int i = 0; i < 20000; ++i) {
-    std::vector<uint8_t> mutated(*payload);
+    std::vector<uint8_t> mutated(payload);
     int flips = 1 + static_cast<int>(rng.uniform_u64(8));
     for (int f = 0; f < flips; ++f) {
       size_t pos = rng.uniform_u64(mutated.size());
@@ -81,11 +103,11 @@ TEST(WireFuzz, WrongVersionByteAlwaysRejected) {
   record.subject = 7;
   record.entry = representative_row(7);
   update.records.push_back(std::move(record));
-  auto payload = membership::encode_message(membership::Message{update});
-  ASSERT_EQ((*payload)[0], membership::kWireVersionByte);
+  auto payload = membership::encode_message_bytes(membership::Message{update});
+  ASSERT_EQ(payload[0], membership::kWireVersionByte);
 
   for (int i = 0; i < 20000; ++i) {
-    std::vector<uint8_t> mutated(*payload);
+    std::vector<uint8_t> mutated(payload);
     uint8_t first = static_cast<uint8_t>(rng.next_u64());
     mutated[0] = first;
     auto decoded = decode(mutated.data(), mutated.size());
@@ -166,8 +188,8 @@ TEST(WireFuzz, RandomUpdateMessagesRoundTrip) {
       }
       msg.records.push_back(std::move(record));
     }
-    auto payload = membership::encode_message(membership::Message{msg});
-    auto decoded = decode(payload->data(), payload->size());
+    auto payload = membership::encode_message_bytes(membership::Message{msg});
+    auto decoded = decode(payload.data(), payload.size());
     ASSERT_TRUE(decoded.has_value());
     auto* out = std::get_if<membership::UpdateMsg>(&*decoded);
     ASSERT_NE(out, nullptr);
@@ -220,8 +242,8 @@ TEST(WireFuzz, RandomProxyMessagesRoundTrip) {
     msg.sender = static_cast<membership::NodeId>(rng.uniform_u64(10000));
     msg.seq = rng.next_u64();
     msg.summary = random_summary(rng);
-    auto payload = membership::encode_message(membership::Message{msg});
-    auto decoded = decode(payload->data(), payload->size());
+    auto payload = membership::encode_message_bytes(membership::Message{msg});
+    auto decoded = decode(payload.data(), payload.size());
     ASSERT_TRUE(decoded.has_value());
     const auto* out = std::get_if<membership::ProxyHeartbeatMsg>(&*decoded);
     ASSERT_NE(out, nullptr);
@@ -239,9 +261,9 @@ TEST(WireFuzz, MutatedProxyMessagesNeverCrash) {
   msg.sender = 17;
   msg.seq = 42;
   msg.summary = random_summary(rng);
-  auto payload = membership::encode_message(membership::Message{msg});
+  auto payload = membership::encode_message_bytes(membership::Message{msg});
   for (int i = 0; i < 20000; ++i) {
-    std::vector<uint8_t> mutated(*payload);
+    std::vector<uint8_t> mutated(payload);
     int flips = 1 + static_cast<int>(rng.uniform_u64(8));
     for (int f = 0; f < flips; ++f) {
       size_t pos = rng.uniform_u64(mutated.size());
@@ -313,9 +335,9 @@ TEST(WireFuzz, RandomServiceMessagesRoundTrip) {
       }
     }
 
-    auto payload = service::encode_service_message(message);
+    auto payload = service::encode_service_message_bytes(message);
     auto decoded =
-        service::decode_service_message(payload->data(), payload->size());
+        decode_service(payload.data(), payload.size());
     ASSERT_TRUE(decoded.has_value());
     ASSERT_EQ(decoded->index(), message.index());
     std::visit(
@@ -367,15 +389,15 @@ TEST(WireFuzz, MutatedServiceMessagesNeverCrash) {
   request.request_bytes = 512;
   request.response_bytes = 2048;
   auto payload =
-      service::encode_service_message(service::ServiceMessage{request});
+      service::encode_service_message_bytes(service::ServiceMessage{request});
   for (int i = 0; i < 20000; ++i) {
-    std::vector<uint8_t> mutated(*payload);
+    std::vector<uint8_t> mutated(payload);
     int flips = 1 + static_cast<int>(rng.uniform_u64(8));
     for (int f = 0; f < flips; ++f) {
       size_t pos = rng.uniform_u64(mutated.size());
       mutated[pos] ^= static_cast<uint8_t>(1u << rng.uniform_u64(8));
     }
-    (void)service::decode_service_message(mutated.data(), mutated.size());
+    (void)decode_service(mutated.data(), mutated.size());
   }
   SUCCEED();
 }
@@ -406,8 +428,8 @@ TEST(WireFuzz, RandomDigestMessagesRoundTrip) {
                         ? static_cast<uint32_t>(msg.subjects.size())
                         : static_cast<uint32_t>(rng.uniform_u64(20000));
 
-    auto payload = membership::encode_message(membership::Message{msg});
-    auto decoded = decode(payload->data(), payload->size());
+    auto payload = membership::encode_message_bytes(membership::Message{msg});
+    auto decoded = decode(payload.data(), payload.size());
     ASSERT_TRUE(decoded.has_value());
     auto* out = std::get_if<membership::RefreshDigestMsg>(&*decoded);
     ASSERT_NE(out, nullptr);
@@ -449,9 +471,9 @@ TEST(WireFuzz, MutatedDigestMessagesNeverCrash) {
                                         membership::Message{pull},
                                         membership::Message{delta}};
   for (const auto& message : corpus) {
-    auto payload = membership::encode_message(message);
+    auto payload = membership::encode_message_bytes(message);
     for (int i = 0; i < 20000; ++i) {
-      std::vector<uint8_t> mutated(*payload);
+      std::vector<uint8_t> mutated(payload);
       int flips = 1 + static_cast<int>(rng.uniform_u64(8));
       for (int f = 0; f < flips; ++f) {
         size_t pos = rng.uniform_u64(mutated.size());
@@ -460,8 +482,8 @@ TEST(WireFuzz, MutatedDigestMessagesNeverCrash) {
       (void)decode(mutated.data(), mutated.size());
     }
     // Every truncated prefix as well: length fields lie, decoders may not.
-    for (size_t len = 0; len < payload->size(); ++len) {
-      (void)decode(payload->data(), len);
+    for (size_t len = 0; len < payload.size(); ++len) {
+      (void)decode(payload.data(), len);
     }
   }
   SUCCEED();
@@ -473,16 +495,16 @@ TEST(WireFuzz, OversizedDigestVectorsRejected) {
   membership::RefreshDigestMsg msg;
   msg.origin = 1;
   msg.buckets.assign(membership::kMaxDigestBuckets + 1, 7);
-  auto payload = membership::encode_message(membership::Message{msg});
+  auto payload = membership::encode_message_bytes(membership::Message{msg});
   EXPECT_FALSE(
-      decode(payload->data(), payload->size()).has_value());
+      decode(payload.data(), payload.size()).has_value());
 
   membership::RefreshPullMsg pull;
   pull.requester = 2;
   pull.bucket_indices.assign(membership::kMaxDigestBuckets + 1, 3);
-  payload = membership::encode_message(membership::Message{pull});
+  payload = membership::encode_message_bytes(membership::Message{pull});
   EXPECT_FALSE(
-      decode(payload->data(), payload->size()).has_value());
+      decode(payload.data(), payload.size()).has_value());
 }
 
 // Truncation fuzz: every prefix of a valid encoding must decode to nullopt
@@ -490,16 +512,17 @@ TEST(WireFuzz, OversizedDigestVectorsRejected) {
 TEST(WireFuzz, TruncatedMessagesNeverCrash) {
   membership::HeartbeatMsg heartbeat;
   heartbeat.entry = representative_row(5);
-  auto mpayload = membership::encode_message(membership::Message{heartbeat});
-  for (size_t len = 0; len < mpayload->size(); ++len) {
-    (void)decode(mpayload->data(), len);
+  auto mpayload =
+      membership::encode_message_bytes(membership::Message{heartbeat});
+  for (size_t len = 0; len < mpayload.size(); ++len) {
+    (void)decode(mpayload.data(), len);
   }
   service::RequestMsg request;
   request.service = "search";
   auto spayload =
-      service::encode_service_message(service::ServiceMessage{request});
-  for (size_t len = 0; len < spayload->size(); ++len) {
-    (void)service::decode_service_message(spayload->data(), len);
+      service::encode_service_message_bytes(service::ServiceMessage{request});
+  for (size_t len = 0; len < spayload.size(); ++len) {
+    (void)decode_service(spayload.data(), len);
   }
   SUCCEED();
 }
@@ -530,15 +553,15 @@ TEST(WireFuzz, TruncatedAndForgedRowsRejectedOnPoolHitAndMiss) {
       }
     }
     for (const auto& message : corpus) {
-      auto payload = membership::encode_message(message);
+      auto payload = membership::encode_message_bytes(message);
       ASSERT_TRUE(
-          membership::decode_message(payload->data(), payload->size(), pool)
+          membership::decode_message(payload.data(), payload.size(), pool)
               .has_value());
       // Every field after each row is mandatory, so every strict prefix
       // is malformed.
-      for (size_t len = 0; len < payload->size(); ++len) {
+      for (size_t len = 0; len < payload.size(); ++len) {
         EXPECT_FALSE(
-            membership::decode_message(payload->data(), len, pool).has_value())
+            membership::decode_message(payload.data(), len, pool).has_value())
             << "hit=" << hit << " len=" << len;
       }
     }
@@ -546,8 +569,8 @@ TEST(WireFuzz, TruncatedAndForgedRowsRejectedOnPoolHitAndMiss) {
     // Forged length: the machine.os string (after version, type, node u32,
     // incarnation u64, cpus u16, memory u32) claims more bytes than the
     // frame holds.
-    auto payload = membership::encode_message(corpus[0]);
-    std::vector<uint8_t> forged(*payload);
+    auto payload = membership::encode_message_bytes(corpus[0]);
+    std::vector<uint8_t> forged(payload);
     const size_t os_length = 2 + 4 + 8 + 2 + 4;
     forged[os_length] = 0x7f;
     EXPECT_FALSE(
@@ -557,7 +580,7 @@ TEST(WireFuzz, TruncatedAndForgedRowsRejectedOnPoolHitAndMiss) {
 
     // Forged content of the same length: decodes, but as the forged row,
     // not as the held row it differs from by one byte.
-    forged = *payload;
+    forged = payload;
     forged[os_length + 1] ^= 0x01;
     auto decoded =
         membership::decode_message(forged.data(), forged.size(), pool);
