@@ -146,7 +146,7 @@ std::vector<HostId> Topology::hosts_in_datacenter(DatacenterId dc) const {
   return out;
 }
 
-void Topology::accumulate(InfraPath& acc, const LinkParams& link) {
+void Topology::accumulate(PathInfo& acc, const LinkParams& link) {
   acc.latency += link.latency;
   acc.min_bandwidth_bps = acc.min_bandwidth_bps == 0
                               ? link.bandwidth_bps
@@ -188,14 +188,14 @@ void Topology::compile() const {
   // latency with deterministic tie-breaking). `router_hops` counts router
   // devices on the path *including both endpoints*.
   const size_t n = infra_devices_.size();
-  infra_matrix_.assign(n * n, InfraPath{});
+  infra_matrix_.assign(n * n, PathInfo{});
   constexpr sim::Duration kInf = std::numeric_limits<sim::Duration>::max();
   for (size_t si = 0; si < n; ++si) {
     DeviceId source = infra_devices_[si];
     std::vector<sim::Duration> dist(n, kInf);
     std::vector<bool> done(n, false);
     auto& row = infra_matrix_;
-    auto at = [&](size_t j) -> InfraPath& { return row[si * n + j]; };
+    auto at = [&](size_t j) -> PathInfo& { return row[si * n + j]; };
 
     dist[si] = 0;
     at(si).reachable = true;
@@ -222,7 +222,7 @@ void Topology::compile() const {
         sim::Duration nd = dist[u] + link.params.latency;
         if (nd < dist[v]) {
           dist[v] = nd;
-          InfraPath next = at(u);
+          PathInfo next = at(u);
           accumulate(next, link.params);
           next.router_hops +=
               devices_[other].kind == DeviceKind::kRouter ? 1 : 0;
@@ -236,7 +236,7 @@ void Topology::compile() const {
   compiled_ = true;
 }
 
-const Topology::InfraPath& Topology::infra_path(DeviceId a, DeviceId b) const {
+const PathInfo& Topology::infra_path(DeviceId a, DeviceId b) const {
   const size_t n = infra_devices_.size();
   return infra_matrix_[infra_index_[a] * n + infra_index_[b]];
 }
@@ -252,14 +252,14 @@ PathInfo Topology::path(HostId a, HostId b) const {
   if (host_attach_[a] == kInvalidDevice || host_attach_[b] == kInvalidDevice) {
     return out;  // detached host
   }
-  InfraPath acc{};
+  PathInfo acc{};
   acc.reachable = true;
   accumulate(acc, links_[host_uplink_[a]].params);
   if (host_attach_[a] == host_attach_[b]) {
     acc.router_hops =
         devices_[host_attach_[a]].kind == DeviceKind::kRouter ? 1 : 0;
   } else {
-    const InfraPath& mid = infra_path(host_attach_[a], host_attach_[b]);
+    const PathInfo& mid = infra_path(host_attach_[a], host_attach_[b]);
     if (!mid.reachable) return out;
     acc.latency += mid.latency;
     acc.survival *= mid.survival;
@@ -272,13 +272,7 @@ PathInfo Topology::path(HostId a, HostId b) const {
     acc.router_hops = mid.router_hops;
   }
   accumulate(acc, links_[host_uplink_[b]].params);
-
-  out.reachable = true;
-  out.router_hops = acc.router_hops;
-  out.latency = acc.latency;
-  out.min_bandwidth_bps = acc.min_bandwidth_bps;
-  out.survival = acc.survival;
-  return out;
+  return acc;
 }
 
 int Topology::ttl_required(HostId a, HostId b) const {

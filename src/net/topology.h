@@ -139,17 +139,9 @@ class Topology {
   std::vector<LinkId> links_of(DeviceId device) const;
 
  private:
-  struct InfraPath {
-    bool reachable = false;
-    int router_hops = 0;
-    sim::Duration latency = 0;
-    double min_bandwidth_bps = 0;
-    double survival = 1.0;
-  };
-
   void compile() const;  // (re)build routing state; const because lazy
-  const InfraPath& infra_path(DeviceId a, DeviceId b) const;
-  static void accumulate(InfraPath& acc, const LinkParams& link);
+  const PathInfo& infra_path(DeviceId a, DeviceId b) const;
+  static void accumulate(PathInfo& acc, const LinkParams& link);
   // A link carries traffic iff it is admin-up and both endpoint devices are
   // powered — this is what makes a device crash take every incident link
   // down atomically.
@@ -173,7 +165,7 @@ class Topology {
   mutable std::vector<DeviceId> host_attach_;        // access device per host
   mutable std::vector<DeviceId> infra_index_;        // device -> dense index
   mutable std::vector<DeviceId> infra_devices_;      // dense index -> device
-  mutable std::vector<InfraPath> infra_matrix_;      // dense n x n
+  mutable std::vector<PathInfo> infra_matrix_;       // dense n x n
 };
 
 }  // namespace tamp::net

@@ -179,16 +179,17 @@ void ServiceConsumer::poll_deadline(uint64_t id) {
     attempt(id);
     return;
   }
-  auto best = std::min_element(
-      pending.poll_replies.begin(), pending.poll_replies.end(),
-      [](const auto& a, const auto& b) { return a.second < b.second; });
-  dispatch(pending, best->first);
+  dispatch(pending, lightest_reply(pending));
 }
 
-void ServiceConsumer::dispatch(Pending& pending, net::HostId target) {
-  pending.target = target;
-  pending.tried.push_back(target);
+net::HostId ServiceConsumer::lightest_reply(const Pending& pending) {
+  return std::min_element(
+             pending.poll_replies.begin(), pending.poll_replies.end(),
+             [](const auto& a, const auto& b) { return a.second < b.second; })
+      ->first;
+}
 
+RequestMsg ServiceConsumer::request_for(const Pending& pending) const {
   RequestMsg request;
   request.request_id = pending.id;
   request.reply_host = self();
@@ -197,8 +198,15 @@ void ServiceConsumer::dispatch(Pending& pending, net::HostId target) {
   request.partition = pending.partition;
   request.request_bytes = pending.request_bytes;
   request.response_bytes = pending.response_bytes;
+  return request;
+}
+
+void ServiceConsumer::dispatch(Pending& pending, net::HostId target) {
+  pending.target = target;
+  pending.tried.push_back(target);
+
   net_.send_unicast(self(), net::Address{target, protocols::kServicePort},
-                    encode_service_message(request));
+                    encode_service_message(request_for(pending)));
 
   uint64_t id = pending.id;
   sim_.cancel(pending.request_timer);
@@ -227,13 +235,8 @@ FailureCause ServiceConsumer::classify_failure(const Pending& pending) {
 
 void ServiceConsumer::attempt_proxy(Pending& pending) {
   if (!config_.proxy_fallback || pending.via_proxy) {
-    InvokeResult result;
-    result.cause = pending.via_proxy ? FailureCause::kProxyRelay
-                                     : classify_failure(pending);
-    result.attempts = pending.attempts;
-    result.via_proxy = pending.via_proxy;
-    result.misroutes = pending.misroutes;
-    finish(pending.id, result);
+    finish(pending.id, pending.via_proxy ? FailureCause::kProxyRelay
+                                         : classify_failure(pending));
     return;
   }
   auto proxies = membership_.table().lookup(proxy::kProxyServiceName, "*");
@@ -242,44 +245,25 @@ void ServiceConsumer::attempt_proxy(Pending& pending) {
     if (entry->data().node != self()) hosts.push_back(entry->data().node);
   }
   if (hosts.empty()) {
-    InvokeResult result;
-    result.cause = classify_failure(pending);
-    result.attempts = pending.attempts;
-    result.misroutes = pending.misroutes;
-    finish(pending.id, result);
+    finish(pending.id, classify_failure(pending));
     return;
   }
   pending.via_proxy = true;
   net::HostId proxy_host = sim_.rng().pick(hosts);
 
-  RequestMsg request;
-  request.request_id = pending.id;
-  request.reply_host = self();
-  request.reply_port = config_.reply_port;
-  request.service = pending.service;
-  request.partition = pending.partition;
-  request.request_bytes = pending.request_bytes;
-  request.response_bytes = pending.response_bytes;
-  request.relay_hops = 1;
   net_.send_unicast(self(), net::Address{proxy_host, kProxyRelayPort},
-                    encode_service_message(request));
+                    encode_service_message(request_for(pending)));
 
   uint64_t id = pending.id;
   sim_.cancel(pending.request_timer);
   pending.request_timer =
       sim_.schedule_after(kRelayTimeout, [this, id] {
-        auto it = pending_.find(id);
-        if (it == pending_.end()) return;
-        InvokeResult result;
-        result.cause = FailureCause::kProxyRelay;
-        result.attempts = it->second.attempts;
-        result.via_proxy = true;
-        result.misroutes = it->second.misroutes;
-        finish(id, result);
+        finish(id, FailureCause::kProxyRelay);
       });
 }
 
-void ServiceConsumer::finish(uint64_t id, const InvokeResult& result) {
+void ServiceConsumer::finish(uint64_t id, FailureCause cause,
+                             net::HostId server) {
   auto it = pending_.find(id);
   if (it == pending_.end()) return;
   Pending pending = std::move(it->second);
@@ -288,9 +272,14 @@ void ServiceConsumer::finish(uint64_t id, const InvokeResult& result) {
   poll_to_request_.erase(pending.poll_id);
   pending_.erase(it);
 
-  InvokeResult final_result = result;
-  final_result.latency = sim_.now() - pending.started;
-  pending.callback(final_result);
+  InvokeResult result;
+  result.cause = cause;
+  result.latency = sim_.now() - pending.started;
+  result.server = server;
+  result.via_proxy = pending.via_proxy;
+  result.attempts = pending.attempts;
+  result.misroutes = pending.misroutes;
+  pending.callback(result);
 }
 
 void ServiceConsumer::on_packet(const net::Packet& packet) {
@@ -309,10 +298,7 @@ void ServiceConsumer::on_packet(const net::Packet& packet) {
       sim_.cancel(pending.poll_timer);
       pending.poll_timer = sim::kInvalidEventId;
       poll_to_request_.erase(pending.poll_id);
-      auto best = std::min_element(
-          pending.poll_replies.begin(), pending.poll_replies.end(),
-          [](const auto& a, const auto& b) { return a.second < b.second; });
-      dispatch(pending, best->first);
+      dispatch(pending, lightest_reply(pending));
     }
     return;
   }
@@ -322,16 +308,9 @@ void ServiceConsumer::on_packet(const net::Packet& packet) {
     if (it == pending_.end()) return;
     Pending& pending = it->second;
     switch (response->status) {
-      case ResponseStatus::kOk: {
-        InvokeResult result;
-        result.cause = FailureCause::kNone;
-        result.server = response->from;
-        result.attempts = pending.attempts;
-        result.via_proxy = pending.via_proxy;
-        result.misroutes = pending.misroutes;
-        finish(response->request_id, result);
+      case ResponseStatus::kOk:
+        finish(response->request_id, FailureCause::kNone, response->from);
         return;
-      }
       case ResponseStatus::kNotHosted:
       case ResponseStatus::kOverloaded: {
         if (response->status == ResponseStatus::kNotHosted) {
@@ -343,12 +322,7 @@ void ServiceConsumer::on_packet(const net::Packet& packet) {
           pending.saw_overload = true;
         }
         if (pending.via_proxy) {
-          InvokeResult result;
-          result.cause = FailureCause::kProxyRelay;
-          result.attempts = pending.attempts;
-          result.via_proxy = true;
-          result.misroutes = pending.misroutes;
-          finish(response->request_id, result);
+          finish(response->request_id, FailureCause::kProxyRelay);
           return;
         }
         sim_.cancel(pending.request_timer);
@@ -356,16 +330,11 @@ void ServiceConsumer::on_packet(const net::Packet& packet) {
         attempt(response->request_id);
         return;
       }
-      case ResponseStatus::kUnavailable: {
-        InvokeResult result;
-        result.cause = pending.via_proxy ? FailureCause::kProxyRelay
-                                         : FailureCause::kProviderDead;
-        result.attempts = pending.attempts;
-        result.via_proxy = pending.via_proxy;
-        result.misroutes = pending.misroutes;
-        finish(response->request_id, result);
+      case ResponseStatus::kUnavailable:
+        finish(response->request_id, pending.via_proxy
+                                         ? FailureCause::kProxyRelay
+                                         : FailureCause::kProviderDead);
         return;
-      }
     }
   }
 }

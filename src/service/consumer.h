@@ -144,7 +144,12 @@ class ServiceConsumer {
   void dispatch(Pending& pending, net::HostId target);
   void request_deadline(uint64_t id);
   void attempt_proxy(Pending& pending);
-  void finish(uint64_t id, const InvokeResult& result);
+  RequestMsg request_for(const Pending& pending) const;
+  static net::HostId lightest_reply(const Pending& pending);
+  // Ends invocation `id` with `cause`, reporting the evidence its attempts
+  // gathered.
+  void finish(uint64_t id, FailureCause cause,
+              net::HostId server = net::kInvalidHost);
   void on_packet(const net::Packet& packet);
   std::vector<net::HostId> live_candidates(const Pending& pending) const;
 

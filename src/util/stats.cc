@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <numeric>
-#include <sstream>
 
 #include "util/check.h"
 
@@ -72,33 +71,6 @@ double Percentiles::max() {
   if (samples_.empty()) return 0.0;
   ensure_sorted();
   return samples_.back();
-}
-
-void WindowedRate::add(int64_t now_ns, double amount) {
-  evict(now_ns);
-  samples_.push_back({now_ns, amount});
-  in_window_ += amount;
-  total_ += amount;
-}
-
-double WindowedRate::rate_per_sec(int64_t now_ns) {
-  evict(now_ns);
-  if (window_ns_ <= 0) return 0.0;
-  return in_window_ * 1e9 / static_cast<double>(window_ns_);
-}
-
-void WindowedRate::evict(int64_t now_ns) {
-  while (!samples_.empty() && samples_.front().t <= now_ns - window_ns_) {
-    in_window_ -= samples_.front().amount;
-    samples_.pop_front();
-  }
-}
-
-std::string TimeSeries::to_csv() const {
-  std::ostringstream out;
-  out << "t," << name_ << "\n";
-  for (const auto& p : points_) out << p.t << "," << p.value << "\n";
-  return out.str();
 }
 
 }  // namespace tamp::util

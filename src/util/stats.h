@@ -3,7 +3,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <deque>
 #include <limits>
 #include <string>
 #include <vector>
@@ -61,53 +60,6 @@ class Percentiles {
   void ensure_sorted();
   std::vector<double> samples_;
   bool sorted_ = false;
-};
-
-// Counts events (packets, bytes) within a sliding window of virtual time;
-// used to report instantaneous rates like "received multicast packets per
-// second" for the Figure 2 reproduction.
-class WindowedRate {
- public:
-  explicit WindowedRate(int64_t window_ns) : window_ns_(window_ns) {}
-
-  void add(int64_t now_ns, double amount);
-  // Rate per second over the window ending at `now_ns`.
-  double rate_per_sec(int64_t now_ns);
-  double total() const { return total_; }
-
- private:
-  void evict(int64_t now_ns);
-  struct Sample {
-    int64_t t;
-    double amount;
-  };
-  int64_t window_ns_;
-  std::deque<Sample> samples_;
-  double in_window_ = 0.0;
-  double total_ = 0.0;
-};
-
-// A (time, value) series with CSV/console rendering — benches emit these as
-// the figures' data series.
-class TimeSeries {
- public:
-  explicit TimeSeries(std::string name) : name_(std::move(name)) {}
-
-  void add(double t, double value) { points_.push_back({t, value}); }
-  const std::string& name() const { return name_; }
-  size_t size() const { return points_.size(); }
-
-  struct Point {
-    double t;
-    double value;
-  };
-  const std::vector<Point>& points() const { return points_; }
-
-  std::string to_csv() const;
-
- private:
-  std::string name_;
-  std::vector<Point> points_;
 };
 
 }  // namespace tamp::util

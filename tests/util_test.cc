@@ -139,16 +139,6 @@ TEST(Percentiles, Empty) {
   EXPECT_EQ(p.mean(), 0.0);
 }
 
-TEST(WindowedRate, SlidingWindow) {
-  WindowedRate rate(1'000'000'000);  // 1 s window
-  rate.add(0, 100);
-  rate.add(500'000'000, 100);
-  EXPECT_NEAR(rate.rate_per_sec(500'000'000), 200, 1e-9);
-  // At t=1.2s the first sample (t=0) falls out.
-  EXPECT_NEAR(rate.rate_per_sec(1'200'000'000), 100, 1e-9);
-  EXPECT_NEAR(rate.total(), 200, 1e-9);
-}
-
 TEST(Strings, Split) {
   auto parts = split("a,b,,c", ',');
   ASSERT_EQ(parts.size(), 4u);
@@ -221,16 +211,6 @@ TEST(Strings, HumanBytes) {
 
 namespace tamp::util {
 namespace {
-
-TEST(TimeSeries, CsvRendering) {
-  TimeSeries series("qps");
-  series.add(0.0, 10.0);
-  series.add(1.0, 12.5);
-  std::string csv = series.to_csv();
-  EXPECT_NE(csv.find("t,qps"), std::string::npos);
-  EXPECT_NE(csv.find("1,12.5"), std::string::npos);
-  EXPECT_EQ(series.size(), 2u);
-}
 
 TEST(Logging, SinkCapturesAboveThreshold) {
   auto& logger = Logger::instance();
