@@ -9,6 +9,9 @@
 // the only anti-entropy, so update + refresh_digest + refresh_pull +
 // refresh_delta + sync + busy bytes are exactly its spend.
 //
+// After the ladder it prints the process's peak resident set to stdout only,
+// so the JSON stays a deterministic artifact.
+//
 //   bench/scale_limits --max-nodes=10000 --json=BENCH_scale.json
 //   bench/scale_limits --max-nodes=2000 --json=scale-ci.json  # CI smoke
 #include <cstdio>
@@ -165,6 +168,20 @@ void write_json(const std::string& path, uint64_t seed,
   std::fclose(out);
 }
 
+// The process's peak resident set (VmHWM) in MB; -1 where
+// /proc/self/status cannot be read.
+double peak_rss_mb() {
+  std::FILE* status = std::fopen("/proc/self/status", "r");
+  if (status == nullptr) return -1;
+  char line[256];
+  double kb = -1;
+  while (std::fgets(line, sizeof line, status) != nullptr) {
+    if (std::sscanf(line, "VmHWM: %lf kB", &kb) == 1) break;
+  }
+  std::fclose(status);
+  return kb < 0 ? -1 : kb / 1024;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -201,5 +218,6 @@ int main(int argc, char** argv) {
       "\nshape check: per-node traffic stays ~constant (the whole point of"
       " topology-scoped groups); digest anti-entropy keeps its bytes per"
       " node ~flat as the view grows\n");
+  std::printf("peak RSS: %.1f MB (VmHWM)\n", peak_rss_mb());
   return 0;
 }
