@@ -725,6 +725,11 @@ void HierDaemon::on_heartbeat(int level, const HeartbeatMsg& msg) {
   // A stale claimant is still a live member; just don't record it as a
   // leader, or its presence would suppress a genuinely needed election.
   peer.heard(now, msg.is_leader && !stale_claim, msg.backup);
+  // A leader that took the role alone names its first member as backup.
+  if (added_member && ls.i_am_leader &&
+      ls.my_backup == membership::kInvalidNode) {
+    ls.my_backup = sender;
+  }
 
   ApplyResult result = table_.apply(msg.entry, Liveness::kDirect,
                                     membership::kInvalidNode, now);
