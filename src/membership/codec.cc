@@ -1,6 +1,7 @@
 #include "membership/codec.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "util/strings.h"
 
@@ -44,6 +45,14 @@ uint64_t row_hash_of_encoding(const uint8_t* bytes, size_t size) {
   mix(bytes, size);
   // A zero hash would make a row invisible to the XOR bucket combine.
   return hash == 0 ? 0x9e3779b97f4a7c15ULL : hash;
+}
+
+RowRef make_row(EntryData data) {
+  WireWriter w;
+  encode_entry(w, data);
+  std::vector<uint8_t> bytes = w.take();
+  const uint64_t hash = row_hash_of_encoding(bytes.data(), bytes.size());
+  return RowRef(new Row(std::move(data), std::move(bytes), hash));
 }
 
 size_t encoded_entry_size(const EntryData& entry) {

@@ -66,14 +66,13 @@ struct EntryData {
 
 // One replicated directory row: an EntryData together with its canonical
 // wire bytes (what encode_entry writes) and its anti-entropy digest hash
-// (row_hash_of_encoding over those bytes). Rows are immutable and shared:
-// every table, message and image in a simulation that holds the same
-// content holds the same Row, interned by the simulation's RowPool
-// (membership/row.h). Only make_row() builds one, so bytes and hash always
-// match the data.
+// (row_hash_of_encoding over those bytes). Rows are immutable and shared by
+// reference: the node a row describes builds it once, and every table,
+// message and image holding it holds that same Row. Only make_row() builds
+// one, so bytes and hash always match the data.
 class Row;
 using RowRef = std::shared_ptr<const Row>;
-RowRef make_row(EntryData data);  // membership/row.cc
+RowRef make_row(EntryData data);  // membership/codec.cc
 
 class Row {
  public:
@@ -93,9 +92,9 @@ class Row {
   uint64_t hash_ = 0;
 };
 
-// Content equality. Rows of one pool are equal exactly when they are the
-// same object; rows of different pools (or unpooled ones) fall back to the
-// hash and then the canonical bytes.
+// Content equality: the same object, or else the same hash and then the
+// same canonical bytes. Rows built apart can be equal (gossip seed rows, an
+// owner edit that writes the value it had, the reference decoder's rows).
 inline bool same_row(const Row& a, const Row& b) {
   return &a == &b || (a.hash() == b.hash() && a.bytes() == b.bytes());
 }

@@ -1,6 +1,6 @@
 #include "membership/wire.h"
 
-#include "membership/row.h"
+#include "membership/codec.h"
 
 namespace tamp::membership {
 
@@ -67,8 +67,9 @@ std::string WireReader::str() {
 }
 
 void WireIn::row(RowRef& row) {
-  row = pool_ != nullptr ? pool_->decode(r_) : nullptr;
-  check(row != nullptr);
+  // decode_entry has failed the reader when it returns nothing.
+  std::optional<EntryData> data = decode_entry(r_);
+  row = data ? make_row(std::move(*data)) : nullptr;
 }
 
 }  // namespace tamp::membership

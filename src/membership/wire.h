@@ -32,8 +32,6 @@
 
 namespace tamp::membership {
 
-class RowPool;
-
 class WireWriter {
  public:
   void u8(uint8_t v) { buffer_.push_back(v); }
@@ -182,13 +180,13 @@ void merge_repeat(std::map<K, V>& held, std::map<K, V>& repeat) {
 }
 
 // Runs a layout to decode: every op fills the field it names, and a failed
-// check fails the reader. Rows are interned through `pool`; a layout with
-// rows and no pool is malformed input.
+// check fails the reader. A row is rebuilt from its decoded entry, so a
+// non-canonical encoding (duplicate map key, overlong varint) yields the
+// canonical row.
 class WireIn {
  public:
   static constexpr bool kReading = true;
-  explicit WireIn(WireReader& r, RowPool* pool = nullptr)
-      : r_(r), pool_(pool) {}
+  explicit WireIn(WireReader& r) : r_(r) {}
 
   template <class T> void u8(T& v) { v = same_width<T>(r_.u8()); }
   template <class T> void u16(T& v) { v = same_width<T>(r_.u16()); }
@@ -228,7 +226,6 @@ class WireIn {
 
  private:
   WireReader& r_;
-  RowPool* pool_;
 };
 
 // Encodes `value` with its layout into `w`, a WireWriter or a WireCounter.
@@ -241,8 +238,8 @@ void write_layout(Sink& w, const T& value) {
 
 // Decodes into `value` with its layout; false on malformed input.
 template <class T>
-bool read_layout(WireReader& r, T& value, RowPool* pool = nullptr) {
-  WireIn in(r, pool);
+bool read_layout(WireReader& r, T& value) {
+  WireIn in(r);
   layout(in, value);
   return r.ok();
 }
@@ -259,8 +256,7 @@ void write_variant(Sink& w, const Variant& message, const Type (&types)[N]) {
 // Reads a type byte and the layout of the alternative it names; nullopt on
 // a type byte no alternative has, or on malformed input.
 template <class Variant, class Type, size_t N>
-std::optional<Variant> read_variant(WireReader& r, const Type (&types)[N],
-                                    RowPool* pool = nullptr) {
+std::optional<Variant> read_variant(WireReader& r, const Type (&types)[N]) {
   static_assert(N == std::variant_size_v<Variant>);
   const uint8_t type = r.u8();
   std::optional<Variant> message;
@@ -270,7 +266,7 @@ std::optional<Variant> read_variant(WireReader& r, const Type (&types)[N],
      ...);
   }(std::make_index_sequence<N>());
   if (!message) return std::nullopt;
-  const auto read = [&](auto& m) { return read_layout(r, m, pool); };
+  const auto read = [&r](auto& m) { return read_layout(r, m); };
   return std::visit(read, *message) ? message : std::nullopt;
 }
 
@@ -282,16 +278,6 @@ void layout(IO& io, StringMap& m) {
     io.str(key);
     io.str(value);
   });
-}
-
-// Map/str helpers shared by codecs.
-inline void write_string_map(WireWriter& w, const StringMap& m) {
-  write_layout(w, m);
-}
-inline StringMap read_string_map(WireReader& r) {
-  StringMap m;
-  read_layout(r, m);
-  return m;
 }
 
 }  // namespace tamp::membership

@@ -7,9 +7,9 @@ namespace tamp::protocols {
 MembershipDaemon::MembershipDaemon(sim::Simulation& sim, net::Network& net,
                                    membership::NodeId self,
                                    membership::EntryData own)
-    : sim_(sim), net_(net), self_(self), row_pool_(membership::row_pool(net)) {
+    : sim_(sim), net_(net), self_(self) {
   own.node = self_;
-  own_ = row_pool_.intern(std::move(own));
+  own_ = membership::make_row(std::move(own));
 }
 
 void MembershipDaemon::base_start() {

@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "membership/messages.h"
-#include "membership/row.h"
 #include "membership/table.h"
 #include "membership/types.h"
 #include "net/transport.h"
@@ -76,13 +75,13 @@ class MembershipDaemon {
   void base_stop();
 
   void notify(membership::NodeId subject, bool alive);
-  // Apply `edit` to a copy of the own entry, re-intern it, and re-apply it
-  // to the table.
+  // Apply `edit` to a copy of the own entry, rebuild the row, and re-apply
+  // it to the table.
   template <typename Edit>
   void edit_own(Edit edit) {
     membership::EntryData own = own_->data();
     edit(own);
-    own_ = row_pool_.intern(std::move(own));
+    own_ = membership::make_row(std::move(own));
     own_entry_changed();
   }
   // Re-apply own entry to the table after a local mutation.
@@ -91,7 +90,6 @@ class MembershipDaemon {
   sim::Simulation& sim_;
   net::Network& net_;
   membership::NodeId self_;
-  membership::RowPool& row_pool_;  // the simulation's (row_pool(net))
   membership::RowRef own_;
   membership::MembershipTable table_;
   bool running_ = false;

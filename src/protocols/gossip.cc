@@ -44,7 +44,7 @@ void GossipDaemon::stop() {
 
 void GossipDaemon::add_seed(membership::EntryData entry) {
   if (entry.node == self_) return;
-  const membership::RowRef row = row_pool_.intern(std::move(entry));
+  const membership::RowRef row = membership::make_row(std::move(entry));
   if (table_.apply(row, Liveness::kDirect, membership::kInvalidNode,
                    sim_.now()) == ApplyResult::kAdded) {
     peers_[row->node()] = PeerState{0, row->incarnation(), sim_.now()};

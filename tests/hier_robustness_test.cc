@@ -10,7 +10,6 @@
 
 #include "expiry_probe.h"
 #include "membership/codec.h"
-#include "membership/row.h"
 #include "net/builders.h"
 #include "protocols/cluster.h"
 #include "sim/scenario.h"

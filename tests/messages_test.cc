@@ -9,17 +9,14 @@
 
 #include "membership/codec.h"
 #include "membership/messages.h"
-#include "membership/row.h"
 #include "service/messages.h"
 #include "util/strings.h"
 
 namespace tamp::membership {
 namespace {
 
-// Decodes as a receiver holding no rows yet would: against a fresh pool.
 std::optional<Message> decode(const uint8_t* data, size_t size) {
-  RowPool pool;
-  return decode_message(data, size, pool);
+  return decode_message(data, size);
 }
 
 RowRef representative_row(NodeId node, Incarnation incarnation = 1) {

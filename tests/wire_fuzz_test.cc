@@ -9,19 +9,16 @@
 
 #include "membership/codec.h"
 #include "membership/messages.h"
-#include "membership/row.h"
 #include "service/messages.h"
 #include "util/rng.h"
 
 namespace tamp {
 namespace {
 
-// Decodes as a receiver holding no rows yet would: against a fresh pool.
 // Whatever is accepted must be charged the size of its reference encoding,
 // under the kind its type byte names.
 std::optional<membership::Message> decode(const uint8_t* data, size_t size) {
-  membership::RowPool pool;
-  auto decoded = membership::decode_message(data, size, pool);
+  auto decoded = membership::decode_message(data, size);
   if (decoded) {
     const net::Payload sent = membership::encode_message(*decoded);
     const std::vector<uint8_t> frame =
@@ -528,11 +525,9 @@ TEST(WireFuzz, TruncatedMessagesNeverCrash) {
 }
 
 
-// A row decodes against a pool that already holds it (the held row comes
-// back) or one that does not (a new row is interned). Truncated and forged
-// frames must be rejected either way, and a forged span must never come
-// back as the held row it imitates.
-TEST(WireFuzz, TruncatedAndForgedRowsRejectedOnPoolHitAndMiss) {
+// Truncated and forged frames must be rejected, and a forged span must
+// never come back equal to the row it imitates.
+TEST(WireFuzz, TruncatedAndForgedRowsRejected) {
   membership::HeartbeatMsg heartbeat;
   heartbeat.entry = representative_row(5);
   membership::BootstrapResponseMsg image;
@@ -543,52 +538,38 @@ TEST(WireFuzz, TruncatedAndForgedRowsRejectedOnPoolHitAndMiss) {
   const membership::Message corpus[] = {membership::Message{heartbeat},
                                         membership::Message{image}};
 
-  for (bool hit : {false, true}) {
-    membership::RowPool pool;
-    std::vector<membership::RowRef> held;  // keeps the hit path's rows live
-    if (hit) {
-      held.push_back(pool.intern(heartbeat.entry->data()));
-      for (const auto& row : image.entries) {
-        held.push_back(pool.intern(row->data()));
-      }
+  for (const auto& message : corpus) {
+    auto payload = membership::encode_message_bytes(message);
+    ASSERT_TRUE(membership::decode_message(payload.data(), payload.size())
+                    .has_value());
+    // Every field after each row is mandatory, so every strict prefix is
+    // malformed.
+    for (size_t len = 0; len < payload.size(); ++len) {
+      EXPECT_FALSE(
+          membership::decode_message(payload.data(), len).has_value())
+          << "len=" << len;
     }
-    for (const auto& message : corpus) {
-      auto payload = membership::encode_message_bytes(message);
-      ASSERT_TRUE(
-          membership::decode_message(payload.data(), payload.size(), pool)
-              .has_value());
-      // Every field after each row is mandatory, so every strict prefix
-      // is malformed.
-      for (size_t len = 0; len < payload.size(); ++len) {
-        EXPECT_FALSE(
-            membership::decode_message(payload.data(), len, pool).has_value())
-            << "hit=" << hit << " len=" << len;
-      }
-    }
-
-    // Forged length: the machine.os string (after version, type, node u32,
-    // incarnation u64, cpus u16, memory u32) claims more bytes than the
-    // frame holds.
-    auto payload = membership::encode_message_bytes(corpus[0]);
-    std::vector<uint8_t> forged(payload);
-    const size_t os_length = 2 + 4 + 8 + 2 + 4;
-    forged[os_length] = 0x7f;
-    EXPECT_FALSE(
-        membership::decode_message(forged.data(), forged.size(), pool)
-            .has_value())
-        << "hit=" << hit;
-
-    // Forged content of the same length: decodes, but as the forged row,
-    // not as the held row it differs from by one byte.
-    forged = payload;
-    forged[os_length + 1] ^= 0x01;
-    auto decoded =
-        membership::decode_message(forged.data(), forged.size(), pool);
-    ASSERT_TRUE(decoded.has_value());
-    const auto& row = std::get<membership::HeartbeatMsg>(*decoded).entry;
-    EXPECT_NE(row->data(), heartbeat.entry->data());
-    EXPECT_FALSE(membership::same_row(*row, *heartbeat.entry));
   }
+
+  // Forged length: the machine.os string (after version, type, node u32,
+  // incarnation u64, cpus u16, memory u32) claims more bytes than the frame
+  // holds.
+  auto payload = membership::encode_message_bytes(corpus[0]);
+  std::vector<uint8_t> forged(payload);
+  const size_t os_length = 2 + 4 + 8 + 2 + 4;
+  forged[os_length] = 0x7f;
+  EXPECT_FALSE(
+      membership::decode_message(forged.data(), forged.size()).has_value());
+
+  // Forged content of the same length: decodes, but as the forged row, not
+  // as the row it differs from by one byte.
+  forged = payload;
+  forged[os_length + 1] ^= 0x01;
+  auto decoded = membership::decode_message(forged.data(), forged.size());
+  ASSERT_TRUE(decoded.has_value());
+  const auto& row = std::get<membership::HeartbeatMsg>(*decoded).entry;
+  EXPECT_NE(row->data(), heartbeat.entry->data());
+  EXPECT_FALSE(membership::same_row(*row, *heartbeat.entry));
 }
 
 }  // namespace
