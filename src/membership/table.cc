@@ -187,8 +187,13 @@ void MembershipTable::reconfirm_relay(NodeId node, NodeId relayed_by,
 
 void MembershipTable::apply_departing(const RowRef& row, sim::Time now) {
   MembershipEntry* slot = find_mutable(row->node());
-  apply_at(slot, row, Liveness::kDirect, kInvalidNode, now);
-  demote(*slot, kInvalidNode);  // a direct record is never refused
+  // A goodbye from an older life must not demote the newer one. A direct
+  // record is refused only then, so otherwise `slot` holds the row.
+  if (apply_at(slot, row, Liveness::kDirect, kInvalidNode, now) ==
+      ApplyResult::kStale) {
+    return;
+  }
+  demote(*slot, kInvalidNode);
   track_relayed(*slot);
 }
 

@@ -66,8 +66,9 @@ class MembershipTable {
     return apply_at(slot, row, Liveness::kRelayed, relayed_by, now);
   }
   // A direct observation from a node that is leaving earshot (a goodbye):
-  // apply(row, kDirect, kInvalidNode, now), then demote_to_relayed(node,
-  // kInvalidNode) on the same row.
+  // apply(row, kDirect, kInvalidNode, now), then, unless that was stale (a
+  // goodbye from an older life), demote_to_relayed(node, kInvalidNode) on
+  // the same row.
   void apply_departing(const RowRef& row, sim::Time now);
 
   // Remove if our info about `node` is not newer than `incarnation`.
