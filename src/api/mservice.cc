@@ -161,7 +161,7 @@ void MService::handle(const SloQuery&, ControlResponse& response) {
 int MService::run() {
   if (daemon_ != nullptr) return -1;
 
-  membership::install_wire_classifier(net_);
+  membership::install_wire_kind_names(net_);
 
   protocols::HierConfig hier;
   hier.base_channel = channel_for_mcast_addr(config_.system.mcast_addr);

@@ -16,8 +16,8 @@ std::optional<EntryData> decode_entry(WireReader& r);
 // which starts with those same 12 bytes. Never zero.
 uint64_t row_hash_of_encoding(const uint8_t* bytes, size_t size);
 
-// Encoded size of an entry (used by the analysis module for the paper's
-// parameter `m`, the per-node information size).
+// Encoded size of an entry: the paper's parameter `m`, the per-node
+// information size (membership_table_test checks it against §6's 228 B).
 size_t encoded_entry_size(const EntryData& entry);
 
 // Builds a representative entry whose encoded size is close to the paper's

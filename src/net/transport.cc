@@ -19,7 +19,7 @@ Network::Network(sim::Simulation& sim, Topology& topology,
   }
   // Kind 0 ("unknown") exists even before kind names are installed, so the
   // per-kind sums are total from the first packet.
-  set_wire_classifier(WireClassifier{});
+  set_wire_kind_names({});
 }
 
 Network::TrafficCounters Network::resolve_counters(obs::NodeId node) {
@@ -38,14 +38,14 @@ Network::TrafficCounters Network::resolve_counters(obs::NodeId node) {
   return c;
 }
 
-void Network::set_wire_classifier(WireClassifier classifier) {
-  if (classifier.names.empty()) classifier.names.push_back("unknown");
+void Network::set_wire_kind_names(std::vector<std::string> names) {
+  if (names.empty()) names.push_back("unknown");
   obs::MetricsRegistry& m = obs_.metrics;
   tx_kind_.clear();
   tx_bytes_kind_.clear();
   egress_drop_kind_.clear();
   tx_down_kind_.clear();
-  for (const std::string& suffix : classifier.names) {
+  for (const std::string& suffix : names) {
     tx_kind_.push_back(m.counter(obs::Protocol::kNet, "tx_kind_" + suffix));
     tx_bytes_kind_.push_back(
         m.counter(obs::Protocol::kNet, "tx_bytes_kind_" + suffix));

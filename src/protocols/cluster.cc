@@ -24,7 +24,7 @@ Cluster::Cluster(sim::Simulation& sim, net::Network& net,
     : sim_(sim), net_(net), hosts_(hosts), options_(options) {
   TAMP_CHECK(!hosts_.empty());
   // Per-wire-kind transport attribution (idempotent across clusters).
-  membership::install_wire_classifier(net_);
+  membership::install_wire_kind_names(net_);
   if (options_.heartbeat_pad > 0) {
     options_.alltoall.heartbeat_pad = options_.heartbeat_pad;
     options_.hier.heartbeat_pad = options_.heartbeat_pad;
