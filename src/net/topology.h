@@ -106,7 +106,6 @@ class Topology {
 
   // --- queries ----------------------------------------------------------
   size_t device_count() const { return devices_.size(); }
-  size_t host_count() const { return hosts_.size(); }
   const std::vector<HostId>& hosts() const { return hosts_; }
   const Device& device(DeviceId id) const;
   const Link& link(LinkId id) const;

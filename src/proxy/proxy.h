@@ -79,11 +79,6 @@ class ProxyDaemon {
   // leader (and therefore holds the VIP).
   bool is_leader() const { return is_leader_; }
 
-  // The availability summary of the local datacenter, as last computed.
-  const membership::ServiceSummary& local_summary() const {
-    return local_summary_;
-  }
-
   // Remote state (either received directly as leader, or relayed by the
   // leader over the proxy channel).
   const std::map<net::DatacenterId, RemoteDirectory>& remote() const {
@@ -129,6 +124,7 @@ class ProxyDaemon {
   bool running_ = false;
   bool is_leader_ = false;
   uint64_t seq_ = 0;
+  // The availability summary of the local datacenter, as last computed.
   membership::ServiceSummary local_summary_;
   std::map<net::DatacenterId, RemoteDirectory> remote_;
   Metrics metrics_;

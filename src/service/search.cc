@@ -83,7 +83,6 @@ SearchDeployment::SearchDeployment(sim::Simulation& sim, net::Network& net,
       size_t host = next_host();
       placements_.push_back(
           {host, kIndexService, partition, params_.index_service_time});
-      index_nodes_.push_back(host);
     }
   }
   for (int partition = 0; partition < params_.doc_partitions; ++partition) {

@@ -84,9 +84,8 @@ class SearchDeployment {
   const SearchParams& params() const { return params_; }
   std::vector<SearchGateway*> gateways();
 
-  // Cluster indices of the nodes hosting the given service (for failure
+  // Cluster indices of the nodes hosting the document service (for failure
   // injection: kill/restart these through the Cluster).
-  const std::vector<size_t>& index_nodes() const { return index_nodes_; }
   const std::vector<size_t>& doc_nodes() const { return doc_nodes_; }
 
   // Re-create and start the provider on a restarted node. The Cluster must
@@ -100,7 +99,6 @@ class SearchDeployment {
   SearchParams params_;
   std::vector<std::unique_ptr<SearchGateway>> gateways_;
   std::map<size_t, std::unique_ptr<ServiceProvider>> providers_;
-  std::vector<size_t> index_nodes_;
   std::vector<size_t> doc_nodes_;
   // (cluster index, service, partition, service time) for rebuilds.
   struct Placement {
