@@ -18,7 +18,6 @@
 #include "sim/parallel_runner.h"
 #include "sim/scenario.h"
 #include "util/flags.h"
-#include "util/logging.h"
 
 int main(int argc, char** argv) {
   using namespace tamp;
@@ -37,8 +36,6 @@ int main(int argc, char** argv) {
   auto& jobs_flag = flags.add_int(
       "jobs", 1, "worker threads (0 = hardware concurrency); output is"
                  " byte-identical for any value");
-  auto& verbose_flag =
-      flags.add_bool("verbose", false, "log each fault as it fires");
   auto& trace_flag = flags.add_string(
       "trace", "", "append each scenario's structured event trace (JSONL,"
                    " byte-identical per seed) to this file");
@@ -52,10 +49,6 @@ int main(int argc, char** argv) {
       "slo-out", "", "with --slo: also append each scenario's SLO report"
                      " (JSONL, byte-identical per seed) to this file");
   flags.parse(argc, argv);
-
-  if (verbose_flag) {
-    util::Logger::instance().set_level(util::LogLevel::kDebug);
-  }
 
   std::vector<protocols::Scheme> schemes;
   if (scheme_flag == "all") {

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "util/check.h"
-#include "util/logging.h"
 
 namespace tamp::net {
 

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <limits>
 
-#include "util/logging.h"
-
 namespace tamp::protocols {
 
 using membership::ApplyResult;
@@ -62,7 +60,6 @@ void AllToAllDaemon::scan() {
     return entry.row->node() == self_ ? sim::Duration{-1} : timeout;
   });
   for (auto node : expired) {
-    TAMP_LOG(Info) << "a2a node " << self_ << " declares " << node << " dead";
     net_.obs().tracer.record(obs::TraceKind::kTimeoutExpiry, self_, sim_.now(),
                              -1, node);
     notify(node, false);

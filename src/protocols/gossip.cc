@@ -3,8 +3,6 @@
 #include <cmath>
 #include <vector>
 
-#include "util/logging.h"
-
 namespace tamp::protocols {
 
 using membership::ApplyResult;
@@ -121,8 +119,6 @@ void GossipDaemon::scan() {
     table_.remove(node, incarnation, now);
     dead_[node] = DeadState{counter, incarnation, now + 2 * tfail};
     peers_.erase(node);
-    TAMP_LOG(Info) << "gossip node " << self_ << " declares " << node
-                   << " failed";
     net_.obs().tracer.record(obs::TraceKind::kTimeoutExpiry, self_, now, -1,
                              node);
     notify(node, false);

@@ -5,7 +5,6 @@
 #include <set>
 
 #include "util/check.h"
-#include "util/logging.h"
 
 namespace tamp::protocols {
 
@@ -499,8 +498,6 @@ void HierDaemon::on_member_dead(int level, NodeId member) {
   demote_due_ = true;
   prune_pending(ls, member);
 
-  TAMP_LOG(Info) << "hier node " << self_ << " detects member " << member
-                 << " dead at level " << level;
   trace(obs::TraceKind::kTimeoutExpiry, level, member);
 
   if (ls.i_am_leader && ls.my_backup == member) {
@@ -1018,9 +1015,6 @@ void HierDaemon::become_leader(int level) {
     raise_fence(ls, ls.prev_leader, ls.epoch - 1, ls.prev_leader_incarnation);
   }
 
-  TAMP_LOG(Info) << "hier node " << self_ << " becomes leader of level "
-                 << level << " epoch " << ls.epoch;
-
   send_coordinator(level);
 
   send_heartbeat(level);
@@ -1036,7 +1030,6 @@ void HierDaemon::become_leader(int level) {
 void HierDaemon::abdicate(int level) {
   LevelState& ls = level_state(level);
   if (!ls.i_am_leader) return;
-  TAMP_LOG(Info) << "hier node " << self_ << " abdicates level " << level;
   ls.i_am_leader = false;
   ls.my_backup = membership::kInvalidNode;
   // Membership of level L+1 was contingent on leading level L. This is a
@@ -1080,8 +1073,6 @@ void HierDaemon::adopt_epoch(int level, membership::Epoch epoch,
   // either. Then re-enter as a plain member and pull a fresh image.
   metrics_.epochs_superseded->add();
   trace(obs::TraceKind::kEpochSupersede, level, epoch, new_leader);
-  TAMP_LOG(Info) << "hier node " << self_ << " superseded at level " << level
-                 << " (epoch " << epoch << "), abdicating";
   clear_out_log(ls);
   ls.leader = new_leader;
   abdicate(level);

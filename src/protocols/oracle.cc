@@ -5,7 +5,6 @@
 #include <set>
 
 #include "util/check.h"
-#include "util/logging.h"
 
 namespace tamp::protocols {
 
@@ -755,7 +754,6 @@ void MembershipOracle::add_violation(const std::string& invariant,
   violation.observer = observer;
   violation.subject = subject;
   violation.detail = detail;
-  TAMP_LOG(Warn) << "oracle violation: " << violation.to_string();
   violations_.push_back(std::move(violation));
 }
 

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "util/logging.h"
-
 namespace tamp::proxy {
 
 using membership::decode_message;
@@ -91,8 +89,6 @@ void ProxyDaemon::evaluate_leadership() {
     net_.obs().tracer.record(obs::TraceKind::kVipTakeover, self(), sim_.now(),
                              -1, config_.dc);
     net_.assign_virtual_ip(config_.local_vip, self());
-    TAMP_LOG(Info) << "proxy " << self() << " takes over VIP of dc "
-                   << config_.dc;
   } else if (!should_lead && is_leader_) {
     is_leader_ = false;
     metrics_.is_leader->set(0.0);
@@ -196,7 +192,6 @@ void ProxyDaemon::expire_remotes() {
       static_cast<sim::Duration>(kProxyMaxLosses) * config_.period * 2;
   for (auto it = remote_.begin(); it != remote_.end();) {
     if (sim_.now() - it->second.last_heard > timeout) {
-      TAMP_LOG(Info) << "proxy " << self() << " drops silent dc " << it->first;
       it = remote_.erase(it);
     } else {
       ++it;

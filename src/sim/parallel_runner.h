@@ -19,10 +19,8 @@
 //  * A scenario that throws is converted into a failed ScenarioResult for
 //    its own slot; sibling scenarios are unaffected (result isolation).
 //
-// The only process-global state a scenario touches is the util::Logger
-// singleton, which is thread-safe and write-only from the scenario's point
-// of view (see util/logging.h); everything else — RNG, event queue, metrics
-// registry, tracer — is owned by the per-scenario Network/Simulation pair.
+// A scenario touches no process-global state: its RNG, event queue, metrics
+// registry and tracer are owned by the per-scenario Network/Simulation pair.
 #pragma once
 
 #include <cstddef>

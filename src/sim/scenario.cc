@@ -9,7 +9,6 @@
 #include "net/builders.h"
 #include "protocols/oracle.h"
 #include "util/check.h"
-#include "util/logging.h"
 #include "workload/workload.h"
 
 namespace tamp::chaos {
@@ -570,9 +569,6 @@ class ScenarioRunner {
   }
 
   void apply(const FaultAction& action) {
-    TAMP_LOG(Debug) << "chaos " << scenario_name(spec_) << " t="
-                    << sim::format_time(sim_.now()) << ": "
-                    << describe(action);
     net_->obs().tracer.record(obs::TraceKind::kFault, obs::kNoNode, sim_.now(),
                               -1, static_cast<uint64_t>(action.index()));
     std::visit(
