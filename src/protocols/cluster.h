@@ -64,6 +64,8 @@ class Cluster {
   // Ids of running daemons.
   std::vector<size_t> running_indices() const;
 
+  // Installs `listener` on every daemon, and on each fresh daemon that
+  // restart() builds.
   void set_change_listener(MembershipDaemon::ChangeListener listener);
 
  private:
@@ -77,6 +79,7 @@ class Cluster {
   std::vector<std::unique_ptr<MembershipDaemon>> daemons_;
   std::vector<membership::Incarnation> incarnations_;
   std::vector<bool> alive_;
+  MembershipDaemon::ChangeListener listener_;
 };
 
 }  // namespace tamp::protocols
