@@ -29,8 +29,6 @@ class DirectoryStore {
   const membership::MembershipTable* attach(net::HostId host,
                                             int shm_key) const;
 
-  size_t segment_count() const { return segments_.size(); }
-
  private:
   std::map<std::pair<net::HostId, int>, const membership::MembershipTable*>
       segments_;

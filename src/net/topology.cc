@@ -115,11 +115,6 @@ LinkId Topology::uplink_of(HostId host) const {
   return adjacency_[host][0];
 }
 
-std::vector<LinkId> Topology::links_of(DeviceId device) const {
-  TAMP_CHECK(device < devices_.size());
-  return adjacency_[device];
-}
-
 const Device& Topology::device(DeviceId id) const {
   TAMP_CHECK(id < devices_.size());
   return devices_[id];

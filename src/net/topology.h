@@ -133,10 +133,6 @@ class Topology {
   // that names the offending host rather than a silent assumption.
   LinkId uplink_of(HostId host) const;
 
-  // All links incident to a device (e.g. a rack switch, to model the whole
-  // switch losing power). Order matches the order connect() was called.
-  std::vector<LinkId> links_of(DeviceId device) const;
-
  private:
   void compile() const;  // (re)build routing state; const because lazy
   const PathInfo& infra_path(DeviceId a, DeviceId b) const;

@@ -135,13 +135,6 @@ uint64_t MetricsRegistry::counter_value(Protocol protocol,
   return it != counters_.end() ? it->second->value : 0;
 }
 
-double MetricsRegistry::gauge_value(Protocol protocol, std::string_view name,
-                                    NodeId node) const {
-  auto it = gauges_.find(
-      Key{static_cast<uint8_t>(protocol), std::string(name), node});
-  return it != gauges_.end() ? it->second->value : 0.0;
-}
-
 const Histogram* MetricsRegistry::find_histogram(Protocol protocol,
                                                  std::string_view name,
                                                  NodeId node) const {

@@ -94,8 +94,6 @@ class MetricsRegistry {
   // --- queries (0 / empty when the metric does not exist) ------------------
   uint64_t counter_value(Protocol protocol, std::string_view name,
                          NodeId node = kNoNode) const;
-  double gauge_value(Protocol protocol, std::string_view name,
-                     NodeId node = kNoNode) const;
   // Sum of `name` across all real nodes (the kNoNode aggregate excluded).
   uint64_t counter_sum_over_nodes(Protocol protocol,
                                   std::string_view name) const;

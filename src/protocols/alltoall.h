@@ -41,7 +41,6 @@ class AllToAllDaemon : public MembershipDaemon {
   void stop() override;
 
   const AllToAllConfig& config() const { return config_; }
-  uint64_t heartbeats_sent() const { return heartbeats_sent_->value; }
 
  private:
   void announce();

@@ -61,8 +61,6 @@ class GossipDaemon : public MembershipDaemon {
   // Effective failure timeout at the current view size.
   sim::Duration effective_tfail() const;
 
-  uint64_t gossips_sent() const { return gossips_sent_->value; }
-
  private:
   // Heartbeat-counter cursor for one peer, scoped to an incarnation: a
   // restarted peer begins a fresh counter-space at zero, so comparing its

@@ -106,7 +106,6 @@ class ServiceConsumer {
               Callback callback);
 
   net::HostId self() const { return membership_.self(); }
-  uint64_t invocations() const { return next_id_counter_; }
   const ConsumerConfig& config() const { return config_; }
 
  private:

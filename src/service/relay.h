@@ -23,12 +23,6 @@ namespace tamp::service {
 // the request is rejected as unavailable.
 inline constexpr sim::Duration kRelayHandshakeTimeout = 500 * sim::kMillisecond;
 
-struct RelayStats {
-  uint64_t relayed_out = 0;       // requests forwarded to a remote DC
-  uint64_t served_for_remote = 0; // requests executed on behalf of remote DCs
-  uint64_t rejected_no_remote = 0;
-};
-
 class ProxyRelay {
  public:
   // `proxy` supplies remote availability; `consumer` executes requests
@@ -44,7 +38,6 @@ class ProxyRelay {
   void stop();
 
   net::HostId self() const { return proxy_.self(); }
-  const RelayStats& stats() const { return stats_; }
 
  private:
   struct OutboundRelay {
@@ -67,7 +60,6 @@ class ProxyRelay {
   std::map<uint64_t, OutboundRelay> handshakes_;
   // request id -> reply address of the original requester.
   std::map<uint64_t, net::Address> forwarded_;
-  RelayStats stats_;
 };
 
 }  // namespace tamp::service
