@@ -9,43 +9,6 @@ namespace tamp::membership {
 
 namespace {
 
-bool row_before(const MembershipTable::Slot& slot, NodeId node) {
-  return slot.first < node;
-}
-
-// The slot of `node` in a sorted row vector; end() if absent. Row ids are
-// topology device ids, which are dense (a racked layout puts one switch id
-// after every 20 hosts), so interpolating between the first and the last
-// id lands on or next to the row. Walk a few slots from that guess, then
-// binary-search the side that remains, so sparse ids still cost O(log n).
-template <typename Vec>
-auto locate(Vec& rows, NodeId node) {
-  constexpr int kWalk = 4;
-  const auto end = rows.end();
-  if (rows.empty() || node < rows.front().first || node > rows.back().first) {
-    return end;
-  }
-  const uint64_t span = rows.back().first - rows.front().first;
-  const uint64_t offset = node - rows.front().first;
-  auto it = rows.begin();
-  if (span > 0) {
-    it += static_cast<ptrdiff_t>(offset * (rows.size() - 1) / span);
-  }
-  // The first and last ids bound both walks, so neither leaves the vector.
-  if (it->first < node) {
-    for (int step = 0; step < kWalk; ++step) {
-      if ((++it)->first >= node) return it->first == node ? it : end;
-    }
-    it = std::lower_bound(it + 1, end, node, row_before);
-  } else if (it->first > node) {
-    for (int step = 0; step < kWalk; ++step) {
-      if ((--it)->first <= node) return it->first == node ? it : end;
-    }
-    it = std::lower_bound(rows.begin(), it, node, row_before);
-  }
-  return it != end && it->first == node ? it : end;
-}
-
 void demote(MembershipEntry& entry, NodeId relayed_by) {
   if (entry.liveness == Liveness::kDirect) {
     entry.liveness = Liveness::kRelayed;
@@ -57,7 +20,7 @@ void demote(MembershipEntry& entry, NodeId relayed_by) {
 // selects, sorted by node id.
 template <typename NameMatch>
 std::vector<const MembershipEntry*> select_providers(
-    const std::vector<MembershipTable::Slot>& entries,
+    const util::IdMap<MembershipEntry>& entries,
     const NameMatch& matches, const std::string& partition_spec) {
   std::vector<const MembershipEntry*> out;
   auto wanted = util::expand_partition_spec(partition_spec);
@@ -85,8 +48,7 @@ std::vector<const MembershipEntry*> select_providers(
 }  // namespace
 
 MembershipEntry* MembershipTable::find_mutable(NodeId node) {
-  auto it = locate(entries_, node);
-  return it == entries_.end() ? nullptr : &it->second;
+  return entries_.find(node);
 }
 
 bool MembershipTable::tombstoned(NodeId node, Incarnation incarnation,
@@ -121,9 +83,7 @@ ApplyResult MembershipTable::apply_at(MembershipEntry*& slot,
     entry.liveness = liveness;
     entry.relayed_by = relayed_by;
     entry.last_heard = now;
-    auto pos =
-        std::lower_bound(entries_.begin(), entries_.end(), node, row_before);
-    slot = &entries_.emplace(pos, node, std::move(entry))->second;
+    slot = entries_.insert(node, std::move(entry)).first;
     track_relayed(*slot);
     return ApplyResult::kAdded;
   }
@@ -155,8 +115,8 @@ ApplyResult MembershipTable::apply_at(MembershipEntry*& slot,
 
 bool MembershipTable::remove(NodeId node, Incarnation incarnation,
                              sim::Time now) {
-  auto it = locate(entries_, node);
-  if (it != entries_.end() && it->second.row->incarnation() > incarnation) {
+  const MembershipEntry* held = entries_.find(node);
+  if (held != nullptr && held->row->incarnation() > incarnation) {
     return false;  // we know a newer life of this node
   }
   Tombstone& tomb = tombstones_[node];
@@ -170,19 +130,25 @@ bool MembershipTable::remove(NodeId node, Incarnation incarnation,
       ++t;
     }
   }
-  if (it == entries_.end()) return false;
-  entries_.erase(it);
-  return true;
+  return entries_.erase(node);
 }
 
 void MembershipTable::reconfirm_relay(NodeId node, NodeId relayed_by,
                                       sim::Time now) {
-  if (node == relayed_by) return;
-  MembershipEntry* entry = find_mutable(node);
-  if (entry == nullptr || entry->liveness != Liveness::kRelayed) return;
-  entry->relayed_by = relayed_by;
-  entry->last_heard = now;
-  track_relayed(*entry);
+  const MembershipEntry* entry = find(node);
+  if (entry != nullptr) reconfirm_relay(*entry, relayed_by, now);
+}
+
+void MembershipTable::reconfirm_relay(const MembershipEntry& entry,
+                                      NodeId relayed_by, sim::Time now) {
+  if (entry.row->node() == relayed_by || entry.liveness != Liveness::kRelayed) {
+    return;
+  }
+  // The table owns every entry it hands out; only the view is const.
+  auto& row = const_cast<MembershipEntry&>(entry);
+  row.relayed_by = relayed_by;
+  row.last_heard = now;
+  track_relayed(row);
 }
 
 void MembershipTable::apply_departing(const RowRef& row, sim::Time now) {
@@ -207,12 +173,11 @@ void MembershipTable::demote_to_relayed(NodeId node, NodeId relayed_by) {
 }
 
 const MembershipEntry* MembershipTable::find(NodeId node) const {
-  auto it = locate(entries_, node);
-  return it == entries_.end() ? nullptr : &it->second;
+  return entries_.find(node);
 }
 
 bool MembershipTable::contains(NodeId node) const {
-  return locate(entries_, node) != entries_.end();
+  return entries_.contains(node);
 }
 
 std::vector<NodeId> MembershipTable::node_ids() const {
@@ -249,18 +214,15 @@ std::vector<NodeId> MembershipTable::expire(
     const std::function<sim::Duration(const MembershipEntry&)>& timeout_for) {
   std::vector<NodeId> expired;
   oldest_relayed_ = std::numeric_limits<sim::Time>::max();
-  auto keep = entries_.begin();
-  for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-    sim::Duration timeout = timeout_for(it->second);
-    if (timeout >= 0 && now - it->second.last_heard > timeout) {
-      expired.push_back(it->first);
-    } else {
-      track_relayed(it->second);
-      if (keep != it) *keep = std::move(*it);
-      ++keep;
+  entries_.erase_if([&](NodeId id, const MembershipEntry& entry) {
+    sim::Duration timeout = timeout_for(entry);
+    if (timeout >= 0 && now - entry.last_heard > timeout) {
+      expired.push_back(id);
+      return true;
     }
-  }
-  entries_.erase(keep, entries_.end());
+    track_relayed(entry);
+    return false;
+  });
   return expired;
 }
 

@@ -8,6 +8,13 @@
 // replayed. Tombstones expire (so a healed network partition can
 // re-introduce nodes whose incarnation never changed), and a direct
 // observation — hearing the node's own heartbeat — always overrides one.
+//
+// Rows are keyed by node id in a util::IdMap: fixed pages of eight slots,
+// found by their offset from the first page when ids are dense (topology
+// device ids) and by binary search otherwise. Adding a row writes one slot
+// and moves no other row, and iteration stays in id order. Memory is
+// O(rows) for any spread of ids, so ids off the wire, which can be any
+// uint32_t, cannot inflate it.
 #pragma once
 
 #include <algorithm>
@@ -17,11 +24,11 @@
 #include <map>
 #include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 #include "membership/types.h"
 #include "sim/time.h"
+#include "util/id_map.h"
 
 namespace tamp::membership {
 
@@ -34,12 +41,6 @@ enum class ApplyResult : uint8_t {
 
 class MembershipTable {
  public:
-  // Rows live in one flat vector sorted by node id rather than a
-  // node-per-entry tree: the hot consumers (digest hashing, refresh
-  // encoding, piggyback scans) walk the whole directory every round, and a
-  // contiguous scan is what they pay for.
-  using Slot = std::pair<NodeId, MembershipEntry>;
-
   explicit MembershipTable(sim::Duration tombstone_ttl = 30 * sim::kSecond)
       : tombstone_ttl_(tombstone_ttl) {}
   // Merge `row` into the directory. `liveness`/`relayed_by` describe how
@@ -82,22 +83,24 @@ class MembershipTable {
   // would record. No-op for direct or missing entries, or when the entry is
   // the relay itself (a self-rooted relay would be a provenance cycle).
   void reconfirm_relay(NodeId node, NodeId relayed_by, sim::Time now);
+  // The same for a row already in hand: `entry` must be a row of this
+  // table (from find(), lookup() or entries()), so no lookup is made.
+  void reconfirm_relay(const MembershipEntry& entry, NodeId relayed_by,
+                       sim::Time now);
 
   // Downgrade a direct entry to relayed (the protocol no longer hears the
   // node itself; its liveness is now second-hand). No-op otherwise.
   void demote_to_relayed(NodeId node, NodeId relayed_by);
 
-  // Pointers returned by find()/lookup() and references into entries() stay
-  // valid until the next insert or erase; an apply that adds a row is an
-  // insert (collect-then-consume within one handler is fine; holding one
-  // across a mutation is not).
+  // A pointer returned by find()/lookup() or a reference from entries()
+  // stays valid until that row is erased (remove() or expire()).
   const MembershipEntry* find(NodeId node) const;
   bool contains(NodeId node) const;
   size_t size() const { return entries_.size(); }
   std::vector<NodeId> node_ids() const;
 
-  // All entries (sorted by node id, deterministic iteration).
-  const std::vector<Slot>& entries() const { return entries_; }
+  // All entries as (id, entry) pairs in id order (deterministic iteration).
+  const util::IdMap<MembershipEntry>& entries() const { return entries_; }
 
   // Service lookup: nodes registering exactly `service`; `partition_spec`
   // ("*", "2", "1-3", "0,2") selects nodes hosting at least one listed
@@ -148,7 +151,7 @@ class MembershipTable {
   }
 
   sim::Duration tombstone_ttl_;
-  std::vector<Slot> entries_;  // sorted by node id
+  util::IdMap<MembershipEntry> entries_;
   std::map<NodeId, Tombstone> tombstones_;
   sim::Time oldest_relayed_ = std::numeric_limits<sim::Time>::max();
 };

@@ -1444,7 +1444,7 @@ void HierDaemon::on_refresh_digest(int level, const RefreshDigestMsg& msg) {
     const NodeId id = row->row->node();
     if (id == self_ || row->liveness != Liveness::kRelayed) continue;
     if (mismatched[membership::digest_bucket_of(id, bucket_count)]) continue;
-    table_.reconfirm_relay(id, msg.origin, now);
+    table_.reconfirm_relay(*row, msg.origin, now);
   }
   if (any_mismatch) {
     send_refresh_pull(level, msg.origin, msg.subtree, rows, mismatched);
