@@ -126,9 +126,12 @@ size_t Cluster::converged_count() const {
   size_t count = 0;
   for (size_t i = 0; i < daemons_.size(); ++i) {
     if (!alive_[i]) continue;
-    auto view = daemons_[i]->table().node_ids();  // sorted by id
+    const auto& view = daemons_[i]->table().entries();  // in id order
     if (view.size() == expected.size() &&
-        std::equal(view.begin(), view.end(), expected.begin())) {
+        std::equal(view.begin(), view.end(), expected.begin(),
+                   [](const auto& row, net::HostId id) {
+                     return row.first == id;
+                   })) {
       ++count;
     }
   }
