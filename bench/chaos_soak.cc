@@ -76,6 +76,14 @@ int main(int argc, char** argv) {
     shapes = {shape};
   }
 
+  for (chaos::ShapeKind shape : shapes) {
+    const std::string error = chaos::nodes_error(shape, nodes_flag);
+    if (!error.empty()) {
+      std::fprintf(stderr, "%s\n", error.c_str());
+      return 2;
+    }
+  }
+
   std::vector<chaos::PlanKind> plans;
   if (plan_flag == "all") {
     plans.assign(std::begin(chaos::kAllPlanKinds),

@@ -140,6 +140,13 @@ int main(int argc, char** argv) {
       "json", "", "write machine-readable results to this file");
   flags.parse(argc, argv);
 
+  const std::string nodes_error =
+      chaos::nodes_error(chaos::ShapeKind::kRacked, nodes_flag);
+  if (!nodes_error.empty()) {
+    std::fprintf(stderr, "%s\n", nodes_error.c_str());
+    return 2;
+  }
+
   std::vector<chaos::PlanKind> plans;
   if (plans_flag.empty()) {
     plans.assign(std::begin(kDefaultPlans), std::end(kDefaultPlans));

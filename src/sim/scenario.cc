@@ -1,6 +1,7 @@
 #include "sim/scenario.h"
 
 #include <algorithm>
+#include <cstdio>
 #include <map>
 #include <memory>
 #include <set>
@@ -25,6 +26,24 @@ const char* shape_name(ShapeKind shape) {
       return "router-chain";
   }
   return "?";
+}
+
+std::string nodes_error(ShapeKind shape, int64_t nodes) {
+  char message[160];
+  if (nodes < 6) {
+    std::snprintf(message, sizeof message,
+                  "--nodes=%lld: a scenario needs at least 6 nodes",
+                  static_cast<long long>(nodes));
+    return message;
+  }
+  if (shape != ShapeKind::kSingleSegment && nodes % 3 != 0) {
+    std::snprintf(message, sizeof message,
+                  "--nodes=%lld: --shape=%s builds three equal segments, so"
+                  " --nodes must be a multiple of 3",
+                  static_cast<long long>(nodes), shape_name(shape));
+    return message;
+  }
+  return "";
 }
 
 bool plan_applicable(Scheme scheme, PlanKind plan) {

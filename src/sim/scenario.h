@@ -10,6 +10,7 @@
 // log is reproducible from the test name alone.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -29,6 +30,12 @@ inline constexpr ShapeKind kAllShapeKinds[] = {
     ShapeKind::kSingleSegment, ShapeKind::kRacked, ShapeKind::kRouterChain};
 
 const char* shape_name(ShapeKind shape);
+
+// Why `shape` cannot build a cluster of `nodes` hosts, or "" if it can. A
+// scenario needs at least 6 hosts, and racked and router-chain split them
+// into three equal segments. Drivers check flags with it before building
+// any scenario; the runner aborts on a size the shape cannot build.
+std::string nodes_error(ShapeKind shape, int64_t nodes);
 
 // Whether `plan` is a fair test for `scheme`. Plain gossip has no rejoin
 // mechanism: after a *symmetric* split both sides remove (and quarantine)
