@@ -2,7 +2,7 @@
 // experiment: per-DC racked clusters joined by a WAN, a hierarchical
 // membership cluster per DC, redundant membership proxies with a virtual IP
 // each, and the cross-DC invocation relays. Used by the integration tests,
-// the fig14 benchmark, and the multi_datacenter example.
+// the figures benchmark (Fig. 14), and the multi_datacenter example.
 #pragma once
 
 #include <memory>

@@ -1,6 +1,6 @@
 // Tiny command-line flag parser for the benchmark and example binaries.
 //
-//   util::FlagSet flags("fig11_bandwidth");
+//   util::FlagSet flags("chaos_soak");
 //   auto& nodes = flags.add_int("nodes", 100, "cluster size");
 //   auto& seed  = flags.add_int("seed", 1, "rng seed");
 //   flags.parse(argc, argv);           // accepts --nodes=200 / --nodes 200
