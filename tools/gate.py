@@ -5,7 +5,8 @@ Usage:
   tools/gate.py slo [--fresh slo-ci.json] BENCH_slo.json
   tools/gate.py scale [--fresh scale-ci.json] BENCH_scale.json
   tools/gate.py hotpath hotpaths.json
-  tools/gate.py --selftest [slo|scale|hotpath]
+  tools/gate.py figs BENCH_figs.json
+  tools/gate.py --selftest [slo|scale|hotpath|figs]
 
 Each gate reads a report as rows named by a key, holds every row of the
 committed baseline to the gate's bounds, runs the gate's own cross-row
@@ -24,6 +25,9 @@ scale    BENCH_scale.json from bench/scale_limits. At CEILING_NODES nodes
 hotpath  a google-benchmark JSON report from bench/micro_hotpaths. The
          per-send observability work (BM_ObsHotpathAddition) may cost at most
          BUDGET of a full instrumented unicast send (BM_TransportSendUnicast).
+figs     BENCH_figs.json from bench/figures. Each paper figure and ablation
+         must keep the shape the paper (or EXPERIMENTS.md) claims for it: one
+         predicate per figure, each printing its verdict.
 
 The simulations are deterministic, so an unchanged protocol reproduces its
 baseline exactly; a creep tolerance only absorbs intentional changes. A
@@ -66,6 +70,7 @@ DENOMINATOR = "BM_TransportSendUnicast"
 
 # JSON types a field may hold. A bool is not a number.
 NUMBER, FLAG, TEXT = (int, float), (bool,), (str,)
+OBJECT, LIST = (dict,), (list,)
 
 OPS = {"<=": operator.le, ">=": operator.ge, "==": operator.eq,
        ">": operator.gt}
@@ -215,6 +220,341 @@ def hotpath_cost(rows):
                    f"{send_ns:.1f} ns = {ratio:.2%} (budget {BUDGET:.0%})")
 
 
+# --- figs: the paper's shape claims -----------------------------------------
+
+def figure(figures, name):
+    """A figure's rows as {column: value} dicts, in report order."""
+    if (name,) not in figures:
+        raise Malformed(f"report has no {name} figure")
+    columns, rows = figures[(name,)]["columns"], figures[(name,)]["rows"]
+    if not rows:
+        raise Malformed(f"{name} has no rows")
+    for index, row in enumerate(rows):
+        if not isinstance(row, list) or len(row) != len(columns):
+            raise Malformed(f"{name} row {index} does not match its columns")
+    return [dict(zip(columns, row)) for row in rows]
+
+
+def by(rows, *columns):
+    """{(row[c] for c in columns): row}."""
+    return {tuple(row[c] for c in columns) if len(columns) > 1
+            else row[columns[0]]: row for row in rows}
+
+
+def increasing(values):
+    return all(a < b for a, b in zip(values, values[1:]))
+
+
+def fig2_shape(figures):
+    """Paper Fig. 2: both curves linear in n; at 4000 nodes about 4000
+    pkt/s, 4.5% CPU and 32% of a Fast Ethernet link."""
+    rows = figure(figures, "fig2_alltoall_overhead")
+    last = rows[-1]
+    slope = last["cpu_pct"] / last["rx_pkts_per_s_per_node"]
+    return [
+        (all(abs(r["rx_pkts_per_s_per_node"] - (r["nodes"] - 1))
+             <= 0.01 * r["nodes"] for r in rows)
+         and all(abs(r["cpu_pct"] - slope * r["rx_pkts_per_s_per_node"])
+                 <= 0.01 for r in rows),
+         "packet rate is n - 1 and CPU is linear in it at every size"),
+        (last["nodes"] == 4000
+         and 3900 <= last["rx_pkts_per_s_per_node"] <= 4100
+         and 4.0 <= last["cpu_pct"] <= 5.0
+         and 30 <= last["link_util_pct"] <= 35,
+         f"at {last['nodes']} nodes: {last['rx_pkts_per_s_per_node']} pkt/s, "
+         f"{last['cpu_pct']}% CPU, {last['link_util_pct']}% of the link"),
+    ]
+
+
+def table_section4_shape(figures):
+    """Paper Section 4: hierarchical has the lowest bandwidth, BDP and BCP
+    once the cluster spans more than one group; with one group it is
+    all-to-all plus one relay hop, within 1%. Gossip detection grows with n."""
+    rows = figure(figures, "table_scalability_analysis")
+    cells = by(rows, "n", "scheme")
+    sizes = sorted({r["n"] for r in rows})
+    lowest, single = True, True
+    for n in sizes:
+        hier, a2a = cells[(n, "hierarchical")], cells[(n, "all-to-all")]
+        for field in ("bandwidth_bytes_per_s", "bdp", "bcp"):
+            if hier["groups"] > 1:
+                lowest &= hier[field] < min(a2a[field],
+                                            cells[(n, "gossip")][field])
+            else:
+                single &= abs(hier[field] - a2a[field]) <= 0.01 * a2a[field]
+    gossip = [cells[(n, "gossip")]["detect_s"] for n in sizes]
+    return [
+        (lowest, "hierarchical lowest bandwidth, BDP and BCP at every size "
+                 "of more than one group"),
+        (single, "one group: hierarchical within 1% of all-to-all"),
+        (increasing(gossip), f"gossip detection grows with n: {gossip}"),
+    ]
+
+
+def fig11_shape(figures):
+    """Paper Fig. 11: equal at one network; hierarchical lowest and about
+    linear beyond it; all-to-all and gossip about quadratic."""
+    rows = figure(figures, "fig11_bandwidth")
+    first, last = rows[0], rows[-1]
+    growth = last["nodes"] / first["nodes"]
+    def grew(column):
+        return last[column] / first[column]
+    return [
+        (abs(first["hier_mbps"] - first["alltoall_mbps"])
+         <= 0.02 * first["alltoall_mbps"],
+         f"{first['nodes']} nodes: hierarchical {first['hier_mbps']} == "
+         f"all-to-all {first['alltoall_mbps']} MB/s"),
+        (all(r["hier_mbps"] < min(r["alltoall_mbps"], r["gossip_mbps"])
+             for r in rows[1:]), "hierarchical lowest beyond one network"),
+        (grew("hier_mbps") <= 1.25 * growth,
+         f"hierarchical grows {grew('hier_mbps'):.1f}x for {growth:.0f}x "
+         f"nodes (about linear)"),
+        (min(grew("alltoall_mbps"), grew("gossip_mbps")) >= 0.8 * growth ** 2,
+         f"all-to-all grows {grew('alltoall_mbps'):.1f}x and gossip "
+         f"{grew('gossip_mbps'):.1f}x for {growth:.0f}x nodes (about "
+         f"quadratic)"),
+    ]
+
+
+def fig12_shape(figures):
+    """Paper Fig. 12: all-to-all and hierarchical flat just under
+    max_losses x period; gossip largest, growing about logarithmically."""
+    rows = figure(figures, "fig12_detection_time")
+    timeout = figures[("fig12_detection_time",)]["params"]["max_losses"]
+    gossip = [r["gossip_s"] for r in rows]
+    steps = [b - a for a, b in zip(gossip, gossip[1:])]
+    claims = []
+    for column in ("alltoall_s", "hier_s"):
+        values = [r[column] for r in rows]
+        claims.append((timeout - 1 <= min(values) and max(values) <= timeout
+                       and max(values) - min(values) <= 0.5,
+                       f"{column} flat under {timeout} s: {values}"))
+    claims.append((all(r["gossip_s"] > max(r["alltoall_s"], r["hier_s"])
+                       for r in rows)
+                   and increasing(gossip)
+                   and all(a >= b for a, b in zip(steps, steps[1:])),
+                   f"gossip largest, growing with shrinking steps: {gossip}"))
+    return claims
+
+
+def fig13_shape(figures):
+    """Paper Fig. 13: hierarchical about equal to all-to-all; gossip largest
+    at every size and higher at the largest cluster than at the smallest.
+    Gossip is not monotone in between (26.47 s at 80 nodes, 25.87 s at
+    100)."""
+    rows = figure(figures, "fig13_convergence_time")
+    return [
+        (all(abs(r["hier_s"] - r["alltoall_s"]) <= 0.25 for r in rows),
+         "hierarchical within 0.25 s of all-to-all at every size"),
+        (all(r["gossip_s"] > max(r["alltoall_s"], r["hier_s"]) for r in rows)
+         and rows[-1]["gossip_s"] > rows[0]["gossip_s"],
+         f"gossip largest, {rows[0]['gossip_s']} s at {rows[0]['nodes']} "
+         f"nodes to {rows[-1]['gossip_s']} s at {rows[-1]['nodes']}"),
+    ]
+
+
+def fig14_shape(figures):
+    """Paper Fig. 14: no query fails; a small throughput dip at the failure;
+    responses above 200 ms while doc lookups cross the WAN; back to local
+    latency within 2 s of recovery."""
+    seconds = figure(figures, "fig14_proxy_failover")
+    phases = by(figure(figures, "fig14_phases"), "phase")
+    params = figures[("fig14_proxy_failover",)]["params"]
+    fail_at, recover_at = params["fail_at"], params["recover_at"]
+    before, during = phases["before failure"], phases["during failure"]
+    after = phases["after recovery"]
+    at_fail = by(seconds, "sec")[fail_at]
+    return [
+        (all(p["failed"] == 0 for p in phases.values()),
+         "no failed query in any phase"),
+        (at_fail["completed"] < at_fail["arrived"]
+         and during["throughput_qps"] >= 0.9 * before["throughput_qps"],
+         f"dip at second {fail_at} ({at_fail['completed']} completions vs "
+         f"{at_fail['arrived']} arrivals), {during['throughput_qps']} q/s "
+         f"failed over vs {before['throughput_qps']} before"),
+        (during["mean_response_ms"] > 200
+         and max(before["mean_response_ms"], after["mean_response_ms"]) < 50,
+         f"{during['mean_response_ms']} ms failed over vs "
+         f"{before['mean_response_ms']} / {after['mean_response_ms']} ms "
+         f"local"),
+        (all(s["response_ms"] < 50 for s in seconds
+             if s["sec"] >= recover_at + 2),
+         f"local latency again from second {recover_at + 2}"),
+    ]
+
+
+def group_size_shape(figures):
+    """Bandwidth grows with group size from 10 up; groups of 5 pay in
+    leader count instead; detection stays flat."""
+    rows = figure(figures, "ablation_group_size")
+    bandwidth = [r["bandwidth_mbps"] for r in rows]
+    detection = [r["detection_s"] for r in rows]
+    return [
+        (increasing(bandwidth[1:]) and bandwidth[0] > bandwidth[1],
+         f"bandwidth {bandwidth} MB/s for groups "
+         f"{[r['group_size'] for r in rows]}"),
+        (4.0 <= min(detection) and max(detection) <= 5.0
+         and max(detection) - min(detection) <= 0.5,
+         f"detection flat: {detection}"),
+    ]
+
+
+def loss_recovery_shape(figures):
+    """Every run converges through 20% loss. Piggyback depth 3 heals more
+    gaps in place than depth 0 at every loss rate, and needs fewer sync
+    polls up to 10% loss; at 20% the polls stay flat (within 10%)."""
+    rows = figure(figures, "ablation_loss_recovery")
+    cells = by(rows, "loss_pct", "piggyback")
+    heals, polls = True, True
+    for loss in sorted({r["loss_pct"] for r in rows}):
+        shallow, deep = cells[(loss, 0)], cells[(loss, 3)]
+        heals &= deep["pb_heals"] > shallow["pb_heals"]
+        if loss <= 10:
+            polls &= deep["sync_polls"] < shallow["sync_polls"]
+        else:
+            polls &= abs(deep["sync_polls"] - shallow["sync_polls"]) \
+                <= 0.1 * shallow["sync_polls"]
+    return [
+        (all(r["converged"] for r in rows), "converged in every run"),
+        (heals, "depth 3 heals more gaps than depth 0 at every loss rate"),
+        (polls, "depth 3 needs fewer sync polls up to 10% loss, as many "
+                "at 20%"),
+    ]
+
+
+def leader_failover_shape(figures):
+    """A backup takes over within the detection timeout; losing leader and
+    backup adds the bully election; no live node is reported dead."""
+    cells = by(figure(figures, "ablation_leader_failover"), "backup_dies")
+    backup_up, both = cells[False], cells[True]
+    return [
+        (all(r["spurious_leaves"] == 0 and r["converged"]
+             for r in cells.values()), "no spurious leave; converged"),
+        (0 < backup_up["new_leader_s"] <= 5.0
+         and both["new_leader_s"] > backup_up["new_leader_s"],
+         f"new leader after {backup_up['new_leader_s']} s with the backup "
+         f"up, {both['new_leader_s']} s without"),
+    ]
+
+
+def join_latency_shape(figures):
+    """All-to-all and hierarchical list a joiner within one period and
+    cluster-wide within milliseconds (hierarchical through leader relays);
+    gossip takes epidemic rounds, seconds."""
+    cells = by(figure(figures, "ablation_join_latency"), "scheme")
+    claims = [(0 <= cells[s]["first_observer_s"] <= 1.0
+               and 0 <= cells[s]["cluster_wide_s"] < 0.1,
+               f"{s}: first {cells[s]['first_observer_s']} s, cluster-wide "
+               f"{cells[s]['cluster_wide_s']} s")
+              for s in ("all-to-all", "hierarchical")]
+    gossip = cells["gossip"]
+    claims.append((0 <= gossip["first_observer_s"]
+                   and gossip["cluster_wide_s"] > 1.0,
+                   f"gossip: cluster-wide {gossip['cluster_wide_s']} s"))
+    return claims
+
+
+def join_storm_shape(figures):
+    """Admission control never drops a full image and never raises the
+    peak; at the largest storm, without it the serving leaders burst higher
+    and the NIC queues drop. Convergence time is the same either way."""
+    rows = figure(figures, "ablation_join_storm")
+    cells = by(rows, "joiners", "admission")
+    sizes = sorted({r["joiners"] for r in rows})
+    on = [cells[(j, True)] for j in sizes]
+    off = [cells[(j, False)] for j in sizes]
+    return [
+        (all(r["nic_drops"] == 0 for r in on), "admission on: no NIC drop"),
+        (all(a["peak_node_bytes_per_s"] <= b["peak_node_bytes_per_s"]
+             and 0 <= a["converge_s"] == b["converge_s"]
+             for a, b in zip(on, off)),
+         "admission on: peak never above off, same convergence"),
+        (off[-1]["peak_node_bytes_per_s"] > on[-1]["peak_node_bytes_per_s"]
+         and off[-1]["nic_drops"] > 0,
+         f"{sizes[-1]} joiners, admission off: peak "
+         f"{off[-1]['peak_node_bytes_per_s']} vs "
+         f"{on[-1]['peak_node_bytes_per_s']} B/s, "
+         f"{off[-1]['nic_drops']} NIC drops"),
+    ]
+
+
+def tree_depth_shape(figures):
+    """The membership tree has as many levels as the topology's TTL
+    diameter; detection stays near 5 s at every depth; convergence adds
+    only relay hops; per-cluster bandwidth falls as traffic localizes."""
+    rows = figure(figures, "ablation_tree_depth")
+    same = [r["bandwidth_mbps"] for r in rows if r["hosts"] == rows[-1]["hosts"]]
+    return [
+        (all(r["levels"] == r["max_ttl"] for r in rows),
+         f"levels == max TTL: {[r['levels'] for r in rows]}"),
+        (all(4.0 <= r["detect_s"] <= 5.0
+             and 0 <= r["converge_s"] - r["detect_s"] < 0.25 for r in rows),
+         "detection 4-5 s, convergence within 0.25 s of it"),
+        (len(same) > 1 and all(a > b for a, b in zip(same, same[1:])),
+         f"bandwidth falls with depth at {rows[-1]['hosts']} hosts: {same}"),
+    ]
+
+
+def accuracy_shape(figures):
+    """Every scheme stays complete (the real failure is always detected).
+    The heartbeat schemes report no false leave through 5% loss and only a
+    handful (at most 10) at 10%; gossip floods false leaves under loss."""
+    rows = figure(figures, "ablation_accuracy")
+    cells = by(rows, "loss_pct", "scheme")
+    clean = True
+    for loss in sorted({r["loss_pct"] for r in rows}):
+        worst = max(cells[(loss, s)]["false_leaves"]
+                    for s in ("all-to-all", "hierarchical"))
+        clean &= worst <= (0 if loss <= 5 else 10)
+        if loss > 0:
+            clean &= cells[(loss, "gossip")]["false_leaves"] > worst
+    return [
+        (all(r["real_detected"] and r["converged"] for r in rows),
+         "the real failure is detected and views converge in every run"),
+        (clean, "heartbeat schemes: no false leave through 5% loss, at most "
+                "10 at 10%; gossip more at every lossy rate"),
+    ]
+
+
+def partition_shape(figures):
+    """A cut rack is purged cluster-wide one higher-level timeout after the
+    cut, linear in the factor; a leader death never purges its subtree."""
+    rows = figure(figures, "ablation_partition")
+    first, last = rows[0], rows[-1]
+    slope = (last["all_purged_s"] - first["all_purged_s"]) / \
+        (last["factor"] - first["factor"])
+    steps = [(b["all_purged_s"] - a["all_purged_s"]) / (b["factor"] -
+                                                         a["factor"])
+             for a, b in zip(rows, rows[1:])]
+    return [
+        (all(r["spurious_leaves"] == 0 for r in rows),
+         "leader death purges no live node"),
+        (slope > 0 and all(abs(step - slope) <= 0.1 * slope
+                           for step in steps),
+         f"purge time linear in the factor, {slope:.2f} s per unit"),
+    ]
+
+
+FIGURE_SHAPES = (fig2_shape, table_section4_shape, fig11_shape, fig12_shape,
+                 fig13_shape, fig14_shape, group_size_shape,
+                 loss_recovery_shape, leader_failover_shape,
+                 join_latency_shape, join_storm_shape, tree_depth_shape,
+                 accuracy_shape, partition_shape)
+
+
+def figure_shapes(figures):
+    """Runs every figure's shape predicate over the report."""
+    status = 0
+    for shape in FIGURE_SHAPES:
+        try:
+            claims = shape(figures)
+        except (KeyError, TypeError, ZeroDivisionError) as err:
+            raise Malformed(f"{shape.__name__}: cannot read {err!r}") from err
+        for good, line in claims:
+            status = max(status, verdict(good, f"{shape.__name__}: {line}"))
+    return status
+
+
 GATES = {
     "slo": Gate(
         rows="rows",
@@ -260,6 +600,14 @@ GATES = {
         fields={"name": TEXT, "cpu_time": NUMBER},
         check=hotpath_cost,
     ),
+    "figs": Gate(
+        rows="figures",
+        key=("name",),
+        label="{name}",
+        fields={"name": TEXT, "params": OBJECT, "columns": LIST,
+                "rows": LIST},
+        check=figure_shapes,
+    ),
 }
 
 
@@ -283,6 +631,8 @@ def run(gate, baseline_path, fresh_path=None):
 # --- selftest ---------------------------------------------------------------
 
 NO_FILE = object()  # a report path that does not exist
+FIGS_BASELINE = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "BENCH_figs.json")
 
 
 def slo_row(scheme, plan, misroute, **fields):
@@ -314,6 +664,25 @@ GOOD = (slo_row("all-to-all", "crash-restart", 0.02),
 A2A_CRASH, HIER_CRASH, *LEADER_KILL = GOOD
 NO_MISROUTE_RATE = {k: v for k, v in A2A_CRASH.items() if k != "misroute_rate"}
 SCALE_GOOD = scale((100, 30.0), (1000, 25.0), (5000, 25.0))
+
+
+def figs(name=None, row=None, column=None, value=None, edit=None):
+    """The committed BENCH_figs.json, read when the case runs, with one cell
+    of figure `name` set to `value`, or `edit` applied to that figure."""
+    def report():
+        with open(FIGS_BASELINE, "r", encoding="utf-8") as fh:
+            figures = json.load(fh)
+        for fig in figures["figures"]:
+            if fig["name"] == name and edit is not None:
+                edit(fig)
+            elif fig["name"] == name:
+                fig["rows"][row][fig["columns"].index(column)] = value
+        return figures
+    return report
+
+
+def drop(fig):
+    fig["name"] = "renamed"
 
 # (gate, baseline, fresh or None, expected exit, what the case checks).
 # A report is a JSON object, raw file text (str), or NO_FILE.
@@ -360,6 +729,43 @@ SELFTEST = (
      "benchmark without cpu_time"),
     ("hotpath", NO_FILE, None, 2, "missing file"),
     ("hotpath", "not json", None, 2, "non-JSON text"),
+    ("figs", figs(), None, 0, "committed report"),
+    ("figs", figs("fig2_alltoall_overhead", -1, "cpu_pct", 6.0), None, 1,
+     "CPU off its line at 4000 nodes"),
+    ("figs", figs("table_scalability_analysis", 5, "bdp", 2e8), None, 1,
+     "hierarchical BDP above all-to-all at n = 100"),
+    ("figs", figs("fig11_bandwidth", -1, "hier_mbps", 3.0), None, 1,
+     "hierarchical above all-to-all at 100 nodes"),
+    ("figs", figs("fig12_detection_time", -1, "gossip_s", 16.0), None, 1,
+     "gossip detection falls at 100 nodes"),
+    ("figs", figs("fig13_convergence_time", 0, "hier_s", 5.0), None, 1,
+     "hierarchical 0.6 s behind all-to-all"),
+    ("figs", figs("fig14_phases", 1, "mean_response_ms", 150.0), None, 1,
+     "failed-over responses under 200 ms"),
+    ("figs", figs("ablation_group_size", 0, "detection_s", 9.0), None, 1,
+     "detection not flat"),
+    ("figs", figs("ablation_loss_recovery", 10, "sync_polls", 140), None, 1,
+     "depth 3 polls more than depth 0 at 10% loss"),
+    ("figs", figs("ablation_leader_failover", 0, "spurious_leaves", 1), None,
+     1, "a spurious leave on failover"),
+    ("figs", figs("ablation_join_latency", 2, "cluster_wide_s", 2.0), None, 1,
+     "hierarchical join takes 2 s cluster-wide"),
+    ("figs", figs("ablation_join_storm", 4, "nic_drops", 3), None, 1,
+     "admission on drops at the NIC"),
+    ("figs", figs("ablation_tree_depth", -1, "levels", 7), None, 1,
+     "levels != max TTL"),
+    ("figs", figs("ablation_accuracy", 5, "false_leaves", 1), None, 1,
+     "hierarchical false leave at 5% loss"),
+    ("figs", figs("ablation_partition", 2, "spurious_leaves", 2), None, 1,
+     "leader death purges live nodes"),
+    ("figs", figs("fig14_phases", edit=drop), None, 2, "a figure missing"),
+    ("figs", figs("fig11_bandwidth", edit=lambda f: f["rows"][0].pop()), None,
+     2, "a row shorter than its columns"),
+    ("figs", figs("ablation_accuracy",
+                  edit=lambda f: f["columns"].__setitem__(2, "false")), None,
+     2, "a column a predicate reads is missing"),
+    ("figs", figs("fig12_detection_time", edit=lambda f: f["params"].clear()),
+     None, 2, "a parameter a predicate reads is missing"),
 )
 
 
@@ -370,6 +776,8 @@ def selftest(only=None):
     with tempfile.TemporaryDirectory() as tmp:
         def write(report, name):
             path = os.path.join(tmp, name)
+            if callable(report):
+                report = report()
             if report is not NO_FILE:
                 with open(path, "w", encoding="utf-8") as fh:
                     fh.write(report if isinstance(report, str)
