@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <map>
 #include <set>
+#include <vector>
 
 #include "net/builders.h"
 #include "protocols/cluster.h"
@@ -35,19 +36,26 @@ TEST_P(ChurnSoak, EventuallyConvergesWithConsistentNotifications) {
   Cluster cluster(sim, net, layout.hosts, opts);
 
   // Notification sanity: per (observer, subject), alive-state transitions
-  // must alternate (no double-leave, no double-join).
-  std::map<std::pair<size_t, membership::NodeId>, bool> believed_alive;
+  // must alternate (no double-leave, no double-join). A restart builds a
+  // fresh daemon whose view starts empty, so the check is re-installed on
+  // it with that observer's beliefs cleared.
+  std::vector<std::map<membership::NodeId, bool>> believed_alive(
+      cluster.size());
   int violations = 0;
-  for (size_t i = 0; i < cluster.size(); ++i) {
+  auto watch = [&](size_t i) {
+    believed_alive[i].clear();
     cluster.daemon(i).set_change_listener(
         [&, i](membership::NodeId subject, bool alive, sim::Time) {
-          auto key = std::make_pair(i, subject);
-          auto it = believed_alive.find(key);
-          bool previous = it == believed_alive.end() ? false : it->second;
-          if (previous == alive) ++violations;
-          believed_alive[key] = alive;
+          auto it = believed_alive[i].try_emplace(subject, false).first;
+          if (it->second == alive) ++violations;
+          it->second = alive;
         });
-  }
+  };
+  auto restart = [&](size_t i) {
+    cluster.restart(i);
+    watch(i);
+  };
+  for (size_t i = 0; i < cluster.size(); ++i) watch(i);
 
   cluster.start_all();
   sim.run_until(15 * sim::kSecond);
@@ -68,7 +76,7 @@ TEST_P(ChurnSoak, EventuallyConvergesWithConsistentNotifications) {
                            adversary.uniform_u64(down.size())));
       size_t index = *it;
       down.erase(it);
-      cluster.restart(index);
+      restart(index);
     } else if (down.size() < cluster.size() / 2) {
       size_t index = static_cast<size_t>(
           adversary.uniform_u64(cluster.size()));
@@ -82,7 +90,7 @@ TEST_P(ChurnSoak, EventuallyConvergesWithConsistentNotifications) {
   // Quiet period: loss off, restarts of everything still down, then let
   // the protocol settle (tombstones + anti-entropy horizon).
   net.set_extra_loss(0.0);
-  for (size_t index : down) cluster.restart(index);
+  for (size_t index : down) restart(index);
   sim.run_until(sim.now() + 100 * sim::kSecond);
 
   EXPECT_TRUE(cluster.converged())
