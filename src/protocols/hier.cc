@@ -1419,10 +1419,12 @@ void HierDaemon::on_refresh_digest(int level, const RefreshDigestMsg& msg) {
   }
 
   const auto rows = digest_receiver_scope(msg);
+  std::vector<size_t> row_buckets(rows.size());
   std::vector<uint64_t> buckets(bucket_count, 0);
-  for (const MembershipEntry* row : rows) {
-    buckets[membership::digest_bucket_of(row->row->node(), bucket_count)] ^=
-        row->row->hash();
+  for (size_t i = 0; i < rows.size(); ++i) {
+    row_buckets[i] =
+        membership::digest_bucket_of(rows[i]->row->node(), bucket_count);
+    buckets[row_buckets[i]] ^= rows[i]->row->hash();
   }
   std::vector<bool> mismatched(bucket_count, false);
   bool any_mismatch = false;
@@ -1440,14 +1442,20 @@ void HierDaemon::on_refresh_digest(int level, const RefreshDigestMsg& msg) {
   // the ones the origin stopped announcing must keep aging toward orphan
   // expiry, or a lost LEAVE would never be repaired.
   const sim::Time now = sim_.now();
-  for (const MembershipEntry* row : rows) {
-    const NodeId id = row->row->node();
-    if (id == self_ || row->liveness != Liveness::kRelayed) continue;
-    if (mismatched[membership::digest_bucket_of(id, bucket_count)]) continue;
+  std::vector<const MembershipEntry*> pulled;
+  for (size_t i = 0; i < rows.size(); ++i) {
+    const MembershipEntry* row = rows[i];
+    if (mismatched[row_buckets[i]]) {
+      pulled.push_back(row);
+      continue;
+    }
+    if (row->row->node() == self_ || row->liveness != Liveness::kRelayed) {
+      continue;
+    }
     table_.reconfirm_relay(*row, msg.origin, now);
   }
   if (any_mismatch) {
-    send_refresh_pull(level, msg.origin, msg.subtree, rows, mismatched);
+    send_refresh_pull(level, msg.origin, msg.subtree, pulled, mismatched);
   }
 }
 
@@ -1455,20 +1463,15 @@ void HierDaemon::send_refresh_pull(
     int level, NodeId origin, bool subtree,
     const std::vector<const MembershipEntry*>& rows,
     const std::vector<bool>& mismatched) {
-  const size_t bucket_count = mismatched.size();
   RefreshPullMsg pull;
   pull.requester = self_;
   pull.level = static_cast<uint8_t>(level);
   pull.epoch = level_state(level).epoch;
   pull.subtree = subtree;
-  for (size_t b = 0; b < bucket_count; ++b) {
+  for (size_t b = 0; b < mismatched.size(); ++b) {
     if (mismatched[b]) pull.bucket_indices.push_back(static_cast<uint16_t>(b));
   }
   for (const MembershipEntry* row : rows) {
-    if (!mismatched[membership::digest_bucket_of(row->row->node(),
-                                                 bucket_count)]) {
-      continue;
-    }
     pull.rows.push_back(DigestRowSummary{
         row->row->node(), row->row->incarnation(), row->row->hash()});
   }

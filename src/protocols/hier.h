@@ -413,8 +413,8 @@ class HierDaemon : public MembershipDaemon {
       const membership::RefreshDigestMsg& msg) const;
   void send_refresh_digest(int level, bool subtree);
   void on_refresh_digest(int level, const membership::RefreshDigestMsg& msg);
-  // Pull the `mismatched` buckets of `origin`'s digest scope, listing our
-  // copies of the rows in them.
+  // Pull the `mismatched` buckets of `origin`'s digest scope, listing
+  // `rows`: our copies of the rows in them.
   void send_refresh_pull(
       int level, membership::NodeId origin, bool subtree,
       const std::vector<const membership::MembershipEntry*>& rows,
