@@ -137,13 +137,8 @@ RunResult run_one(int nodes, uint64_t seed) {
   return result;
 }
 
-void write_json(const std::string& path, uint64_t seed,
+void write_json(std::FILE* out, uint64_t seed,
                 const std::vector<RunResult>& results) {
-  std::FILE* out = std::fopen(path.c_str(), "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "cannot open --json=%s\n", path.c_str());
-    return;
-  }
   std::fprintf(out, "{\n  \"bench\": \"scale_limits\",\n");
   std::fprintf(out, "  \"seed\": %llu,\n",
                static_cast<unsigned long long>(seed));
@@ -165,7 +160,6 @@ void write_json(const std::string& path, uint64_t seed,
         r.converge_s, i + 1 < results.size() ? "," : "");
   }
   std::fprintf(out, "  ]\n}\n");
-  std::fclose(out);
 }
 
 // The process's peak resident set (VmHWM) in MB; -1 where
@@ -192,6 +186,17 @@ int main(int argc, char** argv) {
       "json", "", "write machine-readable results to this file");
   flags.parse(argc, argv);
 
+  // Opened before the ladder, so an unwritable path fails in a second
+  // rather than after the whole run.
+  std::FILE* json_out = nullptr;
+  if (!json_flag.empty()) {
+    json_out = std::fopen(json_flag.c_str(), "w");
+    if (json_out == nullptr) {
+      std::fprintf(stderr, "cannot open --json=%s\n", json_flag.c_str());
+      return 2;
+    }
+  }
+
   std::printf("Scale sweep — hierarchical protocol, networks of 20\n\n");
   std::printf("%8s %10s %14s %14s %16s %10s %10s\n", "nodes", "formed s",
               "per-node pkt/s", "per-node KB/s", "AE B/node/round",
@@ -211,13 +216,10 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (!json_flag.empty()) {
-    write_json(json_flag, static_cast<uint64_t>(seed), results);
+  if (json_out != nullptr) {
+    write_json(json_out, static_cast<uint64_t>(seed), results);
+    std::fclose(json_out);
   }
-  std::printf(
-      "\nshape check: per-node traffic stays ~constant (the whole point of"
-      " topology-scoped groups); digest anti-entropy keeps its bytes per"
-      " node ~flat as the view grows\n");
-  std::printf("peak RSS: %.1f MB (VmHWM)\n", peak_rss_mb());
+  std::printf("\npeak RSS: %.1f MB (VmHWM)\n", peak_rss_mb());
   return 0;
 }

@@ -13,15 +13,19 @@ committed baseline to the gate's bounds, runs the gate's own cross-row
 check, and, given ``--fresh``, holds every row the fresh report shares with
 the baseline to a creep bound against the baseline's value.
 
-slo      BENCH_slo.json from bench/slo_churn. Every row must pass its
-         scenario oracle, balance its accounting identity (issued == ok +
-         failed + aborted + unresolved) and stay inside the damage ceilings.
-         On the node-churn plans the hierarchical misroute rate must not
-         exceed the all-to-all baseline's (the hierarchy dividend). A fresh
-         ok_rate may trail the baseline by ABS_OK_DROP.
+slo      BENCH_slo.json from bench/chaos_soak --slo --json over the SLO
+         slate (every scheme, racked shape, five plans). Every row must pass
+         its scenario oracle, balance its accounting identity (issued == ok
+         + failed + aborted + unresolved) and stay inside the damage
+         ceilings. On the node-churn plans the hierarchical misroute rate
+         must not exceed the all-to-all baseline's (the hierarchy dividend).
+         A fresh ok_rate may trail the baseline by ABS_OK_DROP.
 scale    BENCH_scale.json from bench/scale_limits. At CEILING_NODES nodes
          digest anti-entropy must cost at most CEILING_BYTES per node per
          round; fresh bytes may exceed the baseline by CREEP_TOLERANCE.
+         Across the ladder per-node KB/s stays within KBPS_SPREAD of flat,
+         and no cluster spends more anti-entropy bytes per node per round
+         than the smallest.
 hotpath  a google-benchmark JSON report from bench/micro_hotpaths. The
          per-send observability work (BM_ObsHotpathAddition) may cost at most
          BUDGET of a full instrumented unicast send (BM_TransportSendUnicast).
@@ -62,6 +66,10 @@ CEILING_NODES = 1000
 CEILING_BYTES = 3169.7  # 15848.4 B (last full refresh) / 5
 CREEP_TOLERANCE = 0.25  # fresh bytes may exceed baseline by <= 25%
 BYTES = "anti_entropy_bytes_per_node_per_round"
+# Per-node traffic across the ladder: largest over smallest. The committed
+# 100-2,000 node ladder reads 1.27x; all-to-all would grow 20x.
+KBPS_SPREAD = 1.5
+KBPS = "per_node_kbps"
 
 # hotpath: keeps "metrics are free enough to leave on" enforced.
 BUDGET = 0.05  # obs addition may cost at most 5% of a transport send
@@ -202,6 +210,27 @@ def hierarchy_dividend(rows):
             f"{plan}/s{seed} misroute rate: hierarchical {hier_rate:.4f} "
             f"vs all-to-all {a2a_rate:.4f}"))
     return status
+
+
+def scale_shape(rows):
+    """The ladder's two scaling claims. Per-node traffic stays flat as the
+    cluster grows, the point of topology-scoped groups; and digest
+    anti-entropy bytes per node per round do not grow with the view."""
+    ladder = [row for _, row in sorted(rows.items())]
+    kbps = [row[KBPS] for row in ladder]
+    if min(kbps) <= 0:
+        raise Malformed(f"per-node KB/s {min(kbps)} is not positive")
+    spread = max(kbps) / min(kbps)
+    status = verdict(spread <= KBPS_SPREAD,
+        f"per-node KB/s spans {min(kbps):.3f}..{max(kbps):.3f} over "
+        f"{ladder[0]['nodes']}..{ladder[-1]['nodes']} nodes = {spread:.2f}x "
+        f"(bound {KBPS_SPREAD}x)")
+    first = ladder[0]
+    peak = max(ladder, key=lambda row: row[BYTES])
+    return max(status, verdict(peak[BYTES] <= first[BYTES],
+        f"anti-entropy B/node/round peaks at {peak[BYTES]:.1f} "
+        f"({peak['nodes']} nodes); the smallest cluster ({first['nodes']} "
+        f"nodes) spends {first[BYTES]:.1f}"))
 
 
 def hotpath_cost(rows):
@@ -585,10 +614,11 @@ GATES = {
         rows="results",
         key=("nodes",),
         label="{nodes} nodes",
-        fields={"nodes": NUMBER, BYTES: NUMBER},
+        fields={"nodes": NUMBER, BYTES: NUMBER, KBPS: NUMBER},
         bounds=(Bound(BYTES, "<=", CEILING_BYTES, at=(CEILING_NODES,),
                       line="at {label} digest anti-entropy costs "
                            "{value:.1f} B/node/round (ceiling {limit:.1f})"),),
+        check=scale_shape,
         creep=(Creep(BYTES, "<=", lambda base: base * (1.0 + CREEP_TOLERANCE),
                      "{label}: {fresh:.1f} B/node/round vs baseline "
                      "{base:.1f} (allowed {limit:.1f})"),),
@@ -650,7 +680,9 @@ def slo(*rows):
 
 
 def scale(*rows):
-    return {"results": [{"nodes": n, BYTES: b} for n, b in rows]}
+    """Ladder rows (nodes, bytes) at a flat 5 KB/s, or (nodes, bytes, kbps)."""
+    return {"results": [{"nodes": n, BYTES: b, KBPS: k[0] if k else 5.0}
+                        for n, b, *k in rows]}
 
 
 def bench(*entries):
@@ -717,6 +749,14 @@ SELFTEST = (
      "creep within tolerance"),
     ("scale", SCALE_GOOD, scale((100, 30.0), (1000, 40.0)), 1,
      "40 > 25 * 1.25 at 1000 nodes"),
+    ("scale", scale((100, 30.0, 5.0), (1000, 25.0, 7.5)), None, 0,
+     "per-node KB/s grows exactly 1.5x"),
+    ("scale", scale((100, 30.0, 5.0), (1000, 25.0, 8.0)), None, 1,
+     "per-node KB/s grows 1.6x"),
+    ("scale", scale((100, 30.0), (1000, 31.0)), None, 1,
+     "anti-entropy bytes grow with the view"),
+    ("scale", scale((100, 30.0, 0.0), (1000, 25.0)), None, 2,
+     "zero per-node KB/s"),
     ("scale", scale(), None, 2, "baseline has no rows"),
     ("scale", SCALE_GOOD, scale(), 2, "fresh has no rows"),
     ("hotpath", bench((NUMERATOR, 1.0), (DENOMINATOR, 100.0)), None, 0,
