@@ -840,17 +840,15 @@ Table ablation_partition() {
       main_side.insert(layout.racks[1].begin(), layout.racks[1].end());
       sim::Time first = -1;
       std::map<net::HostId, std::set<net::HostId>> purged_by;
-      for (size_t i = 0; i < cluster.size(); ++i) {
-        const net::HostId self = cluster.hosts()[i];
-        if (!main_side.contains(self)) continue;
-        cluster.daemon(i).set_change_listener(
-            [&, self](membership::NodeId subject, bool alive,
-                      sim::Time when) {
-              if (alive || !lost_rack.contains(subject)) return;
-              if (first < 0) first = when;
-              purged_by[self].insert(subject);
-            });
-      }
+      cluster.set_change_listener([&](size_t observer,
+                                      membership::NodeId subject, bool alive,
+                                      sim::Time when) {
+        const net::HostId self = cluster.hosts()[observer];
+        if (!main_side.contains(self)) return;
+        if (alive || !lost_rack.contains(subject)) return;
+        if (first < 0) first = when;
+        purged_by[self].insert(subject);
+      });
       cluster.start_all();
       sim.run_until(20 * sim::kSecond);
       if (cluster.converged()) {

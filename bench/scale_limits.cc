@@ -186,6 +186,18 @@ int main(int argc, char** argv) {
       "json", "", "write machine-readable results to this file");
   flags.parse(argc, argv);
 
+  constexpr int kRungs[] = {100, 200, 500, 1000, 2000, 5000, 10000};
+  if (max_nodes < kRungs[0]) {
+    std::fprintf(stderr, "--max-nodes=%lld: the smallest cluster is %d\n",
+                 static_cast<long long>(max_nodes), kRungs[0]);
+    return 2;
+  }
+  if (seed < 0) {
+    std::fprintf(stderr, "--seed=%lld: seeds must be >= 0\n",
+                 static_cast<long long>(seed));
+    return 2;
+  }
+
   // Opened before the ladder, so an unwritable path fails in a second
   // rather than after the whole run.
   std::FILE* json_out = nullptr;
@@ -203,8 +215,8 @@ int main(int argc, char** argv) {
               "detect s", "converge s");
 
   std::vector<RunResult> results;
-  for (int nodes : {100, 200, 500, 1000, 2000, 5000, 10000}) {
-    if (nodes > static_cast<int>(max_nodes)) break;
+  for (int nodes : kRungs) {
+    if (nodes > max_nodes) break;
     RunResult r = run_one(nodes, static_cast<uint64_t>(seed));
     results.push_back(r);
     std::printf("%8d %10.1f %14.1f %14.2f %16.1f %10.2f %10.2f\n", r.nodes,

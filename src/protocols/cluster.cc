@@ -33,7 +33,7 @@ Cluster::Cluster(sim::Simulation& sim, net::Network& net,
   incarnations_.assign(hosts_.size(), 1);
   alive_.assign(hosts_.size(), true);
   daemons_.reserve(hosts_.size());
-  for (net::HostId host : hosts_) daemons_.push_back(make_daemon(host));
+  for (size_t i = 0; i < hosts_.size(); ++i) daemons_.push_back(make_daemon(i));
 
   if (options_.scheme == Scheme::kGossip && hosts_.size() > 1) {
     for (size_t i = 0; i < daemons_.size(); ++i) seed_gossip(i);
@@ -50,20 +50,31 @@ void Cluster::seed_gossip(size_t index) {
   }
 }
 
-std::unique_ptr<MembershipDaemon> Cluster::make_daemon(net::HostId host) {
+std::unique_ptr<MembershipDaemon> Cluster::make_daemon(size_t index) {
+  const net::HostId host = hosts_[index];
   auto entry = membership::make_representative_entry(host, 1);
+  std::unique_ptr<MembershipDaemon> daemon;
   switch (options_.scheme) {
     case Scheme::kAllToAll:
-      return std::make_unique<AllToAllDaemon>(sim_, net_, host, std::move(entry),
-                                              options_.alltoall);
+      daemon = std::make_unique<AllToAllDaemon>(sim_, net_, host,
+                                                std::move(entry),
+                                                options_.alltoall);
+      break;
     case Scheme::kGossip:
-      return std::make_unique<GossipDaemon>(sim_, net_, host, std::move(entry));
+      daemon = std::make_unique<GossipDaemon>(sim_, net_, host,
+                                              std::move(entry));
+      break;
     case Scheme::kHierarchical:
-      return std::make_unique<HierDaemon>(sim_, net_, host, std::move(entry),
-                                          options_.hier);
+      daemon = std::make_unique<HierDaemon>(sim_, net_, host, std::move(entry),
+                                            options_.hier);
+      break;
   }
-  TAMP_CHECK_MSG(false, "unknown scheme");
-  return nullptr;
+  TAMP_CHECK_MSG(daemon != nullptr, "unknown scheme");
+  daemon->listener_ = [this, index](membership::NodeId subject, bool alive,
+                                    sim::Time when) {
+    if (listener_) listener_(index, subject, alive, when);
+  };
+  return daemon;
 }
 
 void Cluster::start_all() {
@@ -97,10 +108,8 @@ void Cluster::restart(size_t index) {
   net_.set_host_up(hosts_[index], true);
   ++incarnations_[index];
   // Fresh daemon instance: a restarted process has no memory of its past.
-  daemons_[index] = make_daemon(hosts_[index]);
+  daemons_[index] = make_daemon(index);
   daemons_[index]->set_incarnation(incarnations_[index]);
-  // Before the gossip seeds, so the fresh view's first adds are reported.
-  daemons_[index]->set_change_listener(listener_);
   if (options_.scheme == Scheme::kGossip && hosts_.size() > 1) {
     seed_gossip(index);
   }
@@ -142,9 +151,14 @@ bool Cluster::converged() const {
   return converged_count() == running_indices().size();
 }
 
-void Cluster::set_change_listener(MembershipDaemon::ChangeListener listener) {
+void Cluster::set_change_listener(ChangeListener listener) {
   listener_ = std::move(listener);
-  for (auto& daemon : daemons_) daemon->set_change_listener(listener_);
+}
+
+void Cluster::set_change_listener(MembershipDaemon::ChangeListener listener) {
+  listener_ = [listener = std::move(listener)](
+                  size_t, membership::NodeId subject, bool alive,
+                  sim::Time when) { listener(subject, alive, when); };
 }
 
 }  // namespace tamp::protocols

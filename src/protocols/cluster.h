@@ -3,6 +3,7 @@
 // evaluation harness (Figures 11-13).
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -31,8 +32,17 @@ class Cluster {
     size_t heartbeat_pad = 0;
   };
 
+  // Fired when the view of the daemon at index `observer` adds
+  // (alive=true) or removes (alive=false) `subject`. `when` is virtual time.
+  using ChangeListener =
+      std::function<void(size_t observer, membership::NodeId subject,
+                         bool alive, sim::Time when)>;
+
   Cluster(sim::Simulation& sim, net::Network& net,
           const std::vector<net::HostId>& hosts, Options options);
+  // Each daemon's listener forwards to this object.
+  Cluster(const Cluster&) = delete;
+  Cluster& operator=(const Cluster&) = delete;
 
   void start_all();
   void stop_all();
@@ -64,12 +74,15 @@ class Cluster {
   // Ids of running daemons.
   std::vector<size_t> running_indices() const;
 
-  // Installs `listener` on every daemon, and on each fresh daemon that
-  // restart() builds.
+  // The one view-change subscription: it hears every daemon, including each
+  // fresh one that restart() builds, and replaces any earlier listener.
+  // Changes made before it is set go unreported.
+  void set_change_listener(ChangeListener listener);
+  // For listeners that do not need to know the observer.
   void set_change_listener(MembershipDaemon::ChangeListener listener);
 
  private:
-  std::unique_ptr<MembershipDaemon> make_daemon(net::HostId host);
+  std::unique_ptr<MembershipDaemon> make_daemon(size_t index);
   void seed_gossip(size_t index);
 
   sim::Simulation& sim_;
@@ -79,7 +92,7 @@ class Cluster {
   std::vector<std::unique_ptr<MembershipDaemon>> daemons_;
   std::vector<membership::Incarnation> incarnations_;
   std::vector<bool> alive_;
-  MembershipDaemon::ChangeListener listener_;
+  ChangeListener listener_;
 };
 
 }  // namespace tamp::protocols

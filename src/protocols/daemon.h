@@ -3,9 +3,10 @@
 //
 // A daemon is the per-node actor that maintains the local yellow-page
 // directory. It holds the node's own row (what gets announced), the
-// MembershipTable (what is known about everyone), and exposes a change
-// listener so tests and the evaluation harness can record exactly when a
-// node learned of a join or a failure.
+// MembershipTable (what is known about everyone), and reports each change
+// to its view through a listener that only the owning Cluster sets; tests
+// and the evaluation harness subscribe through Cluster::set_change_listener
+// to record exactly when a node learned of a join or a failure.
 #pragma once
 
 #include <functional>
@@ -58,12 +59,10 @@ class MembershipDaemon {
 
   // --- observation hooks ---------------------------------------------------
   // Fired when the local view adds (alive=true) or removes (alive=false) a
-  // node. `when` is virtual time. Self-transitions are not reported.
+  // node. `when` is virtual time. Self-transitions are not reported. Only
+  // Cluster sets it (see Cluster::set_change_listener).
   using ChangeListener = std::function<void(membership::NodeId subject,
                                             bool alive, sim::Time when)>;
-  void set_change_listener(ChangeListener listener) {
-    listener_ = std::move(listener);
-  }
 
   // Count of live nodes in this node's view (including itself).
   size_t view_size() const { return table_.size(); }
@@ -95,6 +94,7 @@ class MembershipDaemon {
   bool running_ = false;
 
  private:
+  friend class Cluster;  // Cluster::make_daemon sets listener_
   ChangeListener listener_;
 };
 

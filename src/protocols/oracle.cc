@@ -99,20 +99,16 @@ sim::Duration MembershipOracle::detection_deadline() const {
 void MembershipOracle::start() {
   TAMP_CHECK(!running_);
   running_ = true;
-  for (size_t i = 0; i < cluster_.size(); ++i) install_listener(i);
+  cluster_.set_change_listener([this](size_t observer, NodeId subject,
+                                      bool alive, sim::Time when) {
+    on_change(observer, subject, alive, when);
+  });
   check_timer_.start(kOracleCheckInterval);
 }
 
 void MembershipOracle::stop() {
   running_ = false;
   check_timer_.stop();
-}
-
-void MembershipOracle::install_listener(size_t index) {
-  cluster_.daemon(index).set_change_listener(
-      [this, index](NodeId subject, bool alive, sim::Time when) {
-        on_change(index, subject, alive, when);
-      });
 }
 
 // --- ground truth -----------------------------------------------------------
@@ -177,15 +173,14 @@ void MembershipOracle::note_restart(size_t index) {
   if (!join_probe.pending.empty()) {
     join_probes_.push_back(std::move(join_probe));
   }
-  // Cluster::restart builds a fresh daemon; re-claim its listener slot and
-  // forget the old lifetime's epoch history (a fresh daemon restarts at 0).
+  // Cluster::restart builds a fresh daemon; forget the old lifetime's epoch
+  // history (a fresh daemon restarts at 0).
   if (index < epoch_seen_.size()) {
     std::fill(epoch_seen_[index].begin(), epoch_seen_[index].end(),
               membership::Epoch{0});
     std::fill(stale_claim_since_[index].begin(),
               stale_claim_since_[index].end(), sim::Time{0});
   }
-  install_listener(index);
 }
 
 void MembershipOracle::note_pause(size_t index) {

@@ -104,9 +104,9 @@ class MembershipOracle {
   MembershipOracle(sim::Simulation& sim, net::Network& net,
                    net::Topology& topology, Cluster& cluster);
 
-  // Installs per-daemon change listeners (claiming the cluster's listener
-  // slot) and starts the periodic check. Call after Cluster construction,
-  // before or after start_all().
+  // Takes the cluster's one change listener (replacing any other) and
+  // starts the periodic check. Call after Cluster construction, before or
+  // after start_all().
   void start();
   void stop();
 
@@ -181,7 +181,6 @@ class MembershipOracle {
   // is sized with this at first use, so min_levels must cover any depth the
   // run's mutations can reach.
   int hier_levels() const;
-  void install_listener(size_t index);
   void on_change(size_t observer_index, membership::NodeId subject, bool alive,
                  sim::Time when);
   bool default_reachable(net::HostId from, net::HostId to) const;

@@ -2,12 +2,14 @@
 // nodes (sometimes under packet loss) for a long stretch of virtual time;
 // after a quiet period every surviving view must equal the live set, no
 // node may ever be counted dead twice in a row without a rejoin between,
-// and leadership invariants must hold. Parameterized over seeds and
-// cluster shapes — each seed generates a different adversary schedule.
+// each node's notifications must add up to its view, and leadership
+// invariants must hold. Parameterized over seeds and cluster shapes — each
+// seed generates a different adversary schedule.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <map>
+#include <ranges>
 #include <set>
 #include <vector>
 
@@ -37,25 +39,21 @@ TEST_P(ChurnSoak, EventuallyConvergesWithConsistentNotifications) {
 
   // Notification sanity: per (observer, subject), alive-state transitions
   // must alternate (no double-leave, no double-join). A restart builds a
-  // fresh daemon whose view starts empty, so the check is re-installed on
-  // it with that observer's beliefs cleared.
+  // fresh daemon whose view starts empty, so that observer's beliefs are
+  // cleared first.
   std::vector<std::map<membership::NodeId, bool>> believed_alive(
       cluster.size());
   int violations = 0;
-  auto watch = [&](size_t i) {
-    believed_alive[i].clear();
-    cluster.daemon(i).set_change_listener(
-        [&, i](membership::NodeId subject, bool alive, sim::Time) {
-          auto it = believed_alive[i].try_emplace(subject, false).first;
-          if (it->second == alive) ++violations;
-          it->second = alive;
-        });
-  };
+  cluster.set_change_listener([&](size_t observer, membership::NodeId subject,
+                                  bool alive, sim::Time) {
+    auto it = believed_alive[observer].try_emplace(subject, false).first;
+    if (it->second == alive) ++violations;
+    it->second = alive;
+  });
   auto restart = [&](size_t i) {
+    believed_alive[i].clear();
     cluster.restart(i);
-    watch(i);
   };
-  for (size_t i = 0; i < cluster.size(); ++i) watch(i);
 
   cluster.start_all();
   sim.run_until(15 * sim::kSecond);
@@ -97,6 +95,13 @@ TEST_P(ChurnSoak, EventuallyConvergesWithConsistentNotifications) {
       << cluster.converged_count() << "/" << cluster.size() << " seed "
       << seed;
   EXPECT_EQ(violations, 0);
+  // Every observer was heard, each revenant included: each ends believing
+  // exactly the other nodes alive.
+  for (size_t i = 0; i < cluster.size(); ++i) {
+    EXPECT_EQ(std::ranges::count(believed_alive[i] | std::views::values, true),
+              static_cast<long>(cluster.size() - 1))
+        << "observer " << i;
+  }
 
   // Leadership invariants after the dust settles: exactly one level-0
   // leader audible per node, and every node agrees with its own group.

@@ -756,14 +756,16 @@ TEST_F(RobustnessFixture, DeterministicReplay) {
 
 // One daemon and one crafted peer on a switch. The peer runs no daemon:
 // each of its level-0 heartbeats is built here, so the stream position it
-// advertises is exactly the one the test names.
+// advertises is exactly the one the test names. The daemon is a one-host
+// Cluster's, so a test can subscribe to its view changes.
 struct PeerRecordFixture : public ::testing::Test {
   sim::Simulation sim{5};
   net::Topology topo;
   net::HostId self_host = 0;
   net::HostId peer_host = 0;
   std::unique_ptr<net::Network> net;
-  std::unique_ptr<HierDaemon> daemon;
+  std::unique_ptr<Cluster> cluster;
+  HierDaemon* daemon = nullptr;
 
   void SetUp() override {
     net::DeviceId sw = topo.add_l2_switch("sw");
@@ -772,8 +774,9 @@ struct PeerRecordFixture : public ::testing::Test {
     topo.connect(self_host, sw);
     topo.connect(peer_host, sw);
     net = std::make_unique<net::Network>(sim, topo);
-    daemon = std::make_unique<HierDaemon>(
-        sim, *net, self_host, membership::make_representative_entry(self_host));
+    cluster = std::make_unique<Cluster>(
+        sim, *net, std::vector<net::HostId>{self_host}, Cluster::Options{});
+    daemon = cluster->hier_daemon(0);
     daemon->start();
     sim.run_until(5 * sim::kSecond);  // alone: it now leads level 0
     ASSERT_TRUE(daemon->is_leader(0));
@@ -886,7 +889,7 @@ TEST_F(PeerRecordFixture,
        UnannouncedRelayedRowExpiresOnTheFirstWalkPastTimeout) {
   const sim::Duration walk_every = 5 * daemon->config().period;
   sim::Time expired = -1;
-  daemon->set_change_listener(
+  cluster->set_change_listener(
       [&](membership::NodeId subject, bool alive, sim::Time when) {
         if (subject == peer_host && !alive && expired < 0) expired = when;
       });

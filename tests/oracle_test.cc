@@ -178,6 +178,38 @@ TEST_F(OracleTest, DetectsFalseFailuresUnderSilentBlackhole) {
   EXPECT_TRUE(found) << oracle_->report();
 }
 
+// A revenant is graded as an observer too: the fresh daemon that restart()
+// builds reports to the oracle, so its false failure declarations under the
+// same silent blackhole are flagged under its own name.
+TEST_F(OracleTest, HearsARevenantsFalseFailures) {
+  build(Scheme::kAllToAll, 1, 6);
+  oracle_->start();
+  cluster_->start_all();
+  sim_->run_until(16 * sim::kSecond);
+  ASSERT_TRUE(oracle_->ok()) << oracle_->report();
+
+  const size_t revenant_index = 2;
+  cluster_->kill(revenant_index);
+  oracle_->note_crash(revenant_index);
+  sim_->run_until(sim_->now() + oracle_->detection_deadline());
+  cluster_->restart(revenant_index);
+  oracle_->note_restart(revenant_index);
+  // Past the excuse window the restart opened.
+  sim_->run_until(sim_->now() + oracle_->detection_deadline());
+  ASSERT_TRUE(cluster_->converged());
+  ASSERT_TRUE(oracle_->ok()) << oracle_->report();
+
+  net_->set_extra_loss(1.0);  // silent: no note_network_fault()
+  sim_->run_until(sim_->now() + 15 * sim::kSecond);
+
+  bool found = false;
+  for (const auto& violation : oracle_->violations()) {
+    found = found || (violation.invariant == "false-failure" &&
+                      violation.observer == layout_.hosts[revenant_index]);
+  }
+  EXPECT_TRUE(found) << oracle_->report();
+}
+
 // A false-failure report states the spans the excuse compared: time since
 // the observer's, the subject's and the network's last disturbance, and
 // the window each was held to.

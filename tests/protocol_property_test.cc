@@ -160,8 +160,9 @@ INSTANTIATE_TEST_SUITE_P(
     param_name);
 
 // A listener installed through the Cluster also hears the fresh daemon that
-// restart() builds: the revenant reports each peer alive exactly once as its
-// empty view fills.
+// restart() builds, under the revenant's index: the revenant reports each
+// peer alive exactly once as its empty view fills, every other observer
+// reports the revenant alive exactly once, and no survivor re-adds another.
 TEST(ClusterListener, HearsRestartedDaemon) {
   for (Scheme scheme : {Scheme::kAllToAll, Scheme::kHierarchical}) {
     SCOPED_TRACE(scheme_name(scheme));
@@ -179,11 +180,12 @@ TEST(ClusterListener, HearsRestartedDaemon) {
     const size_t revenant_index = 2;
     const net::HostId revenant = layout.hosts[revenant_index];
     bool restarted = false;
-    std::map<membership::NodeId, int> peer_adds;
-    cluster.set_change_listener(
-        [&](membership::NodeId subject, bool alive, sim::Time) {
-          if (restarted && alive && subject != revenant) ++peer_adds[subject];
-        });
+    std::map<std::pair<size_t, membership::NodeId>, int> adds;
+    cluster.set_change_listener([&](size_t observer,
+                                    membership::NodeId subject, bool alive,
+                                    sim::Time) {
+      if (restarted && alive) ++adds[{observer, subject}];
+    });
     cluster.start_all();
     sim.run_until(20 * sim::kSecond);
     ASSERT_TRUE(cluster.converged());
@@ -195,9 +197,17 @@ TEST(ClusterListener, HearsRestartedDaemon) {
     sim.run_until(80 * sim::kSecond);
 
     ASSERT_TRUE(cluster.converged());
-    for (net::HostId peer : layout.hosts) {
-      if (peer == revenant) continue;
-      EXPECT_EQ(peer_adds[peer], 1) << "peer " << peer;
+    for (size_t i = 0; i < layout.hosts.size(); ++i) {
+      if (i == revenant_index) continue;
+      EXPECT_EQ((adds[{revenant_index, layout.hosts[i]}]), 1)
+          << "revenant hearing peer " << layout.hosts[i];
+      EXPECT_EQ((adds[{i, revenant}]), 1) << "observer " << i;
+    }
+    // No survivor drops and re-adds another survivor meanwhile.
+    for (const auto& [key, count] : adds) {
+      if (key.first == revenant_index || key.second == revenant) continue;
+      EXPECT_EQ(count, 0) << "observer " << key.first << " re-adding peer "
+                          << key.second;
     }
   }
 }
