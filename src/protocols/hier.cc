@@ -49,30 +49,28 @@ HierDaemon::HierDaemon(sim::Simulation& sim, net::Network& net, NodeId self,
   table_ = membership::MembershipTable(kTombstoneTtl);
   levels_.reserve(static_cast<size_t>(config_.max_ttl));
   for (int level = 0; level < config_.max_ttl; ++level) {
-    auto state = std::make_unique<LevelState>();
-    state->level = level;
-    // The listen window and the backup grace both end the same way: elect
-    // if the channel is still leaderless.
-    auto elect_if_leaderless = [this, level] {
-      if (level_state(level).leader == membership::kInvalidNode) {
-        maybe_start_election(level);
-      }
-    };
-    state->listen_timer =
-        std::make_unique<sim::OneShotTimer>(sim, elect_if_leaderless);
-    state->election_timer = std::make_unique<sim::OneShotTimer>(
-        sim, [this, level] { election_deadline(level); });
-    state->coordinator_timer =
-        std::make_unique<sim::OneShotTimer>(sim, [this, level] {
-          LevelState& ls = level_state(level);
-          ls.electing = false;
-          if (ls.leader == membership::kInvalidNode) maybe_start_election(level);
-        });
-    state->backup_grace_timer =
-        std::make_unique<sim::OneShotTimer>(sim, elect_if_leaderless);
-    levels_.push_back(std::move(state));
+    const auto l = static_cast<size_t>(level);
+    const net::ChannelId channel =
+        l < config_.level_channels.size() && config_.level_channels[l] != 0
+            ? config_.level_channels[l]
+            : config_.base_channel + static_cast<net::ChannelId>(level);
+    // One channel per level, or a level's traffic is read as another's.
+    TAMP_CHECK_MSG(level_of_channel(channel) < 0,
+                   "hier levels %d and %d share channel %u",
+                   level_of_channel(channel), level, channel);
+    channels_.push_back(channel);
+    levels_.push_back(std::make_unique<LevelState>(*this, level));
   }
   resolve_metrics();
+}
+
+HierDaemon::LevelState::LevelState(HierDaemon& daemon, int level)
+    : daemon(daemon), level(level), leadership(daemon.self_) {
+  for (size_t t = 0; t < Leadership::kTimers; ++t) {
+    timers[t] = std::make_unique<sim::OneShotTimer>(daemon.sim_, [this, t] {
+      leadership.on_timer(*this, static_cast<Leadership::Timer>(t));
+    });
+  }
 }
 
 HierDaemon::~HierDaemon() { stop(); }
@@ -128,23 +126,8 @@ sim::Duration level_timeout(const HierConfig& config, int level) {
 }
 
 int HierDaemon::level_of_channel(net::ChannelId channel) const {
-  // Admin-specified channels take precedence over the derived mapping.
-  for (size_t l = 0; l < config_.level_channels.size() &&
-                     l < static_cast<size_t>(config_.max_ttl);
-       ++l) {
-    if (config_.level_channels[l] != 0 &&
-        config_.level_channels[l] == channel) {
-      return static_cast<int>(l);
-    }
-  }
-  if (channel < config_.base_channel) return -1;
-  auto level = static_cast<int64_t>(channel - config_.base_channel);
-  if (level >= config_.max_ttl) return -1;
-  if (static_cast<size_t>(level) < config_.level_channels.size() &&
-      config_.level_channels[static_cast<size_t>(level)] != 0) {
-    return -1;  // this level was remapped away from the derived channel
-  }
-  return static_cast<int>(level);
+  auto it = std::find(channels_.begin(), channels_.end(), channel);
+  return it == channels_.end() ? -1 : static_cast<int>(it - channels_.begin());
 }
 
 // --- lifecycle ------------------------------------------------------------
@@ -184,9 +167,7 @@ void HierDaemon::join_level(int level) {
   net_.join_group(self_, channel_of(level));
   arm_scan(level);
   send_heartbeat(level);
-  // Paper bootstrap: listen for a leader flag first; elect only if the
-  // channel turns out to be leaderless.
-  ls.listen_timer->restart(join_listen(config_.period));
+  ls.leadership.join(ls, join_listen(config_.period));
 }
 
 void HierDaemon::leave_levels_from(int level, bool announce) {
@@ -203,33 +184,19 @@ void HierDaemon::leave_levels_from(int level, bool announce) {
       goodbye.is_leader = false;
       goodbye.leaving = true;
       goodbye.seq = ++hb_seq_;
-      net_.send_multicast(self_, channel_of(l), ttl_of(l), config_.data_port,
-                          encode_message(goodbye, config_.heartbeat_pad));
+      multicast(l, encode_message(goodbye, config_.heartbeat_pad));
     }
     net_.leave_group(self_, channel_of(l));
     ls.joined = false;
     demote_due_ = true;
     ls.bootstrapped = false;
     ls.peers.clear();
-    ls.leader = membership::kInvalidNode;
-    ls.leader_backup = membership::kInvalidNode;
-    ls.i_am_leader = false;
-    ls.my_backup = membership::kInvalidNode;
-    ls.electing = false;
-    ls.answered = false;
-    ls.prev_leader = membership::kInvalidNode;
-    ls.prev_leader_incarnation = 0;
     ls.digest_due.clear();
     clear_out_log(ls);
     ls.exchanges.clear();
-    // `superseded` intentionally NOT reset: succession knowledge, like the
-    // epoch itself, must never regress within one daemon lifetime.
     // out_seq intentionally NOT reset: receivers' per-origin cursors must
     // never observe a sequence regression.
-    ls.listen_timer->cancel();
-    ls.election_timer->cancel();
-    ls.coordinator_timer->cancel();
-    ls.backup_grace_timer->cancel();
+    ls.leadership.leave(ls);
   }
 }
 
@@ -279,18 +246,17 @@ bool HierDaemon::joined(int level) const {
 }
 
 bool HierDaemon::is_leader(int level) const {
-  return joined(level) && levels_[level]->i_am_leader;
+  return joined(level) && levels_[level]->leadership.leads();
 }
 
 NodeId HierDaemon::leader_of(int level) const {
   if (!joined(level)) return membership::kInvalidNode;
-  return levels_[level]->leader;
+  return levels_[level]->leadership.leader();
 }
 
 NodeId HierDaemon::backup_of(int level) const {
   if (!joined(level)) return membership::kInvalidNode;
-  const LevelState& ls = *levels_[level];
-  return ls.i_am_leader ? ls.my_backup : ls.leader_backup;
+  return levels_[level]->leadership.backup();
 }
 
 std::vector<int> HierDaemon::joined_levels() const {
@@ -312,7 +278,7 @@ std::vector<NodeId> HierDaemon::group_members(int level) const {
 
 membership::Epoch HierDaemon::epoch_of(int level) const {
   if (level < 0 || level >= config_.max_ttl) return 0;
-  return levels_[level]->epoch;
+  return levels_[level]->leadership.epoch();
 }
 
 size_t HierDaemon::pending_exchanges(int level) const {
@@ -380,13 +346,11 @@ void HierDaemon::send_heartbeat(int level) {
   HeartbeatMsg heartbeat;
   heartbeat.entry = own_;
   heartbeat.level = static_cast<uint8_t>(level);
-  heartbeat.is_leader = ls.i_am_leader;
-  heartbeat.backup = ls.my_backup;
+  heartbeat.is_leader = ls.leadership.leads();
+  if (heartbeat.is_leader) heartbeat.backup = ls.leadership.backup();
   heartbeat.seq = ls.out_seq;
-  heartbeat.epoch = ls.epoch;
-  net_.send_multicast(self_, channel_of(level), ttl_of(level),
-                      config_.data_port,
-                      encode_message(heartbeat, config_.heartbeat_pad));
+  heartbeat.epoch = ls.leadership.epoch();
+  multicast(level, encode_message(heartbeat, config_.heartbeat_pad));
   metrics_.heartbeats_sent->add();
 }
 
@@ -468,13 +432,7 @@ void HierDaemon::forget_member(int level, NodeId member) {
   ls.drop_member(member);
   demote_due_ = true;
   prune_pending(ls, member);
-  if (ls.leader == member) {
-    ls.leader = membership::kInvalidNode;
-    ls.backup_grace_timer->restart(kBackupGrace);
-  }
-  if (ls.i_am_leader && ls.my_backup == member) {
-    ls.my_backup = pick_backup(level);
-  }
+  ls.leadership.member_gone(ls, member);
 }
 
 bool HierDaemon::heard_directly(NodeId node) const {
@@ -488,7 +446,7 @@ void HierDaemon::on_member_dead(int level, NodeId member) {
   LevelState& ls = level_state(level);
   const Peer* peer = ls.find_peer(member);
   if (peer == nullptr || !peer->member) return;
-  const bool was_leader = peer->is_leader || ls.leader == member;
+  const bool flagged_leader = peer->is_leader;
   // Capture the dying life's incarnation before the table entry goes: the
   // succession fence must name the life that was lost, not a later restart.
   const auto* lost_entry = table_.find(member);
@@ -500,9 +458,7 @@ void HierDaemon::on_member_dead(int level, NodeId member) {
 
   trace(obs::TraceKind::kTimeoutExpiry, level, member);
 
-  if (ls.i_am_leader && ls.my_backup == member) {
-    ls.my_backup = pick_backup(level);
-  }
+  ls.leadership.backup_lost(ls, member);
 
   if (!heard_directly(member)) {
     if (table_.remove(member, lost_incarnation, sim_.now())) {
@@ -514,10 +470,10 @@ void HierDaemon::on_member_dead(int level, NodeId member) {
     // dead *level-0* leader does not: the backup/new leader re-seeds the
     // group within the (larger) higher-level timeouts, so instant purging
     // would only cause view flapping; orphan expiry is the backstop.
-    if (level > 0) purge_dependents(member, level, ls.epoch);
+    if (level > 0) purge_dependents(member, level, ls.leadership.epoch());
   }
 
-  if (was_leader) handle_leader_loss(level, member, lost_incarnation);
+  ls.leadership.leader_dead(ls, member, lost_incarnation, flagged_leader);
 }
 
 void HierDaemon::purge_dependents(NodeId dead, int arrival_level,
@@ -525,7 +481,7 @@ void HierDaemon::purge_dependents(NodeId dead, int arrival_level,
   // A purge established under a leadership epoch that has since been
   // superseded is acting on stale knowledge: the new leadership's refresh
   // is re-seeding exactly the entries this purge would remove.
-  if (trigger_epoch < level_state(arrival_level).epoch) {
+  if (trigger_epoch < level_state(arrival_level).leadership.epoch()) {
     metrics_.stale_epoch_rejects->add();
     return;
   }
@@ -581,7 +537,7 @@ void HierDaemon::on_data_packet(const net::Packet& packet) {
         } else if constexpr (std::is_same_v<T, UpdateMsg>) {
           on_update(level, msg);
         } else if constexpr (std::is_same_v<T, ElectionMsg>) {
-          on_election(level, msg);
+          arrival.leadership.on_election(arrival, msg.candidate);
         } else if constexpr (std::is_same_v<T, CoordinatorMsg>) {
           on_coordinator(level, msg);
         } else if constexpr (std::is_same_v<T, RefreshDigestMsg>) {
@@ -604,7 +560,7 @@ void HierDaemon::on_control_packet(const net::Packet& packet) {
           absorb_entries(msg.known, msg.requester, 0);
           BootstrapResponseMsg response;
           response.level = static_cast<uint8_t>(wire_level(msg.level));
-          response.epoch = levels_[response.level]->epoch;
+          response.epoch = levels_[response.level]->leadership.epoch();
           serve_image(msg.requester, BusyKind::kBootstrap,
                       metrics_.bootstraps_served, response);
         } else if constexpr (std::is_same_v<T, BootstrapResponseMsg>) {
@@ -613,9 +569,8 @@ void HierDaemon::on_control_packet(const net::Packet& packet) {
           // A full image from a responder whose leadership of this channel
           // was superseded is itself stale: don't absorb it, the live
           // leader's traffic is already re-seeding us.
-          if (fenced_stale(ls, msg.responder, msg.epoch,
-                           msg.responder_incarnation)) {
-            metrics_.stale_epoch_rejects->add();
+          if (rejects_stale(ls, msg.responder, msg.epoch,
+                            msg.responder_incarnation)) {
             return;
           }
           // The exchange completed: only now is the level bootstrapped. A
@@ -629,7 +584,7 @@ void HierDaemon::on_control_packet(const net::Packet& packet) {
           if (msg.level < config_.max_ttl) {
             const LevelState& ls = *levels_[msg.level];
             if (ls.joined) response.stream_seq = ls.out_seq;
-            response.epoch = ls.epoch;
+            response.epoch = ls.leadership.epoch();
           }
           serve_image(msg.requester, BusyKind::kSync, metrics_.syncs_served,
                       response);
@@ -641,9 +596,8 @@ void HierDaemon::on_control_packet(const net::Packet& packet) {
             // the image of a responder whose leadership of this channel was
             // superseded (a resumed stale leader serves a view missing most
             // of the cluster).
-            if (fenced_stale(ls, msg.responder, msg.epoch,
-                             msg.responder_incarnation)) {
-              metrics_.stale_epoch_rejects->add();
+            if (rejects_stale(ls, msg.responder, msg.epoch,
+                              msg.responder_incarnation)) {
               return;
             }
             // The poll was answered; stop the retry timer for it.
@@ -662,9 +616,7 @@ void HierDaemon::on_control_packet(const net::Packet& packet) {
           reconcile_with_image(msg.responder, msg.entries, arrival);
           absorb_entries(msg.entries, msg.responder, arrival);
         } else if constexpr (std::is_same_v<T, ElectionAnswerMsg>) {
-          if (joined(msg.level) && levels_[msg.level]->electing) {
-            levels_[msg.level]->answered = true;
-          }
+          if (joined(msg.level)) levels_[msg.level]->leadership.on_answer();
         } else if constexpr (std::is_same_v<T, BusyMsg>) {
           on_busy(msg);
         } else if constexpr (std::is_same_v<T, RefreshPullMsg>) {
@@ -697,23 +649,8 @@ void HierDaemon::on_heartbeat(int level, const HeartbeatMsg& msg) {
     return;
   }
 
-  // Epoch bookkeeping. Epochs are lineage-scoped — overlapping groups
-  // sharing this channel mint independently, so a bigger number from an
-  // arbitrary sender proves nothing by itself. A claim is stale only when
-  // our succession record says this claimant's *current life* was already
-  // superseded at that epoch (a restarted claimant is a fresh lineage);
-  // supersession of *our own* leadership likewise requires a direct claim
-  // (leader flag / COORDINATOR), never second-hand member gossip.
-  const bool stale_claim =
-      msg.is_leader &&
-      fenced_stale(ls, sender, msg.epoch, msg.entry->incarnation());
-  if (msg.is_leader && !stale_claim) {
-    if (msg.epoch > ls.epoch) adopt_epoch(level, msg.epoch, sender);
-  } else if (!msg.is_leader && !ls.i_am_leader && msg.epoch > ls.epoch) {
-    // Member gossip raises the channel-history watermark (so a later mint
-    // lands above it) but carries no supersession authority.
-    ls.epoch = msg.epoch;
-  }
+  const bool stale_claim = ls.leadership.hear_epoch(ls, msg);
+  if (stale_claim) metrics_.stale_epoch_rejects->add();
 
   // One record serves both the member bookkeeping and the stream cursor;
   // the table apply and the notification below leave it in place.
@@ -722,11 +659,7 @@ void HierDaemon::on_heartbeat(int level, const HeartbeatMsg& msg) {
   // A stale claimant is still a live member; just don't record it as a
   // leader, or its presence would suppress a genuinely needed election.
   peer.heard(now, msg.is_leader && !stale_claim, msg.backup);
-  // A leader that took the role alone names its first member as backup.
-  if (added_member && ls.i_am_leader &&
-      ls.my_backup == membership::kInvalidNode) {
-    ls.my_backup = sender;
-  }
+  if (added_member) ls.leadership.member_added(sender);
 
   ApplyResult result = table_.apply(msg.entry, Liveness::kDirect,
                                     membership::kInvalidNode, now);
@@ -746,59 +679,7 @@ void HierDaemon::on_heartbeat(int level, const HeartbeatMsg& msg) {
     request_sync(level, sender, msg.seq);
   }
 
-  if (stale_claim) {
-    // Reject the claim: don't adopt the sender as leader, don't yield to
-    // it, don't pull its (stale) image. If we hold the live leadership,
-    // repel it — assert the current epoch and re-seed the claimant's view
-    // so it abdicates and recovers without operator action.
-    metrics_.stale_epoch_rejects->add();
-    if (ls.i_am_leader) {
-      repel_stale_claim(level, sender, msg.epoch, msg.entry->incarnation());
-    }
-    if (ls.leader == sender) ls.leader = membership::kInvalidNode;
-  } else if (msg.is_leader) {
-    const bool leader_changed = ls.leader != sender;
-    if (leader_changed) {
-      ls.leader = sender;
-      ls.prev_leader = membership::kInvalidNode;  // succession resolved
-      ls.prev_leader_incarnation = 0;
-      ls.backup_grace_timer->cancel();
-      if (ls.electing) {
-        ls.electing = false;
-        ls.answered = false;
-        ls.election_timer->cancel();
-        ls.coordinator_timer->cancel();
-      }
-    }
-    ls.leader_backup = msg.backup;
-    if (ls.i_am_leader) {
-      // Two leaders in mutual earshot: a newer-epoch claim was already
-      // resolved by adopt_epoch above (we yielded), so what remains is an
-      // equal-or-older claim from an independent lineage (healed merge,
-      // overlap fringe): lowest id keeps the role (paper's election
-      // invariant — a leader never tolerates seeing another).
-      if (sender < self_) {
-        ls.leader = sender;
-        abdicate(level);
-        // Merged groups (e.g. a healed partition): exchange views with the
-        // surviving leader so both sides' subtrees propagate.
-        request_bootstrap(level, sender);
-      } else {
-        send_coordinator(level);
-        ls.leader = self_;
-      }
-    } else if (!ls.bootstrapped || leader_changed) {
-      // First contact with a leader, or a leadership handoff: (re)pull the
-      // full image from whoever now leads this channel.
-      request_bootstrap(level, sender);
-    }
-  } else if (ls.leader == sender) {
-    // It stepped down. Give a successor's claim the backup grace to arrive,
-    // then elect: two leaders that yield to each other in the same instant
-    // would otherwise leave the level with no leader and no election.
-    ls.leader = membership::kInvalidNode;
-    ls.backup_grace_timer->restart(kBackupGrace);
-  }
+  ls.leadership.hear_claim(ls, msg, stale_claim, ls.bootstrapped);
 
   // A fresh face (or fresh contents) in a group we participate in gets
   // propagated to the groups we lead; the relay rules no-op for followers.
@@ -820,10 +701,7 @@ void HierDaemon::on_update(int level, const UpdateMsg& msg) {
   // stamped while detached, describe a world that no longer exists. Epochs
   // from other, overlapping lineages pass (not comparable numbers), and so
   // does a restarted origin's fresh stream (new life, new lineage).
-  if (fenced_stale(ls, msg.origin, msg.epoch, msg.origin_incarnation)) {
-    metrics_.stale_epoch_rejects->add();
-    return;
-  }
+  if (rejects_stale(ls, msg.origin, msg.epoch, msg.origin_incarnation)) return;
   if (msg.records.empty()) return;
 
   std::vector<const UpdateRecord*> ordered;
@@ -875,293 +753,135 @@ void HierDaemon::on_update(int level, const UpdateMsg& msg) {
   peer->seq = newest;
 }
 
-void HierDaemon::on_election(int level, const ElectionMsg& msg) {
-  LevelState& ls = level_state(level);
-  if (msg.candidate == self_) return;
-  if (ls.i_am_leader) {
-    send_coordinator(level);
-    return;
-  }
-  if (self_ < msg.candidate && can_participate(level)) {
-    ElectionAnswerMsg answer;
-    answer.responder = self_;
-    answer.level = static_cast<uint8_t>(level);
-    net_.send_unicast(self_, net::Address{msg.candidate, config_.control_port},
-                      encode_message(answer));
-    maybe_start_election(level);
-  }
+bool HierDaemon::rejects_stale(const LevelState& ls, NodeId sender,
+                               membership::Epoch epoch, Incarnation life) {
+  if (!ls.leadership.fenced_stale(sender, epoch, life)) return false;
+  metrics_.stale_epoch_rejects->add();
+  return true;
 }
 
 void HierDaemon::on_coordinator(int level, const CoordinatorMsg& msg) {
   LevelState& ls = level_state(level);
-  if (msg.leader == self_) return;
-  if (fenced_stale(ls, msg.leader, msg.epoch, msg.leader_incarnation)) {
-    // Stale replay: an announcement of leadership the group has since
-    // re-elected away (e.g. a resumed leader's deferred COORDINATOR).
-    metrics_.stale_epoch_rejects->add();
-    if (ls.i_am_leader) {
-      repel_stale_claim(level, msg.leader, msg.epoch, msg.leader_incarnation);
-    }
-    return;
+  switch (ls.leadership.hear_coordinator(ls, msg)) {
+    case Leadership::Heard::kStale:
+      metrics_.stale_epoch_rejects->add();
+      return;
+    case Leadership::Heard::kKept:
+      return;
+    case Leadership::Heard::kFollowed:
+      ls.add_peer(msg.leader).heard(sim_.now(), true, msg.backup);
+      if (!ls.bootstrapped) request_bootstrap(level, msg.leader);
+      return;
   }
-  // Record the succession the announcement carries: claims by the named
-  // predecessor's fenced life below this epoch are fenced from now on. This
-  // is what lets a receiver that never directly hears the new leader still
-  // reject the old one's replayed leadership.
-  if (msg.prev != membership::kInvalidNode && msg.prev != msg.leader &&
-      msg.prev != self_ && msg.epoch > 0) {
-    raise_fence(ls, msg.prev, msg.epoch - 1, msg.prev_incarnation);
-  }
-  if (msg.epoch > ls.epoch) {
-    adopt_epoch(level, msg.epoch, msg.leader);
-    // adopt_epoch resolved any leadership we held; fall through as a
-    // follower and record the announcer.
-  }
-  if (ls.i_am_leader) {
-    if (msg.leader < self_) {
-      ls.leader = msg.leader;
-      ls.leader_backup = msg.backup;
-      abdicate(level);
-    }
-    // Otherwise keep the role; the higher-id claimant will yield when it
-    // hears our leader-flagged heartbeat.
-    return;
-  }
-  ls.leader = msg.leader;
-  ls.leader_backup = msg.backup;
-  ls.prev_leader = membership::kInvalidNode;  // succession resolved
-  ls.prev_leader_incarnation = 0;
-  ls.electing = false;
-  ls.answered = false;
-  ls.election_timer->cancel();
-  ls.coordinator_timer->cancel();
-  ls.backup_grace_timer->cancel();
-  ls.add_peer(msg.leader).heard(sim_.now(), true, msg.backup);
-  if (!ls.bootstrapped) request_bootstrap(level, msg.leader);
 }
 
-// --- leadership -------------------------------------------------------------
+// --- the leadership unit's host ---------------------------------------------
 
-bool HierDaemon::can_participate(int level) const {
-  const LevelState& ls = *levels_[level];
-  if (!ls.joined) return false;
-  // Paper overlap rule: stay out of elections on a channel where we already
-  // hear a leader (even one of a different, overlapping group).
-  for (const Peer& peer : ls.peers) {
+void HierDaemon::LevelState::arm(Leadership::Timer timer,
+                                 sim::Duration delay) {
+  timers[static_cast<size_t>(timer)]->restart(delay);
+}
+
+void HierDaemon::LevelState::cancel(Leadership::Timer timer) {
+  timers[static_cast<size_t>(timer)]->cancel();
+}
+
+bool HierDaemon::LevelState::can_participate() const {
+  if (!joined) return false;
+  for (const Peer& peer : peers) {
     if (peer.member && peer.is_leader) return false;
   }
   return true;
 }
 
-void HierDaemon::maybe_start_election(int level) {
-  LevelState& ls = level_state(level);
-  if (!ls.joined || ls.electing || ls.i_am_leader || !can_participate(level)) {
-    return;
-  }
-  metrics_.elections_started->add();
-  trace(obs::TraceKind::kElectionStart, level, ls.epoch);
-  ls.electing = true;
-  ls.answered = false;
-  ElectionMsg msg;
-  msg.candidate = self_;
-  msg.level = static_cast<uint8_t>(level);
-  net_.send_multicast(self_, channel_of(level), ttl_of(level),
-                      config_.data_port, encode_message(msg));
-  ls.election_timer->restart(kElectionTimeout);
-}
-
-void HierDaemon::election_deadline(int level) {
-  LevelState& ls = level_state(level);
-  if (!ls.electing) return;
-  if (!ls.answered) {
-    become_leader(level);
-  } else {
-    // A lower-id node objected; give it time to announce itself.
-    ls.coordinator_timer->restart(kCoordinatorTimeout);
-  }
-}
-
-NodeId HierDaemon::pick_backup(int level) {
-  LevelState& ls = level_state(level);
+NodeId HierDaemon::LevelState::pick_backup() {
   std::vector<NodeId> candidates;
-  for (const Peer& peer : ls.peers) {
+  for (const Peer& peer : peers) {
     if (peer.member) candidates.push_back(peer.id);
   }
   if (candidates.empty()) return membership::kInvalidNode;
-  return sim_.rng().pick(candidates);
+  return daemon.sim_.rng().pick(candidates);
 }
 
-void HierDaemon::become_leader(int level) {
-  LevelState& ls = level_state(level);
-  ls.electing = false;
-  ls.answered = false;
-  ls.election_timer->cancel();
-  ls.coordinator_timer->cancel();
-  ls.backup_grace_timer->cancel();
-  if (ls.i_am_leader) return;
-  ls.i_am_leader = true;
-  ls.leader = self_;
-  ls.my_backup = pick_backup(level);
-  // Our own view is now the group's authority; an outstanding bootstrap
-  // poll (to a dead or demoted leader) is moot.
-  close_bootstrap(ls);
-  // Mint a new leadership epoch above everything heard on this channel, and
-  // fence the predecessor we are succeeding: its claims (and replayed
-  // updates) below the new epoch are stale from this moment on.
-  ls.epoch += 1;
-  metrics_.epochs_minted->add();
-  trace(obs::TraceKind::kEpochMint, level, ls.epoch);
-  if (ls.prev_leader != membership::kInvalidNode && ls.prev_leader != self_) {
-    raise_fence(ls, ls.prev_leader, ls.epoch - 1, ls.prev_leader_incarnation);
-  }
+void HierDaemon::LevelState::send_election() {
+  ElectionMsg msg;
+  msg.candidate = daemon.self_;
+  msg.level = static_cast<uint8_t>(level);
+  daemon.multicast(level, encode_message(msg));
+}
 
-  send_coordinator(level);
+void HierDaemon::LevelState::send_answer(NodeId candidate) {
+  ElectionAnswerMsg answer;
+  answer.responder = daemon.self_;
+  answer.level = static_cast<uint8_t>(level);
+  daemon.unicast(candidate, encode_message(answer));
+}
 
-  send_heartbeat(level);
+void HierDaemon::LevelState::send_coordinator(CoordinatorMsg msg) {
+  msg.level = static_cast<uint8_t>(level);
+  msg.leader_incarnation = daemon.own_->incarnation();
+  daemon.multicast(level, encode_message(msg));
+  daemon.metrics_.coordinators_sent->add();
+  daemon.trace(obs::TraceKind::kCoordinator, level, msg.epoch);
+}
+
+void HierDaemon::LevelState::took_lead() {
+  close_bootstrap(*this);
+  daemon.send_heartbeat(level);
   // Re-seed the group with everything we know: after a leader death the
   // members purged the old relay's entries and need a fresh image.
-  send_state_refresh(level);
-  join_level(level + 1);
+  daemon.send_state_refresh(level);
+  daemon.join_level(level + 1);
   // Announce our subtree upward before the higher group's (longer) timeout
   // purges everything the dead leader used to relay.
-  if (joined(level + 1)) send_state_refresh(level + 1, /*subtree_only=*/true);
+  if (daemon.joined(level + 1)) {
+    daemon.send_state_refresh(level + 1, /*subtree_only=*/true);
+  }
 }
 
-void HierDaemon::abdicate(int level) {
-  LevelState& ls = level_state(level);
-  if (!ls.i_am_leader) return;
-  ls.i_am_leader = false;
-  ls.my_backup = membership::kInvalidNode;
+void HierDaemon::LevelState::gave_up_lead() {
   // Membership of level L+1 was contingent on leading level L. This is a
   // voluntary departure, so it is announced (we are not dead).
-  leave_levels_from(level + 1, /*announce=*/true);
+  daemon.leave_levels_from(level + 1, /*announce=*/true);
 }
 
-void HierDaemon::send_coordinator(int level) {
-  LevelState& ls = level_state(level);
-  CoordinatorMsg msg;
-  msg.leader = self_;
-  msg.level = static_cast<uint8_t>(level);
-  msg.backup = ls.my_backup;
-  msg.epoch = ls.epoch;
-  // Name the leadership this one superseded (when it succeeded one), so
-  // every receiver — including ones that will never hear us directly —
-  // learns to fence the predecessor's replayed claims.
-  msg.prev = ls.i_am_leader ? ls.prev_leader : membership::kInvalidNode;
-  msg.leader_incarnation = own_->incarnation();
-  msg.prev_incarnation = ls.i_am_leader ? ls.prev_leader_incarnation : 0;
-  net_.send_multicast(self_, channel_of(level), ttl_of(level),
-                      config_.data_port, encode_message(msg));
-  metrics_.coordinators_sent->add();
-  trace(obs::TraceKind::kCoordinator, level, ls.epoch);
+void HierDaemon::LevelState::request_bootstrap(NodeId leader) {
+  daemon.request_bootstrap(level, leader);
 }
 
-void HierDaemon::adopt_epoch(int level, membership::Epoch epoch,
-                             NodeId new_leader) {
-  LevelState& ls = level_state(level);
-  if (epoch <= ls.epoch) return;
-  ls.epoch = epoch;
-  ls.prev_leader = membership::kInvalidNode;
-  ls.prev_leader_incarnation = 0;
-  if (!ls.i_am_leader) return;
-  // A direct claim outranks our leadership: either we were superseded while
-  // out of earshot (pause, partition) and the group elected past us, or a
-  // merge brought a longer-lived leadership into earshot. Step down
-  // silently. The out-log is dropped, not replayed — it holds leaves
-  // stamped while detached, which would purge live nodes — and the old
-  // subtree's entries are the new leadership's to curate, so no purge
-  // either. Then re-enter as a plain member and pull a fresh image.
-  metrics_.epochs_superseded->add();
-  trace(obs::TraceKind::kEpochSupersede, level, epoch, new_leader);
-  clear_out_log(ls);
-  ls.leader = new_leader;
-  abdicate(level);
-  ls.bootstrapped = false;
-  close_bootstrap(ls);  // any in-flight poll aimed at old leadership
-  if (new_leader != membership::kInvalidNode) {
-    request_bootstrap(level, new_leader);
-  }
-  // Else: leader unknown yet — re-pull from whoever we next hear claiming
-  // the channel with a live epoch.
-}
-
-void HierDaemon::raise_fence(LevelState& ls, NodeId node,
-                             membership::Epoch epoch,
-                             membership::Incarnation incarnation) {
-  // Fences are per-life: a record for a newer incarnation replaces the old
-  // life's record wholesale (the old life can never claim again anyway),
-  // while within one life the fence only ever rises.
-  LevelState::Fence& fence = ls.superseded[node];
-  if (incarnation > fence.incarnation) {
-    fence.incarnation = incarnation;
-    fence.epoch = epoch;
-  } else if (incarnation == fence.incarnation) {
-    fence.epoch = std::max(fence.epoch, epoch);
+void HierDaemon::LevelState::superseded(NodeId leader) {
+  daemon.clear_out_log(*this);
+  bootstrapped = false;
+  close_bootstrap(*this);  // any in-flight poll aimed at old leadership
+  // Leader unknown yet: re-pull from whoever we next hear claiming the
+  // channel with a live epoch.
+  if (leader != membership::kInvalidNode) {
+    daemon.request_bootstrap(level, leader);
   }
 }
 
-bool HierDaemon::fenced_stale(const LevelState& ls, NodeId node,
-                              membership::Epoch epoch,
-                              membership::Incarnation incarnation) {
-  // Stale only when the claimant's *current life* was superseded at or
-  // below this epoch: a higher incarnation is a restart — a fresh lineage
-  // the old succession record says nothing about.
-  auto it = ls.superseded.find(node);
-  return it != ls.superseded.end() && incarnation <= it->second.incarnation &&
-         epoch <= it->second.epoch;
-}
-
-void HierDaemon::repel_stale_claim(int level, NodeId claimant,
-                                   membership::Epoch claim_epoch,
-                                   membership::Incarnation claim_incarnation) {
-  LevelState& ls = level_state(level);
-  // Pin the claimant's current life in the succession fence (it may predate
-  // our own knowledge — e.g. the fence was learned from a COORDINATOR) and
-  // name it in the re-assertion so followers that missed the original
-  // announcement learn the succession too.
-  raise_fence(ls, claimant, claim_epoch, claim_incarnation);
-  trace(obs::TraceKind::kStaleReject, level, claimant, claim_epoch);
-  ls.prev_leader = claimant;
-  ls.prev_leader_incarnation = claim_incarnation;
-  send_coordinator(level);
+void HierDaemon::LevelState::reseed() {
   // Re-seed the claimant's stale view (and repair anything its replayed
   // leaves knocked out elsewhere). A full-view burst, so rate-limited: the
   // claimant keeps heartbeating until the COORDINATOR lands.
-  const sim::Time now = sim_.now();
-  if (now - ls.last_stale_reseed < config_.period) return;
-  ls.last_stale_reseed = now;
-  send_state_refresh(level);
+  const sim::Time now = daemon.sim_.now();
+  if (now - last_stale_reseed < daemon.config_.period) return;
+  last_stale_reseed = now;
+  daemon.send_state_refresh(level);
   // The resumed subtree hangs off this channel; re-announce upward too so
   // the parent group re-admits whatever the stale episode purged there.
-  if (level + 1 < config_.max_ttl && levels_[level + 1]->joined) {
-    send_state_refresh(level + 1, /*subtree_only=*/true);
+  if (daemon.joined(level + 1)) {
+    daemon.send_state_refresh(level + 1, /*subtree_only=*/true);
   }
 }
 
-void HierDaemon::handle_leader_loss(int level, NodeId old_leader,
-                                    membership::Incarnation old_incarnation) {
-  LevelState& ls = level_state(level);
-  // Leadership may already have been resolved (a backup's COORDINATOR beat
-  // our own detection scan): do not contest it.
-  if (ls.leader != membership::kInvalidNode && ls.leader != old_leader) {
-    return;
-  }
-  if (ls.leader == old_leader) ls.leader = membership::kInvalidNode;
-  // Whoever wins the succession (backup takeover or election) names the
-  // lost leader's life as superseded in its COORDINATOR.
-  ls.prev_leader = old_leader;
-  ls.prev_leader_incarnation = old_incarnation;
-  const NodeId backup = ls.leader_backup;
-  ls.leader_backup = membership::kInvalidNode;
-  if (backup == self_ && ls.joined && !ls.i_am_leader) {
-    become_leader(level);  // designated backup takes over immediately
-    return;
-  }
-  if (backup != membership::kInvalidNode && ls.is_member(backup)) {
-    ls.backup_grace_timer->restart(kBackupGrace);
-  } else {
-    maybe_start_election(level);
-  }
+void HierDaemon::LevelState::note(obs::TraceKind kind, uint64_t a,
+                                  uint64_t b) {
+  const Metrics& m = daemon.metrics_;
+  if (kind == obs::TraceKind::kElectionStart) m.elections_started->add();
+  if (kind == obs::TraceKind::kEpochMint) m.epochs_minted->add();
+  if (kind == obs::TraceKind::kEpochSupersede) m.epochs_superseded->add();
+  daemon.trace(kind, level, a, b);
 }
 
 // --- update propagation ------------------------------------------------------
@@ -1213,7 +933,7 @@ bool HierDaemon::process_record(const UpdateRecord& record, NodeId relayed_by,
   notify(record.subject, false);
   relay_record(record, arrival_level);
   purge_dependents(record.subject, arrival_level,
-                   levels_[arrival_level]->epoch);
+                   levels_[arrival_level]->leadership.epoch());
   return true;
 }
 
@@ -1223,14 +943,14 @@ void HierDaemon::relay_record(const UpdateRecord& record, int arrival_level) {
   // arrival channel itself when we lead it — needed for overlapping groups,
   // where same-channel peers may be outside the original sender's TTL).
   for (int l = 0; l < config_.max_ttl; ++l) {
-    if (levels_[l]->joined && levels_[l]->i_am_leader) emit[l] = true;
+    if (levels_[l]->joined && levels_[l]->leadership.leads()) emit[l] = true;
   }
   // Upward cascade: the leader of level L forwards into L+1; when it is the
   // (possibly sole) member-and-leader there too, the record must keep
   // climbing — a node cannot receive its own multicast, so the cascade is
   // computed here rather than re-entering through the socket.
   for (int l = arrival_level;
-       l + 1 < config_.max_ttl && levels_[l]->i_am_leader &&
+       l + 1 < config_.max_ttl && levels_[l]->leadership.leads() &&
        levels_[l + 1]->joined;
        ++l) {
     emit[l + 1] = true;
@@ -1252,14 +972,14 @@ void HierDaemon::emit_batch(int level,
   UpdateMsg msg;
   msg.origin = self_;
   msg.origin_incarnation = own_->incarnation();
-  msg.epoch = ls.epoch;
+  msg.epoch = ls.leadership.epoch();
   // Piggyback the previous records (newest first) after the new batch.
   const size_t prior =
       std::min<size_t>(static_cast<size_t>(config_.piggyback), ls.out_log.size());
   for (const auto& record : batch) {
     UpdateRecord stamped = record;
     stamped.seq = ++ls.out_seq;
-    stamped.epoch = ls.epoch;
+    stamped.epoch = ls.leadership.epoch();
     ls.out_log.push_front(stamped);
   }
   // Compaction: a record shadowed by a newer record for the same subject at
@@ -1295,10 +1015,10 @@ void HierDaemon::emit_batch(int level,
     ls.out_log_base = std::max(ls.out_log_base, ls.out_log.back().seq);
     ls.out_log.pop_back();
   }
-  net_.send_multicast(self_, channel_of(level), ttl_of(level),
-                      config_.data_port, encode_message(msg));
+  multicast(level, encode_message(msg));
   metrics_.updates_sent->add();
-  trace(obs::TraceKind::kDeltaEmit, level, msg.records.size(), ls.epoch);
+  trace(obs::TraceKind::kDeltaEmit, level, msg.records.size(),
+        ls.leadership.epoch());
 }
 
 void HierDaemon::clear_out_log(LevelState& ls) {
@@ -1359,7 +1079,7 @@ void HierDaemon::send_refresh_digest(int level, bool subtree) {
   msg.origin = self_;
   msg.origin_incarnation = own_->incarnation();
   msg.level = static_cast<uint8_t>(level);
-  msg.epoch = ls.epoch;
+  msg.epoch = ls.leadership.epoch();
   msg.subtree = subtree;
   msg.row_count = static_cast<uint32_t>(rows.size());
   msg.buckets.assign(bucket_count, 0);
@@ -1373,8 +1093,7 @@ void HierDaemon::send_refresh_digest(int level, bool subtree) {
     // delta-varint scope coding wants.
     if (subtree) msg.subjects.push_back(row->row->node());
   }
-  net_.send_multicast(self_, channel_of(level), ttl_of(level),
-                      config_.data_port, encode_message(std::move(msg)));
+  multicast(level, encode_message(std::move(msg)));
   metrics_.digests_sent->add();
 }
 
@@ -1406,8 +1125,7 @@ void HierDaemon::on_refresh_digest(int level, const RefreshDigestMsg& msg) {
   // Same stale-replay fence as update streams: a digest from a superseded
   // leadership life describes a pre-re-election world; comparing against it
   // (and worse, pulling rows from it) would resurrect that world.
-  if (fenced_stale(ls, msg.origin, msg.epoch, msg.origin_incarnation)) {
-    metrics_.stale_epoch_rejects->add();
+  if (rejects_stale(ls, msg.origin, msg.epoch, msg.origin_incarnation)) {
     ls.digest_due.erase({msg.origin, msg.subtree});
     return;
   }
@@ -1466,7 +1184,7 @@ void HierDaemon::send_refresh_pull(
   RefreshPullMsg pull;
   pull.requester = self_;
   pull.level = static_cast<uint8_t>(level);
-  pull.epoch = level_state(level).epoch;
+  pull.epoch = level_state(level).leadership.epoch();
   pull.subtree = subtree;
   for (size_t b = 0; b < mismatched.size(); ++b) {
     if (mismatched[b]) pull.bucket_indices.push_back(static_cast<uint16_t>(b));
@@ -1475,8 +1193,7 @@ void HierDaemon::send_refresh_pull(
     pull.rows.push_back(DigestRowSummary{
         row->row->node(), row->row->incarnation(), row->row->hash()});
   }
-  net_.send_unicast(self_, net::Address{origin, config_.control_port},
-                    encode_message(std::move(pull)));
+  unicast(origin, encode_message(std::move(pull)));
   metrics_.digest_pulls_sent->add();
 }
 
@@ -1487,7 +1204,8 @@ void HierDaemon::check_digest_rounds(int level) {
     const auto [origin, subtree] = it->first;
     // Only a member still leading this group owes downward rounds; any
     // member of it still represents its subtree upward.
-    if (!ls.is_member(origin) || (!subtree && ls.leader != origin)) {
+    if (!ls.is_member(origin) ||
+        (!subtree && ls.leadership.leader() != origin)) {
       it = ls.digest_due.erase(it);
       continue;
     }
@@ -1529,7 +1247,7 @@ void HierDaemon::on_refresh_pull(const RefreshPullMsg& msg) {
   delta.responder = self_;
   delta.responder_incarnation = own_->incarnation();
   delta.level = msg.level;
-  delta.epoch = ls.epoch;
+  delta.epoch = ls.leadership.epoch();
   for (const MembershipEntry* row : refresh_scope(level, msg.subtree)) {
     if (!wanted[membership::digest_bucket_of(row->row->node(),
                                              bucket_count)]) {
@@ -1554,8 +1272,7 @@ void HierDaemon::on_refresh_pull(const RefreshPullMsg& msg) {
   metrics_.delta_rows_shipped->add(delta.entries.size());
   metrics_.digest_rows_suppressed->add(delta.confirmed.size());
   metrics_.deltas_sent->add();
-  net_.send_unicast(self_, net::Address{msg.requester, config_.control_port},
-                    encode_message(std::move(delta)));
+  unicast(msg.requester, encode_message(std::move(delta)));
 }
 
 void HierDaemon::on_refresh_delta(const RefreshDeltaMsg& msg) {
@@ -1563,8 +1280,7 @@ void HierDaemon::on_refresh_delta(const RefreshDeltaMsg& msg) {
   const int level = wire_level(msg.level);
   LevelState& ls = *levels_[level];
   if (!ls.joined) return;
-  if (fenced_stale(ls, msg.responder, msg.epoch, msg.responder_incarnation)) {
-    metrics_.stale_epoch_rejects->add();
+  if (rejects_stale(ls, msg.responder, msg.epoch, msg.responder_incarnation)) {
     return;
   }
   absorb_entries(msg.entries, msg.responder, level);
@@ -1623,10 +1339,9 @@ void HierDaemon::send_bootstrap_request(int level, NodeId leader) {
   BootstrapRequestMsg request;
   request.requester = self_;
   request.level = static_cast<uint8_t>(level);
-  request.epoch = level_state(level).epoch;
+  request.epoch = level_state(level).leadership.epoch();
   request.known = full_view();
-  net_.send_unicast(self_, net::Address{leader, config_.control_port},
-                    encode_message(std::move(request)));
+  unicast(leader, encode_message(std::move(request)));
 }
 
 void HierDaemon::send_sync_request(int level, NodeId origin) {
@@ -1640,9 +1355,8 @@ void HierDaemon::send_sync_request(int level, NodeId origin) {
   // intervening update may have advanced it.
   const Peer* peer = ls.find_peer(origin);
   request.last_seq_seen = peer != nullptr && peer->has_cursor ? peer->seq : 0;
-  request.epoch = ls.epoch;
-  net_.send_unicast(self_, net::Address{origin, config_.control_port},
-                    encode_message(request));
+  request.epoch = ls.leadership.epoch();
+  unicast(origin, encode_message(request));
 }
 
 void HierDaemon::open_exchange(int level, BusyKind kind, NodeId target,
@@ -1716,8 +1430,7 @@ void HierDaemon::serve_image(NodeId requester, BusyKind kind,
                        windows_ahead * config_.period;
     trace(obs::TraceKind::kBusyPushback, busy.level, requester,
           static_cast<uint64_t>(busy.retry_after));
-    net_.send_unicast(self_, net::Address{requester, config_.control_port},
-                      encode_message(busy));
+    unicast(requester, encode_message(busy));
     return;
   }
   served->add();
@@ -1726,8 +1439,7 @@ void HierDaemon::serve_image(NodeId requester, BusyKind kind,
   response.entries = full_view();
   metrics_.image_serve_entries->observe(
       static_cast<double>(response.entries.size()));
-  net_.send_unicast(self_, net::Address{requester, config_.control_port},
-                    encode_message(std::move(response)));
+  unicast(requester, encode_message(std::move(response)));
 }
 
 bool HierDaemon::admit_image_serve() {
@@ -1808,7 +1520,7 @@ void HierDaemon::reconcile_with_image(NodeId responder,
       notify(id, false);
       relay_record(make_leave_record(id, incarnation), arrival_level);
       purge_dependents(id, arrival_level,
-                       level_state(arrival_level).epoch);
+                       level_state(arrival_level).leadership.epoch());
     }
   }
 }
@@ -1832,14 +1544,14 @@ void HierDaemon::absorb_entries(const std::vector<RowRef>& entries,
 
 void HierDaemon::refresh_tick() {
   for (int l = 0; l < config_.max_ttl; ++l) {
-    if (!levels_[l]->joined || !levels_[l]->i_am_leader) continue;
+    if (!levels_[l]->joined || !levels_[l]->leadership.leads()) continue;
     // Anti-entropy into the group this node leads, and upward into the
     // parent group it represents that subtree in: every relayed entry in
     // the cluster is vouched for along its chain once per interval, so
     // freshness genuinely means "still being relayed". The round ships a
-    // digest, not the rows; event-driven re-seeds elsewhere (become_leader,
-    // repel_stale_claim) send the full image, where the receivers provably
-    // need all of it.
+    // digest, not the rows; event-driven re-seeds elsewhere (taking the
+    // lead, repelling a stale claim) send the full image, where the
+    // receivers provably need all of it.
     send_refresh_digest(l, /*subtree=*/false);
     if (l + 1 < config_.max_ttl && levels_[l + 1]->joined) {
       send_refresh_digest(l + 1, /*subtree=*/true);

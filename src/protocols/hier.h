@@ -37,9 +37,11 @@
 // leader death the backup takes over immediately, and a full bully election
 // runs only when both are gone. A leader of level L joins level L+1 and
 // answers bootstrap/sync polls; losing leadership cascades it back out of
-// all higher levels.
+// all higher levels. Each level's election, backup and epoch fencing are
+// one `Leadership` unit (protocols/leadership.h); its level is its host.
 #pragma once
 
+#include <array>
 #include <deque>
 #include <map>
 #include <memory>
@@ -48,6 +50,7 @@
 
 #include "obs/obs.h"
 #include "protocols/daemon.h"
+#include "protocols/leadership.h"
 #include "protocols/ports.h"
 #include "sim/timer.h"
 #include "util/retry.h"
@@ -63,13 +66,6 @@ inline constexpr size_t kDigestBuckets = 16;
 inline constexpr size_t kDigestMaxRowsPerDelta = 64;
 // How often each joined level's members are checked against its timeout.
 inline constexpr sim::Duration kHierScanInterval = 100 * sim::kMillisecond;
-// Bully election: how long a candidate waits for an ANSWER before claiming,
-// and how long an answered candidate waits for the winner's COORDINATOR.
-inline constexpr sim::Duration kElectionTimeout = 300 * sim::kMillisecond;
-inline constexpr sim::Duration kCoordinatorTimeout = 800 * sim::kMillisecond;
-// How long a group waits for the designated backup to take over a dead
-// leader before it falls back to a full election.
-inline constexpr sim::Duration kBackupGrace = 600 * sim::kMillisecond;
 // How long a removed node's (node, incarnation) stays quarantined against
 // relayed re-joins. Must exceed the piggyback replay horizon and be short
 // enough that healed partitions re-merge promptly.
@@ -92,6 +88,7 @@ struct HierConfig {
   // "For maximum control flexibility, our implementation also allows
   // administrators to specify multicast channels at each level": when
   // non-empty, entry [l] (if non-zero) overrides `base_channel + l`.
+  // Two levels may not share a channel.
   std::vector<net::ChannelId> level_channels;
   net::Port data_port = kDataPort;
   net::Port control_port = kControlPort;
@@ -185,15 +182,19 @@ class HierDaemon : public MembershipDaemon {
     }
   };
 
-  struct LevelState {
-    int level = 0;
+  struct LevelState final : Leadership::Host {
+    LevelState(HierDaemon& daemon, int level);
+    LevelState(const LevelState&) = delete;  // its timers capture `this`
+    LevelState& operator=(const LevelState&) = delete;
+    HierDaemon& daemon;
+    const int level;
     bool joined = false;
     bool bootstrapped = false;
     // Sorted by id, self excluded: found or inserted once per packet.
     std::vector<Peer> peers;
     Peer* find_peer(membership::NodeId id);
     Peer& add_peer(membership::NodeId id);  // found, or inserted blank
-    bool is_member(membership::NodeId id) const;
+    bool is_member(membership::NodeId id) const override;
     // The peer stops being a member; its record goes too unless it still
     // holds a cursor.
     void drop_member(membership::NodeId id);
@@ -205,40 +206,10 @@ class HierDaemon : public MembershipDaemon {
     // re-tightens the bound when it walks.
     sim::Time oldest_heard = 0;
 
-    membership::NodeId leader = membership::kInvalidNode;  // may be self
-    membership::NodeId leader_backup = membership::kInvalidNode;
-    bool i_am_leader = false;
-    membership::NodeId my_backup = membership::kInvalidNode;
-
-    bool electing = false;
-    bool answered = false;  // saw an ANSWER for our candidacy
-
-    // Highest leadership epoch observed on this channel (== our own minted
-    // epoch while i_am_leader). Epochs are lineage-scoped: overlapping
-    // groups sharing this channel mint independently, so this value is used
-    // for minting above the channel's history and for claim-vs-claim
-    // resolution — never as a blanket fence against arbitrary senders.
-    // Survives leaving the level; reset only by a daemon restart, which the
-    // oracle treats as a fresh observer.
-    membership::Epoch epoch = 0;
-    // Succession record: claimant -> highest (epoch, incarnation) at which
-    // its leadership of a group on this channel is known superseded. A
-    // claim (or update / image) from a listed node at or below that epoch
-    // is stale replay — but only within the same life: a claimant that
-    // restarted (higher incarnation) is a new lineage and passes the fence,
-    // otherwise a node once superseded could never lead again after a
-    // crash-restart. Populated from CoordinatorMsg::prev and repelled
-    // claims.
-    struct Fence {
-      membership::Epoch epoch = 0;
-      membership::Incarnation incarnation = 0;
-    };
-    std::map<membership::NodeId, Fence> superseded;
-    // The leader whose loss triggered our pending/held leadership — named
-    // as CoordinatorMsg::prev so the group learns the succession — plus the
-    // incarnation its fenced life was living.
-    membership::NodeId prev_leader = membership::kInvalidNode;
-    membership::Incarnation prev_leader_incarnation = 0;
+    // Leader, backup, election and epoch fencing. The epoch and the fences
+    // survive leaving the level; only a daemon restart, which the oracle
+    // treats as a fresh observer, resets them.
+    Leadership leadership;
     // Last time any packet arrived on this channel. A gap exceeding the
     // level's own failure timeout means every peer has timed us out: the
     // out-log stamped during the gap is stale and must not be replayed.
@@ -281,21 +252,39 @@ class HierDaemon : public MembershipDaemon {
              std::unique_ptr<PendingExchange>>
         exchanges;
 
-    std::unique_ptr<sim::OneShotTimer> listen_timer;
-    std::unique_ptr<sim::OneShotTimer> election_timer;
-    std::unique_ptr<sim::OneShotTimer> coordinator_timer;
-    std::unique_ptr<sim::OneShotTimer> backup_grace_timer;
+    // The unit's timers, indexed by Leadership::Timer.
+    std::array<std::unique_ptr<sim::OneShotTimer>, Leadership::kTimers>
+        timers;
+
+    // Leadership::Host: the unit's sends and side effects on this level.
+    void arm(Leadership::Timer timer, sim::Duration delay) override;
+    void cancel(Leadership::Timer timer) override;
+    bool can_participate() const override;
+    membership::NodeId pick_backup() override;
+    void send_election() override;
+    void send_answer(membership::NodeId candidate) override;
+    void send_coordinator(membership::CoordinatorMsg msg) override;
+    void took_lead() override;
+    void gave_up_lead() override;
+    void request_bootstrap(membership::NodeId leader) override;
+    void superseded(membership::NodeId leader) override;
+    void reseed() override;
+    void note(obs::TraceKind kind, uint64_t a, uint64_t b) override;
   };
 
   // --- level / channel plumbing -----------------------------------------
-  net::ChannelId channel_of(int level) const {
-    if (static_cast<size_t>(level) < config_.level_channels.size() &&
-        config_.level_channels[static_cast<size_t>(level)] != 0) {
-      return config_.level_channels[static_cast<size_t>(level)];
-    }
-    return config_.base_channel + static_cast<net::ChannelId>(level);
-  }
+  net::ChannelId channel_of(int level) const { return channels_[level]; }
   uint8_t ttl_of(int level) const { return static_cast<uint8_t>(level + 1); }
+  // Sends on `level`'s channel, and to `to`'s control port.
+  void multicast(int level, net::Payload payload) {
+    net_.send_multicast(self_, channel_of(level), ttl_of(level),
+                        config_.data_port, std::move(payload));
+  }
+  void unicast(membership::NodeId to, net::Payload payload) {
+    net_.send_unicast(self_, net::Address{to, config_.control_port},
+                      std::move(payload));
+  }
+  // -1 for a channel no level uses.
   int level_of_channel(net::ChannelId channel) const;
   LevelState& level_state(int level) { return *levels_[level]; }
   // The level a control message names, clamped to 0 when out of range.
@@ -329,8 +318,7 @@ class HierDaemon : public MembershipDaemon {
   // were dropped.
   size_t drop_out_of_scope(int level);
   // A member left this channel alive (goodbye, or moved out of scope): drop
-  // its bookkeeping, with no death semantics. A leader whose backup left
-  // picks another.
+  // its bookkeeping, with no death semantics.
   void forget_member(int level, membership::NodeId member);
   void on_member_dead(int level, membership::NodeId member);
   bool heard_directly(membership::NodeId node) const;
@@ -347,43 +335,11 @@ class HierDaemon : public MembershipDaemon {
   void on_control_packet(const net::Packet& packet);
   void on_heartbeat(int level, const membership::HeartbeatMsg& msg);
   void on_update(int level, const membership::UpdateMsg& msg);
-  void on_election(int level, const membership::ElectionMsg& msg);
   void on_coordinator(int level, const membership::CoordinatorMsg& msg);
-
-  // --- leadership ----------------------------------------------------------
-  bool can_participate(int level) const;
-  void maybe_start_election(int level);
-  void election_deadline(int level);
-  membership::NodeId pick_backup(int level);
-  void become_leader(int level);
-  void abdicate(int level);
-  void handle_leader_loss(int level, membership::NodeId old_leader,
-                          membership::Incarnation old_incarnation);
-  // Fence maintenance: a fence is keyed to the fenced life. Raising with a
-  // newer incarnation replaces the record; raising with an older one is
-  // stale knowledge and ignored.
-  static void raise_fence(LevelState& ls, membership::NodeId node,
-                          membership::Epoch epoch,
-                          membership::Incarnation incarnation);
-  static bool fenced_stale(const LevelState& ls, membership::NodeId node,
-                           membership::Epoch epoch,
-                           membership::Incarnation incarnation);
-  // Multicast a COORDINATOR assertion carrying the level's current epoch
-  // and the superseded predecessor (prev_leader) when there is one.
-  void send_coordinator(int level);
-  // Adopt a *directly claimed* newer epoch (leader-flagged heartbeat or
-  // COORDINATOR — never second-hand gossip). If this node held the now
-  // superseded leadership, it silently abdicates, drops its stale out-log
-  // instead of replaying it, and re-bootstraps from `new_leader` rather
-  // than purging its old subtree.
-  void adopt_epoch(int level, membership::Epoch epoch,
-                   membership::NodeId new_leader);
-  // A leader observed a stale leadership claim on its channel: record the
-  // claimant in the succession fence, re-assert the live leadership (naming
-  // the claimant as superseded), and re-seed its stale view.
-  void repel_stale_claim(int level, membership::NodeId claimant,
-                         membership::Epoch claim_epoch,
-                         membership::Incarnation claim_incarnation);
+  // Whether a message from `sender`'s life is stale replay on this level
+  // (Leadership::fenced_stale); a rejection is counted.
+  bool rejects_stale(const LevelState& ls, membership::NodeId sender,
+                     membership::Epoch epoch, membership::Incarnation life);
 
   // --- update propagation -----------------------------------------------
   // Applies one record, fires notifications, cascades purges, and relays
@@ -397,7 +353,7 @@ class HierDaemon : public MembershipDaemon {
   void emit_batch(int level,
                   const std::vector<membership::UpdateRecord>& batch);
   // The refresh scope as a batch of join records: the full-image re-seed
-  // of event-driven paths (become_leader, repel_stale_claim).
+  // of event-driven paths (taking the lead, repelling a stale claim).
   void send_state_refresh(int level, bool subtree_only = false);
 
   // --- incremental anti-entropy (digests) -----------------------------------
@@ -523,6 +479,8 @@ class HierDaemon : public MembershipDaemon {
   void trace(obs::TraceKind kind, int level, uint64_t a = 0, uint64_t b = 0);
 
   HierConfig config_;
+  // Each level's channel: its level_channels override, else base + level.
+  std::vector<net::ChannelId> channels_;
   std::vector<std::unique_ptr<LevelState>> levels_;
   sim::PeriodicTimer heartbeat_timer_;
   sim::GridTimer scan_timer_;

@@ -433,6 +433,14 @@ TEST_F(RobustnessFixture, AdminSpecifiedLevelChannels) {
   EXPECT_TRUE(cluster->converged());
 }
 
+// Two levels on one channel would read one level's traffic as the other's.
+// Overriding level 0 with base + 1 puts it on level 1's derived channel.
+TEST_F(RobustnessFixture, LevelsMayNotShareAChannel) {
+  Cluster::Options opts;
+  opts.hier.level_channels = {kBaseChannel + 1};
+  EXPECT_DEATH(build(2, 4, opts), "hier levels 0 and 1 share channel 1001");
+}
+
 // The anti-entropy refresh repairs a view that missed everything: a node
 // whose updates and syncs were all suppressed for a long stretch still
 // converges once traffic flows again.
