@@ -209,21 +209,4 @@ std::vector<const MembershipEntry*> MembershipTable::lookup_regex(
       partition_spec);
 }
 
-std::vector<NodeId> MembershipTable::expire(
-    sim::Time now,
-    const std::function<sim::Duration(const MembershipEntry&)>& timeout_for) {
-  std::vector<NodeId> expired;
-  oldest_relayed_ = std::numeric_limits<sim::Time>::max();
-  entries_.erase_if([&](NodeId id, const MembershipEntry& entry) {
-    sim::Duration timeout = timeout_for(entry);
-    if (timeout >= 0 && now - entry.last_heard > timeout) {
-      expired.push_back(id);
-      return true;
-    }
-    track_relayed(entry);
-    return false;
-  });
-  return expired;
-}
-
 }  // namespace tamp::membership

@@ -19,7 +19,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <limits>
 #include <map>
 #include <string>
@@ -113,13 +112,25 @@ class MembershipTable {
       const std::string& service_regex,
       const std::string& partition_spec) const;
 
-  // Expire entries whose last_heard is older than the per-entry timeout the
-  // policy callback returns. Expired entries are removed (no tombstone: an
-  // expiry is a local timeout, not authoritative news of a newer state) and
-  // their ids are returned.
-  std::vector<NodeId> expire(
-      sim::Time now,
-      const std::function<sim::Duration(const MembershipEntry&)>& timeout_for);
+  // Expire entries whose last_heard is older than the per-entry Duration
+  // `timeout_for(entry)` returns; a negative one never expires. Expired
+  // entries are removed (no tombstone: an expiry is a local timeout, not
+  // authoritative news of a newer state) and their ids are returned.
+  template <typename TimeoutFor>
+  std::vector<NodeId> expire(sim::Time now, const TimeoutFor& timeout_for) {
+    std::vector<NodeId> expired;
+    oldest_relayed_ = std::numeric_limits<sim::Time>::max();
+    entries_.erase_if([&](NodeId id, const MembershipEntry& entry) {
+      const sim::Duration timeout = timeout_for(entry);
+      if (timeout >= 0 && now - entry.last_heard > timeout) {
+        expired.push_back(id);
+        return true;
+      }
+      track_relayed(entry);
+      return false;
+    });
+    return expired;
+  }
 
   // A lower bound on every relayed row's last_heard; the largest Time when
   // there is none. Each relayed stamp and each demotion can only lower it,

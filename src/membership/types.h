@@ -6,10 +6,12 @@
 // through MService::update_value.
 #pragma once
 
+#include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "net/ids.h"
@@ -71,8 +73,45 @@ struct EntryData {
 // message and image holding it holds that same Row. Only make_row() builds
 // one, so bytes and hash always match the data.
 class Row;
-using RowRef = std::shared_ptr<const Row>;
+class RowRef;
 RowRef make_row(EntryData data);  // membership/codec.cc
+
+// A counted reference to a Row, 8 bytes: the count lives in the Row. It is
+// not atomic, because a Row never leaves the simulation that built it, and
+// a simulation runs on one thread (sim::ParallelRunner gives each scenario
+// one worker). So no Row may be reachable from two threads, e.g. through a
+// static that scenarios running in parallel both read.
+class RowRef {
+ public:
+  RowRef() = default;
+  RowRef(std::nullptr_t) {}  // NOLINT(google-explicit-constructor)
+  RowRef(const RowRef& other) : row_(other.row_) { acquire(); }
+  RowRef(RowRef&& other) noexcept : row_(std::exchange(other.row_, nullptr)) {}
+  RowRef& operator=(RowRef other) noexcept {
+    std::swap(row_, other.row_);
+    return *this;
+  }
+  ~RowRef() { release(); }
+
+  const Row* get() const { return row_; }
+  const Row* operator->() const { return row_; }
+  const Row& operator*() const { return *row_; }
+  explicit operator bool() const { return row_ != nullptr; }
+  // References held to this row, this one included; 0 for a null ref.
+  uint32_t use_count() const;
+
+  friend bool operator==(const RowRef& a, const RowRef& b) {
+    return a.row_ == b.row_;
+  }
+
+ private:
+  friend RowRef make_row(EntryData data);
+  explicit RowRef(const Row* row) : row_(row) { acquire(); }
+  void acquire() const;
+  void release() const;
+
+  const Row* row_ = nullptr;
+};
 
 class Row {
  public:
@@ -82,15 +121,38 @@ class Row {
   const std::vector<uint8_t>& bytes() const { return bytes_; }
   uint64_t hash() const { return hash_; }
 
+  // Rows alive in the process, across all simulations: what a test reads
+  // to see that dropping the last reference destroyed a row.
+  static size_t live_count() { return live_.load(std::memory_order_relaxed); }
+
  private:
+  friend class RowRef;
   friend RowRef make_row(EntryData data);
   Row(EntryData data, std::vector<uint8_t> bytes, uint64_t hash)
-      : data_(std::move(data)), bytes_(std::move(bytes)), hash_(hash) {}
+      : data_(std::move(data)), bytes_(std::move(bytes)), hash_(hash) {
+    live_.fetch_add(1, std::memory_order_relaxed);
+  }
+  ~Row() { live_.fetch_sub(1, std::memory_order_relaxed); }
+  Row(const Row&) = delete;
+  Row& operator=(const Row&) = delete;
+
+  static inline std::atomic<size_t> live_{0};
 
   EntryData data_;
   std::vector<uint8_t> bytes_;
   uint64_t hash_ = 0;
+  mutable uint32_t refs_ = 0;  // RowRefs held; see RowRef
 };
+
+inline uint32_t RowRef::use_count() const {
+  return row_ != nullptr ? row_->refs_ : 0;
+}
+inline void RowRef::acquire() const {
+  if (row_ != nullptr) ++row_->refs_;
+}
+inline void RowRef::release() const {
+  if (row_ != nullptr && --row_->refs_ == 0) delete row_;
+}
 
 // Content equality: the same object, or else the same hash and then the
 // same canonical bytes. Rows built apart can be equal (gossip seed rows, an
@@ -114,5 +176,8 @@ struct MembershipEntry {
 
   const EntryData& data() const { return row->data(); }
 };
+static_assert(sizeof(RowRef) == sizeof(void*));
+static_assert(sizeof(MembershipEntry) == 24,
+              "a directory slot: RowRef 8, last_heard 8, relay 4, liveness 1");
 
 }  // namespace tamp::membership

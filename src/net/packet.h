@@ -3,9 +3,12 @@
 // A payload is the sender's message, immutable once built, with the size its
 // encoding takes on the wire and its wire kind. Every receiver of a
 // multicast fan-out (and every injected duplicate) shares it, so no receiver
-// parses anything. `wire_bytes` is what the bandwidth accounting charges:
-// payload size plus per-fragment UDP/IP/Ethernet overhead, matching how the
-// paper counts heartbeat bandwidth on real links.
+// parses anything. A fan-out's receivers with one delivery delay share even
+// the Packet: the transport schedules it once for the group and stamps
+// `to.host` before each delivery, so a handler sees its own address.
+// `wire_bytes` is what the bandwidth accounting charges: payload size plus
+// per-fragment UDP/IP/Ethernet overhead, matching how the paper counts
+// heartbeat bandwidth on real links.
 #pragma once
 
 #include <cstddef>
@@ -65,7 +68,7 @@ enum class DeliveryKind : uint8_t { kUnicast, kMulticast };
 // delivery allocates nothing. Mind the padding when adding a field.
 struct Packet {
   Address from;
-  Address to;               // for multicast: to.host is the receiver
+  Address to;               // multicast: to.host is this delivery's receiver
   ChannelId channel = 0;    // multicast only
   DeliveryKind kind = DeliveryKind::kUnicast;
   uint8_t ttl = 0;          // TTL the sender used (multicast only)

@@ -1,6 +1,7 @@
 #include "net/transport.h"
 
 #include <algorithm>
+#include <memory>
 
 #include "util/check.h"
 
@@ -258,30 +259,44 @@ bool Network::send_multicast(HostId from, ChannelId channel, uint8_t ttl,
   // Fan-out batching: receivers on identical paths (the common case — a
   // whole rack behind one switch) land at the same delivery time, so their
   // deliveries share one scheduled event instead of one closure per
-  // receiver. Loss/jitter/duplicate draws stay per-receiver in member
+  // receiver. A batch holds the packet once and its receivers' host ids
+  // (the port is the send's); the event stamps `to.host` before each
+  // delivery. Loss/jitter/duplicate draws stay per-receiver in member
   // order, exactly as an unbatched fan-out would draw them.
+  struct FanOut {
+    Packet packet;
+    std::vector<HostId> receivers;
+  };
   struct DeliveryGroup {
     sim::Duration delay;
-    std::vector<Packet> packets;
+    std::unique_ptr<FanOut> batch;
   };
+  packet.to = Address{kInvalidHost, port};
   std::vector<DeliveryGroup> groups;  // first-seen delay order
   for (const auto& [receiver, path] : receivers_in_scope(from, channel, ttl)) {
-    packet.to = Address{receiver, port};
+    packet.to.host = receiver;
     route(packet, path, fragments, egress_delay, [&](sim::Duration delay) {
       auto group =
           std::find_if(groups.begin(), groups.end(),
                        [&](const auto& g) { return g.delay == delay; });
       if (group == groups.end()) {
-        group = groups.insert(groups.end(), DeliveryGroup{delay, {}});
+        group = groups.insert(
+            groups.end(),
+            DeliveryGroup{delay, std::make_unique<FanOut>(FanOut{packet, {}})});
       }
-      group->packets.push_back(packet);
+      group->batch->receivers.push_back(receiver);
     });
   }
   for (auto& group : groups) {
-    sim_.schedule_after(group.delay,
-                        [this, batch = std::move(group.packets)] {
-                          for (const Packet& packet : batch) deliver(packet);
-                        });
+    auto delivery = [this, batch = std::move(group.batch)] {
+      for (HostId receiver : batch->receivers) {
+        batch->packet.to.host = receiver;
+        deliver(batch->packet);
+      }
+    };
+    static_assert(sim::Callback::kFitsInline<decltype(delivery)>,
+                  "a fan-out batch is boxed once, by its unique_ptr");
+    sim_.schedule_after(group.delay, std::move(delivery));
   }
   return true;
 }

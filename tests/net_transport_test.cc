@@ -414,6 +414,115 @@ TEST(TransportDecision, UnicastAndMulticastDecideAlike) {
   EXPECT_EQ(multicast.deliveries, unicast.deliveries);
 }
 
+// --- fan-out batches ---------------------------------------------------------
+//
+// A multicast's receivers on one path share one scheduled event, which holds
+// the packet once and stamps each receiver's address on it as it delivers.
+struct FanOutFixture : public TransportFixture {
+  struct Delivery {
+    HostId socket;  // whose socket the packet reached
+    Address to;
+    sim::Time at;
+    bool operator==(const Delivery&) const = default;
+  };
+
+  // Two racks of three: from racks[0][0], its two rack-mates share one
+  // path and the other rack's three share another, so one send at TTL 2
+  // makes two delay groups.
+  static ClusterLayout two_racks_of_three(Topology& topo) {
+    RackedClusterParams params;
+    params.racks = 2;
+    params.hosts_per_rack = 3;
+    return build_racked_cluster(topo, params);
+  }
+
+  FanOutFixture() {
+    for (HostId h : layout.hosts) {
+      net.join_group(h, kChannel);
+      net.bind(h, kPort, [this, h](const Packet& p) {
+        deliveries.push_back(Delivery{h, p.to, sim.now()});
+      });
+    }
+  }
+
+  // Each receiver other than the sender, in member (join) order.
+  std::vector<HostId> receivers() const {
+    std::vector<HostId> out;
+    for (HostId h : layout.hosts) {
+      if (h != sender) out.push_back(h);
+    }
+    return out;
+  }
+
+  static constexpr ChannelId kChannel = 11;
+  static constexpr Port kPort = 7;
+  ClusterLayout layout = two_racks_of_three(topo);
+  Network net{sim, topo};  // after the layout: it sizes itself to topo
+  HostId sender = layout.racks[0][0];
+  std::vector<Delivery> deliveries;
+};
+
+TEST_F(FanOutFixture, OneEventPerDelayGroupEachReceiverItsOwnAddress) {
+  net.send_multicast(sender, kChannel, 2, kPort, bytes({1}));
+  EXPECT_EQ(sim.run(), 2u);  // the rack-mates' group, then the far rack's
+
+  ASSERT_EQ(deliveries.size(), 5u);
+  std::vector<HostId> order;
+  for (const Delivery& d : deliveries) {
+    order.push_back(d.socket);
+    EXPECT_EQ(d.to.host, d.socket);
+    EXPECT_EQ(d.to.port, kPort);
+  }
+  EXPECT_EQ(order, receivers());
+  EXPECT_EQ(deliveries[0].at, deliveries[1].at);
+  EXPECT_LT(deliveries[1].at, deliveries[2].at);
+  EXPECT_EQ(deliveries[2].at, deliveries[4].at);
+}
+
+TEST_F(FanOutFixture, DuplicatesDeliverEachReceiverTwiceInMemberOrder) {
+  struct Twice : FaultInjector {
+    Verdict verdict(const Packet&) override {
+      Verdict v;
+      v.duplicates = 1;
+      return v;
+    }
+  } twice;
+  net.set_fault_injector(&twice);
+  net.send_multicast(sender, kChannel, 2, kPort, bytes({1}));
+  EXPECT_EQ(sim.run(), 2u);  // a copy lands with its original's group
+
+  std::vector<HostId> order;
+  for (const Delivery& d : deliveries) {
+    order.push_back(d.socket);
+    EXPECT_EQ(d.to, (Address{d.socket, kPort}));
+  }
+  std::vector<HostId> expected;
+  for (HostId h : receivers()) {
+    expected.push_back(h);
+    expected.push_back(h);
+  }
+  EXPECT_EQ(order, expected);
+}
+
+TEST_F(FanOutFixture, ReceiverThatLeavesInFlightIsSkipped) {
+  const HostId leaver = layout.racks[1][1];
+  net.send_multicast(sender, kChannel, 2, kPort, bytes({1}));
+  net.leave_group(leaver, kChannel);
+  EXPECT_EQ(sim.run(), 2u);
+
+  std::vector<HostId> order;
+  for (const Delivery& d : deliveries) {
+    order.push_back(d.socket);
+    EXPECT_EQ(d.to, (Address{d.socket, kPort}));
+  }
+  std::vector<HostId> expected = receivers();
+  expected.erase(std::find(expected.begin(), expected.end(), leaver));
+  EXPECT_EQ(order, expected);
+  EXPECT_EQ(net.obs().metrics.counter_value(obs::Protocol::kNet,
+                                            "rx_messages", leaver),
+            0u);
+}
+
 // --- shared decode -----------------------------------------------------------
 //
 // Every receiver of one payload gets the message its encoder stored; the

@@ -2,8 +2,8 @@
 // digest hash, shared by reference, and compared by content.
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "membership/codec.h"
@@ -170,16 +170,78 @@ TEST(Row, BoundedAcrossDaemonValueChurn) {
   protocols::AllToAllDaemon daemon(sim, net, host,
                                    make_representative_entry(host));
   daemon.start();
-  const std::weak_ptr<const Row> first = daemon.table().find(host)->row;
-  ASSERT_FALSE(first.expired());
+  RowRef first = daemon.table().find(host)->row;
+  const uint32_t daemon_refs = first.use_count() - 1;
+  ASSERT_GE(daemon_refs, 1u);
+  const size_t live = Row::live_count();
   for (int i = 0; i < 10000; ++i) {
     daemon.update_value("load", std::to_string(i));
   }
-  EXPECT_TRUE(first.expired());
+  // The daemon let go of every reference to the first row, and of each
+  // row built in between: only the current one and this test's are left.
+  EXPECT_EQ(first.use_count(), 1u);
+  EXPECT_EQ(daemon.table().find(host)->row.use_count(), daemon_refs);
+  EXPECT_EQ(Row::live_count(), live + 1);
+  first = nullptr;  // the last reference: the first row is destroyed
+  EXPECT_EQ(Row::live_count(), live);
   const MembershipEntry* own = daemon.table().find(host);
   ASSERT_NE(own, nullptr);
   EXPECT_EQ(own->data().values.at("load"), "9999");
   EXPECT_EQ(&own->data(), &daemon.own_entry());
+}
+
+// RowRef is a counted pointer held inside the Row (types.h asserts its 8
+// bytes), and the last reference to go destroys the row.
+TEST(RowRef, CopyMoveAndLastReference) {
+  const size_t live = Row::live_count();
+
+  RowRef null;
+  EXPECT_FALSE(null);
+  EXPECT_EQ(null, nullptr);
+  EXPECT_EQ(null.get(), nullptr);
+  EXPECT_EQ(null.use_count(), 0u);
+
+  RowRef a = make_row(make_representative_entry(5));
+  ASSERT_TRUE(a);
+  EXPECT_NE(a, nullptr);
+  EXPECT_EQ(a.use_count(), 1u);
+  EXPECT_EQ(Row::live_count(), live + 1);
+  EXPECT_EQ(a->node(), 5u);
+  EXPECT_EQ(&*a, a.get());
+
+  RowRef copy = a;
+  EXPECT_EQ(copy, a);
+  EXPECT_EQ(a.use_count(), 2u);
+
+  RowRef moved = std::move(copy);
+  EXPECT_EQ(copy, nullptr);  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(moved, a);
+  EXPECT_EQ(a.use_count(), 2u);
+
+  RowRef& alias = moved;
+  moved = alias;  // self-assignment keeps the row and its count
+  EXPECT_EQ(moved, a);
+  EXPECT_EQ(a.use_count(), 2u);
+  moved = std::move(alias);
+  EXPECT_EQ(moved, a);
+  EXPECT_EQ(a.use_count(), 2u);
+
+  RowRef b = make_row(make_representative_entry(6));
+  EXPECT_NE(a, b);
+  EXPECT_EQ(Row::live_count(), live + 2);
+  moved = b;  // drops one reference to a, takes one to b
+  EXPECT_EQ(a.use_count(), 1u);
+  EXPECT_EQ(b.use_count(), 2u);
+
+  a = b;  // a's last reference: its row is destroyed
+  EXPECT_EQ(Row::live_count(), live + 1);
+  EXPECT_EQ(b.use_count(), 3u);
+  a = nullptr;
+  moved = RowRef();
+  EXPECT_EQ(b.use_count(), 1u);
+  b = std::move(a);  // a is null: b's row goes too
+  EXPECT_FALSE(b);
+  EXPECT_EQ(Row::live_count(), live);
 }
 
 // Rows built apart from equal content are separate objects that compare
