@@ -16,7 +16,6 @@ using membership::BootstrapResponseMsg;
 using membership::BusyKind;
 using membership::BusyMsg;
 using membership::CoordinatorMsg;
-using membership::DigestRowSummary;
 using membership::ElectionAnswerMsg;
 using membership::ElectionMsg;
 using membership::HeartbeatMsg;
@@ -33,9 +32,6 @@ using membership::SyncResponseMsg;
 using membership::UpdateKind;
 using membership::UpdateMsg;
 using membership::UpdateRecord;
-
-static_assert(kDigestBuckets >= 1 &&
-              kDigestBuckets <= membership::kMaxDigestBuckets);
 
 HierDaemon::HierDaemon(sim::Simulation& sim, net::Network& net, NodeId self,
                        membership::EntryData own, HierConfig config)
@@ -65,7 +61,10 @@ HierDaemon::HierDaemon(sim::Simulation& sim, net::Network& net, NodeId self,
 }
 
 HierDaemon::LevelState::LevelState(HierDaemon& daemon, int level)
-    : daemon(daemon), level(level), leadership(daemon.self_) {
+    : daemon(daemon),
+      level(level),
+      leadership(daemon.self_),
+      anti_entropy(daemon.self_, level) {
   for (size_t t = 0; t < Leadership::kTimers; ++t) {
     timers[t] = std::make_unique<sim::OneShotTimer>(daemon.sim_, [this, t] {
       leadership.on_timer(*this, static_cast<Leadership::Timer>(t));
@@ -100,14 +99,12 @@ void HierDaemon::resolve_metrics() {
   metrics_.busy_sent = c("busy_sent");
   metrics_.busy_deferrals = c("busy_deferrals");
   metrics_.out_log_compacted = c("out_log_compacted");
-  metrics_.digests_sent = c("digests_sent");
-  metrics_.digest_pulls_sent = c("digest_pulls_sent");
-  metrics_.digest_pulls_served = c("digest_pulls_served");
-  metrics_.deltas_sent = c("deltas_sent");
-  metrics_.delta_rows_shipped = c("delta_rows_shipped");
-  metrics_.digest_rows_suppressed = c("digest_rows_suppressed");
-  metrics_.digest_full_fallbacks = c("digest_full_fallbacks");
-  metrics_.digest_rounds_missed = c("digest_rounds_missed");
+  const std::array<std::string_view, AntiEntropy::kCounts> digest = {
+      "digests_sent",          "digest_pulls_sent",
+      "digest_pulls_served",   "deltas_sent",
+      "delta_rows_shipped",    "digest_rows_suppressed",
+      "digest_full_fallbacks", "digest_rounds_missed"};
+  for (size_t i = 0; i < digest.size(); ++i) metrics_.digest[i] = c(digest[i]);
   metrics_.topology_rescopes = c("topology_rescopes");
   metrics_.image_serve_entries =
       m.histogram(obs::Protocol::kHier, "image_serve_entries", self_);
@@ -191,7 +188,7 @@ void HierDaemon::leave_levels_from(int level, bool announce) {
     demote_due_ = true;
     ls.bootstrapped = false;
     ls.peers.clear();
-    ls.digest_due.clear();
+    ls.anti_entropy.leave();
     clear_out_log(ls);
     ls.exchanges.clear();
     // out_seq intentionally NOT reset: receivers' per-origin cursors must
@@ -296,9 +293,10 @@ void HierDaemon::heartbeat_tick() {
   }
   ++hb_seq_;
   for (int l = 0; l < config_.max_ttl; ++l) {
-    if (!levels_[l]->joined) continue;
+    LevelState& ls = *levels_[l];
+    if (!ls.joined) continue;
     send_heartbeat(l);
-    check_digest_rounds(l);
+    ls.anti_entropy.check_overdue(ls, table_, sim_.now());
   }
   // The table-wide soft-state GC below is O(view size); its timeouts are
   // tens of seconds, so checking every few periods loses nothing. Each of
@@ -541,7 +539,10 @@ void HierDaemon::on_data_packet(const net::Packet& packet) {
         } else if constexpr (std::is_same_v<T, CoordinatorMsg>) {
           on_coordinator(level, msg);
         } else if constexpr (std::is_same_v<T, RefreshDigestMsg>) {
-          on_refresh_digest(level, msg);
+          // Any packet from a member is proof of life.
+          Peer* peer = arrival.find_peer(msg.origin);
+          if (peer != nullptr && peer->member) peer->last_heard = sim_.now();
+          arrival.anti_entropy.on_digest(arrival, table_, sim_.now(), msg);
         }
       },
       *message);
@@ -569,8 +570,8 @@ void HierDaemon::on_control_packet(const net::Packet& packet) {
           // A full image from a responder whose leadership of this channel
           // was superseded is itself stale: don't absorb it, the live
           // leader's traffic is already re-seeding us.
-          if (rejects_stale(ls, msg.responder, msg.epoch,
-                            msg.responder_incarnation)) {
+          if (ls.rejects_stale(msg.responder, msg.epoch,
+                               msg.responder_incarnation)) {
             return;
           }
           // The exchange completed: only now is the level bootstrapped. A
@@ -596,8 +597,8 @@ void HierDaemon::on_control_packet(const net::Packet& packet) {
             // the image of a responder whose leadership of this channel was
             // superseded (a resumed stale leader serves a view missing most
             // of the cluster).
-            if (rejects_stale(ls, msg.responder, msg.epoch,
-                              msg.responder_incarnation)) {
+            if (ls.rejects_stale(msg.responder, msg.epoch,
+                                 msg.responder_incarnation)) {
               return;
             }
             // The poll was answered; stop the retry timer for it.
@@ -620,9 +621,13 @@ void HierDaemon::on_control_packet(const net::Packet& packet) {
         } else if constexpr (std::is_same_v<T, BusyMsg>) {
           on_busy(msg);
         } else if constexpr (std::is_same_v<T, RefreshPullMsg>) {
-          on_refresh_pull(msg);
+          LevelState& ls = *levels_[wire_level(msg.level)];
+          if (ls.joined) ls.anti_entropy.on_pull(ls, table_, msg);
         } else if constexpr (std::is_same_v<T, RefreshDeltaMsg>) {
-          on_refresh_delta(msg);
+          LevelState& ls = *levels_[wire_level(msg.level)];
+          if (ls.joined) {
+            ls.anti_entropy.on_delta(ls, table_, sim_.now(), msg);
+          }
         }
       },
       *message);
@@ -701,7 +706,7 @@ void HierDaemon::on_update(int level, const UpdateMsg& msg) {
   // stamped while detached, describe a world that no longer exists. Epochs
   // from other, overlapping lineages pass (not comparable numbers), and so
   // does a restarted origin's fresh stream (new life, new lineage).
-  if (rejects_stale(ls, msg.origin, msg.epoch, msg.origin_incarnation)) return;
+  if (ls.rejects_stale(msg.origin, msg.epoch, msg.origin_incarnation)) return;
   if (msg.records.empty()) return;
 
   std::vector<const UpdateRecord*> ordered;
@@ -751,13 +756,6 @@ void HierDaemon::on_update(int level, const UpdateMsg& msg) {
     if (record->seq > known) process_record(*record, msg.origin, level);
   }
   peer->seq = newest;
-}
-
-bool HierDaemon::rejects_stale(const LevelState& ls, NodeId sender,
-                               membership::Epoch epoch, Incarnation life) {
-  if (!ls.leadership.fenced_stale(sender, epoch, life)) return false;
-  metrics_.stale_epoch_rejects->add();
-  return true;
 }
 
 void HierDaemon::on_coordinator(int level, const CoordinatorMsg& msg) {
@@ -882,6 +880,42 @@ void HierDaemon::LevelState::note(obs::TraceKind kind, uint64_t a,
   if (kind == obs::TraceKind::kEpochMint) m.epochs_minted->add();
   if (kind == obs::TraceKind::kEpochSupersede) m.epochs_superseded->add();
   daemon.trace(kind, level, a, b);
+}
+
+// --- the anti-entropy unit's host -------------------------------------------
+
+void HierDaemon::LevelState::send_digest(RefreshDigestMsg msg) {
+  daemon.multicast(level, encode_message(std::move(msg)));
+}
+
+void HierDaemon::LevelState::send_pull(NodeId origin, RefreshPullMsg msg) {
+  daemon.unicast(origin, encode_message(std::move(msg)));
+}
+
+void HierDaemon::LevelState::send_delta(NodeId requester,
+                                        RefreshDeltaMsg msg) {
+  daemon.unicast(requester, encode_message(std::move(msg)));
+}
+
+void HierDaemon::LevelState::absorb(const std::vector<RowRef>& rows,
+                                    NodeId responder) {
+  daemon.absorb_entries(rows, responder, level);
+}
+
+void HierDaemon::LevelState::escalate(NodeId responder) {
+  daemon.request_sync(level, responder, 0);
+}
+
+bool HierDaemon::LevelState::rejects_stale(NodeId sender,
+                                           membership::Epoch epoch,
+                                           Incarnation life) {
+  if (!leadership.fenced_stale(sender, epoch, life)) return false;
+  daemon.metrics_.stale_epoch_rejects->add();
+  return true;
+}
+
+void HierDaemon::LevelState::note(AntiEntropy::Count count, uint64_t n) {
+  daemon.metrics_.digest[static_cast<size_t>(count)]->add(n);
 }
 
 // --- update propagation ------------------------------------------------------
@@ -1039,263 +1073,14 @@ void HierDaemon::drop_deaf_backlog(LevelState& ls) {
   }
 }
 
-std::vector<const MembershipEntry*> HierDaemon::refresh_scope(
-    int level, bool subtree_only) const {
-  const LevelState& ls = *levels_[level];
-  std::vector<const MembershipEntry*> rows;
-  for (const auto& [id, entry] : table_.entries()) {
-    if (subtree_only && id != self_) {
-      // Upward refreshes announce only the subtree this node represents:
-      // re-announcing what we learned *from* this very group would keep a
-      // departed peer's stale entries alive through mutual refresh.
-      if (ls.is_member(id)) continue;
-      if (entry.liveness == Liveness::kRelayed &&
-          entry.relayed_by != membership::kInvalidNode &&
-          ls.is_member(entry.relayed_by)) {
-        continue;
-      }
-    }
-    rows.push_back(&entry);
-  }
-  return rows;
-}
-
 void HierDaemon::send_state_refresh(int level, bool subtree_only) {
+  LevelState& ls = level_state(level);
   std::vector<UpdateRecord> batch;
-  for (const MembershipEntry* row : refresh_scope(level, subtree_only)) {
+  for (const MembershipEntry* row :
+       ls.anti_entropy.scope(ls, table_, subtree_only)) {
     batch.push_back(make_join_record(row->row));
   }
   emit_batch(level, batch);
-}
-
-// --- incremental anti-entropy (digests) -------------------------------------
-
-void HierDaemon::send_refresh_digest(int level, bool subtree) {
-  LevelState& ls = level_state(level);
-  if (!ls.joined) return;
-  const auto rows = refresh_scope(level, subtree);
-  const size_t bucket_count = kDigestBuckets;
-  RefreshDigestMsg msg;
-  msg.origin = self_;
-  msg.origin_incarnation = own_->incarnation();
-  msg.level = static_cast<uint8_t>(level);
-  msg.epoch = ls.leadership.epoch();
-  msg.subtree = subtree;
-  msg.row_count = static_cast<uint32_t>(rows.size());
-  msg.buckets.assign(bucket_count, 0);
-  if (subtree) msg.subjects.reserve(rows.size());
-  for (const MembershipEntry* row : rows) {
-    const uint64_t hash = row->row->hash();
-    msg.view_hash ^= hash;
-    msg.buckets[membership::digest_bucket_of(row->row->node(),
-                                             bucket_count)] ^= hash;
-    // Table iteration is id-ascending, which is exactly the order the
-    // delta-varint scope coding wants.
-    if (subtree) msg.subjects.push_back(row->row->node());
-  }
-  multicast(level, encode_message(std::move(msg)));
-  metrics_.digests_sent->add();
-}
-
-std::vector<const MembershipEntry*> HierDaemon::digest_receiver_scope(
-    const RefreshDigestMsg& msg) const {
-  std::vector<const MembershipEntry*> rows;
-  if (msg.subtree) {
-    // The digest names its scope; hash our copies of exactly those rows.
-    // A listed row we don't hold leaves its hash out of our bucket — the
-    // mismatch is how the pull discovers it. Rows we hold that the origin
-    // stopped listing simply go unrefreshed and age into orphan expiry.
-    for (NodeId id : msg.subjects) {
-      const MembershipEntry* entry = table_.find(id);
-      if (entry != nullptr) rows.push_back(entry);
-    }
-    return rows;
-  }
-  for (const auto& [id, entry] : table_.entries()) {
-    rows.push_back(&entry);
-  }
-  return rows;
-}
-
-void HierDaemon::on_refresh_digest(int level, const RefreshDigestMsg& msg) {
-  LevelState& ls = level_state(level);
-  if (msg.origin == self_) return;
-  Peer* peer = ls.find_peer(msg.origin);
-  if (peer != nullptr && peer->member) peer->last_heard = sim_.now();
-  // Same stale-replay fence as update streams: a digest from a superseded
-  // leadership life describes a pre-re-election world; comparing against it
-  // (and worse, pulling rows from it) would resurrect that world.
-  if (rejects_stale(ls, msg.origin, msg.epoch, msg.origin_incarnation)) {
-    ls.digest_due.erase({msg.origin, msg.subtree});
-    return;
-  }
-  ls.digest_due[{msg.origin, msg.subtree}] =
-      sim_.now() + config_.refresh_interval + config_.period;
-  const size_t bucket_count = msg.buckets.size();
-  if (bucket_count == 0 || bucket_count > membership::kMaxDigestBuckets) {
-    return;
-  }
-
-  const auto rows = digest_receiver_scope(msg);
-  std::vector<size_t> row_buckets(rows.size());
-  std::vector<uint64_t> buckets(bucket_count, 0);
-  for (size_t i = 0; i < rows.size(); ++i) {
-    row_buckets[i] =
-        membership::digest_bucket_of(rows[i]->row->node(), bucket_count);
-    buckets[row_buckets[i]] ^= rows[i]->row->hash();
-  }
-  std::vector<bool> mismatched(bucket_count, false);
-  bool any_mismatch = false;
-  for (size_t b = 0; b < bucket_count; ++b) {
-    if (buckets[b] != msg.buckets[b]) {
-      mismatched[b] = true;
-      any_mismatch = true;
-    }
-  }
-
-  // Rows in agreeing buckets are still being announced by the origin:
-  // refresh them exactly as absorbing a full re-announcement would, minus
-  // the bytes — re-rooting their provenance at the origin, the relay that
-  // just vouched for them. Rows in mismatched buckets wait for the delta —
-  // the ones the origin stopped announcing must keep aging toward orphan
-  // expiry, or a lost LEAVE would never be repaired.
-  const sim::Time now = sim_.now();
-  std::vector<const MembershipEntry*> pulled;
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const MembershipEntry* row = rows[i];
-    if (mismatched[row_buckets[i]]) {
-      pulled.push_back(row);
-      continue;
-    }
-    if (row->row->node() == self_ || row->liveness != Liveness::kRelayed) {
-      continue;
-    }
-    table_.reconfirm_relay(*row, msg.origin, now);
-  }
-  if (any_mismatch) {
-    send_refresh_pull(level, msg.origin, msg.subtree, pulled, mismatched);
-  }
-}
-
-void HierDaemon::send_refresh_pull(
-    int level, NodeId origin, bool subtree,
-    const std::vector<const MembershipEntry*>& rows,
-    const std::vector<bool>& mismatched) {
-  RefreshPullMsg pull;
-  pull.requester = self_;
-  pull.level = static_cast<uint8_t>(level);
-  pull.epoch = level_state(level).leadership.epoch();
-  pull.subtree = subtree;
-  for (size_t b = 0; b < mismatched.size(); ++b) {
-    if (mismatched[b]) pull.bucket_indices.push_back(static_cast<uint16_t>(b));
-  }
-  for (const MembershipEntry* row : rows) {
-    pull.rows.push_back(DigestRowSummary{
-        row->row->node(), row->row->incarnation(), row->row->hash()});
-  }
-  unicast(origin, encode_message(std::move(pull)));
-  metrics_.digest_pulls_sent->add();
-}
-
-void HierDaemon::check_digest_rounds(int level) {
-  LevelState& ls = level_state(level);
-  const sim::Time now = sim_.now();
-  for (auto it = ls.digest_due.begin(); it != ls.digest_due.end();) {
-    const auto [origin, subtree] = it->first;
-    // Only a member still leading this group owes downward rounds; any
-    // member of it still represents its subtree upward.
-    if (!ls.is_member(origin) ||
-        (!subtree && ls.leadership.leader() != origin)) {
-      it = ls.digest_due.erase(it);
-      continue;
-    }
-    if (now >= it->second) {
-      // The lost digest's scope is unknown here (a subtree digest names
-      // its subjects), so pull every bucket and list every row we hold:
-      // the origin confirms what it still covers and ships what we lack,
-      // exactly as if the digest had arrived and matched nothing.
-      it->second = now + config_.refresh_interval;
-      metrics_.digest_rounds_missed->add();
-      std::vector<const MembershipEntry*> rows;
-      rows.reserve(table_.size());
-      for (const auto& [id, entry] : table_.entries()) rows.push_back(&entry);
-      send_refresh_pull(level, origin, subtree, rows,
-                        std::vector<bool>(kDigestBuckets, true));
-    }
-    ++it;
-  }
-}
-
-void HierDaemon::on_refresh_pull(const RefreshPullMsg& msg) {
-  if (msg.requester == self_) return;
-  const int level = wire_level(msg.level);
-  LevelState& ls = *levels_[level];
-  if (!ls.joined) return;
-  metrics_.digest_pulls_served->add();
-
-  // Bucket geometry is ours (the pull answers our digest); indices outside
-  // it are from a digest we did not send — ignore them rather than guess.
-  const size_t bucket_count = kDigestBuckets;
-  std::vector<bool> wanted(bucket_count, false);
-  for (uint16_t b : msg.bucket_indices) {
-    if (b < bucket_count) wanted[b] = true;
-  }
-  std::map<NodeId, const DigestRowSummary*> theirs;
-  for (const auto& row : msg.rows) theirs[row.subject] = &row;
-
-  RefreshDeltaMsg delta;
-  delta.responder = self_;
-  delta.responder_incarnation = own_->incarnation();
-  delta.level = msg.level;
-  delta.epoch = ls.leadership.epoch();
-  for (const MembershipEntry* row : refresh_scope(level, msg.subtree)) {
-    if (!wanted[membership::digest_bucket_of(row->row->node(),
-                                             bucket_count)]) {
-      continue;
-    }
-    auto it = theirs.find(row->row->node());
-    if (it != theirs.end() && it->second->row_hash == row->row->hash()) {
-      delta.confirmed.push_back(row->row->node());
-      continue;
-    }
-    if (delta.entries.size() >= kDigestMaxRowsPerDelta) {
-      // Divergence beyond the delta budget: stop here and let the requester
-      // escalate to the full-image path (which admission control guards).
-      delta.truncated = true;
-      break;
-    }
-    delta.entries.push_back(row->row);
-  }
-  // Rows the requester listed that we do not hold in scope are deliberately
-  // neither shipped nor confirmed: unrefreshed, they age into orphan expiry
-  // at the requester — the digest form of lost-LEAVE repair.
-  metrics_.delta_rows_shipped->add(delta.entries.size());
-  metrics_.digest_rows_suppressed->add(delta.confirmed.size());
-  metrics_.deltas_sent->add();
-  unicast(msg.requester, encode_message(std::move(delta)));
-}
-
-void HierDaemon::on_refresh_delta(const RefreshDeltaMsg& msg) {
-  if (msg.responder == self_) return;
-  const int level = wire_level(msg.level);
-  LevelState& ls = *levels_[level];
-  if (!ls.joined) return;
-  if (rejects_stale(ls, msg.responder, msg.epoch, msg.responder_incarnation)) {
-    return;
-  }
-  absorb_entries(msg.entries, msg.responder, level);
-  const sim::Time now = sim_.now();
-  for (NodeId id : msg.confirmed) {
-    if (id == self_) continue;
-    table_.reconfirm_relay(id, msg.responder, now);
-  }
-  if (msg.truncated) {
-    // The backstop demotion: only a delta that could not carry the whole
-    // divergence escalates to an O(N) image, and that path sits behind the
-    // responder's image_serve_budget like any other full-image exchange.
-    metrics_.digest_full_fallbacks->add();
-    request_sync(level, msg.responder, 0);
-  }
 }
 
 // --- bootstrap / sync -------------------------------------------------------
@@ -1544,7 +1329,8 @@ void HierDaemon::absorb_entries(const std::vector<RowRef>& entries,
 
 void HierDaemon::refresh_tick() {
   for (int l = 0; l < config_.max_ttl; ++l) {
-    if (!levels_[l]->joined || !levels_[l]->leadership.leads()) continue;
+    LevelState& ls = *levels_[l];
+    if (!ls.joined || !ls.leadership.leads()) continue;
     // Anti-entropy into the group this node leads, and upward into the
     // parent group it represents that subtree in: every relayed entry in
     // the cluster is vouched for along its chain once per interval, so
@@ -1552,9 +1338,10 @@ void HierDaemon::refresh_tick() {
     // digest, not the rows; event-driven re-seeds elsewhere (taking the
     // lead, repelling a stale claim) send the full image, where the
     // receivers provably need all of it.
-    send_refresh_digest(l, /*subtree=*/false);
+    ls.anti_entropy.round(ls, table_, /*subtree=*/false);
     if (l + 1 < config_.max_ttl && levels_[l + 1]->joined) {
-      send_refresh_digest(l + 1, /*subtree=*/true);
+      LevelState& up = *levels_[l + 1];
+      up.anti_entropy.round(up, table_, /*subtree=*/true);
     }
   }
 }

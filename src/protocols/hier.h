@@ -38,7 +38,9 @@
 // runs only when both are gone. A leader of level L joins level L+1 and
 // answers bootstrap/sync polls; losing leadership cascades it back out of
 // all higher levels. Each level's election, backup and epoch fencing are
-// one `Leadership` unit (protocols/leadership.h); its level is its host.
+// one `Leadership` unit (protocols/leadership.h), and its digest rounds one
+// `AntiEntropy` unit (protocols/anti_entropy.h); the level is the host of
+// both.
 #pragma once
 
 #include <array>
@@ -49,6 +51,7 @@
 #include <vector>
 
 #include "obs/obs.h"
+#include "protocols/anti_entropy.h"
 #include "protocols/daemon.h"
 #include "protocols/leadership.h"
 #include "protocols/ports.h"
@@ -57,13 +60,6 @@
 
 namespace tamp::protocols {
 
-// Buckets per anti-entropy digest; mismatches are repaired per bucket, so
-// more buckets localize divergence better at ~8 bytes each on the wire.
-inline constexpr size_t kDigestBuckets = 16;
-// Divergent rows one RefreshDeltaMsg may carry. A delta clipped at this cap
-// is marked truncated and the receiver escalates to the full-image sync
-// path (which sits behind image_serve_budget).
-inline constexpr size_t kDigestMaxRowsPerDelta = 64;
 // How often each joined level's members are checked against its timeout.
 inline constexpr sim::Duration kHierScanInterval = 100 * sim::kMillisecond;
 // How long a removed node's (node, incarnation) stays quarantined against
@@ -182,7 +178,7 @@ class HierDaemon : public MembershipDaemon {
     }
   };
 
-  struct LevelState final : Leadership::Host {
+  struct LevelState final : Leadership::Host, AntiEntropy::Host {
     LevelState(HierDaemon& daemon, int level);
     LevelState(const LevelState&) = delete;  // its timers capture `this`
     LevelState& operator=(const LevelState&) = delete;
@@ -226,13 +222,8 @@ class HierDaemon : public MembershipDaemon {
     // UpdateMsg::window_base so receivers can tell a compaction hole (fine)
     // from trimmed-away history (needs a full-image sync).
     uint64_t out_log_base = 0;
-    // Digest rounds carry no sequence number, so a lost one is detected by
-    // time instead: when each (origin, subtree) stream heard on this
-    // channel owes its next round. Refresh timers tick at a fixed period,
-    // so a round still missing a period past that is lost, and
-    // check_digest_rounds pulls it rather than letting its rows age toward
-    // orphan expiry.
-    std::map<std::pair<membership::NodeId, bool>, sim::Time> digest_due;
+    // The digest rounds heard and sent on this channel.
+    AntiEntropy anti_entropy;
 
     // One in-flight solicited exchange: the unanswered poll's target and
     // request builder, how many sends it has consumed, and the retry
@@ -270,6 +261,33 @@ class HierDaemon : public MembershipDaemon {
     void superseded(membership::NodeId leader) override;
     void reseed() override;
     void note(obs::TraceKind kind, uint64_t a, uint64_t b) override;
+
+    // AntiEntropy::Host: the digest rounds' sends and effects on this level.
+    void send_digest(membership::RefreshDigestMsg msg) override;
+    void send_pull(membership::NodeId origin,
+                   membership::RefreshPullMsg msg) override;
+    void send_delta(membership::NodeId requester,
+                    membership::RefreshDeltaMsg msg) override;
+    void absorb(const std::vector<membership::RowRef>& rows,
+                membership::NodeId responder) override;
+    void escalate(membership::NodeId responder) override;
+    // Whether a message from `sender`'s life is stale replay on this level
+    // (Leadership::fenced_stale); a rejection is counted. Every fenced path
+    // (update, digest, delta and both images) asks here.
+    bool rejects_stale(membership::NodeId sender, membership::Epoch epoch,
+                       membership::Incarnation life) override;
+    membership::NodeId leader() const override { return leadership.leader(); }
+    membership::Epoch epoch() const override { return leadership.epoch(); }
+    membership::Incarnation incarnation() const override {
+      return daemon.own_->incarnation();
+    }
+    sim::Duration round_interval() const override {
+      return daemon.config_.refresh_interval;
+    }
+    sim::Duration heartbeat_period() const override {
+      return daemon.config_.period;
+    }
+    void note(AntiEntropy::Count count, uint64_t n) override;
   };
 
   // --- level / channel plumbing -----------------------------------------
@@ -336,10 +354,6 @@ class HierDaemon : public MembershipDaemon {
   void on_heartbeat(int level, const membership::HeartbeatMsg& msg);
   void on_update(int level, const membership::UpdateMsg& msg);
   void on_coordinator(int level, const membership::CoordinatorMsg& msg);
-  // Whether a message from `sender`'s life is stale replay on this level
-  // (Leadership::fenced_stale); a rejection is counted.
-  bool rejects_stale(const LevelState& ls, membership::NodeId sender,
-                     membership::Epoch epoch, membership::Incarnation life);
 
   // --- update propagation -----------------------------------------------
   // Applies one record, fires notifications, cascades purges, and relays
@@ -352,34 +366,10 @@ class HierDaemon : public MembershipDaemon {
   void relay_record(const membership::UpdateRecord& record, int arrival_level);
   void emit_batch(int level,
                   const std::vector<membership::UpdateRecord>& batch);
-  // The refresh scope as a batch of join records: the full-image re-seed
-  // of event-driven paths (taking the lead, repelling a stale claim).
+  // The round scope (AntiEntropy::scope) as a batch of join records: the
+  // full-image re-seed of event-driven paths (taking the lead, repelling a
+  // stale claim).
   void send_state_refresh(int level, bool subtree_only = false);
-
-  // --- incremental anti-entropy (digests) -----------------------------------
-  // The rows a refresh of `level` covers: the whole view downward, the
-  // represented subtree upward.
-  std::vector<const membership::MembershipEntry*> refresh_scope(
-      int level, bool subtree_only) const;
-  // Scope a digest *receiver* compares against. Downward digests cover the
-  // origin's whole view (≈ ours, in steady state); upward subtree digests
-  // are approximated as {origin} ∪ {rows relayed by origin} — a mismatch in
-  // the approximation degrades to a cheap pull, never to wrong state.
-  std::vector<const membership::MembershipEntry*> digest_receiver_scope(
-      const membership::RefreshDigestMsg& msg) const;
-  void send_refresh_digest(int level, bool subtree);
-  void on_refresh_digest(int level, const membership::RefreshDigestMsg& msg);
-  // Pull the `mismatched` buckets of `origin`'s digest scope, listing
-  // `rows`: our copies of the rows in them.
-  void send_refresh_pull(
-      int level, membership::NodeId origin, bool subtree,
-      const std::vector<const membership::MembershipEntry*>& rows,
-      const std::vector<bool>& mismatched);
-  // Per heartbeat: pull every bucket from an origin whose digest round is
-  // overdue (see LevelState::digest_due).
-  void check_digest_rounds(int level);
-  void on_refresh_pull(const membership::RefreshPullMsg& msg);
-  void on_refresh_delta(const membership::RefreshDeltaMsg& msg);
   membership::UpdateRecord make_join_record(const membership::RowRef& entry);
   membership::UpdateRecord make_leave_record(membership::NodeId subject,
                                              membership::Incarnation inc);
@@ -458,17 +448,11 @@ class HierDaemon : public MembershipDaemon {
     obs::Counter* busy_sent = nullptr;
     obs::Counter* busy_deferrals = nullptr;
     obs::Counter* out_log_compacted = nullptr;
-    // Digest anti-entropy. Sends (digests_sent / digest_pulls_sent /
-    // deltas_sent) each have exactly one send site, so the chaos runner's
-    // conservation identities can tie them to per-wire-kind tx counters.
-    obs::Counter* digests_sent = nullptr;
-    obs::Counter* digest_pulls_sent = nullptr;
-    obs::Counter* digest_pulls_served = nullptr;
-    obs::Counter* deltas_sent = nullptr;
-    obs::Counter* delta_rows_shipped = nullptr;      // divergent rows shipped
-    obs::Counter* digest_rows_suppressed = nullptr;  // agreeing rows confirmed
-    obs::Counter* digest_full_fallbacks = nullptr;   // truncated → image sync
-    obs::Counter* digest_rounds_missed = nullptr;    // overdue → full pull
+    // Digest anti-entropy, indexed by AntiEntropy::Count. Sends
+    // (digests_sent / digest_pulls_sent / deltas_sent) each have exactly one
+    // send site, so the chaos runner's conservation identities can tie them
+    // to per-wire-kind tx counters.
+    std::array<obs::Counter*, AntiEntropy::kCounts> digest{};
     obs::Counter* topology_rescopes = nullptr;       // members dropped as
                                                      // out-of-scope on an
                                                      // epoch change

@@ -636,6 +636,47 @@ TEST_F(RobustnessFixture, TruncatedDeltaEscalatesOnlyFromTheLiveLeader) {
   EXPECT_EQ(after.rejects, before.rejects + 1);
 }
 
+// A pull's bucket indices are read in the one geometry every daemon sends
+// (kDigestBuckets). A digest in another geometry cannot be answered with the
+// rows it asks about, so its receivers draw no pull from it; the same digest
+// in the daemons' own geometry does draw pulls.
+TEST_F(RobustnessFixture, DigestInAnotherBucketGeometryDrawsNoPull) {
+  Cluster::Options opts;
+  // No digest rounds inside the window: every pull below answers the
+  // crafted digest.
+  opts.hier.refresh_interval = 1000 * sim::kSecond;
+  build(2, 6, opts);
+  HierDaemon* leader = rack_leader(0);
+  ASSERT_NE(leader, nullptr);
+  auto pulls = [&] {
+    uint64_t total = 0;
+    for (net::HostId h : layout.hosts) {
+      auto* d = static_cast<HierDaemon*>(cluster->daemon_for(h));
+      if (d != nullptr) total += hier_counter(d, "digest_pulls_sent");
+    }
+    return total;
+  };
+  for (size_t buckets : {size_t{8}, size_t{1024}, kDigestBuckets}) {
+    membership::RefreshDigestMsg digest;
+    digest.origin = leader->self();
+    digest.origin_incarnation = leader->own_entry().incarnation;
+    digest.level = 0;
+    digest.epoch = leader->epoch_of(0);
+    digest.row_count = 1;
+    digest.buckets.assign(buckets, 0);  // mismatches every non-empty bucket
+    const uint64_t before = pulls();
+    ASSERT_TRUE(net->send_multicast(
+        leader->self(), leader->config().base_channel, 1,
+        leader->config().data_port, membership::encode_message(digest)));
+    sim.run_until(sim.now() + 100 * sim::kMillisecond);
+    if (buckets == kDigestBuckets) {
+      EXPECT_GT(pulls(), before) << buckets << " buckets";
+    } else {
+      EXPECT_EQ(pulls(), before) << buckets << " buckets";
+    }
+  }
+}
+
 // A BusyMsg defers the open bootstrap slot it names. The joiner's requests
 // are all lost, so its slot stays open and retries for the whole test.
 TEST_F(RobustnessFixture, BusyDefersAnOpenBootstrapWithoutChargingAnAttempt) {
