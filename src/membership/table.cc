@@ -84,6 +84,7 @@ ApplyResult MembershipTable::apply_at(MembershipEntry*& slot,
     entry.relayed_by = relayed_by;
     entry.last_heard = now;
     slot = entries_.insert(node, std::move(entry)).first;
+    ++generation_;
     track_relayed(*slot);
     return ApplyResult::kAdded;
   }
@@ -102,10 +103,14 @@ ApplyResult MembershipTable::apply_at(MembershipEntry*& slot,
     entry.last_heard = now;
     if (same) return ApplyResult::kRefreshed;
     entry.row = row;
+    ++generation_;
     return ApplyResult::kUpdated;
   }
 
-  if (!same) entry.row = row;
+  if (!same) {
+    entry.row = row;
+    ++generation_;
+  }
   entry.liveness = liveness;
   entry.relayed_by = relayed_by;
   entry.last_heard = now;
@@ -130,7 +135,9 @@ bool MembershipTable::remove(NodeId node, Incarnation incarnation,
       ++t;
     }
   }
-  return entries_.erase(node);
+  if (!entries_.erase(node)) return false;
+  ++generation_;
+  return true;
 }
 
 void MembershipTable::reconfirm_relay(NodeId node, NodeId relayed_by,

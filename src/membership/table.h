@@ -101,6 +101,16 @@ class MembershipTable {
   // All entries as (id, entry) pairs in id order (deterministic iteration).
   const util::IdMap<MembershipEntry>& entries() const { return entries_; }
 
+  // Moves on every write that changes which row the table holds for some
+  // node: an insert, a row replaced by one that is not same_row(), and an
+  // erase by remove() or expire(). Refreshes, relay re-roots, demotions and
+  // liveness changes leave it alone, because lookup() reads row content
+  // only. So a lookup() answer stays exact while generation() is unchanged.
+  // Every table starts at 0, one assigned over another included, so the
+  // rule holds for answers read from one table object, not across an
+  // assignment.
+  uint64_t generation() const { return generation_; }
+
   // Service lookup: nodes registering exactly `service`; `partition_spec`
   // ("*", "2", "1-3", "0,2") selects nodes hosting at least one listed
   // partition. Returns matching entries sorted by node id.
@@ -124,6 +134,7 @@ class MembershipTable {
       const sim::Duration timeout = timeout_for(entry);
       if (timeout >= 0 && now - entry.last_heard > timeout) {
         expired.push_back(id);
+        ++generation_;
         return true;
       }
       track_relayed(entry);
@@ -165,6 +176,7 @@ class MembershipTable {
   util::IdMap<MembershipEntry> entries_;
   std::map<NodeId, Tombstone> tombstones_;
   sim::Time oldest_relayed_ = std::numeric_limits<sim::Time>::max();
+  uint64_t generation_ = 0;
 };
 
 }  // namespace tamp::membership

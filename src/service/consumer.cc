@@ -96,13 +96,64 @@ void ServiceConsumer::invoke(const std::string& service, int partition,
   attempt(id);
 }
 
+namespace {
+
+void node_ids_of(const std::vector<const membership::MembershipEntry*>& rows,
+                 std::vector<net::HostId>& hosts) {
+  hosts.clear();
+  for (const auto* entry : rows) hosts.push_back(entry->data().node);
+}
+
+}  // namespace
+
+void ServiceConsumer::ProviderMemo::sync(
+    const membership::MembershipTable& table) {
+  if (table.generation() == generation_) return;
+  generation_ = table.generation();
+  used_ = 0;
+  next_evict_ = 0;
+  proxies_held_ = false;
+}
+
+const std::vector<net::HostId>& ServiceConsumer::ProviderMemo::providers(
+    const membership::MembershipTable& table, const std::string& service,
+    int partition) {
+  sync(table);
+  for (size_t i = 0; i < used_; ++i) {
+    if (slots_[i].partition == partition && slots_[i].service == service) {
+      return slots_[i].hosts;
+    }
+  }
+  size_t index = used_;
+  if (used_ < kSlots) {
+    ++used_;
+  } else {
+    index = next_evict_;
+    next_evict_ = (next_evict_ + 1) % kSlots;
+  }
+  Slot& slot = slots_[index];
+  slot.service = service;
+  slot.partition = partition;
+  node_ids_of(table.lookup(service, std::to_string(partition)), slot.hosts);
+  return slot.hosts;
+}
+
+const std::vector<net::HostId>& ServiceConsumer::ProviderMemo::proxies(
+    const membership::MembershipTable& table) {
+  sync(table);
+  if (!proxies_held_) {
+    node_ids_of(table.lookup(proxy::kProxyServiceName, "*"), proxies_);
+    proxies_held_ = true;
+  }
+  return proxies_;
+}
+
 std::vector<net::HostId> ServiceConsumer::live_candidates(
-    const Pending& pending) const {
+    const Pending& pending) {
   std::vector<net::HostId> candidates;
-  auto matches = membership_.table().lookup(
-      pending.service, std::to_string(pending.partition));
-  for (const auto* entry : matches) {
-    net::HostId host = entry->data().node;
+  for (net::HostId host : memo_.providers(membership_.table(),
+                                          pending.service,
+                                          pending.partition)) {
     if (host == self()) continue;  // self-dispatch is not modeled
     if (std::find(pending.tried.begin(), pending.tried.end(), host) !=
         pending.tried.end()) {
@@ -239,10 +290,9 @@ void ServiceConsumer::attempt_proxy(Pending& pending) {
                                          : classify_failure(pending));
     return;
   }
-  auto proxies = membership_.table().lookup(proxy::kProxyServiceName, "*");
   std::vector<net::HostId> hosts;
-  for (const auto* entry : proxies) {
-    if (entry->data().node != self()) hosts.push_back(entry->data().node);
+  for (net::HostId host : memo_.proxies(membership_.table())) {
+    if (host != self()) hosts.push_back(host);
   }
   if (hosts.empty()) {
     finish(pending.id, classify_failure(pending));

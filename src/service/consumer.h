@@ -9,6 +9,7 @@
 // datacenter (paper Fig. 6).
 #pragma once
 
+#include <array>
 #include <functional>
 #include <map>
 #include <string>
@@ -150,7 +151,45 @@ class ServiceConsumer {
   void finish(uint64_t id, FailureCause cause,
               net::HostId server = net::kInvalidHost);
   void on_packet(const net::Packet& packet);
-  std::vector<net::HostId> live_candidates(const Pending& pending) const;
+  std::vector<net::HostId> live_candidates(const Pending& pending);
+
+  // The directory reads of live_candidates and attempt_proxy: for each key
+  // asked about, the node ids of the rows MembershipTable::lookup returned,
+  // in id order, kept until the table's generation() moves. Every refill
+  // goes through lookup itself, so the memo never matches anything lookup
+  // would not. The proxy list has a slot of its own: a partition off the
+  // wire can be any int, so no partition value may stand for "any". The
+  // keyed slots are a fixed array; a miss with every slot taken overwrites
+  // one, so service names off the wire cannot grow it.
+  class ProviderMemo {
+   public:
+    // lookup(service, std::to_string(partition)), as node ids.
+    const std::vector<net::HostId>& providers(
+        const membership::MembershipTable& table, const std::string& service,
+        int partition);
+    // lookup(proxy::kProxyServiceName, "*"), as node ids.
+    const std::vector<net::HostId>& proxies(
+        const membership::MembershipTable& table);
+
+   private:
+    struct Slot {
+      std::string service;
+      int partition = 0;
+      std::vector<net::HostId> hosts;
+    };
+    // The workload asks for 4 partitions of one service.
+    static constexpr size_t kSlots = 8;
+
+    // Empties the memo if the table's rows changed since it was filled.
+    void sync(const membership::MembershipTable& table);
+
+    uint64_t generation_ = 0;
+    std::array<Slot, kSlots> slots_;
+    size_t used_ = 0;        // slots_[0, used_) hold answers
+    size_t next_evict_ = 0;  // the slot a miss overwrites when all are used
+    bool proxies_held_ = false;
+    std::vector<net::HostId> proxies_;
+  };
 
   sim::Simulation& sim_;
   net::Network& net_;
@@ -160,6 +199,7 @@ class ServiceConsumer {
   uint64_t next_id_counter_ = 0;
   std::map<uint64_t, Pending> pending_;
   std::map<uint64_t, uint64_t> poll_to_request_;
+  ProviderMemo memo_;
 };
 
 }  // namespace tamp::service

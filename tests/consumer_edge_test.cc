@@ -21,15 +21,17 @@ struct ConsumerEdgeFixture : public ::testing::Test {
   std::unique_ptr<protocols::Cluster> cluster;
   std::vector<std::unique_ptr<ServiceProvider>> providers;
 
-  void build(int hosts) {
+  void build(int hosts,
+             protocols::Scheme scheme = protocols::Scheme::kHierarchical,
+             bool start = true) {
     layout = net::build_single_segment(topo, hosts);
     net = std::make_unique<net::Network>(sim, topo);
     protocols::Cluster::Options opts;
-    opts.scheme = protocols::Scheme::kHierarchical;
+    opts.scheme = scheme;
     opts.hier.max_ttl = 1;
     cluster = std::make_unique<protocols::Cluster>(sim, *net, layout.hosts,
                                                    opts);
-    cluster->start_all();
+    if (start) cluster->start_all();
   }
 
   ServiceProvider& add_provider(size_t index, const std::string& service,
@@ -221,6 +223,141 @@ TEST_F(ConsumerEdgeFixture, ProviderQueueDrainsInOrder) {
   sim.run_until(sim.now() + 10 * sim::kSecond);
   EXPECT_EQ(done, 10);
   EXPECT_EQ(providers.back()->requests_served(), 10u);
+}
+
+// --- directory reads --------------------------------------------------------
+//
+// The consumer keeps the provider lists it read from the directory until the
+// table's rows change (MembershipTable::generation). Each case below fills
+// those lists with one invocation, changes the view, and checks that the
+// next reads see the change.
+struct DirectoryReadFixture : public ConsumerEdgeFixture {
+  std::unique_ptr<ServiceConsumer> consumer;
+
+  // Replicas of svc partition 0 on nodes 1 and 2, a consumer on node 0, and
+  // one invocation that reads the directory.
+  void build_replicas(
+      ConsumerConfig config = {},
+      protocols::Scheme scheme = protocols::Scheme::kHierarchical) {
+    build(4, scheme);
+    add_provider(1, "svc", 0);
+    add_provider(2, "svc", 0);
+    consumer = std::make_unique<ServiceConsumer>(sim, *net,
+                                                 cluster->daemon(0), config);
+    consumer->start();
+    sim.run_until(8 * sim::kSecond);
+    ASSERT_TRUE(invoke_and_wait("svc", 0).ok());
+  }
+
+  InvokeResult invoke_and_wait(const std::string& service, int partition) {
+    InvokeResult got;
+    bool done = false;
+    consumer->invoke(service, partition, 10, 10,
+                     [&](const InvokeResult& result) {
+                       got = result;
+                       done = true;
+                     });
+    sim.run_until(sim.now() + 2 * sim::kSecond);
+    EXPECT_TRUE(done);
+    return got;
+  }
+
+  // Runs until node 0's directory lists `providers` replicas of svc 0.
+  void await_providers(size_t providers) {
+    const auto& table = cluster->daemon(0).table();
+    for (int step = 0; step < 600; ++step) {
+      if (table.lookup("svc", "0").size() == providers) return;
+      sim.run_until(sim.now() + 100 * sim::kMillisecond);
+    }
+    FAIL() << "node 0 never listed " << providers << " replicas";
+  }
+
+  // Crashes node 1. Once its row has left node 0's directory, an
+  // invocation goes straight to node 2: no probe or request reaches the
+  // dead host.
+  void expect_crash_reaches_next_read() {
+    cluster->kill(1);
+    await_providers(1);
+    InvokeResult result = invoke_and_wait("svc", 0);
+    ASSERT_TRUE(result.ok());
+    EXPECT_EQ(result.server, layout.hosts[2]);
+    EXPECT_EQ(result.misroutes, 0);
+    EXPECT_EQ(result.attempts, 1);
+  }
+};
+
+// A read before nodes 1 and 2 have started finds no replica. Their rows,
+// inserted afterwards, reach the next read. They register svc before they
+// start and all-to-all relays nothing, so node 0 writes each row once.
+TEST_F(DirectoryReadFixture, InsertedRowReachesTheNextRead) {
+  ConsumerConfig config;
+  config.proxy_fallback = false;
+  build(4, protocols::Scheme::kAllToAll, /*start=*/false);
+  add_provider(1, "svc", 0);
+  add_provider(2, "svc", 0);
+  cluster->daemon(0).start();
+  consumer = std::make_unique<ServiceConsumer>(sim, *net, cluster->daemon(0),
+                                               config);
+  consumer->start();
+  ASSERT_EQ(invoke_and_wait("svc", 0).cause, FailureCause::kNoProvider);
+  cluster->daemon(1).start();
+  cluster->daemon(2).start();
+  await_providers(2);
+  EXPECT_TRUE(invoke_and_wait("svc", 0).ok());
+}
+
+// Node 2 re-registers svc for partition 1 only. Its provider would still
+// serve partition 0, so only the replaced row keeps requests away from it.
+TEST_F(DirectoryReadFixture, ReplacedRowReachesTheNextRead) {
+  build_replicas();
+  cluster->daemon(2).register_service("svc", {1});
+  await_providers(1);
+  const uint64_t served = providers[1]->requests_served();
+  for (int i = 0; i < 20; ++i) {
+    InvokeResult result = invoke_and_wait("svc", 0);
+    ASSERT_TRUE(result.ok());
+    EXPECT_EQ(result.server, layout.hosts[1]);
+  }
+  EXPECT_EQ(providers[1]->requests_served(), served);
+}
+
+// The hierarchical leader reports the crash: node 0 erases the row through
+// MembershipTable::remove.
+TEST_F(DirectoryReadFixture, RemovedRowReachesTheNextRead) {
+  build_replicas();
+  expect_crash_reaches_next_read();
+}
+
+// All-to-all has no failure report: node 0's row for node 1 times out in
+// MembershipTable::expire.
+TEST_F(DirectoryReadFixture, ExpiredRowReachesTheNextRead) {
+  build_replicas({}, protocols::Scheme::kAllToAll);
+  expect_crash_reaches_next_read();
+}
+
+// Partitions and service names arrive from the wire through the proxy
+// relay. No partition value stands for "any", and unknown names cannot
+// crowd the known ones out.
+TEST_F(DirectoryReadFixture, WireShapedKeysMatchNothing) {
+  ConsumerConfig config;
+  config.proxy_fallback = false;
+  build_replicas(config);
+  for (int partition : {-1, 65536}) {
+    EXPECT_EQ(invoke_and_wait("svc", partition).cause,
+              FailureCause::kNoProvider)
+        << "partition " << partition;
+  }
+  for (int i = 0; i < 100; ++i) {
+    const std::string name = "unknown-" + std::to_string(i);
+    EXPECT_EQ(invoke_and_wait(name, 0).cause, FailureCause::kNoProvider)
+        << name;
+  }
+  // Both replicas stay candidates: across 20 invocations each serves.
+  const uint64_t served_1 = providers[0]->requests_served();
+  const uint64_t served_2 = providers[1]->requests_served();
+  for (int i = 0; i < 20; ++i) ASSERT_TRUE(invoke_and_wait("svc", 0).ok());
+  EXPECT_GT(providers[0]->requests_served(), served_1);
+  EXPECT_GT(providers[1]->requests_served(), served_2);
 }
 
 // --- proxy fallback under dynamic-topology faults --------------------------

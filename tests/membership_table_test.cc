@@ -400,6 +400,19 @@ void run_differential(const std::vector<NodeId>& ids, uint64_t seed,
   }
   auto still_heard = [&](NodeId relay) { return heard.contains(relay); };
 
+  // Which row the model holds per node: generation() must move exactly
+  // when this map does. Rows are shared per (node, incarnation, variant),
+  // so a record the table keeps as same_row() is the object it holds.
+  auto held_rows = [&] {
+    std::map<NodeId, const Row*> held;
+    for (const auto& [id, held_entry] : model.rows) {
+      held.emplace(id, held_entry.row.get());
+    }
+    return held;
+  };
+  std::map<NodeId, const Row*> held_before = held_rows();
+  uint64_t generation_before = table.generation();
+
   sim::Time now = 0;
   for (int step = 0; step < steps; ++step) {
     now += static_cast<sim::Duration>(rng.uniform_u64(4));
@@ -446,6 +459,12 @@ void run_differential(const std::vector<NodeId>& ids, uint64_t seed,
     }
 
     ASSERT_EQ(table.size(), model.rows.size()) << "step " << step;
+    std::map<NodeId, const Row*> held_after = held_rows();
+    ASSERT_EQ(table.generation() != generation_before,
+              held_after != held_before)
+        << "step " << step << " op " << op;
+    held_before = std::move(held_after);
+    generation_before = table.generation();
     for (NodeId probe : {node, node - 1, node + 1, pick(), ids.front(),
                          ids.back(), NodeId{0}, kInvalidNode - 1}) {
       ASSERT_EQ(table.contains(probe), model.rows.contains(probe))
