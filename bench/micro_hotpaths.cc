@@ -2,11 +2,14 @@
 // transport adds to every send, and the full instrumented send it rides on.
 // tools/gate.py hotpath fails CI if the first costs more than 5% of the
 // second. BM_TableApplyRefresh times the directory lookup every received
-// heartbeat pays, and BM_TableAbsorbImage the inserts of a bootstrap image
-// absorbed row by row; no gate reads either. perfbench's per-layer ledger
-// covers the other hot paths (codec, event queue) on whole workloads.
+// heartbeat pays, BM_TableAbsorbImage the inserts of a bootstrap image
+// absorbed row by row, and BM_EventLoop the event queue alone on a
+// slo-36-shaped timer load; no gate reads these three. perfbench's
+// per-layer ledger covers the other hot paths (the codec among them) on
+// whole workloads.
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
 #include <vector>
 
 #include "membership/codec.h"
@@ -126,6 +129,67 @@ void BM_TableAbsorbImage(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TableAbsorbImage);
+
+// The event loop shaped like slo-36, whose scenarios peak near 1,000
+// pending events: 1,024 pending failure-suspicion timers 2-3 s out, and 32
+// message chains in which each delivery pushes one near-term follow-up
+// (50 us to 1 ms). Every fifth delivery re-arms a random timer, cancelling
+// the old one, so 1 push in 6 (17%) is cancelled before it fires. A timer
+// is re-armed every 0.08 s of virtual time on average, so every event run
+// is a delivery.
+class EventLoopKernel {
+ public:
+  explicit EventLoopKernel(sim::Simulation& sim)
+      : sim_(sim), timers_(kTimers) {
+    for (int timer = 0; timer < kTimers; ++timer) arm(timer);
+    for (int chain = 0; chain < kChains; ++chain) send();
+  }
+
+ private:
+  static constexpr int kTimers = 1024;
+  static constexpr int kChains = 32;
+
+  sim::Duration draw(sim::Duration range) {
+    return static_cast<sim::Duration>(
+        sim_.rng().uniform_u64(static_cast<uint64_t>(range)));
+  }
+
+  void arm(int timer) {
+    const sim::Duration timeout = 2 * sim::kSecond + draw(sim::kSecond);
+    timers_[timer] =
+        sim_.schedule_after(timeout, [this, timer] { arm(timer); });
+  }
+
+  void send() {
+    sim_.schedule_after(50 * sim::kMicrosecond + draw(950 * sim::kMicrosecond),
+                        [this] { deliver(); });
+  }
+
+  void deliver() {
+    send();
+    if (++deliveries_ % 5 == 0) {
+      const auto timer = static_cast<int>(sim_.rng().uniform_u64(kTimers));
+      sim_.cancel(timers_[timer]);
+      arm(timer);
+    }
+  }
+
+  sim::Simulation& sim_;
+  std::vector<sim::EventId> timers_;
+  uint64_t deliveries_ = 0;
+};
+
+// Items are events run: ns per event is 1e9 / items_per_second.
+void BM_EventLoop(benchmark::State& state) {
+  sim::Simulation sim(13);
+  EventLoopKernel kernel(sim);
+  sim.run_until(sim::kSecond);  // settle into the steady mix
+  const uint64_t start = sim.events_executed();
+  for (auto _ : state) sim.run_until(sim.now() + sim::kMillisecond);
+  state.SetItemsProcessed(
+      static_cast<int64_t>(sim.events_executed() - start));
+}
+BENCHMARK(BM_EventLoop);
 
 }  // namespace
 }  // namespace tamp

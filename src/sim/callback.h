@@ -30,13 +30,7 @@ class Callback {
             class = std::enable_if_t<!std::is_same_v<D, Callback> &&
                                      std::is_invocable_r_v<void, D&>>>
   Callback(F&& fn) {  // NOLINT(google-explicit-constructor): takes lambdas
-    if constexpr (kFitsInline<D>) {
-      ::new (static_cast<void*>(storage_)) D(std::forward<F>(fn));
-      ops_ = &kInlineOps<D>;
-    } else {
-      ::new (static_cast<void*>(storage_)) D*(new D(std::forward<F>(fn)));
-      ops_ = &kHeapOps<D>;
-    }
+    build<D>(std::forward<F>(fn));
   }
 
   Callback(Callback&& other) noexcept { take(other); }
@@ -55,6 +49,24 @@ class Callback {
 
   // Must not be called on an empty Callback.
   void operator()() { ops_->invoke(storage_); }
+
+  // Replaces the held callable with one built from `fn` right here, so the
+  // closure is constructed once and never relocated.
+  template <class F, class D = std::decay_t<F>,
+            class = std::enable_if_t<!std::is_same_v<D, Callback> &&
+                                     std::is_invocable_r_v<void, D&>>>
+  void emplace(F&& fn) {
+    reset();
+    build<D>(std::forward<F>(fn));
+  }
+
+  // Destroys the held callable, if any; its captures' destructors run here.
+  void reset() noexcept {
+    if (ops_ != nullptr) {
+      ops_->destroy(storage_);
+      ops_ = nullptr;
+    }
+  }
 
  private:
   struct Ops {
@@ -87,10 +99,15 @@ class Callback {
       [](void* self) noexcept { delete at<D*>(self); },
   };
 
-  void reset() noexcept {
-    if (ops_ != nullptr) {
-      ops_->destroy(storage_);
-      ops_ = nullptr;
+  // Constructs the closure in storage_, or boxes it; storage_ is empty.
+  template <class D, class F>
+  void build(F&& fn) {
+    if constexpr (kFitsInline<D>) {
+      ::new (static_cast<void*>(storage_)) D(std::forward<F>(fn));
+      ops_ = &kInlineOps<D>;
+    } else {
+      ::new (static_cast<void*>(storage_)) D*(new D(std::forward<F>(fn)));
+      ops_ = &kHeapOps<D>;
     }
   }
 

@@ -9,10 +9,11 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
+#include <utility>
 
-#include "sim/callback.h"
 #include "sim/event_queue.h"
 #include "sim/time.h"
+#include "util/check.h"
 #include "util/rng.h"
 
 namespace tamp::sim {
@@ -27,18 +28,29 @@ class Simulation {
   Time now() const { return now_; }
   util::Rng& rng() { return rng_; }
 
-  // Schedule `fn` at absolute virtual time `t` (must be >= now()).
-  EventId schedule_at(Time t, Callback fn);
+  // Schedule `fn` at absolute virtual time `t` (must be >= now()). The
+  // closure is built once, in the slot it will run from.
+  template <class F>
+  EventId schedule_at(Time t, F&& fn) {
+    TAMP_CHECK_MSG(t >= now_, "cannot schedule into the past");
+    return queue_.push(t, std::forward<F>(fn));
+  }
 
   // Schedule `fn` after a delay (clamped to >= 0).
-  EventId schedule_after(Duration delay, Callback fn);
+  template <class F>
+  EventId schedule_after(Duration delay, F&& fn) {
+    if (delay < 0) delay = 0;
+    return queue_.push(now_ + delay, std::forward<F>(fn));
+  }
 
-  // Cancel a pending event. Returns false if already fired/cancelled.
+  // Cancel a pending event. Returns false if it already ran, is running or
+  // was cancelled.
   bool cancel(EventId id) { return queue_.cancel(id); }
 
   // Run until the queue drains or `deadline` passes, whichever first. Events
   // scheduled exactly at the deadline still run. Returns the number of
-  // events executed.
+  // events executed. Must not be called from inside an event: the running
+  // callback executes in its queue slot, with the clock at its own time.
   uint64_t run_until(Time deadline);
 
   // Run until the queue is empty.
@@ -56,6 +68,7 @@ class Simulation {
   EventQueue queue_;
   util::Rng rng_;
   uint64_t events_executed_ = 0;
+  bool running_ = false;  // inside run_until
   std::function<void(Time, EventId)> trace_hook_;
 };
 

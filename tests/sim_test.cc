@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <limits>
 #include <map>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -14,13 +16,23 @@
 namespace tamp::sim {
 namespace {
 
+constexpr Time kForever = std::numeric_limits<Time>::max();
+
+// Runs every pending event in order; returns the times they ran at.
+std::vector<Time> drain(EventQueue& q) {
+  std::vector<Time> times;
+  while (q.run_next(kForever, [&](Time t, EventId) { times.push_back(t); })) {
+  }
+  return times;
+}
+
 TEST(EventQueue, OrdersByTime) {
   EventQueue q;
   std::vector<int> order;
   q.push(30, [&] { order.push_back(3); });
   q.push(10, [&] { order.push_back(1); });
   q.push(20, [&] { order.push_back(2); });
-  while (!q.empty()) q.pop().fn();
+  EXPECT_EQ(drain(q), (std::vector<Time>{10, 20, 30}));
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
@@ -28,7 +40,7 @@ TEST(EventQueue, TiesBreakByInsertionOrder) {
   EventQueue q;
   std::vector<int> order;
   for (int i = 0; i < 5; ++i) q.push(100, [&order, i] { order.push_back(i); });
-  while (!q.empty()) q.pop().fn();
+  drain(q);
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
 }
 
@@ -39,6 +51,7 @@ TEST(EventQueue, Cancel) {
   EXPECT_TRUE(q.cancel(id));
   EXPECT_FALSE(q.cancel(id));  // second cancel is a no-op
   EXPECT_TRUE(q.empty());
+  EXPECT_TRUE(drain(q).empty());
   EXPECT_FALSE(ran);
 }
 
@@ -55,7 +68,11 @@ TEST(EventQueue, SizeTracksLiveEvents) {
   EXPECT_EQ(q.size(), 2u);
   q.cancel(a);
   EXPECT_EQ(q.size(), 1u);
-  EXPECT_EQ(q.next_time(), 2);
+  // The cancelled event at t=1 is skipped; the next one is not yet due.
+  EXPECT_FALSE(q.run_next(1, [](Time, EventId) { FAIL(); }));
+  EXPECT_EQ(q.size(), 1u);
+  EXPECT_EQ(drain(q), std::vector<Time>{2});
+  EXPECT_TRUE(q.empty());
 }
 
 TEST(EventQueue, ReusedSlotFiresAtItsOwnTime) {
@@ -69,21 +86,14 @@ TEST(EventQueue, ReusedSlotFiresAtItsOwnTime) {
   q.push(30, [&] { tags.push_back(3); });
   EXPECT_NE(late, early);
   EXPECT_EQ(q.size(), 2u);
-  EXPECT_EQ(q.next_time(), 30);
-  std::vector<Time> times;
-  while (!q.empty()) {
-    auto event = q.pop();
-    event.fn();
-    times.push_back(event.t);
-  }
+  EXPECT_EQ(drain(q), (std::vector<Time>{30, 50}));
   EXPECT_EQ(tags, (std::vector<int>{3, 2}));
-  EXPECT_EQ(times, (std::vector<Time>{30, 50}));
 }
 
 TEST(EventQueue, CancelOfDeadIdFailsAfterSlotReuse) {
   EventQueue q;
   EventId fired = q.push(1, [] {});
-  q.pop().fn();
+  drain(q);
   EventId reuser = q.push(2, [] {});
   EXPECT_FALSE(q.cancel(fired));
   EXPECT_EQ(q.size(), 1u);
@@ -111,50 +121,198 @@ TEST(EventQueue, TiesKeepPushOrderAcrossSlotReuse) {
   for (int i = 6; i < 9; ++i) {
     q.push(100, [&order, i] { order.push_back(i); });
   }
-  while (!q.empty()) q.pop().fn();
+  drain(q);
   EXPECT_EQ(order, (std::vector<int>{2, 4, 5, 6, 7, 8}));
 }
 
-// Random push/cancel/pop against a reference map keyed on (time, push
-// order): the fire sequence and size() must match step for step.
-TEST(EventQueue, MatchesReferenceOrderUnderRandomOps) {
-  util::Rng rng(2024);
-  EventQueue q;
-  std::map<std::pair<Time, int>, int> reference;  // (t, push#) -> tag
-  std::vector<std::pair<EventId, std::pair<Time, int>>> issued;
-  std::vector<int> fired, expected;
-  Time now = 0;
-  int pushes = 0;
-  for (int op = 0; op < 100000; ++op) {
-    const uint64_t dice = rng.uniform_u64(10);
-    if (dice < 5) {
-      // Few distinct times, so ties are common.
-      const Time t = now + static_cast<Time>(rng.uniform_u64(8));
-      const int tag = pushes++;
-      EventId id = q.push(t, [&fired, tag] { fired.push_back(tag); });
-      reference.emplace(std::pair{t, tag}, tag);
-      issued.emplace_back(id, std::pair{t, tag});
-    } else if (dice < 8 && !issued.empty()) {
-      const auto& [id, key] = issued[rng.uniform_u64(issued.size())];
-      ASSERT_EQ(q.cancel(id), reference.erase(key) == 1) << "op " << op;
-    } else if (!reference.empty()) {
-      ASSERT_EQ(q.next_time(), reference.begin()->first.first);
-      auto event = q.pop();
-      now = event.t;
-      event.fn();
-      expected.push_back(reference.begin()->second);
-      reference.erase(reference.begin());
+// Random pushes, cancels and runs against a reference map keyed on (time,
+// push order), made both from the test and from inside running callbacks:
+// the fire order and size() must match step for step.
+class ReferenceDriver {
+ public:
+  void run(int ops) {
+    for (int op = 0; op < ops; ++op) {
+      const uint64_t dice = rng_.uniform_u64(10);
+      if (dice < 5) {
+        push(now_ + static_cast<Time>(rng_.uniform_u64(8)));
+      } else if (dice < 8) {
+        cancel_random();
+      } else if (!reference_.empty()) {
+        ASSERT_TRUE(run_one()) << "op " << op;
+      }
+      // Now and then run the queue nearly dry, where pushes earlier than
+      // every pending event are common.
+      if (op % 1000 == 999) {
+        while (reference_.size() > 2) ASSERT_TRUE(run_one()) << "op " << op;
+      }
+      ASSERT_EQ(q_.size(), reference_.size()) << "op " << op;
     }
-    ASSERT_EQ(q.size(), reference.size()) << "op " << op;
+    while (!reference_.empty()) ASSERT_TRUE(run_one());
+    EXPECT_FALSE(run_one());
+    EXPECT_TRUE(q_.empty());
   }
-  while (!reference.empty()) {
-    q.pop().fn();
-    expected.push_back(reference.begin()->second);
-    reference.erase(reference.begin());
+
+  std::vector<int> fired, expected;
+  int earliest_pushes = 0;      // pushed before every pending event
+  int hole_filler_cancels = 0;  // a callback's first push, cancelled
+  int nested_pushes = 0;
+
+ private:
+  using Key = std::pair<Time, int>;  // (t, push#)
+
+  EventId push(Time t) {
+    const int tag = pushes_++;
+    EventId id = q_.push(t, [this, tag] { fire(tag); });
+    reference_.emplace(Key{t, tag}, tag);
+    issued_.emplace_back(id, Key{t, tag});
+    pushed_in_callback_ = true;
+    return id;
   }
-  EXPECT_TRUE(q.empty());
-  EXPECT_EQ(fired, expected);
-  EXPECT_GT(fired.size(), 10000u);
+
+  void cancel_random() {
+    if (issued_.empty()) return;
+    const auto& [id, key] = issued_[rng_.uniform_u64(issued_.size())];
+    ASSERT_EQ(q_.cancel(id), reference_.erase(key) == 1);
+  }
+
+  bool run_one() {
+    return q_.run_next(kForever, [this](Time t, EventId id) {
+      ASSERT_FALSE(reference_.empty());
+      ASSERT_EQ(t, reference_.begin()->first.first);
+      expected.push_back(reference_.begin()->second);
+      reference_.erase(reference_.begin());
+      now_ = t;
+      running_ = id;
+      pushed_in_callback_ = false;
+    });
+  }
+
+  // The callback of every event: checks the queue from inside, then makes
+  // up to three random pushes and cancels of its own.
+  void fire(int tag) {
+    fired.push_back(tag);
+    EXPECT_EQ(q_.size(), reference_.size());
+    EXPECT_FALSE(q_.cancel(running_));  // the running event's own id
+    for (uint64_t n = rng_.uniform_u64(4); n > 0; --n) {
+      const uint64_t dice = rng_.uniform_u64(4);
+      const bool first = !pushed_in_callback_;
+      if (dice == 0) {
+        push(now_ + static_cast<Time>(rng_.uniform_u64(8)));  // ties common
+      } else if (dice == 1) {
+        if (reference_.empty() || reference_.begin()->first.first > now_) {
+          ++earliest_pushes;
+        }
+        push(now_);
+      } else if (dice == 2) {
+        // Cancel at once what this push placed: the root hole when first.
+        EXPECT_TRUE(q_.cancel(push(now_ + 1)));
+        reference_.erase(issued_.back().second);
+        if (first) ++hole_filler_cancels;
+      } else {
+        cancel_random();
+        continue;
+      }
+      ++nested_pushes;
+    }
+    EXPECT_EQ(q_.size(), reference_.size());
+  }
+
+  util::Rng rng_{2024};
+  EventQueue q_;
+  std::map<Key, int> reference_;  // -> tag
+  std::vector<std::pair<EventId, Key>> issued_;
+  Time now_ = 0;
+  int pushes_ = 0;
+  EventId running_ = kInvalidEventId;
+  bool pushed_in_callback_ = false;  // reset as each event starts
+};
+
+TEST(EventQueue, MatchesReferenceOrderUnderRandomOps) {
+  ReferenceDriver driver;
+  driver.run(100000);
+  EXPECT_EQ(driver.fired, driver.expected);
+  EXPECT_GT(driver.fired.size(), 10000u);
+  EXPECT_GT(driver.nested_pushes, 10000);
+  EXPECT_GT(driver.earliest_pushes, 1000);
+  EXPECT_GT(driver.hole_filler_cancels, 1000);
+}
+
+// Counts moves and notes where the latest copy lives.
+struct Anchor {
+  explicit Anchor(const Anchor** where) : where(where) { *where = this; }
+  Anchor(Anchor&& other) noexcept : where(other.where), moves(other.moves + 1) {
+    *where = this;
+  }
+  const Anchor** where;
+  int moves = 0;
+};
+
+// A callback that pushes pages' worth of events runs on in its own slot:
+// the closure was built once, where it runs, and its captures stay valid
+// (the ASan build checks the reads).
+TEST(EventQueue, CallbackPushingPagesKeepsItsCaptures) {
+  EventQueue q;
+  const Anchor* latest = nullptr;
+  std::vector<int> seen;
+  auto fn = [&q, &seen, anchor = Anchor(&latest),
+             data = std::vector<int>(64, 3)] {
+    for (int i = 0; i < 500; ++i) q.push(2, [] {});
+    EXPECT_EQ(&anchor, *anchor.where);
+    EXPECT_EQ(anchor.moves, 1);  // into its slot, once
+    seen = data;
+  };
+  static_assert(Callback::kFitsInline<decltype(fn)>);
+  q.push(1, std::move(fn));
+  EXPECT_EQ(drain(q).size(), 501u);
+  EXPECT_EQ(seen, std::vector<int>(64, 3));
+}
+
+TEST(EventQueue, SizeDuringACallbackExcludesTheRunningEvent) {
+  EventQueue q;
+  std::vector<size_t> sizes;
+  q.push(1, [&] {
+    sizes.push_back(q.size());
+    q.push(3, [] {});
+    sizes.push_back(q.size());
+  });
+  q.push(2, [&] { sizes.push_back(q.size()); });
+  drain(q);
+  EXPECT_EQ(sizes, (std::vector<size_t>{1, 2, 1}));
+}
+
+// Calls `fn` when destroyed, unless moved from.
+template <class Fn>
+struct OnDestroy {
+  explicit OnDestroy(Fn fn) : fn(std::move(fn)) {}
+  OnDestroy(OnDestroy&& other) noexcept
+      : fn(std::move(other.fn)), armed(std::exchange(other.armed, false)) {}
+  ~OnDestroy() {
+    if (armed) fn();
+  }
+  Fn fn;
+  bool armed = true;
+};
+
+// A capture's destructor runs after its callback has returned, and may
+// push: the slot it frees is not handed out until it is done.
+TEST(EventQueue, CaptureDestructorThatPushesRunsAfterTheCallback) {
+  EventQueue q;
+  std::vector<std::string> log;
+  EventId running = kInvalidEventId;
+  EventId pushed = kInvalidEventId;
+  auto on_destroy = [&] {
+    log.push_back("destroyed");
+    EXPECT_FALSE(q.cancel(running));
+    EXPECT_EQ(q.size(), 0u);
+    pushed = q.push(5, [&] { log.push_back("pushed ran"); });
+  };
+  q.push(1, [&, guard = OnDestroy(on_destroy)] { log.push_back("ran"); });
+  EXPECT_TRUE(q.run_next(kForever, [&](Time, EventId id) { running = id; }));
+  EXPECT_EQ(log, (std::vector<std::string>{"ran", "destroyed"}));
+  constexpr EventId kSlotMask = (EventId{1} << 24) - 1;
+  EXPECT_NE(pushed & kSlotMask, running & kSlotMask);
+  EXPECT_EQ(drain(q), std::vector<Time>{5});
+  EXPECT_EQ(log.back(), "pushed ran");
 }
 
 // Counts destructions of live (not moved-from) copies.
@@ -176,7 +334,7 @@ TEST(Callback, HoldsMoveOnlyCapture) {
 
   EventQueue q;
   q.push(1, [p = std::make_unique<int>(9), &seen] { seen = *p; });
-  q.pop().fn();
+  drain(q);
   EXPECT_EQ(seen, 9);
 }
 
@@ -190,7 +348,7 @@ TEST(Callback, QueueReleasesCapturesOnCancelFireAndDestruction) {
     EXPECT_EQ(token.use_count(), 4);
     q.cancel(cancelled);
     EXPECT_EQ(token.use_count(), 3);  // destroyed at cancel, not at pop
-    q.pop().fn();
+    ASSERT_TRUE(q.run_next(kForever, [](Time, EventId) {}));
     EXPECT_EQ(token.use_count(), 2);  // destroyed after firing
   }
   EXPECT_EQ(token.use_count(), 1);  // the queue's destructor dropped the rest
@@ -265,6 +423,14 @@ TEST(Simulation, RunUntilStopsAtDeadline) {
   EXPECT_EQ(sim.now(), 5 * kSecond);
   sim.run();
   EXPECT_EQ(count, 10);
+}
+
+// A callback runs in its queue slot with the clock at its own time, so a
+// nested run is refused rather than run beneath it.
+TEST(Simulation, RunUntilFromInsideAnEventAborts) {
+  Simulation sim;
+  sim.schedule_at(kSecond, [&] { sim.run_until(2 * kSecond); });
+  EXPECT_DEATH(sim.run(), "run_until called from inside an event");
 }
 
 TEST(Simulation, EventsCanSchedule) {
